@@ -2,9 +2,18 @@
 
 The forward pass lowers input patches to a column tensor (a strided
 view, copied once inside the GEMM) so both the tied-filter layers and
-the map-rotating reference path share one kernel. Summation order is
-fixed (channel, then kernel row, then kernel column) so repeated runs
-are bitwise reproducible.
+the map-rotating reference path share one kernel.
+
+The backward pass is two GEMMs over contiguous operands (unrolled
+convolution, Chellapilla et al. 2006). With the output gradient laid
+out as an (o, n*oh*ow) matrix, the filter gradient is that matrix
+times the transposed patch columns. The input gradient is the filter
+bank times it, scattered back over the patch windows (col2im). That
+stage runs one kernel row at a time, so at most one row's columns,
+(c*kw, n*oh*ow), exist at once: peak memory stays at the forward's
+patch matrix rather than growing by the k^2-sized column gradient.
+Every sum runs in a fixed order, so repeated runs are bitwise
+reproducible.
 """
 
 from dataclasses import dataclass
@@ -94,23 +103,26 @@ def correlate2d_backward(
     if grad_out.shape != expected:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output {expected}")
 
-    xp = _pad_spatial(x, geom.pad)
-    cols = _patches(xp, kh, kw, geom.stride)
-    grad_w = np.tensordot(grad_out, cols, axes=([0, 2, 3], [0, 4, 5]))
+    o, c = w.shape[0], w.shape[1]
+    n, s, pad = x.shape[0], geom.stride, geom.pad
+    xp = _pad_spatial(x, pad)
+    # both GEMM operands contiguous: g2 is (o, n*oh*ow), cols is (c*kh*kw, n*oh*ow)
+    g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, n * oh * ow)
+    cols = _patches(xp, kh, kw, s).transpose(1, 2, 3, 0, 4, 5)
+    cols = np.ascontiguousarray(cols).reshape(c * kh * kw, n * oh * ow)
+    grad_w = (g2 @ cols.T).reshape(o, c, kh, kw)
+    del cols  # before col2im, so only one patch matrix is ever alive
 
-    grad_xp = np.zeros_like(xp)
-    s = geom.stride
+    # col2im by kernel row; in a (c, n, h, w) buffer each scatter-add
+    # touches whole (n, oh, ow) slabs of one channel
+    wt = np.ascontiguousarray(w.transpose(2, 1, 3, 0))  # (kh, c, kw, o)
+    grad_xp = np.zeros((c, n) + xp.shape[2:], dtype=xp.dtype)
     for u in range(kh):
+        rows = (wt[u].reshape(c * kw, o) @ g2).reshape(c, kw, n, oh, ow)
         for v in range(kw):
-            # t[n,p,q,c] = sum_o grad_out[n,o,p,q] * w[o,c,u,v]
-            t = np.tensordot(grad_out, w[:, :, u, v], axes=([1], [0]))
-            grad_xp[:, :, u : u + oh * s : s, v : v + ow * s : s] += t.transpose(0, 3, 1, 2)
-    if geom.pad:
-        p = geom.pad
-        grad_x = np.ascontiguousarray(grad_xp[:, :, p:-p, p:-p])
-    else:
-        grad_x = grad_xp
-    return grad_x, grad_w
+            grad_xp[:, :, u : u + oh * s : s, v : v + ow * s : s] += rows[:, v]
+    grad_xp = grad_xp[:, :, pad : xp.shape[2] - pad, pad : xp.shape[3] - pad]
+    return np.ascontiguousarray(grad_xp.transpose(1, 0, 2, 3)), grad_w
 
 
 def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:

@@ -324,29 +324,18 @@ class GroupBatchNorm:
 
     def backward(self, grad_out, params, cache):
         """Returns (grad_x, grad_params)."""
-        n, c, h, w = grad_out.shape
-        g, gs = self.groups, self.group_size
-        go = grad_out.reshape(n, g, gs, h, w)
-        xhat, inv_std = cache["xhat"], cache["inv_std"]
-        grad_gamma = (go * xhat).sum(axis=(0, 2, 3, 4))
-        grad_beta = go.sum(axis=(0, 2, 3, 4))
-        gamma = params["gamma"].reshape(1, g, 1, 1, 1)
+        g = self.groups
+        go = grad_out.reshape(grad_out.shape[0], g, -1)
+        xhat = cache["xhat"].reshape(go.shape)
+        grad_beta = go.sum(axis=(0, 2))
+        grad_gamma = (go * xhat).sum(axis=(0, 2))
+        scale = (params["gamma"] * cache["inv_std"])[:, None]
         if cache["train"]:
-            m = n * gs * h * w
-            gxhat = go * gamma
-            grad_xg = (
-                inv_std.reshape(1, g, 1, 1, 1)
-                / m
-                * (
-                    m * gxhat
-                    - gxhat.sum(axis=(0, 2, 3, 4), keepdims=True)
-                    - xhat * (gxhat * xhat).sum(axis=(0, 2, 3, 4), keepdims=True)
-                )
-            )
+            m = go.shape[0] * go.shape[2]
+            grad_xg = scale * (go - (grad_beta / m)[:, None] - xhat * (grad_gamma / m)[:, None])
         else:
-            grad_xg = go * gamma * inv_std.reshape(1, g, 1, 1, 1)
-        grad_x = grad_xg.reshape(n, c, h, w)
-        return grad_x, {"gamma": grad_gamma, "beta": grad_beta}
+            grad_xg = scale * go
+        return grad_xg.reshape(grad_out.shape), {"gamma": grad_gamma, "beta": grad_beta}
 
 
 def init_cycle(rng: np.random.Generator, g_out: int, c_in: int, kernel: int, dtype) -> CycleParams:

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +297,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "roteq", "--help"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "usage:" in run.stdout and "verify" in run.stdout
 
 
 def test_sweep_stacks_build_at_every_depth():

@@ -87,10 +87,24 @@ def test_backward_shape_mismatch(rng):
         correlate2d_backward(np.zeros((1, 1, 2, 2)), x, w)
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
-def test_backward_matches_finite_differences(rng, stride, pad):
-    x = rng.standard_normal((1, 2, 5, 5))
-    w = rng.standard_normal((2, 2, 3, 3))
+# (stride, pad, x shape, w shape) for the backward checks below
+BACKWARD_CASES = {
+    "1-0": (1, 0, (1, 2, 5, 5), (2, 2, 3, 3)),
+    "2-1": (2, 1, (1, 2, 5, 5), (2, 2, 3, 3)),
+    "batch2-3to4": (1, 0, (2, 3, 6, 6), (4, 3, 3, 3)),
+    "k1x1": (1, 0, (2, 3, 4, 4), (5, 3, 1, 1)),
+    "k4x4-decycle": (1, 0, (3, 4, 6, 6), (2, 4, 4, 4)),
+    "k2x3-rect": (1, 1, (2, 3, 5, 6), (2, 3, 2, 3)),
+    "3-2": (3, 2, (2, 2, 7, 7), (3, 2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize(
+    "stride,pad,x_shape,w_shape", list(BACKWARD_CASES.values()), ids=list(BACKWARD_CASES)
+)
+def test_backward_matches_finite_differences(rng, stride, pad, x_shape, w_shape):
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
     geom = ConvGeometry(stride, pad)
     g = rng.standard_normal(correlate2d(x, w, geom).shape)
 
@@ -98,10 +112,11 @@ def test_backward_matches_finite_differences(rng, stride, pad):
         return float((correlate2d(xx, ww, geom) * g).sum())
 
     gx, gw = correlate2d_backward(g, x, w, geom)
+    assert gx.shape == x.shape and gw.shape == w.shape
     eps = 1e-5
     for arr, grad, which in ((x, gx, "x"), (w, gw, "w")):
         flat = arr.reshape(-1)
-        idx = rng.choice(flat.size, size=8, replace=False)
+        idx = rng.choice(flat.size, size=min(8, flat.size), replace=False)
         for j in idx:
             orig = flat[j]
             flat[j] = orig + eps
@@ -114,14 +129,29 @@ def test_backward_matches_finite_differences(rng, stride, pad):
 
 
 def test_adjoint_identities(rng):
-    x = rng.standard_normal((2, 3, 6, 6))
-    w = rng.standard_normal((4, 3, 3, 3))
-    y = correlate2d(x, w)
-    g = rng.standard_normal(y.shape)
-    gx, gw = correlate2d_backward(g, x, w)
-    lhs = np.vdot(y, g)
-    assert abs(lhs - np.vdot(x, gx)) / abs(lhs) < 1e-10
-    assert abs(lhs - np.vdot(w, gw)) / abs(lhs) < 1e-10
+    for stride, pad, x_shape, w_shape in BACKWARD_CASES.values():
+        geom = ConvGeometry(stride, pad)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        y = correlate2d(x, w, geom)
+        g = rng.standard_normal(y.shape)
+        gx, gw = correlate2d_backward(g, x, w, geom)
+        lhs = np.vdot(y, g)
+        assert abs(lhs - np.vdot(x, gx)) / abs(lhs) < 1e-10, (stride, pad, x_shape, w_shape)
+        assert abs(lhs - np.vdot(w, gw)) / abs(lhs) < 1e-10, (stride, pad, x_shape, w_shape)
+
+
+def test_backward_keeps_float32_and_tracks_float64(rng):
+    # the 20->20 isotonic layer of dren-z2cnn-shape at 26x26, batch 4
+    x = rng.standard_normal((4, 20, 26, 26))
+    w = rng.standard_normal((20, 20, 3, 3))
+    g = rng.standard_normal((4, 20, 24, 24))
+    gx64, gw64 = correlate2d_backward(g, x, w)
+    gx32, gw32 = correlate2d_backward(*(a.astype(np.float32) for a in (g, x, w)))
+    assert gx32.dtype == np.float32 and gw32.dtype == np.float32
+    assert gx64.dtype == np.float64 and gw64.dtype == np.float64
+    assert max_rel(gx32, gx64) <= 1e-5
+    assert max_rel(gw32, gw64) <= 1e-5
 
 
 def test_stride_predicate_examples():

@@ -399,6 +399,38 @@ def test_batchnorm_running_stats_update(rng):
     assert state["mean"][0] == 0.0  # input state untouched
 
 
+@pytest.mark.parametrize("group_size", [4, 1])
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm_backward_matches_finite_differences(rng, train, group_size):
+    bn = GroupBatchNorm(8 // group_size, group_size)
+    x = rng.standard_normal((3, 8, 4, 4)) * 2.0 + 0.5
+    params = {"gamma": rng.uniform(0.5, 2.0, bn.groups), "beta": rng.standard_normal(bn.groups)}
+    state = {"mean": rng.standard_normal(bn.groups), "var": rng.uniform(0.5, 2.0, bn.groups)}
+    r = rng.standard_normal(x.shape)
+
+    def loss():
+        y, _, _ = bn.forward(x, params, state, train)
+        return float((y * r).sum())
+
+    _, cache, _ = bn.forward(x, params, state, train)
+    gx, gp = bn.backward(r, params, cache)
+    assert gx.shape == x.shape
+    eps = 1e-6
+    checks = [(x, gx, rng.choice(x.size, size=12, replace=False))]
+    checks += [(params[k], gp[k], range(bn.groups)) for k in ("gamma", "beta")]
+    for arr, grad, idx in checks:
+        flat = arr.reshape(-1)
+        for j in idx:
+            orig = flat[j]
+            flat[j] = orig + eps
+            hi = loss()
+            flat[j] = orig - eps
+            lo = loss()
+            flat[j] = orig
+            fd = (hi - lo) / (2 * eps)
+            assert abs(fd - grad.reshape(-1)[j]) <= 1e-6 * max(abs(fd), 1.0)
+
+
 def test_argmax_invariance_with_tie_break(rng):
     # equal logits tie-break to the lowest index on both sides
     logits = np.array([[0.5, 0.5, 0.1]])

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,42 @@ def test_training_is_deterministic():
         model = build_model(small_stack(), in_channels=1, seed=9)
         histories.append(train(model, tr, va, cfg))
     assert histories[0] == histories[1]  # bitwise identical floats
+
+
+_TRAIN_DIGEST = """
+import hashlib
+import numpy as np
+from roteq import data, network
+
+ds = data.synth_glyphs(96, size=28, seed=3)
+tr, va, _ = data.split(ds, 64, 16, 16, seed=4)
+model = network.build_model(network.preset_stack("dren-small"), in_channels=1, seed=5)
+network.train(model, tr, va, network.TrainConfig(lr=0.05, epochs=1, batch_size=32, seed=6))
+digest = hashlib.sha256()
+for i in sorted(model.params):
+    for name in sorted(model.params[i]):
+        digest.update(np.ascontiguousarray(model.params[i][name]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_is_bit_identical_across_blas_thread_counts():
+    src = str(Path(network.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", _TRAIN_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_loss_decreases_on_synthetic_data():
