@@ -6,9 +6,12 @@ maps unchanged) versus rotating feature maps per forward pass (filters
 unchanged, maps 4x). The GEMM row models the patch-matrix lowering used
 by the correlation kernel, where every map element is copied k^2 times.
 
-The timing harness runs the same parameters through both pipelines and
-refuses to time anything until their outputs agree, so the measured
-ratio reflects strategy overhead and never a divergent computation.
+The timing harness runs the same parameters through both strategies:
+the filter side is the eval-mode `network.forward` that training and
+inference use, the map side runs `oracle.oracle_<kind>` for every tied
+layer and the layer table's forward step for the others. It refuses to
+time anything until their outputs agree, so the measured ratio reflects
+strategy overhead and never a divergent computation.
 """
 
 import time
@@ -16,18 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle
-from .conv import ConvGeometry, correlate2d, max_pool2d
-from .eqlayers import (
-    CycleParams,
-    DecycleParams,
-    IsotonicParams,
-    expand_cycle,
-    expand_decycle,
-    expand_isotonic,
-    global_spatial_avg_pool,
-)
-from .network import Model, build_model, preset_stack
+from . import network, oracle
+from .conv import ConvGeometry
+from .network import build_model, preset_stack
 from .oracle import relative_deviation
 
 ROTATE_FILTERS = "rotate_filters"
@@ -90,69 +84,6 @@ def memory_model(geom: LayerGeometry, strategy: str) -> CostReport:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _bench_layers(model: Model):
-    """(kind, spec, params-or-filter) plan for both pipelines."""
-    plan = []
-    for i, spec in enumerate(model.specs):
-        kind = spec.kind
-        if kind in ("cycle", "isotonic", "decycle"):
-            plan.append((kind, spec, model.params[i]["base"]))
-        elif kind in ("relu", "max_pool", "global_avg_pool"):
-            plan.append((kind, spec, None))
-        elif kind == "conv":
-            raise ValueError(f"layer {i}: untied conv layers have no strategy counterpart")
-        else:
-            raise ValueError(f"layer {i} ({kind}): not supported in the timing model")
-    return plan
-
-
-def _forward_rotate_filters(plan, expanded, x):
-    h = x
-    for (kind, spec, _), w in zip(plan, expanded):
-        if kind in ("cycle", "isotonic", "decycle"):
-            h = correlate2d(h, w, ConvGeometry(spec.stride, spec.pad))
-        elif kind == "relu":
-            h = np.maximum(h, 0)
-        elif kind == "max_pool":
-            h = max_pool2d(h, spec.kernel, spec.stride)
-        elif kind == "global_avg_pool":
-            h = global_spatial_avg_pool(h)
-    return h
-
-
-def _forward_rotate_maps(plan, x):
-    h = x
-    for kind, spec, base in plan:
-        geom = ConvGeometry(spec.stride, spec.pad)
-        if kind == "cycle":
-            h = oracle.oracle_cycle(CycleParams(base), h, geom)
-        elif kind == "isotonic":
-            h = oracle.oracle_isotonic(IsotonicParams(base), h, geom)
-        elif kind == "decycle":
-            h = oracle.oracle_decycle(DecycleParams(base), h, geom)
-        elif kind == "relu":
-            h = np.maximum(h, 0)
-        elif kind == "max_pool":
-            h = max_pool2d(h, spec.kernel, spec.stride)
-        elif kind == "global_avg_pool":
-            h = global_spatial_avg_pool(h)
-    return h
-
-
-def _expand_all(plan):
-    expanded = []
-    for kind, _, base in plan:
-        if kind == "cycle":
-            expanded.append(expand_cycle(CycleParams(base)))
-        elif kind == "isotonic":
-            expanded.append(expand_isotonic(IsotonicParams(base)))
-        elif kind == "decycle":
-            expanded.append(expand_decycle(DecycleParams(base)))
-        else:
-            expanded.append(None)
-    return expanded
-
-
 def time_forward(
     model_name: str,
     strategy: str,
@@ -163,10 +94,11 @@ def time_forward(
 ) -> TimingReport:
     """Wall-clock seconds per full-batch forward pass for one strategy.
 
-    The first (warmup) run is discarded. Filter expansion happens once
-    up front for the filter strategy; the map strategy rotates feature
-    maps inside the timed loop. Raises if the two pipelines disagree
-    beyond `gate_tolerance` before any timing starts.
+    The first (warmup) run is discarded. The agreement gate's forward
+    expands the filters once and the model caches them, as it does
+    between optimizer steps; the map strategy rotates feature maps
+    inside the timed loop. Raises if the two strategies disagree beyond
+    `gate_tolerance` before any timing starts.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -176,22 +108,34 @@ def time_forward(
         raise ValueError(f"unknown bench model {model_name!r}; choose from {sorted(BENCH_MODELS)}")
     preset, size = BENCH_MODELS[model_name]
     model = build_model(preset_stack(preset), in_channels=1, seed=seed, input_size=size)
-    plan = _bench_layers(model)
-    expanded = _expand_all(plan)
     x = np.random.default_rng(seed + 1).random((batch, 1, size, size), dtype=np.float32)
 
-    fast = _forward_rotate_filters(plan, expanded, x)
-    slow = _forward_rotate_maps(plan, x)
-    _, rel = relative_deviation(fast, slow)
+    def rotate_maps():
+        h = x
+        for i, spec in enumerate(model.specs):
+            kind = network.KINDS[spec.kind]
+            if kind.tied is not None:
+                layer = getattr(oracle, f"oracle_{spec.kind}")
+                p = kind.tied(model.params[i][kind.params[0]])
+                h = layer(p, h, ConvGeometry(spec.stride, spec.pad))
+            else:
+                h = kind.forward(model, i, h, False, None)[0]
+        return h
+
+    # [0] drops the forward cache, which would otherwise stay alive
+    # through the map pass and raise the peak by every cached activation
+    fast = network.forward(model, x, mode="eval")[0]
+    slow = rotate_maps()
+    _, rel = relative_deviation(fast, slow.reshape(fast.shape))
     if rel > gate_tolerance:
         raise RuntimeError(
             f"strategy outputs diverge (rel {rel:.3e} > {gate_tolerance:g}); refusing to time"
         )
 
     if strategy == ROTATE_FILTERS:
-        run = lambda: _forward_rotate_filters(plan, expanded, x)
+        run = lambda: network.forward(model, x, mode="eval")
     else:
-        run = lambda: _forward_rotate_maps(plan, x)
+        run = rotate_maps
 
     run()  # warmup, excluded
     seconds = []

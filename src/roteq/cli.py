@@ -17,6 +17,7 @@ usage error (bad flags or config).
 """
 
 import argparse
+import math
 import struct
 import sys
 from dataclasses import dataclass
@@ -36,17 +37,6 @@ CHECKPOINT_VERSION = 1
 
 KIND_CODES = {kind: i for i, kind in enumerate(network.ALL_KINDS)}
 CODE_KINDS = {i: kind for kind, i in KIND_CODES.items()}
-
-# serialization order of the arrays belonging to each trainable kind
-PARAM_ORDER = {
-    "cycle": ("base",),
-    "isotonic": ("base",),
-    "decycle": ("base",),
-    "conv": ("w",),
-    "shared_bias": ("bias",),
-    "group_batchnorm": ("gamma", "beta"),
-}
-STATE_ORDER = {"group_batchnorm": ("mean", "var")}
 
 
 class ConfigError(ValueError):
@@ -77,10 +67,8 @@ def encode_checkpoint(model: Model) -> bytes:
             )
         )
     for i, spec in enumerate(model.specs):
-        names = PARAM_ORDER.get(spec.kind, ())
-        arrays = [model.params[i][n] for n in names] if names else []
-        for n in STATE_ORDER.get(spec.kind, ()):
-            arrays.append(model.state[i][n])
+        kind = network.KINDS[spec.kind]
+        arrays = [model.params[i][n] for n in kind.params] + [model.state[i][n] for n in kind.state]
         for a in arrays:
             flat = np.ascontiguousarray(a, dtype="<f4")
             out.append(struct.pack("<Q", flat.size))
@@ -123,31 +111,41 @@ def _decode_checkpoint(raw: bytes) -> Model:
                 rate=rate_ppm / 1_000_000,
             )
         )
+    shapes, _ = network.plan_layers(specs, in_channels)
+    kinds = [network.KINDS[s.kind] for s in specs]
+    # every array is a u64 length plus float32 values; check the total
+    # before anything is allocated, so a corrupt header cannot demand more
+    # memory than the file holds
+    declared = sum(
+        len(kind.params + kind.state) * (8 + 4 * math.prod(shape))
+        for kind, shape in zip(kinds, shapes)
+        if shape is not None
+    )
+    remaining = len(raw) - off
+    if declared > remaining:
+        raise CheckpointError(
+            f"truncated checkpoint: layer table declares {declared} parameter bytes, {remaining} follow"
+        )
+    if declared < remaining:
+        raise CheckpointError(f"{remaining - declared} trailing bytes after parameters")
     model = build_model(specs, in_channels=in_channels, seed=0, precision="float32")
 
-    def read_array(expected_shape):
+    def read_array(shape):
         nonlocal off
         (size,) = struct.unpack_from("<Q", raw, off)
         off += 8
-        expected = int(np.prod(expected_shape))
+        expected = math.prod(shape)
         if size != expected:
             raise CheckpointError(f"parameter blob holds {size} values, expected {expected}")
-        if off + 4 * size > len(raw):
-            raise CheckpointError("truncated checkpoint: parameter blob cut short")
-        a = np.frombuffer(raw, dtype="<f4", count=size, offset=off).reshape(expected_shape)
+        a = np.frombuffer(raw, dtype="<f4", count=size, offset=off).reshape(shape)
         off += 4 * size
         return a.copy()
 
-    for i, spec in enumerate(model.specs):
-        for n in PARAM_ORDER.get(spec.kind, ()):
-            model.params[i][n] = read_array(model.params[i][n].shape)
-        for n in STATE_ORDER.get(spec.kind, ()):
-            model.state[i][n] = read_array(model.state[i][n].shape)
-    if off != len(raw):
-        raise CheckpointError(f"{len(raw) - off} trailing bytes after parameters")
-    for i, p in model.params.items():
-        model.velocity[i] = {k: np.zeros_like(v) for k, v in p.items()}
-    model.invalidate_expansions()
+    for i, (kind, shape) in enumerate(zip(kinds, shapes)):
+        for n in kind.params:
+            model.params[i][n] = read_array(shape)
+        for n in kind.state:
+            model.state[i][n] = read_array(shape)
     return model
 
 
@@ -250,26 +248,6 @@ def parse_layer_stack(text: str):
     return specs
 
 
-def format_stack(specs) -> str:
-    parts = []
-    for s in specs:
-        toks = [s.kind]
-        if s.kind in ("cycle", "isotonic"):
-            toks += [f"g{s.width}", f"k{s.kernel}"]
-        elif s.kind in ("decycle", "conv"):
-            toks += [f"c{s.width}", f"k{s.kernel}"]
-        elif s.kind == "max_pool":
-            toks += [f"k{s.kernel}", f"s{s.stride}"]
-        elif s.kind == "dropout":
-            toks += [f"r{s.rate:g}"]
-        if s.stride != 1 and s.kind in ("cycle", "isotonic", "decycle", "conv"):
-            toks.append(f"s{s.stride}")
-        if s.pad != 0:
-            toks.append(f"p{s.pad}")
-        parts.append(":".join(toks))
-    return ",".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # dataset files
 
@@ -309,18 +287,6 @@ class PropertyResult:
         return f"{self.name:<44s} dev={self.deviation:.3e} limit={self.threshold:.1e} {status}"
 
 
-def _rand_cycle(rng, g, c_in, k):
-    return eqlayers.CycleParams(rng.standard_normal((g, c_in, k, k)))
-
-
-def _rand_isotonic(rng, g_out, g_in, k):
-    return eqlayers.IsotonicParams(rng.standard_normal((g_out, 4, g_in, k, k)))
-
-
-def _rand_decycle(rng, c_out, g_in, k):
-    return eqlayers.DecycleParams(rng.standard_normal((c_out, g_in, k, k)))
-
-
 def suite_layers(trials: int, seed: int, dtype=np.float64) -> list:
     """Randomized layer identities; reports the worst deviation seen."""
     rng = np.random.default_rng(seed)
@@ -333,7 +299,7 @@ def suite_layers(trials: int, seed: int, dtype=np.float64) -> list:
         size = int(rng.integers(max(4, k), 13))
         n = int(rng.integers(1, 3))
         x1 = rng.standard_normal((n, int(rng.integers(1, 4)), size, size)).astype(dtype)
-        p = eqlayers.CycleParams(_rand_cycle(rng, g_out, x1.shape[1], k).base.astype(dtype))
+        p = eqlayers.CycleParams(rng.standard_normal((g_out, x1.shape[1], k, k)).astype(dtype))
         lay_out = tensor.GroupLayout(g_out)
         lhs = eqlayers.forward_cycle(p, tensor.rotate90(x1))
         rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_cycle(p, x1), lay_out))
@@ -342,12 +308,12 @@ def suite_layers(trials: int, seed: int, dtype=np.float64) -> list:
         x4 = rng.standard_normal((n, 4 * g_in, size, size)).astype(dtype)
         lay_in = tensor.GroupLayout(g_in)
         rpx = tensor.rotate90(tensor.cyclic_permute(x4, lay_in))
-        pi = eqlayers.IsotonicParams(_rand_isotonic(rng, g_out, g_in, k).base.astype(dtype))
+        pi = eqlayers.IsotonicParams(rng.standard_normal((g_out, 4, g_in, k, k)).astype(dtype))
         lhs = eqlayers.forward_isotonic(pi, rpx)
         rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_isotonic(pi, x4), lay_out))
         worst["isotonic"] = max(worst["isotonic"], relative_deviation(lhs, rhs)[1])
 
-        pd = eqlayers.DecycleParams(_rand_decycle(rng, int(rng.integers(1, 6)), g_in, k).base.astype(dtype))
+        pd = eqlayers.DecycleParams(rng.standard_normal((int(rng.integers(1, 6)), g_in, k, k)).astype(dtype))
         lhs = eqlayers.forward_decycle(pd, rpx)
         rhs = tensor.rotate90(eqlayers.forward_decycle(pd, x4))
         worst["decycle"] = max(worst["decycle"], relative_deviation(lhs, rhs)[1])

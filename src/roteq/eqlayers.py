@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, correlate2d, correlate2d_backward
+from .conv import ConvGeometry, correlate2d
 from .tensor import GroupLayout, layout_for, rotate_kernels90
 
 
@@ -41,18 +41,6 @@ class CycleParams:
             raise ValueError(f"cycle base must be rank 4, got shape {self.base.shape}")
         _check_square(self.base, "cycle")
 
-    @property
-    def g_out(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def c_in(self) -> int:
-        return self.base.shape[1]
-
-    @property
-    def kernel(self) -> int:
-        return self.base.shape[2]
-
 
 @dataclass
 class IsotonicParams:
@@ -71,18 +59,6 @@ class IsotonicParams:
             )
         _check_square(self.base, "isotonic")
 
-    @property
-    def g_out(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def g_in(self) -> int:
-        return self.base.shape[2]
-
-    @property
-    def kernel(self) -> int:
-        return self.base.shape[3]
-
 
 @dataclass
 class DecycleParams:
@@ -94,18 +70,6 @@ class DecycleParams:
         if self.base.ndim != 4:
             raise ValueError(f"decycle base must be rank 4, got shape {self.base.shape}")
         _check_square(self.base, "decycle")
-
-    @property
-    def c_out(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def g_in(self) -> int:
-        return self.base.shape[1]
-
-    @property
-    def kernel(self) -> int:
-        return self.base.shape[2]
 
 
 def expand_cycle(p: CycleParams) -> np.ndarray:
@@ -197,21 +161,6 @@ def collapse_decycle_grad(grad_w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def tied_backward_cycle(p, x, grad_out, geom=ConvGeometry()):
-    grad_x, grad_w = correlate2d_backward(grad_out, x, expand_cycle(p), geom)
-    return grad_x, collapse_cycle_grad(grad_w, p.g_out)
-
-
-def tied_backward_isotonic(p, x, grad_out, geom=ConvGeometry()):
-    grad_x, grad_w = correlate2d_backward(grad_out, x, expand_isotonic(p), geom)
-    return grad_x, collapse_isotonic_grad(grad_w, p.g_out, p.g_in)
-
-
-def tied_backward_decycle(p, x, grad_out, geom=ConvGeometry()):
-    grad_x, grad_w = correlate2d_backward(grad_out, x, expand_decycle(p), geom)
-    return grad_x, collapse_decycle_grad(grad_w)
-
-
 def group_cross_channel_pool(x: np.ndarray, layout: GroupLayout, mode: str = "max") -> np.ndarray:
     """Per pixel, reduce the 4 cyclic channels of each group to one channel."""
     n, c, h, w = x.shape
@@ -281,18 +230,6 @@ class GroupBatchNorm:
         self.eps = eps
         self.momentum = momentum
 
-    def init_params(self, dtype) -> dict:
-        return {
-            "gamma": np.ones(self.groups, dtype=dtype),
-            "beta": np.zeros(self.groups, dtype=dtype),
-        }
-
-    def init_state(self, dtype) -> dict:
-        return {
-            "mean": np.zeros(self.groups, dtype=dtype),
-            "var": np.ones(self.groups, dtype=dtype),
-        }
-
     def _check(self, x: np.ndarray) -> None:
         if x.shape[1] != self.groups * self.group_size:
             raise ValueError(
@@ -338,28 +275,6 @@ class GroupBatchNorm:
         return grad_xg.reshape(grad_out.shape), {"gamma": grad_gamma, "beta": grad_beta}
 
 
-def init_cycle(rng: np.random.Generator, g_out: int, c_in: int, kernel: int, dtype) -> CycleParams:
-    return CycleParams(_uniform_init(rng, (g_out, c_in, kernel, kernel), c_in * kernel * kernel, dtype))
-
-
-def init_isotonic(
-    rng: np.random.Generator, g_out: int, g_in: int, kernel: int, dtype
-) -> IsotonicParams:
-    fan_in = 4 * g_in * kernel * kernel
-    return IsotonicParams(_uniform_init(rng, (g_out, 4, g_in, kernel, kernel), fan_in, dtype))
-
-
-def init_decycle(rng: np.random.Generator, c_out: int, g_in: int, kernel: int, dtype) -> DecycleParams:
-    fan_in = 4 * g_in * kernel * kernel
-    return DecycleParams(_uniform_init(rng, (c_out, g_in, kernel, kernel), fan_in, dtype))
-
-
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    # zero-mean uniform with variance 2/fan_in of the *expanded* filter
-    bound = float(np.sqrt(6.0 / fan_in))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
 __all__ = [
     "CycleParams",
     "IsotonicParams",
@@ -370,9 +285,6 @@ __all__ = [
     "forward_cycle",
     "forward_isotonic",
     "forward_decycle",
-    "tied_backward_cycle",
-    "tied_backward_isotonic",
-    "tied_backward_decycle",
     "collapse_cycle_grad",
     "collapse_isotonic_grad",
     "collapse_decycle_grad",
@@ -383,9 +295,6 @@ __all__ = [
     "shared_bias_add",
     "shared_bias_backward",
     "GroupBatchNorm",
-    "init_cycle",
-    "init_isotonic",
-    "init_decycle",
     "layout_for",
     "GroupLayout",
 ]

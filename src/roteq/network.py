@@ -1,17 +1,21 @@
 """Model composition, loss, SGD training loop, and gradient harness.
 
 A model is an ordered list of layer descriptors plus a parameter store.
-Tied layers keep only their base parameters; expanded filter banks are
+`KINDS` is the one table of layer kinds: it names the arrays each kind
+stores, in checkpoint order, gives their shape and the kind's output
+channel count, and holds the kind's forward and backward step. Tied
+layers keep only their base parameters; expanded filter banks are
 cached per parameter version and rebuilt after each optimizer step, so
 a whole epoch of forward passes reuses one expansion.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from . import eqlayers
 from .conv import (
     ConvGeometry,
     correlate2d,
@@ -39,24 +43,7 @@ from .eqlayers import (
     shared_bias_add,
     shared_bias_backward,
 )
-from .tensor import GroupLayout, layout_for
-
-TRAINABLE_KINDS = ("cycle", "isotonic", "decycle", "conv", "shared_bias", "group_batchnorm")
-DREN_KINDS = ("cycle", "isotonic", "decycle", "group_pool_max", "group_pool_mean")
-ALL_KINDS = (
-    "cycle",
-    "isotonic",
-    "decycle",
-    "conv",
-    "relu",
-    "shared_bias",
-    "group_batchnorm",
-    "dropout",
-    "max_pool",
-    "group_pool_max",
-    "group_pool_mean",
-    "global_avg_pool",
-)
+from .tensor import layout_for
 
 
 class ModelSpecError(ValueError):
@@ -114,27 +101,16 @@ class Model:
     state: dict = field(default_factory=dict)
     velocity: dict = field(default_factory=dict)
     channels: list = field(default_factory=list)
-    in_dren_zone: list = field(default_factory=list)
-    _bn: dict = field(default_factory=dict)
     _expanded: dict = field(default_factory=dict)
 
     def expanded_filter(self, i: int) -> np.ndarray:
-        """Filter bank for trainable layer i, cached until the next update."""
+        """Filter bank for conv-like layer i, cached until the next update."""
         w = self._expanded.get(i)
         if w is None:
-            kind = self.specs[i].kind
-            base = self.params[i]["base"] if kind != "conv" else self.params[i]["w"]
-            if kind == "cycle":
-                w = expand_cycle(CycleParams(base))
-            elif kind == "isotonic":
-                w = expand_isotonic(IsotonicParams(base))
-            elif kind == "decycle":
-                w = expand_decycle(DecycleParams(base))
-            elif kind == "conv":
-                w = base
-            else:
-                raise ValueError(f"layer {i} ({kind}) has no filter bank")
-            self._expanded[i] = w
+            kind = KINDS[self.specs[i].kind]
+            if kind.expand is None:
+                raise ValueError(f"layer {i} ({self.specs[i].kind}) has no filter bank")
+            w = self._expanded[i] = kind.expand(self.params[i][kind.params[0]])
         return w
 
     def invalidate_expansions(self) -> None:
@@ -148,9 +124,268 @@ class Model:
         return sum(self.parameter_counts().values())
 
 
-def _conv_uniform(rng, c_out, c_in, k, dtype):
-    bound = float(np.sqrt(6.0 / (c_in * k * k)))
-    return rng.uniform(-bound, bound, size=(c_out, c_in, k, k)).astype(dtype)
+# ---------------------------------------------------------------------------
+# layer steps: forward(model, i, h, train, rng) -> (output, cache, new state
+# or None); backward(model, i, grad, cache) -> (input grad, {name: grad} or None)
+
+
+def _filter_forward(model, i, h, train, rng):
+    spec = model.specs[i]
+    geom = ConvGeometry(spec.stride, spec.pad)
+    return correlate2d(h, model.expanded_filter(i), geom), (h, geom), None
+
+
+def _filter_backward(model, i, g, cache):
+    x, geom = cache
+    g, grad_w = correlate2d_backward(g, x, model.expanded_filter(i), geom)
+    kind = KINDS[model.specs[i].kind]
+    name = kind.params[0]
+    return g, {name: kind.collapse(grad_w, model.params[i][name])}
+
+
+def _relu_forward(model, i, h, train, rng):
+    return np.maximum(h, 0), h > 0, None
+
+
+def _relu_backward(model, i, g, mask):
+    return g * mask, None
+
+
+def _bias_forward(model, i, h, train, rng):
+    layout = layout_for(h.shape[1])
+    return shared_bias_add(h, layout, model.params[i]["bias"]), layout, None
+
+
+def _bias_backward(model, i, g, layout):
+    return g, {"bias": shared_bias_backward(g, layout)}
+
+
+def _batchnorm_forward(model, i, h, train, rng):
+    groups = model.params[i]["gamma"].size
+    bn = GroupBatchNorm(groups, group_size=model.channels[i] // groups)
+    y, cache, state = bn.forward(h, model.params[i], model.state[i], train)
+    return y, (bn, cache), state if train else None
+
+
+def _batchnorm_backward(model, i, g, cache):
+    bn, bn_cache = cache
+    return bn.backward(g, model.params[i], bn_cache)
+
+
+def _dropout_forward(model, i, h, train, rng):
+    if not train:
+        return h, None, None
+    if rng is None:
+        raise ValueError("training-mode forward through dropout needs an rng")
+    rate = model.specs[i].rate
+    keep = rng.random(h.shape) >= rate
+    scale = np.asarray(1.0 / (1.0 - rate), dtype=model.dtype)
+    return h * keep * scale, (keep, scale), None
+
+
+def _dropout_backward(model, i, g, cache):
+    if cache is None:
+        return g, None
+    keep, scale = cache
+    return g * keep * scale, None
+
+
+def _max_pool_forward(model, i, h, train, rng):
+    spec = model.specs[i]
+    return max_pool2d(h, spec.kernel, spec.stride), h, None
+
+
+def _max_pool_backward(model, i, g, x):
+    spec = model.specs[i]
+    return max_pool2d_backward(g, x, spec.kernel, spec.stride), None
+
+
+def _group_pool_forward(mode, model, i, h, train, rng):
+    layout = layout_for(h.shape[1])
+    return group_cross_channel_pool(h, layout, mode), (h, layout), None
+
+
+def _group_pool_backward(mode, model, i, g, cache):
+    x, layout = cache
+    return group_cross_channel_pool_backward(g, x, layout, mode), None
+
+
+def _global_pool_forward(model, i, h, train, rng):
+    return global_spatial_avg_pool(h), h, None
+
+
+def _global_pool_backward(model, i, g, x):
+    return global_spatial_avg_pool_backward(g, x), None
+
+
+# ---------------------------------------------------------------------------
+# the table of layer kinds
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """One entry of `KINDS`; the steps' signatures head the steps above.
+
+    `params` and `state` name the stored arrays in checkpoint order;
+    all share `shape(spec, c_in, group)`, where `group` is 4 inside the
+    tied segment and 1 elsewhere. A conv-like kind stores one array:
+    `expand` turns it into the (c_out, c_in, k, k) filter bank,
+    `collapse(grad, stored)` folds the bank's gradient back onto it,
+    `tied` is the eqlayers params class of a tied kind, and the array
+    starts uniform random. Other kinds start at `fill`, one value per
+    array. A `grouped` kind needs 4-channel groups at its input.
+    """
+
+    forward: Callable
+    backward: Callable
+    params: tuple = ()
+    state: tuple = ()
+    shape: Callable | None = None
+    out_channels: Callable = lambda spec, c: c
+    grouped: bool = False
+    fill: tuple = ()
+    expand: Callable | None = None
+    collapse: Callable | None = None
+    tied: type | None = None
+
+
+def _filter_kind(name="base", **fields):
+    """Entry of a conv-like kind, which stores one array called `name`."""
+    return LayerKind(_filter_forward, _filter_backward, params=(name,), **fields)
+
+
+# The lambdas look eqlayers functions up by name on every call, so a
+# profiler that patches `roteq.network.expand_cycle` and its kin sees it.
+KINDS = {
+    "cycle": _filter_kind(
+        shape=lambda spec, c, group: (spec.width, c, spec.kernel, spec.kernel),
+        out_channels=lambda spec, c: 4 * spec.width,
+        expand=lambda base: expand_cycle(CycleParams(base)),
+        collapse=lambda grad, base: collapse_cycle_grad(grad, base.shape[0]),
+        tied=CycleParams,
+    ),
+    "isotonic": _filter_kind(
+        shape=lambda spec, c, group: (spec.width, 4, c // 4, spec.kernel, spec.kernel),
+        out_channels=lambda spec, c: 4 * spec.width,
+        expand=lambda base: expand_isotonic(IsotonicParams(base)),
+        collapse=lambda grad, base: collapse_isotonic_grad(grad, base.shape[0], base.shape[2]),
+        tied=IsotonicParams,
+        grouped=True,
+    ),
+    "decycle": _filter_kind(
+        shape=lambda spec, c, group: (spec.width, c // 4, spec.kernel, spec.kernel),
+        out_channels=lambda spec, c: spec.width,
+        expand=lambda base: expand_decycle(DecycleParams(base)),
+        collapse=lambda grad, base: collapse_decycle_grad(grad),
+        tied=DecycleParams,
+        grouped=True,
+    ),
+    "conv": _filter_kind(
+        shape=lambda spec, c, group: (spec.width, c, spec.kernel, spec.kernel),
+        out_channels=lambda spec, c: spec.width,
+        expand=lambda w: w,
+        collapse=lambda grad, w: grad,
+        name="w",
+    ),
+    "relu": LayerKind(_relu_forward, _relu_backward),
+    "shared_bias": LayerKind(
+        _bias_forward,
+        _bias_backward,
+        params=("bias",),
+        shape=lambda spec, c, group: (c // 4,),
+        grouped=True,
+        fill=(0.0,),
+    ),
+    "group_batchnorm": LayerKind(
+        _batchnorm_forward,
+        _batchnorm_backward,
+        params=("gamma", "beta"),
+        state=("mean", "var"),
+        shape=lambda spec, c, group: (c // group,),
+        fill=(1.0, 0.0, 0.0, 1.0),
+    ),
+    "dropout": LayerKind(_dropout_forward, _dropout_backward),
+    "max_pool": LayerKind(_max_pool_forward, _max_pool_backward),
+    "group_pool_max": LayerKind(
+        partial(_group_pool_forward, "max"),
+        partial(_group_pool_backward, "max"),
+        out_channels=lambda spec, c: c // 4,
+        grouped=True,
+    ),
+    "group_pool_mean": LayerKind(
+        partial(_group_pool_forward, "mean"),
+        partial(_group_pool_backward, "mean"),
+        out_channels=lambda spec, c: c // 4,
+        grouped=True,
+    ),
+    "global_avg_pool": LayerKind(_global_pool_forward, _global_pool_backward),
+}
+ALL_KINDS = tuple(KINDS)  # checkpoint kind codes are positions in this tuple
+DREN_KINDS = ("cycle", "isotonic", "decycle", "group_pool_max", "group_pool_mean")
+
+
+def plan_layers(specs: list, in_channels: int, input_size: int | None = None) -> tuple:
+    """Check a layer stack; returns (per-layer array shape or None, per-layer output channels).
+
+    Ordering rules for stacks containing tied layers: the first
+    trainable layer must be a cycle layer; isotonic layers may only
+    appear between it and a single decycle (or group pool) terminator;
+    after the terminator the only trainable allowed besides bias/norm is
+    a 1x1 conv head. Stride settings that break the quarter-turn
+    equivariance condition produce a warning naming the layer.
+    Nothing is allocated, so a stack read from a file can be sized
+    before it is built.
+    """
+    if not specs:
+        raise ModelSpecError("layer stack is empty")
+    uses_dren = any(s.kind in DREN_KINDS for s in specs)
+    shapes, channels = [], []
+    c = in_channels
+    size = input_size
+    zone = "pre"  # pre -> dren (after cycle) -> post (after terminator); plain stacks stay "pre"
+    for i, spec in enumerate(specs):
+        kind = spec.kind
+        if kind == "cycle":
+            if zone != "pre":
+                raise ModelSpecError(f"layer {i}: cycle layer must come before all other tied layers")
+            if uses_dren and any(s.kind == "conv" for s in specs[:i]):
+                raise ModelSpecError(f"layer {i}: cycle must be the first trainable layer")
+        elif kind == "isotonic" and zone != "dren":
+            raise ModelSpecError(f"layer {i}: isotonic layer outside the cycle..decycle segment")
+        elif kind == "decycle" and zone != "dren":
+            raise ModelSpecError(f"layer {i}: decycle layer requires a preceding cycle layer")
+        elif kind in ("group_pool_max", "group_pool_mean") and zone != "dren":
+            raise ModelSpecError(f"layer {i}: group pooling requires a preceding cycle layer")
+        elif kind == "conv" and zone == "dren":
+            raise ModelSpecError(f"layer {i}: untied conv inside the cycle..decycle segment")
+        entry = KINDS[kind]
+        if entry.grouped and c % 4 != 0:
+            raise ModelSpecError(f"layer {i} ({kind}): channel count {c} is not divisible by 4")
+        shapes.append(entry.shape(spec, c, 4 if zone == "dren" else 1) if entry.shape else None)
+        c = entry.out_channels(spec, c)
+        if kind == "cycle":
+            zone = "dren"
+        elif kind in ("decycle", "group_pool_max", "group_pool_mean"):
+            zone = "post"
+
+        if size is not None and (entry.expand is not None or kind == "max_pool"):
+            pad = spec.pad if entry.expand is not None else 0
+            if uses_dren and not stride_preserves_equivariance(size + 2 * pad, spec.stride, spec.kernel):
+                warnings.warn(
+                    f"layer {i} ({kind}): input size {size} with stride {spec.stride} and "
+                    f"kernel {spec.kernel} breaks the rotation-equivariance condition",
+                    stacklevel=3,
+                )
+            size = output_size(size, spec.kernel, spec.stride, pad)
+        elif size is not None and kind == "global_avg_pool":
+            size = 1
+        channels.append(c)
+
+    if zone == "dren":
+        raise ModelSpecError(
+            "tied stack never terminated: add a decycle or group pooling layer"
+        )
+    return shapes, channels
 
 
 def build_model(
@@ -160,114 +395,30 @@ def build_model(
     precision: str = "float32",
     input_size: int | None = None,
 ) -> Model:
-    """Validate a layer stack, initialize parameters, and return the model.
+    """Validate a layer stack (see `plan_layers`), initialize parameters, and return the model.
 
-    Ordering rules for stacks containing tied layers: the first
-    trainable layer must be a cycle layer; isotonic layers may only
-    appear between it and a single decycle (or group pool) terminator;
-    after the terminator the only trainable allowed besides bias/norm is
-    a 1x1 conv head. Stride settings that break the quarter-turn
-    equivariance condition produce a warning naming the layer.
+    Filter banks of every conv-like kind are drawn uniform with variance
+    2/fan_in of the expanded filter, fan_in = input channels * k^2.
     """
-    if not specs:
-        raise ModelSpecError("layer stack is empty")
+    shapes, channels = plan_layers(specs, in_channels, input_size)
     dtype = np.float32 if precision == "float32" else np.float64
-    uses_dren = any(s.kind in DREN_KINDS for s in specs)
-
     rng = np.random.default_rng(seed)
-    model = Model(specs=list(specs), in_channels=in_channels, dtype=dtype)
-
-    c = in_channels
-    size = input_size
-    zone = "pre"  # pre -> dren (after cycle) -> post (after terminator); plain stacks stay "pre"
-    for i, spec in enumerate(specs):
-        kind = spec.kind
-        model.in_dren_zone.append(zone == "dren")
-        if kind == "cycle":
-            if zone != "pre":
-                raise ModelSpecError(f"layer {i}: cycle layer must come before all other tied layers")
-            if uses_dren and any(s.kind in ("conv",) for s in specs[:i]):
-                raise ModelSpecError(f"layer {i}: cycle must be the first trainable layer")
-            model.params[i] = {"base": eqlayers.init_cycle(rng, spec.width, c, spec.kernel, dtype).base}
-            c = 4 * spec.width
-            zone = "dren"
-        elif kind == "isotonic":
-            if zone != "dren":
-                raise ModelSpecError(f"layer {i}: isotonic layer outside the cycle..decycle segment")
-            g_in = _groups_of(c, i, kind)
-            model.params[i] = {
-                "base": eqlayers.init_isotonic(rng, spec.width, g_in, spec.kernel, dtype).base
-            }
-            c = 4 * spec.width
-        elif kind == "decycle":
-            if zone != "dren":
-                raise ModelSpecError(f"layer {i}: decycle layer requires a preceding cycle layer")
-            g_in = _groups_of(c, i, kind)
-            model.params[i] = {
-                "base": eqlayers.init_decycle(rng, spec.width, g_in, spec.kernel, dtype).base
-            }
-            c = spec.width
-            zone = "post"
-        elif kind in ("group_pool_max", "group_pool_mean"):
-            if zone != "dren":
-                raise ModelSpecError(f"layer {i}: group pooling requires a preceding cycle layer")
-            c = _groups_of(c, i, kind)
-            zone = "post"
-        elif kind == "conv":
-            if zone == "dren":
-                raise ModelSpecError(f"layer {i}: untied conv inside the cycle..decycle segment")
-            model.params[i] = {"w": _conv_uniform(rng, spec.width, c, spec.kernel, dtype)}
-            c = spec.width
-        elif kind == "shared_bias":
-            groups = _groups_of(c, i, kind)
-            model.params[i] = {"bias": np.zeros(groups, dtype=dtype)}
-        elif kind == "group_batchnorm":
-            group_size = 4 if zone == "dren" else 1
-            bn = GroupBatchNorm(c // group_size, group_size=group_size)
-            model._bn[i] = bn
-            model.params[i] = bn.init_params(dtype)
-            model.state[i] = bn.init_state(dtype)
-        elif kind in ("relu", "dropout", "global_avg_pool", "max_pool"):
-            pass
-        else:  # pragma: no cover - ALL_KINDS is closed
-            raise ModelSpecError(f"unknown layer kind {kind!r}")
-
-        if size is not None:
-            if kind in ("cycle", "isotonic", "decycle", "conv"):
-                if uses_dren and not stride_preserves_equivariance(
-                    size + 2 * spec.pad, spec.stride, spec.kernel
-                ):
-                    warnings.warn(
-                        f"layer {i} ({kind}): input size {size} with stride {spec.stride} and "
-                        f"kernel {spec.kernel} breaks the rotation-equivariance condition",
-                        stacklevel=2,
-                    )
-                size = output_size(size, spec.kernel, spec.stride, spec.pad)
-            elif kind == "max_pool":
-                if uses_dren and not stride_preserves_equivariance(size, spec.stride, spec.kernel):
-                    warnings.warn(
-                        f"layer {i} (max_pool): input size {size} with stride {spec.stride} and "
-                        f"kernel {spec.kernel} breaks the rotation-equivariance condition",
-                        stacklevel=2,
-                    )
-                size = output_size(size, spec.kernel, spec.stride)
-            elif kind == "global_avg_pool":
-                size = 1
-        model.channels.append(c)
-
-    if zone == "dren":
-        raise ModelSpecError(
-            "tied stack never terminated: add a decycle or group pooling layer"
-        )
-    for i, p in model.params.items():
-        model.velocity[i] = {k: np.zeros_like(v) for k, v in p.items()}
+    model = Model(specs=list(specs), in_channels=in_channels, dtype=dtype, channels=channels)
+    for i, (spec, shape) in enumerate(zip(specs, shapes)):
+        if shape is None:
+            continue
+        kind = KINDS[spec.kind]
+        if kind.expand is not None:
+            fan_in = (channels[i - 1] if i else in_channels) * spec.kernel * spec.kernel
+            bound = float(np.sqrt(6.0 / fan_in))
+            arrays = [rng.uniform(-bound, bound, size=shape).astype(dtype)]
+        else:
+            arrays = [np.full(shape, value, dtype=dtype) for value in kind.fill]
+        model.params[i] = dict(zip(kind.params, arrays))
+        if kind.state:
+            model.state[i] = dict(zip(kind.state, arrays[len(kind.params) :]))
+        model.velocity[i] = {k: np.zeros_like(v) for k, v in model.params[i].items()}
     return model
-
-
-def _groups_of(channels: int, i: int, kind: str) -> int:
-    if channels % 4 != 0:
-        raise ModelSpecError(f"layer {i} ({kind}): channel count {channels} is not divisible by 4")
-    return channels // 4
 
 
 @dataclass
@@ -286,45 +437,10 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None):
     new_state = {}
     h = x.astype(model.dtype, copy=False)
     for i, spec in enumerate(model.specs):
-        kind = spec.kind
-        if kind in ("cycle", "isotonic", "decycle", "conv"):
-            geom = ConvGeometry(spec.stride, spec.pad)
-            w = model.expanded_filter(i)
-            caches.append((kind, h, geom))
-            h = correlate2d(h, w, geom)
-        elif kind == "relu":
-            caches.append((kind, h > 0))
-            h = np.maximum(h, 0)
-        elif kind == "shared_bias":
-            layout = layout_for(h.shape[1])
-            caches.append((kind, layout))
-            h = shared_bias_add(h, layout, model.params[i]["bias"])
-        elif kind == "group_batchnorm":
-            bn = model._bn[i]
-            h, cache, st = bn.forward(h, model.params[i], model.state[i], train)
-            caches.append((kind, cache))
-            if train:
-                new_state[i] = st
-        elif kind == "dropout":
-            if train:
-                if rng is None:
-                    raise ValueError("training-mode forward through dropout needs an rng")
-                keep = rng.random(h.shape) >= spec.rate
-                scale = 1.0 / (1.0 - spec.rate)
-                caches.append((kind, keep, scale))
-                h = h * keep * np.asarray(scale, dtype=model.dtype)
-            else:
-                caches.append((kind, None, 1.0))
-        elif kind == "max_pool":
-            caches.append((kind, h))
-            h = max_pool2d(h, spec.kernel, spec.stride)
-        elif kind in ("group_pool_max", "group_pool_mean"):
-            layout = layout_for(h.shape[1])
-            caches.append((kind, h, layout))
-            h = group_cross_channel_pool(h, layout, "max" if kind.endswith("max") else "mean")
-        elif kind == "global_avg_pool":
-            caches.append((kind, h))
-            h = global_spatial_avg_pool(h)
+        h, cache, state = KINDS[spec.kind].forward(model, i, h, train, rng)
+        caches.append(cache)
+        if state is not None:
+            new_state[i] = state
     n = h.shape[0]
     cache = ForwardCache(caches, new_state, h.shape)
     return h.reshape(n, -1), cache
@@ -335,40 +451,9 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
     grads = {}
     g = grad_logits.reshape(cache.logits_shape).astype(model.dtype, copy=False)
     for i in range(len(model.specs) - 1, -1, -1):
-        spec = model.specs[i]
-        kind = spec.kind
-        entry = cache.layer_caches[i]
-        if kind in ("cycle", "isotonic", "decycle", "conv"):
-            _, x_in, geom = entry
-            g, grad_w = correlate2d_backward(g, x_in, model.expanded_filter(i), geom)
-            if kind == "cycle":
-                grads[i] = {"base": collapse_cycle_grad(grad_w, spec.width)}
-            elif kind == "isotonic":
-                g_in = model.params[i]["base"].shape[2]
-                grads[i] = {"base": collapse_isotonic_grad(grad_w, spec.width, g_in)}
-            elif kind == "decycle":
-                grads[i] = {"base": collapse_decycle_grad(grad_w)}
-            else:
-                grads[i] = {"w": grad_w}
-        elif kind == "relu":
-            g = g * entry[1]
-        elif kind == "shared_bias":
-            grads[i] = {"bias": shared_bias_backward(g, entry[1])}
-        elif kind == "group_batchnorm":
-            g, grads[i] = model._bn[i].backward(g, model.params[i], entry[1])
-        elif kind == "dropout":
-            _, keep, scale = entry
-            if keep is not None:
-                g = g * keep * np.asarray(scale, dtype=model.dtype)
-        elif kind == "max_pool":
-            g = max_pool2d_backward(g, entry[1], spec.kernel, spec.stride)
-        elif kind in ("group_pool_max", "group_pool_mean"):
-            _, x_in, layout = entry
-            g = group_cross_channel_pool_backward(
-                g, x_in, layout, "max" if kind.endswith("max") else "mean"
-            )
-        elif kind == "global_avg_pool":
-            g = global_spatial_avg_pool_backward(g, entry[1])
+        g, layer_grads = KINDS[model.specs[i].kind].backward(model, i, g, cache.layer_caches[i])
+        if layer_grads is not None:
+            grads[i] = layer_grads
     return grads
 
 
@@ -450,10 +535,9 @@ def finite_diff_check(model: Model, x: np.ndarray, labels: np.ndarray, epsilon: 
     scaled by |fd| + |analytic|, floored at 1e-3 of the gradient's max
     magnitude so that difference-quotient roundoff on vanishing
     components cannot drown the check. The model must be deterministic
-    (no dropout layers); double precision is strongly recommended.
+    (no dropout layers: this check passes no rng, so their forward
+    raises); double precision is strongly recommended.
     """
-    if any(s.kind == "dropout" for s in model.specs):
-        raise ValueError("finite_diff_check requires a model without dropout layers")
 
     def loss_of() -> float:
         model.invalidate_expansions()

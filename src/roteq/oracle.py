@@ -17,6 +17,7 @@ import numpy as np
 
 from .conv import ConvGeometry, correlate2d
 from .eqlayers import CycleParams, DecycleParams, IsotonicParams
+from .network import KINDS
 from .tensor import rotate90
 
 
@@ -25,7 +26,7 @@ def oracle_cycle(p: CycleParams, x: np.ndarray, geom: ConvGeometry = ConvGeometr
 
     Output channel (a, i) = R^i( base[a] * R^-i(x) ).
     """
-    g = p.g_out
+    g = p.base.shape[0]
     slots = []
     for i in range(4):
         y = correlate2d(rotate90(x, -i), p.base, geom)
@@ -68,7 +69,7 @@ def oracle_decycle(
 
     y_o = sum_j R^j( base[o] * R^-j(x at cyclic slot j) ).
     """
-    g_in = p.g_in
+    g_in = p.base.shape[1]
     n, c, h, w = x.shape
     if c != 4 * g_in:
         raise ValueError(f"expected {4 * g_in} input channels, got {c}")
@@ -103,22 +104,17 @@ def relative_deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 
 def compare_paths(kind, p, x, geom=ConvGeometry(), tolerance=None) -> PathComparison:
-    """Run both implementations of one layer kind and report the deviation.
+    """Run the model's filter expansion and this module's `oracle_<kind>`
+    on one tied layer kind and report the deviation.
 
     Default tolerance is 1e-12 for double precision inputs and 1e-5 for
     single precision.
     """
-    from . import eqlayers
-
-    forward = {
-        "cycle": (eqlayers.forward_cycle, oracle_cycle),
-        "isotonic": (eqlayers.forward_isotonic, oracle_isotonic),
-        "decycle": (eqlayers.forward_decycle, oracle_decycle),
-    }
-    if kind not in forward:
-        raise ValueError(f"unknown layer kind {kind!r}")
+    if kind not in KINDS or KINDS[kind].tied is None:
+        raise ValueError(f"unknown tied layer kind {kind!r}")
     if tolerance is None:
         tolerance = 1e-12 if x.dtype == np.float64 else 1e-5
-    fast_fn, slow_fn = forward[kind]
-    max_abs, max_rel = relative_deviation(fast_fn(p, x, geom), slow_fn(p, x, geom))
+    fast = correlate2d(x, KINDS[kind].expand(p.base), geom)
+    slow = globals()[f"oracle_{kind}"](p, x, geom)
+    max_abs, max_rel = relative_deviation(fast, slow)
     return PathComparison(kind, max_abs, max_rel, tolerance)

@@ -72,40 +72,3 @@ def cyclic_permute(t: np.ndarray, layout: GroupLayout, times: int = 1) -> np.nda
     layout.check(c)
     grouped = t.reshape(n, layout.groups, 4, h, w)
     return np.roll(grouped, times % 4, axis=2).reshape(n, c, h, w).copy()
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def scale(a: np.ndarray, k: float) -> np.ndarray:
-    return a * k
-
-
-def relu(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0)
-
-
-def channel_max(t: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Max over channels[start:stop]; result keeps a singleton channel axis."""
-    _require_rank4(t)
-    if not (0 <= start < stop <= t.shape[1]):
-        raise ValueError(f"channel slice [{start}:{stop}) out of range for c={t.shape[1]}")
-    return t[:, start:stop].max(axis=1, keepdims=True)
-
-
-def channel_mean(t: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Mean over channels[start:stop]; result keeps a singleton channel axis."""
-    _require_rank4(t)
-    if not (0 <= start < stop <= t.shape[1]):
-        raise ValueError(f"channel slice [{start}:{stop}) out of range for c={t.shape[1]}")
-    return t[:, start:stop].mean(axis=1, keepdims=True)
-
-
-def assert_finite(t: np.ndarray, what: str = "tensor") -> np.ndarray:
-    """Raise if any element is NaN or infinite; returns the input unchanged."""
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"{what} contains non-finite elements")
-    return t

@@ -82,17 +82,6 @@ def test_time_forward_validation():
         time_forward("resnet-1000", ROTATE_FILTERS, trials=3)
 
 
-def test_untied_layers_have_no_strategy_counterpart():
-    from roteq.bench import _bench_layers
-    from roteq.network import LayerSpec, build_model
-
-    model = build_model(
-        [LayerSpec("conv", width=4, kernel=3), LayerSpec("global_avg_pool")], in_channels=1
-    )
-    with pytest.raises(ValueError, match="no strategy counterpart"):
-        _bench_layers(model)
-
-
 def test_compare_strategies_fills_ratios():
     fast, slow = compare_strategies("nin-shape", batch=4, trials=3, seed=1)
     assert fast.ratio == pytest.approx(slow.median / fast.median)

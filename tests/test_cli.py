@@ -1,7 +1,9 @@
+import hashlib
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,6 @@ from roteq.cli import (
     ConfigError,
     decode_checkpoint,
     encode_checkpoint,
-    format_stack,
     parse_layer_stack,
     parse_run_config,
     sweep_stack,
@@ -76,6 +77,72 @@ def test_checkpoint_truncated_and_trailing():
         decode_checkpoint(raw + b"\x00\x00\x00\x00")
 
 
+# Each tied stack has one terminator (decycle, group_pool_max or
+# group_pool_mean), so covering all 12 kinds takes three stacks.
+GOLDEN_STACKS = {
+    "decycle": [
+        LayerSpec("cycle", width=2, kernel=3),
+        LayerSpec("shared_bias"),
+        LayerSpec("relu"),
+        LayerSpec("group_batchnorm"),
+        LayerSpec("isotonic", width=2, kernel=3, pad=1),
+        LayerSpec("dropout", rate=0.4),
+        LayerSpec("max_pool", kernel=2, stride=2),
+        LayerSpec("decycle", width=6, kernel=3),
+        LayerSpec("global_avg_pool"),
+    ],
+    "group_pool_max": [
+        LayerSpec("cycle", width=3, kernel=2, stride=2),
+        LayerSpec("group_pool_max"),
+        LayerSpec("conv", width=4, kernel=1),
+        LayerSpec("group_batchnorm"),
+        LayerSpec("global_avg_pool"),
+    ],
+    "group_pool_mean": [
+        LayerSpec("cycle", width=4, kernel=1),
+        LayerSpec("group_pool_mean"),
+        LayerSpec("shared_bias"),
+        LayerSpec("global_avg_pool"),
+    ],
+}
+# (length, sha256) of encode_checkpoint with every array set to
+# arange(size) / size; recorded from the v1 writer
+GOLDEN_CHECKPOINTS = {
+    "decycle": (1461, "708f5b1070002714d3c5de914c344296058415ec10052d3852a6ae4c85abd203"),
+    "group_pool_max": (377, "616d279995380c940fc14a2df9e67ab1e2ad85fa559bb71555d818041228f2a8"),
+    "group_pool_mean": (152, "a9e378e2926d95cd4132e26f943675ad6bc393b33afccf6bd807b503ded47766"),
+}
+
+
+def test_checkpoint_bytes_match_golden_hashes():
+    assert {s.kind for stack in GOLDEN_STACKS.values() for s in stack} == set(network.ALL_KINDS)
+    for name, stack in GOLDEN_STACKS.items():
+        model = build_model(stack, in_channels=2, seed=0)
+        for store in (model.params, model.state):
+            for arrays in store.values():
+                for a in arrays.values():
+                    a[...] = (np.arange(a.size) / a.size).reshape(a.shape)
+        raw = encode_checkpoint(model)
+        assert (len(raw), hashlib.sha256(raw).hexdigest()) == GOLDEN_CHECKPOINTS[name], name
+        assert encode_checkpoint(decode_checkpoint(raw)) == raw
+
+
+def test_checkpoint_size_checked_before_allocation():
+    # header and layer table of a 16M-parameter cycle layer, no parameters
+    raw = struct.pack("<4sIII", b"DREN", 1, 2, 1) + b"".join(
+        struct.pack("<BIIIII", cli.KIND_CODES[kind], width, kernel, 1, 0, 250_000)
+        for kind, width, kernel in (("cycle", 1 << 24, 1), ("group_pool_max", 0, 0))
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated"):
+            decode_checkpoint(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_eval_truncated_checkpoint_is_usage_error(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "cut.ckpt"
     ckpt.write_bytes(encode_checkpoint(full_featured_model())[:40])
@@ -107,21 +174,15 @@ def test_parse_run_config_bad_value_and_shape():
 
 def test_parse_layer_stack_round_trip():
     text = "cycle:g5:k3,relu,isotonic:g5:k3,bn,dropout:r0.5,decycle:c10:k4,gap"
-    specs = parse_layer_stack(text)
-    kinds = [s.kind for s in specs]
-    assert kinds == [
-        "cycle",
-        "relu",
-        "isotonic",
-        "group_batchnorm",
-        "dropout",
-        "decycle",
-        "global_avg_pool",
+    assert parse_layer_stack(text) == [
+        LayerSpec("cycle", width=5, kernel=3),
+        LayerSpec("relu"),
+        LayerSpec("isotonic", width=5, kernel=3),
+        LayerSpec("group_batchnorm"),
+        LayerSpec("dropout", rate=0.5),
+        LayerSpec("decycle", width=10, kernel=4),
+        LayerSpec("global_avg_pool"),
     ]
-    assert specs[0].width == 5 and specs[0].kernel == 3
-    assert specs[4].rate == 0.5
-    assert specs[5].width == 10 and specs[5].kernel == 4
-    assert parse_layer_stack(format_stack(specs)) == specs
 
 
 def test_parse_layer_stack_presets_and_errors():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roteq import eqlayers
-from roteq.conv import ConvGeometry, correlate2d
+from roteq.conv import ConvGeometry, correlate2d, correlate2d_backward
 from roteq.eqlayers import (
     CycleParams,
     DecycleParams,
@@ -17,10 +17,8 @@ from roteq.eqlayers import (
     global_spatial_avg_pool,
     group_cross_channel_pool,
     shared_bias_add,
-    tied_backward_cycle,
-    tied_backward_decycle,
-    tied_backward_isotonic,
 )
+from roteq.network import KINDS
 from roteq.tensor import GroupLayout, cyclic_permute, layout_for, rotate90, rotate_kernels90
 
 from reference import max_rel, naive_correlate2d
@@ -218,11 +216,17 @@ def test_kernel_must_be_square():
 # tied gradients
 
 
+def tied_backward(kind, p, x, grad_out):
+    """(grad_x, grad_base) of a tied layer, the way network.backward takes them."""
+    grad_x, grad_w = correlate2d_backward(grad_out, x, KINDS[kind].expand(p.base))
+    return grad_x, KINDS[kind].collapse(grad_w, p.base)
+
+
 def test_tied_backward_zero_grad(rng):
     x = rng.standard_normal((1, 4, 6, 6))
     p = IsotonicParams(rng.standard_normal((1, 4, 1, 3, 3)))
     y = forward_isotonic(p, x)
-    gx, gb = tied_backward_isotonic(p, x, np.zeros_like(y))
+    gx, gb = tied_backward("isotonic", p, x, np.zeros_like(y))
     assert not gx.any() and not gb.any()
 
 
@@ -230,11 +234,9 @@ def test_tied_backward_cycle_1x1_sums_channels(rng):
     x = rng.standard_normal((2, 3, 5, 5))
     p = CycleParams(rng.standard_normal((2, 3, 1, 1)))
     g = rng.standard_normal((2, 8, 5, 5))
-    _, gb = tied_backward_cycle(p, x, g)
+    _, gb = tied_backward("cycle", p, x, g)
     # 1x1 kernels are rotation-fixed: base grad is the plain sum of the
     # four expanded channel gradients
-    from roteq.conv import correlate2d_backward
-
     _, gw = correlate2d_backward(g, x, expand_cycle(p))
     np.testing.assert_allclose(gb, gw.reshape(2, 4, 3, 1, 1).sum(axis=1), rtol=1e-12)
 
@@ -245,19 +247,16 @@ def test_tied_backward_matches_finite_differences(rng, kind):
     if kind == "cycle":
         p = CycleParams(rng.standard_normal((2, 4, 3, 3)))
         fwd = lambda b: forward_cycle(CycleParams(b), x)
-        bwd = lambda g: tied_backward_cycle(p, x, g)
     elif kind == "isotonic":
         p = IsotonicParams(rng.standard_normal((2, 4, 1, 3, 3)))
         fwd = lambda b: forward_isotonic(IsotonicParams(b), x)
-        bwd = lambda g: tied_backward_isotonic(p, x, g)
     else:
         p = DecycleParams(rng.standard_normal((3, 1, 3, 3)))
         fwd = lambda b: forward_decycle(DecycleParams(b), x)
-        bwd = lambda g: tied_backward_decycle(p, x, g)
 
     y = fwd(p.base)
     g = rng.standard_normal(y.shape)
-    _, gb = bwd(g)
+    _, gb = tied_backward(kind, p, x, g)
     eps = 1e-5
     flat = p.base.reshape(-1)
     for j in rng.choice(flat.size, size=12, replace=False):
@@ -276,7 +275,7 @@ def test_tied_backward_grad_x_adjoint(rng):
     p = DecycleParams(rng.standard_normal((3, 1, 3, 3)))
     y = forward_decycle(p, x)
     g = rng.standard_normal(y.shape)
-    gx, _ = tied_backward_decycle(p, x, g)
+    gx, _ = tied_backward("decycle", p, x, g)
     assert abs(np.vdot(y, g) - np.vdot(x, gx)) / abs(np.vdot(y, g)) < 1e-10
 
 
@@ -371,7 +370,8 @@ def test_batchnorm_constant_input_returns_shift(rng):
     bn = GroupBatchNorm(2)
     x = np.full((3, 8, 4, 4), 3.0)
     params = {"gamma": np.array([2.0, 3.0]), "beta": np.array([0.5, -1.0])}
-    y, _, _ = bn.forward(x, params, bn.init_state(np.float64), train=True)
+    state = {"mean": np.zeros(2), "var": np.ones(2)}
+    y, _, _ = bn.forward(x, params, state, train=True)
     np.testing.assert_allclose(y[:, :4], 0.5, atol=1e-6)
     np.testing.assert_allclose(y[:, 4:], -1.0, atol=1e-6)
 
@@ -393,8 +393,9 @@ def test_batchnorm_permutation_and_rotation_equivariance(rng):
 def test_batchnorm_running_stats_update(rng):
     bn = GroupBatchNorm(1, momentum=0.5)
     x = rng.standard_normal((8, 4, 3, 3))
-    state = bn.init_state(np.float64)
-    _, _, new_state = bn.forward(x, bn.init_params(np.float64), state, train=True)
+    state = {"mean": np.zeros(1), "var": np.ones(1)}
+    params = {"gamma": np.ones(1), "beta": np.zeros(1)}
+    _, _, new_state = bn.forward(x, params, state, train=True)
     np.testing.assert_allclose(new_state["mean"], 0.5 * x.mean(), rtol=1e-12)
     assert state["mean"][0] == 0.0  # input state untouched
 

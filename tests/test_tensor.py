@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from roteq import tensor
 from roteq.tensor import GroupLayout, LayoutError, cyclic_permute, layout_for, rotate90
 
 from reference import rot90_ccw_permutation, rot180_permutation
@@ -87,35 +86,3 @@ def test_layout_errors():
         layout_for(6)
     with pytest.raises(LayoutError):
         cyclic_permute(np.zeros((1, 6, 2, 2)), GroupLayout(2), 1)
-
-
-def test_elementwise_examples(rng):
-    t = rng.standard_normal((1, 2, 3, 3))
-    np.testing.assert_array_equal(tensor.add(t, tensor.scale(t, -1)), np.zeros_like(t))
-    np.testing.assert_array_equal(
-        tensor.relu(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)).ravel(), [0.0, 0.0, 2.0]
-    )
-    with pytest.raises(ValueError):
-        tensor.add(t, np.zeros((1, 2, 3, 4)))
-
-
-def test_add_distributes_with_rotate(rng):
-    a = rng.standard_normal((2, 3, 4, 4))
-    b = rng.standard_normal((2, 3, 4, 4))
-    np.testing.assert_array_equal(rotate90(tensor.add(a, b)), tensor.add(rotate90(a), rotate90(b)))
-
-
-def test_channel_slice_reductions(rng):
-    t = rng.standard_normal((2, 6, 3, 3))
-    np.testing.assert_array_equal(tensor.channel_max(t, 1, 4), t[:, 1:4].max(1, keepdims=True))
-    np.testing.assert_allclose(tensor.channel_mean(t, 0, 6), t.mean(1, keepdims=True))
-    with pytest.raises(ValueError):
-        tensor.channel_max(t, 4, 4)
-
-
-def test_assert_finite():
-    t = np.ones((1, 1, 2, 2))
-    assert tensor.assert_finite(t) is t
-    t[0, 0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        tensor.assert_finite(t)
