@@ -184,8 +184,6 @@ def _dropout_forward(model, i, h, train, rng):
 
 
 def _dropout_backward(model, i, g, cache):
-    if cache is None:
-        return g, None
     keep, scale = cache
     return g * keep * scale, None
 
@@ -331,8 +329,11 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
     trainable layer must be a cycle layer; isotonic layers may only
     appear between it and a single decycle (or group pool) terminator;
     after the terminator the only trainable allowed besides bias/norm is
-    a 1x1 conv head. Stride settings that break the quarter-turn
-    equivariance condition produce a warning naming the layer.
+    a 1x1 conv head. Conv-like and max-pool layers need kernel and
+    stride >= 1 and a pad >= 0, conv-like ones a width >= 1; max
+    pooling takes no pad. Stride
+    settings that break the quarter-turn equivariance condition
+    produce a warning naming the layer.
     Nothing is allocated, so a stack read from a file can be sized
     before it is built.
     """
@@ -361,6 +362,17 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
         entry = KINDS[kind]
         if entry.grouped and c % 4 != 0:
             raise ModelSpecError(f"layer {i} ({kind}): channel count {c} is not divisible by 4")
+        windowed = entry.expand is not None or kind == "max_pool"
+        if windowed and (spec.kernel < 1 or spec.stride < 1):
+            raise ModelSpecError(
+                f"layer {i} ({kind}): kernel {spec.kernel} and stride {spec.stride} must both be >= 1"
+            )
+        if entry.expand is not None and spec.width < 1:
+            raise ModelSpecError(f"layer {i} ({kind}): width {spec.width} must be >= 1")
+        if windowed and spec.pad < 0:
+            raise ModelSpecError(f"layer {i} ({kind}): pad {spec.pad} is negative")
+        if kind == "max_pool" and spec.pad != 0:
+            raise ModelSpecError(f"layer {i} (max_pool): max pooling takes no pad, got pad {spec.pad}")
         shapes.append(entry.shape(spec, c, 4 if zone == "dren" else 1) if entry.shape else None)
         c = entry.out_channels(spec, c)
         if kind == "cycle":
@@ -368,15 +380,14 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
         elif kind in ("decycle", "group_pool_max", "group_pool_mean"):
             zone = "post"
 
-        if size is not None and (entry.expand is not None or kind == "max_pool"):
-            pad = spec.pad if entry.expand is not None else 0
-            if uses_dren and not stride_preserves_equivariance(size + 2 * pad, spec.stride, spec.kernel):
+        if size is not None and windowed:
+            if uses_dren and not stride_preserves_equivariance(size + 2 * spec.pad, spec.stride, spec.kernel):
                 warnings.warn(
                     f"layer {i} ({kind}): input size {size} with stride {spec.stride} and "
                     f"kernel {spec.kernel} breaks the rotation-equivariance condition",
                     stacklevel=3,
                 )
-            size = output_size(size, spec.kernel, spec.stride, pad)
+            size = output_size(size, spec.kernel, spec.stride, spec.pad)
         elif size is not None and kind == "global_avg_pool":
             size = 1
         channels.append(c)
@@ -426,10 +437,15 @@ class ForwardCache:
     layer_caches: list
     new_state: dict
     logits_shape: tuple
+    train: bool
 
 
 def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None):
-    """Run the stack; returns (logits, cache). Logits are (n, features)."""
+    """Run the stack; returns (logits, cache). Logits are (n, features).
+
+    An eval-mode pass keeps no layer caches (its cache holds None per
+    layer), so each layer's input is freed as soon as the next runs.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
@@ -438,16 +454,19 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None):
     h = x.astype(model.dtype, copy=False)
     for i, spec in enumerate(model.specs):
         h, cache, state = KINDS[spec.kind].forward(model, i, h, train, rng)
-        caches.append(cache)
+        caches.append(cache if train else None)
+        del cache  # else it stays bound through the next layer's call
         if state is not None:
             new_state[i] = state
     n = h.shape[0]
-    cache = ForwardCache(caches, new_state, h.shape)
+    cache = ForwardCache(caches, new_state, h.shape, train)
     return h.reshape(n, -1), cache
 
 
 def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict:
     """Walk the stack backwards; returns {layer index: {param name: grad}}."""
+    if not cache.train:
+        raise ValueError("backward needs the cache of a train-mode forward; this one is from mode='eval'")
     grads = {}
     g = grad_logits.reshape(cache.logits_shape).astype(model.dtype, copy=False)
     for i in range(len(model.specs) - 1, -1, -1):

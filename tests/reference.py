@@ -34,6 +34,45 @@ def naive_correlate2d(x, w, stride=1, pad=0):
     return out
 
 
+def _first_max(img, top, left, kernel):
+    """Row-major first position of a window's maximum; a NaN wins at once."""
+    best = (top, left)
+    for u in range(top, top + kernel):
+        for v in range(left, left + kernel):
+            if img[u, v] != img[u, v]:
+                return u, v
+            if img[u, v] > img[best]:
+                best = (u, v)
+    return best
+
+
+def naive_max_pool2d(x, kernel, stride):
+    """Window maxima by explicit loops over every output position."""
+    n, c, h, w = x.shape
+    oh = (h - kernel) // stride + 1
+    ow = (w - kernel) // stride + 1
+    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    for b in range(n):
+        for ch in range(c):
+            for p in range(oh):
+                for q in range(ow):
+                    out[b, ch, p, q] = x[b, ch][_first_max(x[b, ch], p * stride, q * stride, kernel)]
+    return out
+
+
+def naive_max_pool2d_backward(grad_out, x, kernel, stride):
+    """Each window's gradient added onto its first (row-major) maximum."""
+    n, c, oh, ow = grad_out.shape
+    grad_x = np.zeros_like(x)
+    for b in range(n):
+        for ch in range(c):
+            for p in range(oh):
+                for q in range(ow):
+                    u, v = _first_max(x[b, ch], p * stride, q * stride, kernel)
+                    grad_x[b, ch, u, v] += grad_out[b, ch, p, q]
+    return grad_x
+
+
 def rot180_permutation(img):
     """out[i, j] = in[h-1-i, w-1-j] via explicit index loops."""
     h, w = img.shape

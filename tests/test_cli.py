@@ -300,6 +300,23 @@ def test_train_flag_overrides_config(tmp_path, data_dir, capsys):
     assert "epochs=2" in out and "conv:c10:k3,gap" in out
 
 
+@pytest.mark.parametrize(
+    "stack,message",
+    [
+        ("conv:c2:k1,maxpool:k2:s2:p1,gap", "layer 1 (max_pool): max pooling takes no pad"),
+        ("conv:c2:k1,maxpool:k2:s0,gap", "layer 1 (max_pool): kernel 2 and stride 0"),
+        ("conv:c2:k1,maxpool,gap", "layer 1 (max_pool): kernel 0 and stride 1"),
+        ("conv:c2:k0,gap", "layer 0 (conv): kernel 0 and stride 1"),
+        ("cycle:g2:k3:s0,decycle:c2:k1,gap", "layer 0 (cycle): kernel 3 and stride 0"),
+        ("conv:c2:k3:p-1,gap", "layer 0 (conv): pad -1 is negative"),
+        ("cycle:g0:k3,decycle:c2:k1,gap", "layer 0 (cycle): width 0 must be >= 1"),
+    ],
+)
+def test_train_rejects_bad_layer_geometry(data_dir, capsys, stack, message):
+    assert cli.main(["train", "--data-dir", str(data_dir), "--epochs", "1", "--layers", stack]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_train_bad_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("warp_speed = 9\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from roteq.conv import (
     ConvGeometry,
@@ -12,7 +14,7 @@ from roteq.conv import (
 )
 from roteq.tensor import rotate90, rotate_kernels90
 
-from reference import max_rel, naive_correlate2d
+from reference import max_rel, naive_correlate2d, naive_max_pool2d, naive_max_pool2d_backward
 
 
 def test_all_ones_window_sum():
@@ -216,3 +218,72 @@ def test_max_pool_backward_routes_to_argmax(rng):
                     u, v = np.unravel_index(np.argmax(win), (2, 2))
                     assert gwin[u, v] == g[b, c, p, q]
                     assert np.count_nonzero(gwin) <= 1
+
+
+def test_max_pool_rejects_empty_windows_and_zero_stride():
+    x = np.zeros((1, 1, 4, 4))
+    with pytest.raises(ValueError, match="positive"):
+        max_pool2d(x, 0, 1)
+    with pytest.raises(ValueError, match="positive"):
+        max_pool2d_backward(np.zeros((1, 1, 2, 2)), x, 2, 0)
+
+
+POOL_FILLS = ("normal", "relu", "ties", "nan", "inf")
+
+
+@st.composite
+def pool_cases(draw):
+    """(x shape, kernel, stride, dtype, fill, numpy seed) for a pooling check."""
+    kernel = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    shape = (
+        draw(st.integers(1, 2)),
+        draw(st.integers(1, 3)),
+        kernel + draw(st.integers(0, 7)),
+        kernel + draw(st.integers(0, 7)),
+    )
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    return shape, kernel, stride, dtype, draw(st.sampled_from(POOL_FILLS)), draw(st.integers(0, 2**32 - 1))
+
+
+def pool_input(rng, shape, dtype, fill):
+    """Pooling input; `relu` and `ties` give tied maxima, `nan`/`inf` non-finite entries."""
+    if fill == "ties":
+        return rng.integers(-2, 3, shape).astype(dtype)
+    x = rng.standard_normal(shape)
+    if fill == "relu":
+        x = np.maximum(x, 0)
+    elif fill == "nan":
+        x[rng.random(shape) < 0.2] = np.nan
+    elif fill == "inf":
+        x[rng.random(shape) < 0.4] = -np.inf
+        x[rng.random(shape) < 0.1] = np.inf
+    return x.astype(dtype)
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@seed(20240817)
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=pool_cases())
+@example(case=((2, 3, 8, 8), 3, 1, np.float32, "relu", 1))  # overlapping windows
+@example(case=((1, 2, 9, 7), 3, 2, np.float64, "nan", 2))  # overlapping, stride 2
+@example(case=((2, 2, 27, 27), 2, 2, np.float32, "inf", 3))  # odd size: last row/column unused
+@example(case=((2, 2, 27, 27), 2, 2, np.float64, "ties", 4))
+def test_max_pool_matches_loop_reference_bit_for_bit(case):
+    shape, kernel, stride, dtype, fill, draw_seed = case
+    rng = np.random.default_rng(draw_seed)
+    x = pool_input(rng, shape, dtype, fill)
+    out = max_pool2d(x, kernel, stride)
+    assert_same_bits(out, naive_max_pool2d(x, kernel, stride))
+    assert out.flags.c_contiguous
+    # dyadic gradients sum exactly in any order, so overlapping windows
+    # can be compared bit for bit too
+    g = (rng.integers(-8, 9, out.shape) / 4).astype(dtype)
+    assert_same_bits(
+        max_pool2d_backward(g, x, kernel, stride), naive_max_pool2d_backward(g, x, kernel, stride)
+    )

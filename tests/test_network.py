@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -235,6 +236,43 @@ def test_dropout_needs_rng():
         forward(model, np.zeros((1, 1, 2, 2)), mode="train")
     logits, _ = forward(model, np.ones((1, 1, 2, 2)), mode="eval")
     assert logits.shape == (1, 8)
+
+
+def test_eval_forward_keeps_no_layer_caches(rng):
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    x = rng.standard_normal((2, 1, 28, 28))
+    _, cache = forward(model, x, mode="eval")
+    assert cache.layer_caches == [None] * len(model.specs)
+    _, cache = forward(model, x, mode="train", rng=rng)
+    assert all(c is not None for c in cache.layer_caches)
+
+
+def test_backward_rejects_an_eval_cache(rng):
+    model = build_model(preset_stack("dren-small"), precision="float64")
+    logits, cache = forward(model, rng.standard_normal((2, 1, 12, 12)), mode="eval")
+    _, grad = softmax_cross_entropy(logits, np.array([0, 1]))
+    with pytest.raises(ValueError, match="train-mode forward"):
+        backward(model, cache, grad)
+
+
+def test_eval_forward_peak_matches_a_cache_free_walk():
+    # each layer's cache and input are freed before the next layer runs
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    x = np.random.default_rng(0).standard_normal((16, 1, 28, 28)).astype(np.float32)
+    forward(model, x, mode="eval")  # expand the filter banks outside the measurement
+
+    def walk():
+        h = x
+        for i, spec in enumerate(model.specs):
+            h = network.KINDS[spec.kind].forward(model, i, h, False, None)[0]
+
+    peaks = []
+    for run in (lambda: forward(model, x, mode="eval"), walk):
+        tracemalloc.start()
+        run()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= 1.02 * peaks[1], peaks
 
 
 # ---------------------------------------------------------------------------
