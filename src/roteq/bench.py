@@ -113,13 +113,11 @@ def time_forward(
     def rotate_maps():
         h = x
         for i, spec in enumerate(model.specs):
-            kind = network.KINDS[spec.kind]
-            if kind.tied is not None:
+            if spec.kind in network.TIED_KINDS:
                 layer = getattr(oracle, f"oracle_{spec.kind}")
-                p = kind.tied(model.params[i][kind.params[0]])
-                h = layer(p, h, ConvGeometry(spec.stride, spec.pad))
+                h = layer(model.params[i]["base"], h, ConvGeometry(spec.stride, spec.pad))
             else:
-                h = kind.forward(model, i, h, False, None)[0]
+                h = network.KINDS[spec.kind].forward(model, i, h, False, None)[0]
         return h
 
     # [0] drops the forward cache, which would otherwise stay alive

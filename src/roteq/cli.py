@@ -12,8 +12,8 @@ File formats owned here:
   rejected with their line number.
 * Metrics: one ``epoch,train_loss,val_error`` line per epoch.
 
-Exit codes: 0 success, 1 failure (failed suite, training error), 2
-usage error (bad flags or config).
+Exit codes: 0 success, 1 failure (failed suite, training error, out of
+memory), 2 usage error (bad flags, config or layer stack).
 """
 
 import argparse
@@ -299,23 +299,21 @@ def suite_layers(trials: int, seed: int, dtype=np.float64) -> list:
         size = int(rng.integers(max(4, k), 13))
         n = int(rng.integers(1, 3))
         x1 = rng.standard_normal((n, int(rng.integers(1, 4)), size, size)).astype(dtype)
-        p = eqlayers.CycleParams(rng.standard_normal((g_out, x1.shape[1], k, k)).astype(dtype))
-        lay_out = tensor.GroupLayout(g_out)
-        lhs = eqlayers.forward_cycle(p, tensor.rotate90(x1))
-        rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_cycle(p, x1), lay_out))
+        base = rng.standard_normal((g_out, x1.shape[1], k, k)).astype(dtype)
+        lhs = eqlayers.forward_cycle(base, tensor.rotate90(x1))
+        rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_cycle(base, x1)))
         worst["cycle"] = max(worst["cycle"], relative_deviation(lhs, rhs)[1])
 
         x4 = rng.standard_normal((n, 4 * g_in, size, size)).astype(dtype)
-        lay_in = tensor.GroupLayout(g_in)
-        rpx = tensor.rotate90(tensor.cyclic_permute(x4, lay_in))
-        pi = eqlayers.IsotonicParams(rng.standard_normal((g_out, 4, g_in, k, k)).astype(dtype))
-        lhs = eqlayers.forward_isotonic(pi, rpx)
-        rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_isotonic(pi, x4), lay_out))
+        rpx = tensor.rotate90(tensor.cyclic_permute(x4))
+        base = rng.standard_normal((g_out, 4, g_in, k, k)).astype(dtype)
+        lhs = eqlayers.forward_isotonic(base, rpx)
+        rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_isotonic(base, x4)))
         worst["isotonic"] = max(worst["isotonic"], relative_deviation(lhs, rhs)[1])
 
-        pd = eqlayers.DecycleParams(rng.standard_normal((int(rng.integers(1, 6)), g_in, k, k)).astype(dtype))
-        lhs = eqlayers.forward_decycle(pd, rpx)
-        rhs = tensor.rotate90(eqlayers.forward_decycle(pd, x4))
+        base = rng.standard_normal((int(rng.integers(1, 6)), g_in, k, k)).astype(dtype)
+        lhs = eqlayers.forward_decycle(base, rpx)
+        rhs = tensor.rotate90(eqlayers.forward_decycle(base, x4))
         worst["decycle"] = max(worst["decycle"], relative_deviation(lhs, rhs)[1])
 
         worst["end_to_end"] = max(worst["end_to_end"], _end_to_end_deviation(rng, dtype))
@@ -332,12 +330,9 @@ def _end_to_end_deviation(rng, dtype) -> float:
     k_iso = int(rng.integers(0, 3))
     size = int(rng.integers(6, 11))
     x = rng.standard_normal((2, 1, size, size)).astype(dtype)
-    p_cyc = eqlayers.CycleParams(rng.standard_normal((g, 1, 3, 3)).astype(dtype))
-    isos = [
-        eqlayers.IsotonicParams(rng.standard_normal((g, 4, g, 1, 1)).astype(dtype))
-        for _ in range(k_iso)
-    ]
-    p_dec = eqlayers.DecycleParams(rng.standard_normal((5, g, 1, 1)).astype(dtype))
+    cyc = rng.standard_normal((g, 1, 3, 3)).astype(dtype)
+    isos = [rng.standard_normal((g, 4, g, 1, 1)).astype(dtype) for _ in range(k_iso)]
+    dec = rng.standard_normal((5, g, 1, 1)).astype(dtype)
     bias = rng.standard_normal(g).astype(dtype)
     bn = eqlayers.GroupBatchNorm(g)
     bn_params = {
@@ -348,17 +343,16 @@ def _end_to_end_deviation(rng, dtype) -> float:
         "mean": rng.standard_normal(g).astype(dtype),
         "var": rng.uniform(0.5, 2.0, g).astype(dtype),
     }
-    layout = tensor.GroupLayout(g)
 
     def f(inp):
-        h = eqlayers.forward_cycle(p_cyc, inp)
-        h = eqlayers.shared_bias_add(h, layout, bias)
+        h = eqlayers.forward_cycle(cyc, inp)
+        h = eqlayers.shared_bias_add(h, bias)
         h = np.maximum(h, 0)
-        for pi in isos:
-            h = eqlayers.forward_isotonic(pi, h)
+        for iso in isos:
+            h = eqlayers.forward_isotonic(iso, h)
             h, _, _ = bn.forward(h, bn_params, bn_state, train=False)
             h = np.maximum(h, 0)
-        return eqlayers.forward_decycle(p_dec, h)
+        return eqlayers.forward_decycle(dec, h)
 
     return relative_deviation(f(tensor.rotate90(x)), tensor.rotate90(f(x)))[1]
 
@@ -376,12 +370,12 @@ def suite_oracle(trials: int, seed: int, dtype=np.float64) -> list:
         x1 = rng.standard_normal((2, c_in, size, size)).astype(dtype)
         x4 = rng.standard_normal((2, 4 * g_in, size, size)).astype(dtype)
         cases = [
-            ("cycle", eqlayers.CycleParams(rng.standard_normal((g_out, c_in, k, k)).astype(dtype)), x1),
-            ("isotonic", eqlayers.IsotonicParams(rng.standard_normal((g_out, 4, g_in, k, k)).astype(dtype)), x4),
-            ("decycle", eqlayers.DecycleParams(rng.standard_normal((3, g_in, k, k)).astype(dtype)), x4),
+            ("cycle", (g_out, c_in, k, k), x1),
+            ("isotonic", (g_out, 4, g_in, k, k), x4),
+            ("decycle", (3, g_in, k, k), x4),
         ]
-        for kind, p, x in cases:
-            report = oracle.compare_paths(kind, p, x)
+        for kind, shape, x in cases:
+            report = oracle.compare_paths(kind, rng.standard_normal(shape).astype(dtype), x)
             worst[kind] = max(worst[kind], report.max_rel_diff)
     return [
         PropertyResult(f"oracle/{name}_equivalence", dev, tol, dev <= tol)
@@ -429,13 +423,11 @@ def suite_stride(trials: int, seed: int) -> list:
                 continue
             holds = stride_preserves_equivariance(size, 2, kernel)
             for _ in range(draws):
-                p = eqlayers.CycleParams(rng.standard_normal((2, 1, kernel, kernel)))
+                base = rng.standard_normal((2, 1, kernel, kernel))
                 x = rng.standard_normal((2, 1, size, size))
                 geom = ConvGeometry(stride=2)
-                lhs = eqlayers.forward_cycle(p, tensor.rotate90(x), geom)
-                rhs = tensor.rotate90(
-                    tensor.cyclic_permute(eqlayers.forward_cycle(p, x, geom), tensor.GroupLayout(2))
-                )
+                lhs = eqlayers.forward_cycle(base, tensor.rotate90(x), geom)
+                rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_cycle(base, x, geom)))
                 dev = relative_deviation(lhs, rhs)[1]
                 if holds:
                     true_worst = max(true_worst, dev)
@@ -498,35 +490,60 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def cmd_train(args) -> int:
+def _train_setup(args) -> tuple:
+    """(effective config, TrainConfig, train split, val split) of a train or sweep run.
+
+    Every config problem, an unknown precision among them, is raised
+    as a ConfigError before any data is read.
+    """
     cfg = _effective_config(args)
     if not cfg["data_dir"]:
-        print("train: no data_dir configured", file=sys.stderr)
-        return 2
-    print("effective config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))
+        raise ConfigError("no data_dir configured")
+    if cfg["precision"] not in network.PRECISIONS:
+        choices = ", ".join(network.PRECISIONS)
+        raise ConfigError(f"precision must be one of {choices}, got {cfg['precision']!r}")
+    try:
+        tc = TrainConfig(
+            lr=cfg["lr"],
+            momentum=cfg["momentum"],
+            batch_size=cfg["batch"],
+            epochs=cfg["epochs"],
+            seed=cfg["seed"],
+            lr_decay=cfg["lr_decay"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     data_dir = Path(cfg["data_dir"])
-    train_ds = read_split(data_dir, "train")
-    val_ds = read_split(data_dir, "val")
+    return cfg, tc, read_split(data_dir, "train"), read_split(data_dir, "val")
+
+
+def _check_logit_width(model: Model, size: int, *datasets) -> None:
+    """Reject a model whose logits cannot cover every label in `datasets`.
+
+    The width is that of an eval forward of one blank image, so it is
+    exactly what the loss will see.
+    """
+    classes = max(int(ds.labels.max()) + 1 for ds in datasets)
+    probe = np.zeros((1, model.in_channels, size, size), dtype=model.dtype)
+    width = network.forward(model, probe, mode="eval")[0].shape[1]
+    if width < classes:
+        last = len(model.specs) - 1
+        raise ModelSpecError(
+            f"layer {last} ({model.specs[last].kind}) gives {width} logits per image, "
+            f"but the labels need {classes} classes"
+        )
+
+
+def cmd_train(args) -> int:
+    cfg, tc, train_ds, val_ds = _train_setup(args)
+    print("effective config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))
     specs = parse_layer_stack(cfg["layers"])
-    model = build_model(
-        specs,
-        in_channels=1,
-        seed=cfg["seed"],
-        precision=cfg["precision"],
-        input_size=train_ds.images.shape[2],
-    )
+    size = train_ds.images.shape[2]
+    model = build_model(specs, in_channels=1, seed=cfg["seed"], precision=cfg["precision"], input_size=size)
+    _check_logit_width(model, size, train_ds, val_ds)
     counts = model.parameter_counts()
     print(f"model: {len(specs)} layers, {model.num_parameters} parameters "
           + " ".join(f"L{i}:{n}" for i, n in sorted(counts.items())))
-    tc = TrainConfig(
-        lr=cfg["lr"],
-        momentum=cfg["momentum"],
-        batch_size=cfg["batch"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        precision=cfg["precision"],
-        lr_decay=cfg["lr_decay"],
-    )
     history = network.train(model, train_ds, val_ds, tc)
     if args.metrics:
         lines = [f"{e},{loss:.10g},{err:.10g}" for e, loss, err in history]
@@ -610,28 +627,18 @@ def sweep_stack(depth: int) -> list:
 def cmd_sweep(args) -> int:
     lo, _, hi = args.depths.partition("..")
     depths = range(int(lo), int(hi or lo) + 1)
-    cfg = _effective_config(args)
-    if not cfg["data_dir"]:
-        print("sweep: no data_dir configured", file=sys.stderr)
-        return 2
-    data_dir = Path(cfg["data_dir"])
-    train_ds = read_split(data_dir, "train")
-    val_ds = read_split(data_dir, "val")
+    cfg, tc, train_ds, val_ds = _train_setup(args)
     if train_ds.images.shape[2] != 28:
         print("sweep: the depth family expects 28x28 images", file=sys.stderr)
         return 2
-    tc = TrainConfig(
-        lr=cfg["lr"],
-        momentum=cfg["momentum"],
-        batch_size=cfg["batch"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        precision=cfg["precision"],
-        lr_decay=cfg["lr_decay"],
-    )
+    models = [
+        build_model(sweep_stack(d), in_channels=1, seed=cfg["seed"], precision=cfg["precision"], input_size=28)
+        for d in depths
+    ]
+    for model in models:
+        _check_logit_width(model, 28, train_ds, val_ds)
     print("depth,val_error")
-    for depth in depths:
-        model = build_model(sweep_stack(depth), in_channels=1, seed=cfg["seed"], input_size=28)
+    for depth, model in zip(depths, models):
         history = network.train(model, train_ds, val_ds, tc)
         print(f"{depth},{history[-1][2]:.6g}")
     return 0
@@ -709,7 +716,7 @@ def main(argv=None) -> int:
     except (ConfigError, CheckpointError, ModelSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,10 +6,12 @@ rotation. Isotonic layers tie a 4x4 block of filters (generated by four
 free kernels per group pair) so that permuted-rotated inputs map to
 permuted-rotated outputs. A decycle layer is the row form of the cycle
 stack and collapses the permutation, leaving plain rotation
-equivariance. All forward passes expand the tied parameters into an
-ordinary filter bank and call the shared correlation kernel; backward
-passes push expanded-filter gradients back through the tying (the
-adjoint of a rotation is the inverse rotation).
+equivariance. Each tied layer is one plain base array; every function
+here takes that array and reads group counts off the shapes of the
+arrays it is given. Forward passes expand the base into an ordinary
+filter bank and call the shared correlation kernel; backward passes
+push expanded-filter gradients back through the tying (the adjoint of
+a rotation is the inverse rotation).
 
 Free parameter counts: a cycle layer holds g*c_in*k^2 reals, an
 isotonic layer 4*g_out*g_in*k^2 (one quarter of the 16*g_out*g_in*k^2
@@ -17,132 +19,93 @@ an untied layer of the same expanded width would need), a decycle layer
 c_out*g_in*k^2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conv import ConvGeometry, correlate2d
-from .tensor import GroupLayout, layout_for, rotate_kernels90
+from .tensor import group_count, rotate_kernels90
 
 
-def _check_square(base: np.ndarray, what: str) -> None:
+def _check_base(base: np.ndarray, what: str, ndim: int) -> None:
+    if base.ndim != ndim:
+        raise ValueError(f"{what} base must be rank {ndim}, got shape {base.shape}")
     if base.shape[-1] != base.shape[-2]:
         raise ValueError(f"{what} kernels must be square, got {base.shape[-2]}x{base.shape[-1]}")
 
 
-@dataclass
-class CycleParams:
-    """Base filters of a cycle layer, shape (g_out, c_in, k, k)."""
-
-    base: np.ndarray
-
-    def __post_init__(self):
-        if self.base.ndim != 4:
-            raise ValueError(f"cycle base must be rank 4, got shape {self.base.shape}")
-        _check_square(self.base, "cycle")
-
-
-@dataclass
-class IsotonicParams:
-    """Free filters of an isotonic layer, shape (g_out, 4, g_in, k, k).
-
-    Axis 1 indexes the four generators of the tied 4x4 block for each
-    (out-group, in-group) pair.
-    """
-
-    base: np.ndarray
-
-    def __post_init__(self):
-        if self.base.ndim != 5 or self.base.shape[1] != 4:
-            raise ValueError(
-                f"isotonic base must have shape (g_out, 4, g_in, k, k), got {self.base.shape}"
-            )
-        _check_square(self.base, "isotonic")
-
-
-@dataclass
-class DecycleParams:
-    """Base filters of a decycle layer, shape (c_out, g_in, k, k)."""
-
-    base: np.ndarray
-
-    def __post_init__(self):
-        if self.base.ndim != 4:
-            raise ValueError(f"decycle base must be rank 4, got shape {self.base.shape}")
-        _check_square(self.base, "decycle")
-
-
-def expand_cycle(p: CycleParams) -> np.ndarray:
-    """Expanded filter bank (4*g_out, c_in, k, k).
+def expand_cycle(base: np.ndarray) -> np.ndarray:
+    """Expanded filter bank (4*g_out, c_in, k, k) of cycle base filters (g_out, c_in, k, k).
 
     Output channel (a, i) holds the base filter of group a rotated i
     quarter turns, i = 0..3 within each group.
     """
-    g, c_in, k, _ = p.base.shape
-    out = np.empty((g, 4, c_in, k, k), dtype=p.base.dtype)
+    _check_base(base, "cycle", 4)
+    g, c_in, k, _ = base.shape
+    out = np.empty((g, 4, c_in, k, k), dtype=base.dtype)
     for i in range(4):
-        out[:, i] = rotate_kernels90(p.base, i)
+        out[:, i] = rotate_kernels90(base, i)
     return out.reshape(4 * g, c_in, k, k)
 
 
-def expand_isotonic(p: IsotonicParams) -> np.ndarray:
-    """Expanded filter bank (4*g_out, 4*g_in, k, k).
+def expand_isotonic(base: np.ndarray) -> np.ndarray:
+    """Expanded filter bank (4*g_out, 4*g_in, k, k) of isotonic generators (g_out, 4, g_in, k, k).
 
-    The block entry at output slot j, input slot i of group pair (a, b)
-    is the generator base[a, (i-j) mod 4, b] rotated j quarter turns;
-    the resulting bank is a fixed point of the shift-both-slots-then-
-    rotate map.
+    Axis 1 of `base` indexes the four generators of the tied 4x4 block
+    of each (out-group, in-group) pair. The block entry at output slot
+    j, input slot i of group pair (a, b) is the generator
+    base[a, (i-j) mod 4, b] rotated j quarter turns; the resulting bank
+    is a fixed point of the shift-both-slots-then-rotate map.
     """
-    g_out, _, g_in, k, _ = p.base.shape
-    out = np.empty((g_out, 4, g_in, 4, k, k), dtype=p.base.dtype)
+    if base.ndim != 5 or base.shape[1] != 4:
+        raise ValueError(f"isotonic base must have shape (g_out, 4, g_in, k, k), got {base.shape}")
+    _check_base(base, "isotonic", 5)
+    g_out, _, g_in, k, _ = base.shape
+    out = np.empty((g_out, 4, g_in, 4, k, k), dtype=base.dtype)
     for j in range(4):
         for i in range(4):
-            out[:, j, :, i] = rotate_kernels90(p.base[:, (i - j) % 4], j)
+            out[:, j, :, i] = rotate_kernels90(base[:, (i - j) % 4], j)
     return out.reshape(4 * g_out, 4 * g_in, k, k)
 
 
-def expand_decycle(p: DecycleParams) -> np.ndarray:
-    """Expanded filter bank (c_out, 4*g_in, k, k).
+def expand_decycle(base: np.ndarray) -> np.ndarray:
+    """Expanded filter bank (c_out, 4*g_in, k, k) of decycle base filters (c_out, g_in, k, k).
 
     Input slot j of every group holds the base filter rotated j quarter
     turns: the row form [w, Rw, R^2w, R^3w].
     """
-    c_out, g_in, k, _ = p.base.shape
-    out = np.empty((c_out, g_in, 4, k, k), dtype=p.base.dtype)
+    _check_base(base, "decycle", 4)
+    c_out, g_in, k, _ = base.shape
+    out = np.empty((c_out, g_in, 4, k, k), dtype=base.dtype)
     for j in range(4):
-        out[:, :, j] = rotate_kernels90(p.base, j)
+        out[:, :, j] = rotate_kernels90(base, j)
     return out.reshape(c_out, 4 * g_in, k, k)
 
 
-def forward_cycle(p: CycleParams, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
-    return correlate2d(x, expand_cycle(p), geom)
+def forward_cycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    return correlate2d(x, expand_cycle(base), geom)
 
 
-def forward_isotonic(
-    p: IsotonicParams, x: np.ndarray, geom: ConvGeometry = ConvGeometry()
-) -> np.ndarray:
-    return correlate2d(x, expand_isotonic(p), geom)
+def forward_isotonic(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    return correlate2d(x, expand_isotonic(base), geom)
 
 
-def forward_decycle(
-    p: DecycleParams, x: np.ndarray, geom: ConvGeometry = ConvGeometry()
-) -> np.ndarray:
-    return correlate2d(x, expand_decycle(p), geom)
+def forward_decycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    return correlate2d(x, expand_decycle(base), geom)
 
 
-def collapse_cycle_grad(grad_w: np.ndarray, g_out: int) -> np.ndarray:
-    """Fold an expanded-filter gradient back onto cycle base parameters."""
+def collapse_cycle_grad(grad_w: np.ndarray) -> np.ndarray:
+    """Fold a (4*g_out, c_in, k, k) expanded-filter gradient back onto the cycle base."""
     four_g, c_in, k, _ = grad_w.shape
-    gw = grad_w.reshape(g_out, 4, c_in, k, k)
-    acc = np.zeros((g_out, c_in, k, k), dtype=grad_w.dtype)
+    gw = grad_w.reshape(four_g // 4, 4, c_in, k, k)
+    acc = np.zeros((four_g // 4, c_in, k, k), dtype=grad_w.dtype)
     for i in range(4):
         acc += rotate_kernels90(gw[:, i], -i)
     return acc
 
 
-def collapse_isotonic_grad(grad_w: np.ndarray, g_out: int, g_in: int) -> np.ndarray:
-    """Fold an expanded-filter gradient back onto the isotonic generators."""
-    k = grad_w.shape[2]
+def collapse_isotonic_grad(grad_w: np.ndarray) -> np.ndarray:
+    """Fold a (4*g_out, 4*g_in, k, k) expanded-filter gradient back onto the isotonic generators."""
+    four_g_out, four_g_in, k, _ = grad_w.shape
+    g_out, g_in = four_g_out // 4, four_g_in // 4
     gw = grad_w.reshape(g_out, 4, g_in, 4, k, k)
     acc = np.zeros((g_out, 4, g_in, k, k), dtype=grad_w.dtype)
     for j in range(4):
@@ -152,7 +115,7 @@ def collapse_isotonic_grad(grad_w: np.ndarray, g_out: int, g_in: int) -> np.ndar
 
 
 def collapse_decycle_grad(grad_w: np.ndarray) -> np.ndarray:
-    """Fold an expanded-filter gradient back onto decycle base parameters."""
+    """Fold a (c_out, 4*g_in, k, k) expanded-filter gradient back onto the decycle base."""
     c_out, four_g, k, _ = grad_w.shape
     gw = grad_w.reshape(c_out, four_g // 4, 4, k, k)
     acc = np.zeros((c_out, four_g // 4, k, k), dtype=grad_w.dtype)
@@ -161,11 +124,10 @@ def collapse_decycle_grad(grad_w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def group_cross_channel_pool(x: np.ndarray, layout: GroupLayout, mode: str = "max") -> np.ndarray:
+def group_cross_channel_pool(x: np.ndarray, mode: str = "max") -> np.ndarray:
     """Per pixel, reduce the 4 cyclic channels of each group to one channel."""
     n, c, h, w = x.shape
-    layout.check(c)
-    grouped = x.reshape(n, layout.groups, 4, h, w)
+    grouped = x.reshape(n, group_count(c), 4, h, w)
     if mode == "max":
         return grouped.max(axis=2)
     if mode == "mean":
@@ -173,11 +135,9 @@ def group_cross_channel_pool(x: np.ndarray, layout: GroupLayout, mode: str = "ma
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
-def group_cross_channel_pool_backward(
-    grad_out: np.ndarray, x: np.ndarray, layout: GroupLayout, mode: str = "max"
-) -> np.ndarray:
+def group_cross_channel_pool_backward(grad_out: np.ndarray, x: np.ndarray, mode: str = "max") -> np.ndarray:
     n, c, h, w = x.shape
-    grouped = x.reshape(n, layout.groups, 4, h, w)
+    grouped = x.reshape(n, group_count(c), 4, h, w)
     if mode == "max":
         winner = grouped.argmax(axis=2)
         grad = np.zeros_like(grouped)
@@ -200,18 +160,18 @@ def global_spatial_avg_pool_backward(grad_out: np.ndarray, x: np.ndarray) -> np.
     return np.broadcast_to(grad_out / (h * w), x.shape).astype(x.dtype)
 
 
-def shared_bias_add(x: np.ndarray, layout: GroupLayout, bias: np.ndarray) -> np.ndarray:
+def shared_bias_add(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Add one shared bias value to all 4 channels of each group."""
-    layout.check(x.shape[1])
-    if bias.shape != (layout.groups,):
-        raise ValueError(f"expected {layout.groups} bias values, got shape {bias.shape}")
+    groups = group_count(x.shape[1])
+    if bias.shape != (groups,):
+        raise ValueError(f"expected {groups} bias values, got shape {bias.shape}")
     return x + np.repeat(bias, 4).reshape(1, -1, 1, 1)
 
 
-def shared_bias_backward(grad_out: np.ndarray, layout: GroupLayout) -> np.ndarray:
+def shared_bias_backward(grad_out: np.ndarray) -> np.ndarray:
     """Gradient of the shared bias: sum over batch, group channels and pixels."""
     n, c, h, w = grad_out.shape
-    return grad_out.reshape(n, layout.groups, 4, h, w).sum(axis=(0, 2, 3, 4))
+    return grad_out.reshape(n, group_count(c), 4, h, w).sum(axis=(0, 2, 3, 4))
 
 
 class GroupBatchNorm:
@@ -276,9 +236,6 @@ class GroupBatchNorm:
 
 
 __all__ = [
-    "CycleParams",
-    "IsotonicParams",
-    "DecycleParams",
     "expand_cycle",
     "expand_isotonic",
     "expand_decycle",
@@ -295,6 +252,4 @@ __all__ = [
     "shared_bias_add",
     "shared_bias_backward",
     "GroupBatchNorm",
-    "layout_for",
-    "GroupLayout",
 ]

@@ -4,9 +4,10 @@ A model is an ordered list of layer descriptors plus a parameter store.
 `KINDS` is the one table of layer kinds: it names the arrays each kind
 stores, in checkpoint order, gives their shape and the kind's output
 channel count, and holds the kind's forward and backward step. Tied
-layers keep only their base parameters; expanded filter banks are
-cached per parameter version and rebuilt after each optimizer step, so
-a whole epoch of forward passes reuses one expansion.
+layers keep only their base arrays; a filter bank is expanded once per
+parameter version and cached until `sgd_step` changes the parameters,
+so one step's forward and backward share an expansion, and so do all
+the batches of an evaluation.
 """
 
 import warnings
@@ -26,10 +27,7 @@ from .conv import (
     stride_preserves_equivariance,
 )
 from .eqlayers import (
-    CycleParams,
-    DecycleParams,
     GroupBatchNorm,
-    IsotonicParams,
     collapse_cycle_grad,
     collapse_decycle_grad,
     collapse_isotonic_grad,
@@ -43,7 +41,6 @@ from .eqlayers import (
     shared_bias_add,
     shared_bias_backward,
 )
-from .tensor import layout_for
 
 
 class ModelSpecError(ValueError):
@@ -71,6 +68,9 @@ class LayerSpec:
             raise ModelSpecError(f"unknown layer kind {self.kind!r}")
 
 
+PRECISIONS = {"float32": np.float32, "float64": np.float64}  # `build_model` precision names
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.05
@@ -78,18 +78,11 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
-    precision: str = "float32"
     lr_decay: float = 0.1
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(f"precision must be float32 or float64, got {self.precision!r}")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "float32" else np.float64
 
 
 @dataclass
@@ -140,7 +133,7 @@ def _filter_backward(model, i, g, cache):
     g, grad_w = correlate2d_backward(g, x, model.expanded_filter(i), geom)
     kind = KINDS[model.specs[i].kind]
     name = kind.params[0]
-    return g, {name: kind.collapse(grad_w, model.params[i][name])}
+    return g, {name: kind.collapse(grad_w)}
 
 
 def _relu_forward(model, i, h, train, rng):
@@ -152,12 +145,11 @@ def _relu_backward(model, i, g, mask):
 
 
 def _bias_forward(model, i, h, train, rng):
-    layout = layout_for(h.shape[1])
-    return shared_bias_add(h, layout, model.params[i]["bias"]), layout, None
+    return shared_bias_add(h, model.params[i]["bias"]), None, None
 
 
-def _bias_backward(model, i, g, layout):
-    return g, {"bias": shared_bias_backward(g, layout)}
+def _bias_backward(model, i, g, cache):
+    return g, {"bias": shared_bias_backward(g)}
 
 
 def _batchnorm_forward(model, i, h, train, rng):
@@ -199,13 +191,11 @@ def _max_pool_backward(model, i, g, x):
 
 
 def _group_pool_forward(mode, model, i, h, train, rng):
-    layout = layout_for(h.shape[1])
-    return group_cross_channel_pool(h, layout, mode), (h, layout), None
+    return group_cross_channel_pool(h, mode), h, None
 
 
-def _group_pool_backward(mode, model, i, g, cache):
-    x, layout = cache
-    return group_cross_channel_pool_backward(g, x, layout, mode), None
+def _group_pool_backward(mode, model, i, g, x):
+    return group_cross_channel_pool_backward(g, x, mode), None
 
 
 def _global_pool_forward(model, i, h, train, rng):
@@ -228,9 +218,8 @@ class LayerKind:
     all share `shape(spec, c_in, group)`, where `group` is 4 inside the
     tied segment and 1 elsewhere. A conv-like kind stores one array:
     `expand` turns it into the (c_out, c_in, k, k) filter bank,
-    `collapse(grad, stored)` folds the bank's gradient back onto it,
-    `tied` is the eqlayers params class of a tied kind, and the array
-    starts uniform random. Other kinds start at `fill`, one value per
+    `collapse(grad)` folds the bank's gradient back onto its shape, and
+    the array starts uniform random. Other kinds start at `fill`, one value per
     array. A `grouped` kind needs 4-channel groups at its input.
     """
 
@@ -244,7 +233,6 @@ class LayerKind:
     fill: tuple = ()
     expand: Callable | None = None
     collapse: Callable | None = None
-    tied: type | None = None
 
 
 def _filter_kind(name="base", **fields):
@@ -258,31 +246,28 @@ KINDS = {
     "cycle": _filter_kind(
         shape=lambda spec, c, group: (spec.width, c, spec.kernel, spec.kernel),
         out_channels=lambda spec, c: 4 * spec.width,
-        expand=lambda base: expand_cycle(CycleParams(base)),
-        collapse=lambda grad, base: collapse_cycle_grad(grad, base.shape[0]),
-        tied=CycleParams,
+        expand=lambda base: expand_cycle(base),
+        collapse=lambda grad: collapse_cycle_grad(grad),
     ),
     "isotonic": _filter_kind(
         shape=lambda spec, c, group: (spec.width, 4, c // 4, spec.kernel, spec.kernel),
         out_channels=lambda spec, c: 4 * spec.width,
-        expand=lambda base: expand_isotonic(IsotonicParams(base)),
-        collapse=lambda grad, base: collapse_isotonic_grad(grad, base.shape[0], base.shape[2]),
-        tied=IsotonicParams,
+        expand=lambda base: expand_isotonic(base),
+        collapse=lambda grad: collapse_isotonic_grad(grad),
         grouped=True,
     ),
     "decycle": _filter_kind(
         shape=lambda spec, c, group: (spec.width, c // 4, spec.kernel, spec.kernel),
         out_channels=lambda spec, c: spec.width,
-        expand=lambda base: expand_decycle(DecycleParams(base)),
-        collapse=lambda grad, base: collapse_decycle_grad(grad),
-        tied=DecycleParams,
+        expand=lambda base: expand_decycle(base),
+        collapse=lambda grad: collapse_decycle_grad(grad),
         grouped=True,
     ),
     "conv": _filter_kind(
         shape=lambda spec, c, group: (spec.width, c, spec.kernel, spec.kernel),
         out_channels=lambda spec, c: spec.width,
         expand=lambda w: w,
-        collapse=lambda grad, w: grad,
+        collapse=lambda grad: grad,
         name="w",
     ),
     "relu": LayerKind(_relu_forward, _relu_backward),
@@ -319,7 +304,8 @@ KINDS = {
     "global_avg_pool": LayerKind(_global_pool_forward, _global_pool_backward),
 }
 ALL_KINDS = tuple(KINDS)  # checkpoint kind codes are positions in this tuple
-DREN_KINDS = ("cycle", "isotonic", "decycle", "group_pool_max", "group_pool_mean")
+TIED_KINDS = ("cycle", "isotonic", "decycle")  # each has an `oracle.oracle_<kind>`
+DREN_KINDS = TIED_KINDS + ("group_pool_max", "group_pool_mean")
 
 
 def plan_layers(specs: list, in_channels: int, input_size: int | None = None) -> tuple:
@@ -331,9 +317,9 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
     after the terminator the only trainable allowed besides bias/norm is
     a 1x1 conv head. Conv-like and max-pool layers need kernel and
     stride >= 1 and a pad >= 0, conv-like ones a width >= 1; max
-    pooling takes no pad. Stride
-    settings that break the quarter-turn equivariance condition
-    produce a warning naming the layer.
+    pooling takes no pad. Given `input_size`, every window must fit
+    its input. Stride settings that break the quarter-turn equivariance
+    condition produce a warning naming the layer.
     Nothing is allocated, so a stack read from a file can be sized
     before it is built.
     """
@@ -381,13 +367,17 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
             zone = "post"
 
         if size is not None and windowed:
+            try:
+                out_size = output_size(size, spec.kernel, spec.stride, spec.pad)
+            except ValueError as exc:
+                raise ModelSpecError(f"layer {i} ({kind}): {exc}") from None
             if uses_dren and not stride_preserves_equivariance(size + 2 * spec.pad, spec.stride, spec.kernel):
                 warnings.warn(
                     f"layer {i} ({kind}): input size {size} with stride {spec.stride} and "
                     f"kernel {spec.kernel} breaks the rotation-equivariance condition",
                     stacklevel=3,
                 )
-            size = output_size(size, spec.kernel, spec.stride, spec.pad)
+            size = out_size
         elif size is not None and kind == "global_avg_pool":
             size = 1
         channels.append(c)
@@ -408,11 +398,14 @@ def build_model(
 ) -> Model:
     """Validate a layer stack (see `plan_layers`), initialize parameters, and return the model.
 
+    `precision` is a key of `PRECISIONS`; any other name is rejected.
     Filter banks of every conv-like kind are drawn uniform with variance
     2/fan_in of the expanded filter, fan_in = input channels * k^2.
     """
+    if precision not in PRECISIONS:
+        raise ValueError(f"precision must be one of {', '.join(PRECISIONS)}, got {precision!r}")
+    dtype = PRECISIONS[precision]
     shapes, channels = plan_layers(specs, in_channels, input_size)
-    dtype = np.float32 if precision == "float32" else np.float64
     rng = np.random.default_rng(seed)
     model = Model(specs=list(specs), in_channels=in_channels, dtype=dtype, channels=channels)
     for i, (spec, shape) in enumerate(zip(specs, shapes)):

@@ -16,41 +16,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import ConvGeometry, correlate2d
-from .eqlayers import CycleParams, DecycleParams, IsotonicParams
-from .network import KINDS
+from .network import KINDS, TIED_KINDS
 from .tensor import rotate90
 
 
-def oracle_cycle(p: CycleParams, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
-    """Cycle layer output computed by rotating the feature maps.
+def oracle_cycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    """Cycle layer output of base filters (g, c_in, k, k), computed by rotating the feature maps.
 
     Output channel (a, i) = R^i( base[a] * R^-i(x) ).
     """
-    g = p.base.shape[0]
+    g = base.shape[0]
     slots = []
     for i in range(4):
-        y = correlate2d(rotate90(x, -i), p.base, geom)
+        y = correlate2d(rotate90(x, -i), base, geom)
         slots.append(rotate90(y, i))
     n, _, oh, ow = slots[0].shape
     return np.stack(slots, axis=2).reshape(n, 4 * g, oh, ow)
 
 
-def oracle_isotonic(
-    p: IsotonicParams, x: np.ndarray, geom: ConvGeometry = ConvGeometry()
-) -> np.ndarray:
-    """Isotonic layer output computed by rolling and rotating the maps.
+def oracle_isotonic(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    """Isotonic layer output of generators (g_out, 4, g_in, k, k), computed
+    by rolling and rotating the maps.
 
     For output slot j, the input channels are cyclically shifted by j,
     rotated by -j, correlated with the fixed generator stack, and the
     result rotated back by +j.
     """
-    g_out, _, g_in, k, _ = p.base.shape
+    g_out, _, g_in, k, _ = base.shape
     n, c, h, w = x.shape
     if c != 4 * g_in:
         raise ValueError(f"expected {4 * g_in} input channels, got {c}")
     xg = x.reshape(n, g_in, 4, h, w)
     # generator stack with input channel order (group, generator index)
-    base_stack = np.ascontiguousarray(p.base.transpose(0, 2, 1, 3, 4)).reshape(
+    base_stack = np.ascontiguousarray(base.transpose(0, 2, 1, 3, 4)).reshape(
         g_out, 4 * g_in, k, k
     )
     slots = []
@@ -62,21 +60,20 @@ def oracle_isotonic(
     return np.stack(slots, axis=2).reshape(n, 4 * g_out, oh, ow)
 
 
-def oracle_decycle(
-    p: DecycleParams, x: np.ndarray, geom: ConvGeometry = ConvGeometry()
-) -> np.ndarray:
-    """Decycle layer output as a sum over counter-rotated slot correlations.
+def oracle_decycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    """Decycle layer output of base filters (c_out, g_in, k, k), as a sum
+    over counter-rotated slot correlations.
 
     y_o = sum_j R^j( base[o] * R^-j(x at cyclic slot j) ).
     """
-    g_in = p.base.shape[1]
+    g_in = base.shape[1]
     n, c, h, w = x.shape
     if c != 4 * g_in:
         raise ValueError(f"expected {4 * g_in} input channels, got {c}")
     xg = x.reshape(n, g_in, 4, h, w)
     acc = None
     for j in range(4):
-        y = correlate2d(rotate90(np.ascontiguousarray(xg[:, :, j]), -j), p.base, geom)
+        y = correlate2d(rotate90(np.ascontiguousarray(xg[:, :, j]), -j), base, geom)
         y = rotate90(y, j)
         acc = y if acc is None else acc + y
     return acc
@@ -103,18 +100,18 @@ def relative_deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return max_abs, (max_abs / scale if scale > 0 else 0.0)
 
 
-def compare_paths(kind, p, x, geom=ConvGeometry(), tolerance=None) -> PathComparison:
+def compare_paths(kind, base, x, geom=ConvGeometry(), tolerance=None) -> PathComparison:
     """Run the model's filter expansion and this module's `oracle_<kind>`
-    on one tied layer kind and report the deviation.
+    on the base array of one tied layer kind and report the deviation.
 
     Default tolerance is 1e-12 for double precision inputs and 1e-5 for
     single precision.
     """
-    if kind not in KINDS or KINDS[kind].tied is None:
+    if kind not in TIED_KINDS:
         raise ValueError(f"unknown tied layer kind {kind!r}")
     if tolerance is None:
         tolerance = 1e-12 if x.dtype == np.float64 else 1e-5
-    fast = correlate2d(x, KINDS[kind].expand(p.base), geom)
-    slow = globals()[f"oracle_{kind}"](p, x, geom)
+    fast = correlate2d(x, KINDS[kind].expand(base), geom)
+    slow = globals()[f"oracle_{kind}"](base, x, geom)
     max_abs, max_rel = relative_deviation(fast, slow)
     return PathComparison(kind, max_abs, max_rel, tolerance)

@@ -6,8 +6,6 @@ rotation and the cyclic permutation of 4-channel groups; both are pure
 index permutations, so composing or inverting them is exact.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -15,27 +13,15 @@ class LayoutError(ValueError):
     """Channel count incompatible with a 4-channel group layout."""
 
 
-@dataclass(frozen=True)
-class GroupLayout:
-    """Interpretation of a channel axis as `groups` bundles of 4 cyclic slots.
+def group_count(channels: int) -> int:
+    """Number of 4-channel cyclic groups in a channel axis.
 
     Channel index = group*4 + cyclic_index, cyclic_index in 0..3.
+    Raises LayoutError if `channels` is not divisible by 4.
     """
-
-    groups: int
-
-    def check(self, channels: int) -> None:
-        if channels != 4 * self.groups:
-            raise LayoutError(
-                f"expected {4 * self.groups} channels for {self.groups} groups, got {channels}"
-            )
-
-
-def layout_for(channels: int) -> GroupLayout:
-    """Layout with channels/4 groups; raises LayoutError if not divisible."""
     if channels % 4 != 0:
         raise LayoutError(f"channel count {channels} is not divisible by 4")
-    return GroupLayout(channels // 4)
+    return channels // 4
 
 
 def _require_rank4(t: np.ndarray) -> None:
@@ -61,7 +47,7 @@ def rotate_kernels90(w: np.ndarray, times: int = 1) -> np.ndarray:
     return np.ascontiguousarray(np.rot90(w, times % 4, axes=(2, 3)))
 
 
-def cyclic_permute(t: np.ndarray, layout: GroupLayout, times: int = 1) -> np.ndarray:
+def cyclic_permute(t: np.ndarray, times: int = 1) -> np.ndarray:
     """Shift the cyclic slot of every 4-channel group by +times (mod 4).
 
     Destination slot = source slot + times, so one step maps the group
@@ -69,6 +55,5 @@ def cyclic_permute(t: np.ndarray, layout: GroupLayout, times: int = 1) -> np.nda
     """
     _require_rank4(t)
     n, c, h, w = t.shape
-    layout.check(c)
-    grouped = t.reshape(n, layout.groups, 4, h, w)
+    grouped = t.reshape(n, group_count(c), 4, h, w)
     return np.roll(grouped, times % 4, axis=2).reshape(n, c, h, w).copy()

@@ -25,10 +25,7 @@ from roteq.bench import (
 )
 from roteq.conv import ConvGeometry, stride_preserves_equivariance
 from roteq.eqlayers import (
-    CycleParams,
-    DecycleParams,
     GroupBatchNorm,
-    IsotonicParams,
     expand_decycle,
     expand_isotonic,
     forward_cycle,
@@ -47,7 +44,7 @@ from roteq.network import (
     train,
 )
 from roteq.oracle import compare_paths, relative_deviation
-from roteq.tensor import GroupLayout, cyclic_permute, layout_for, rotate90
+from roteq.tensor import cyclic_permute, rotate90
 
 from reference import max_rel
 
@@ -87,21 +84,19 @@ def _identity_trial(rng, dtype):
 
     devs = {}
     x1 = rng.standard_normal((n, c_in, size, size)).astype(dtype)
-    pc = CycleParams(rng.standard_normal((g_out, c_in, kernel, kernel)).astype(dtype))
-    lay_out = GroupLayout(g_out)
+    pc = rng.standard_normal((g_out, c_in, kernel, kernel)).astype(dtype)
     lhs = forward_cycle(pc, rotate90(x1), geom)
-    rhs = rotate90(cyclic_permute(forward_cycle(pc, x1, geom), lay_out))
+    rhs = rotate90(cyclic_permute(forward_cycle(pc, x1, geom)))
     devs["cycle"] = max_rel(lhs, rhs)
 
     x4 = rng.standard_normal((n, 4 * g_in, size, size)).astype(dtype)
-    lay_in = GroupLayout(g_in)
-    rpx = rotate90(cyclic_permute(x4, lay_in))
-    pi = IsotonicParams(rng.standard_normal((g_out, 4, g_in, kernel, kernel)).astype(dtype))
+    rpx = rotate90(cyclic_permute(x4))
+    pi = rng.standard_normal((g_out, 4, g_in, kernel, kernel)).astype(dtype)
     lhs = forward_isotonic(pi, rpx, geom)
-    rhs = rotate90(cyclic_permute(forward_isotonic(pi, x4, geom), lay_out))
+    rhs = rotate90(cyclic_permute(forward_isotonic(pi, x4, geom)))
     devs["isotonic"] = max_rel(lhs, rhs)
 
-    pd = DecycleParams(rng.standard_normal((5, g_in, kernel, kernel)).astype(dtype))
+    pd = rng.standard_normal((5, g_in, kernel, kernel)).astype(dtype)
     lhs = forward_decycle(pd, rpx, geom)
     rhs = rotate90(forward_decycle(pd, x4, geom))
     devs["decycle"] = max_rel(lhs, rhs)
@@ -117,12 +112,12 @@ def _end_to_end_trial(rng, dtype):
     depth = int(rng.integers(0, 3))
     size = int(rng.integers(6, 13))
     x = rng.standard_normal((2, 1, size, size)).astype(dtype)
-    pc = CycleParams(rng.standard_normal((g, 1, 3, 3)).astype(dtype))
+    pc = rng.standard_normal((g, 1, 3, 3)).astype(dtype)
     isos = [
-        IsotonicParams(rng.standard_normal((g, 4, g, 1, 1)).astype(dtype))
+        rng.standard_normal((g, 4, g, 1, 1)).astype(dtype)
         for _ in range(depth)
     ]
-    pd = DecycleParams(rng.standard_normal((4, g, 1, 1)).astype(dtype))
+    pd = rng.standard_normal((4, g, 1, 1)).astype(dtype)
     bias = rng.standard_normal(g).astype(dtype)
     bn = GroupBatchNorm(g)
     bn_p = {
@@ -133,11 +128,10 @@ def _end_to_end_trial(rng, dtype):
         "mean": rng.standard_normal(g).astype(dtype),
         "var": rng.uniform(0.5, 2.0, g).astype(dtype),
     }
-    lay = GroupLayout(g)
 
     def f(inp):
         h = forward_cycle(pc, inp)
-        h = shared_bias_add(h, lay, bias)
+        h = shared_bias_add(h, bias)
         h = np.maximum(h, 0)
         for p in isos:
             h = forward_isotonic(p, h)
@@ -169,7 +163,7 @@ def test_criterion_2_weight_constraint_fixed_points():
             g_out, g_in = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             k = int(rng.choice([1, 3, 5]))
             w = expand_isotonic(
-                IsotonicParams(rng.standard_normal((g_out, 4, g_in, k, k)))
+                rng.standard_normal((g_out, 4, g_in, k, k))
             ).reshape(g_out, 4, g_in, 4, k, k)
             # apply the shift-both-slots-then-rotate operator independently
             drw = np.empty_like(w)
@@ -180,7 +174,7 @@ def test_criterion_2_weight_constraint_fixed_points():
 
             c_out = int(rng.integers(1, 6))
             wd = expand_decycle(
-                DecycleParams(rng.standard_normal((c_out, g_in, k, k)))
+                rng.standard_normal((c_out, g_in, k, k))
             ).reshape(c_out, g_in, 4, k, k)
             prw = np.empty_like(wd)
             for j in range(4):
@@ -199,13 +193,13 @@ def test_criterion_3_oracle_equivalence():
                 size = int(rng.choice([5, 8, 9]))
                 if kind == "cycle":
                     c_in = int(rng.integers(1, 4))
-                    p = CycleParams(rng.standard_normal((g_out, c_in, k, k)))
+                    p = rng.standard_normal((g_out, c_in, k, k))
                     x = rng.standard_normal((2, c_in, size, size))
                 elif kind == "isotonic":
-                    p = IsotonicParams(rng.standard_normal((g_out, 4, g_in, k, k)))
+                    p = rng.standard_normal((g_out, 4, g_in, k, k))
                     x = rng.standard_normal((2, 4 * g_in, size, size))
                 else:
-                    p = DecycleParams(rng.standard_normal((3, g_in, k, k)))
+                    p = rng.standard_normal((3, g_in, k, k))
                     x = rng.standard_normal((2, 4 * g_in, size, size))
                 report = compare_paths(kind, p, x)
                 assert report.passed and report.tolerance == 1e-12, (
@@ -236,9 +230,9 @@ def test_criterion_5_parameter_accounting():
         rng = np.random.default_rng(505)
         for _ in range(25):
             g_out, g_in, k = (int(v) for v in rng.integers(1, 7, size=3))
-            tied = IsotonicParams(np.zeros((g_out, 4, g_in, k, k)))
+            tied = np.zeros((g_out, 4, g_in, k, k))
             untied_count = (4 * g_out) * (4 * g_in) * k * k
-            assert 4 * tied.base.size == untied_count
+            assert 4 * tied.size == untied_count
 
         model = build_model(preset_stack("z2cnn-shape"), in_channels=1, seed=0, input_size=28)
         hand_count = (
@@ -349,11 +343,11 @@ def test_criterion_9_stride_condition():
                 holds = stride_preserves_equivariance(size, 2, kernel)
                 geom = ConvGeometry(stride=2)
                 for _ in range(3):
-                    p = CycleParams(rng.standard_normal((2, 1, kernel, kernel)))
+                    p = rng.standard_normal((2, 1, kernel, kernel))
                     x = rng.standard_normal((2, 1, size, size))
                     lhs = forward_cycle(p, rotate90(x), geom)
                     rhs = rotate90(
-                        cyclic_permute(forward_cycle(p, x, geom), GroupLayout(2))
+                        cyclic_permute(forward_cycle(p, x, geom))
                     )
                     dev = max_rel(lhs, rhs)
                     if holds:

@@ -1,5 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from roteq import network
 
 from roteq.bench import (
     ROTATE_FEATURE_MAPS,
@@ -87,3 +92,36 @@ def test_compare_strategies_fills_ratios():
     assert fast.ratio == pytest.approx(slow.median / fast.median)
     assert slow.ratio == pytest.approx(fast.median / slow.median)
     assert fast.ratio * slow.ratio == pytest.approx(1.0)
+
+
+def test_tracer_bindings_resolve():
+    # the benchmark's tracer patches functions by module and name; a rename
+    # in roteq must fail here rather than silently empty a per-layer metric
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    model = network.build_model(network.preset_stack("dren-small"), seed=0)
+    x = np.random.default_rng(0).random((2, 1, 10, 10))
+    forward = network.forward
+    t = tracer.Tracer()
+    with t.installed():
+        missing = list(t.missing)
+        logits, cache = network.forward(model, x, mode="train")
+        network.backward(model, cache, np.ones_like(logits))
+    assert network.forward is forward
+    assert sorted(missing) == [
+        "roteq.bench.correlate2d",
+        "roteq.bench.expand_cycle",
+        "roteq.bench.expand_decycle",
+        "roteq.bench.expand_isotonic",
+        "roteq.bench.max_pool2d",
+        "roteq.eqlayers.correlate2d_backward",
+    ]
+    for span in tracer.LAYER_SPANS:
+        bound = [f"{m}.{a}" for m, a in tracer.BINDINGS[span] if f"{m}.{a}" not in missing]
+        assert bound, f"span {span} resolves nowhere"
+    # one expansion and one collapse per tied layer, each split to its layer
+    tied = [i for i, spec in enumerate(model.specs) if spec.kind in network.TIED_KINDS]
+    assert t.calls["eqlayers.expand"] == t.calls["eqlayers.collapse_grad"] == len(tied)
+    assert {i for phase, i in t.per_layer if phase == "bwd"} == set(tied)

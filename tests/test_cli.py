@@ -310,6 +310,8 @@ def test_train_flag_overrides_config(tmp_path, data_dir, capsys):
         ("cycle:g2:k3:s0,decycle:c2:k1,gap", "layer 0 (cycle): kernel 3 and stride 0"),
         ("conv:c2:k3:p-1,gap", "layer 0 (conv): pad -1 is negative"),
         ("cycle:g0:k3,decycle:c2:k1,gap", "layer 0 (cycle): width 0 must be >= 1"),
+        ("conv:c2:k30,gap", "layer 0 (conv): kernel 30 with stride 1 does not fit input 12"),
+        ("conv:c2:k1,gap", "layer 1 (global_avg_pool) gives 2 logits per image, but the labels need 10 classes"),
     ],
 )
 def test_train_rejects_bad_layer_geometry(data_dir, capsys, stack, message):
@@ -322,6 +324,24 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys):
     cfg.write_text("warp_speed = 9\n")
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unknown_precision_is_usage_error(tmp_path, capsys, command):
+    # the data dir does not exist, so reading it would fail with exit 1
+    argv = [command, "--data-dir", str(tmp_path / "absent"), "--precision", "float16"]
+    assert cli.main(argv) == 2
+    assert "precision must be one of float32, float64, got 'float16'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [MemoryError, OverflowError])
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch, exc):
+    def refuse(*args, **kwargs):
+        raise exc("cannot allocate the glyph array")
+
+    monkeypatch.setattr(cli.data_mod, "synth_glyphs", refuse)
+    assert cli.main(["gen-data", "--out", str(tmp_path), "--n", "10"]) == 1
+    assert "error: cannot allocate the glyph array" in capsys.readouterr().err
 
 
 def test_train_without_data_dir(capsys):

@@ -3,9 +3,6 @@ import pytest
 
 from roteq.conv import ConvGeometry
 from roteq.eqlayers import (
-    CycleParams,
-    DecycleParams,
-    IsotonicParams,
     forward_cycle,
     forward_decycle,
     forward_isotonic,
@@ -18,7 +15,7 @@ from roteq.oracle import (
     oracle_isotonic,
     relative_deviation,
 )
-from roteq.tensor import GroupLayout, cyclic_permute, layout_for, rotate90
+from roteq.tensor import cyclic_permute, rotate90
 
 from reference import max_rel
 
@@ -26,7 +23,7 @@ from reference import max_rel
 def test_oracle_cycle_1x1_bit_exact(rng):
     # 1x1 kernels are rotation-fixed and each output pixel is one dot product
     x = rng.standard_normal((2, 3, 5, 5))
-    p = CycleParams(rng.standard_normal((2, 3, 1, 1)))
+    p = rng.standard_normal((2, 3, 1, 1))
     np.testing.assert_array_equal(oracle_cycle(p, x), forward_cycle(p, x))
 
 
@@ -34,15 +31,15 @@ def test_oracle_cycle_1x1_bit_exact(rng):
 @pytest.mark.parametrize("size", [5, 8, 9])
 def test_oracle_cycle_matches_filter_path(rng, kernel, size):
     x = rng.standard_normal((2, 2, size, size))
-    p = CycleParams(rng.standard_normal((2, 2, kernel, kernel)))
+    p = rng.standard_normal((2, 2, kernel, kernel))
     assert max_rel(oracle_cycle(p, x), forward_cycle(p, x)) <= 1e-12
 
 
 def test_oracle_cycle_rotated_input_composition(rng):
     x = rng.standard_normal((1, 2, 7, 7))
-    p = CycleParams(rng.standard_normal((2, 2, 3, 3)))
+    p = rng.standard_normal((2, 2, 3, 3))
     lhs = oracle_cycle(p, rotate90(x))
-    rhs = rotate90(cyclic_permute(oracle_cycle(p, x), GroupLayout(2)))
+    rhs = rotate90(cyclic_permute(oracle_cycle(p, x)))
     assert max_rel(lhs, rhs) <= 1e-12
 
 
@@ -50,7 +47,7 @@ def test_oracle_cycle_rotated_input_composition(rng):
 @pytest.mark.parametrize("g", [1, 2])
 def test_oracle_isotonic_matches_filter_path(rng, kernel, g):
     x = rng.standard_normal((2, 4 * g, 8, 8))
-    p = IsotonicParams(rng.standard_normal((g, 4, g, kernel, kernel)))
+    p = rng.standard_normal((g, 4, g, kernel, kernel))
     assert max_rel(oracle_isotonic(p, x), forward_isotonic(p, x)) <= 1e-12
 
 
@@ -59,7 +56,7 @@ def test_oracle_isotonic_symmetric_base_slots_equal(rng):
     x = rng.standard_normal((1, 4, 5, 5))
     # all generators equal and rotation-fixed: the four output slots carry
     # the same aggregate, shifted across the cyclic input order
-    y = oracle_isotonic(IsotonicParams(base), x)
+    y = oracle_isotonic(base, x)
     sums = x.sum(axis=1)
     for j in range(4):
         np.testing.assert_allclose(y[:, j], base.ravel()[0] * sums, rtol=1e-12)
@@ -71,9 +68,8 @@ def test_oracle_isotonic_diagonal_base_per_channel_path(rng):
     g = 2
     base = np.zeros((g, 4, g, 3, 3))
     base[:, 0] = rng.standard_normal((g, g, 3, 3))
-    p = IsotonicParams(base)
     x = rng.standard_normal((2, 4 * g, 8, 8))
-    got = oracle_isotonic(p, x)
+    got = oracle_isotonic(base, x)
     from roteq.conv import correlate2d
 
     xg = x.reshape(2, g, 4, 8, 8)
@@ -83,22 +79,22 @@ def test_oracle_isotonic_diagonal_base_per_channel_path(rng):
         y = correlate2d(rotate90(slot, -j), base[:, 0])
         want[:, :, j] = rotate90(y, j)
     assert max_rel(got, want.reshape(got.shape)) <= 1e-12
-    assert max_rel(got, forward_isotonic(p, x)) <= 1e-12
+    assert max_rel(got, forward_isotonic(base, x)) <= 1e-12
 
 
 def test_oracle_decycle_mean_pool_reduction(rng):
-    p = DecycleParams(np.full((1, 1, 1, 1), 0.25))
+    p = np.full((1, 1, 1, 1), 0.25)
     x = rng.standard_normal((2, 4, 6, 6))
     np.testing.assert_allclose(
         oracle_decycle(p, x),
-        group_cross_channel_pool(x, layout_for(4), "mean"),
+        group_cross_channel_pool(x, "mean"),
         rtol=1e-14,
         atol=1e-14,
     )
 
 
 def test_oracle_decycle_zero_base(rng):
-    p = DecycleParams(np.zeros((3, 2, 3, 3)))
+    p = np.zeros((3, 2, 3, 3))
     x = rng.standard_normal((1, 8, 6, 6))
     assert not oracle_decycle(p, x).any()
 
@@ -106,26 +102,26 @@ def test_oracle_decycle_zero_base(rng):
 @pytest.mark.parametrize("kernel", [1, 3])
 def test_oracle_decycle_matches_filter_path(rng, kernel):
     x = rng.standard_normal((2, 8, 9, 9))
-    p = DecycleParams(rng.standard_normal((5, 2, kernel, kernel)))
+    p = rng.standard_normal((5, 2, kernel, kernel))
     assert max_rel(oracle_decycle(p, x), forward_decycle(p, x)) <= 1e-12
 
 
 def test_oracle_with_stride_and_pad(rng):
     geom = ConvGeometry(stride=2, pad=1)
     x = rng.standard_normal((1, 4, 7, 7))  # padded size 9, (9-3)%2==0
-    p = IsotonicParams(rng.standard_normal((1, 4, 1, 3, 3)))
+    p = rng.standard_normal((1, 4, 1, 3, 3))
     assert max_rel(oracle_isotonic(p, x, geom), forward_isotonic(p, x, geom)) <= 1e-12
 
 
 def test_compare_paths_report(rng):
     x64 = rng.standard_normal((1, 4, 6, 6))
-    p = IsotonicParams(rng.standard_normal((1, 4, 1, 3, 3)))
+    p = rng.standard_normal((1, 4, 1, 3, 3))
     report = compare_paths("isotonic", p, x64)
     assert report.passed and report.tolerance == 1e-12
     assert report.max_abs_diff >= 0 and report.max_rel_diff <= 1e-12
 
     x32 = x64.astype(np.float32)
-    p32 = IsotonicParams(p.base.astype(np.float32))
+    p32 = p.astype(np.float32)
     report32 = compare_paths("isotonic", p32, x32)
     assert report32.tolerance == 1e-5 and report32.passed
 

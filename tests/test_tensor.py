@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roteq.tensor import GroupLayout, LayoutError, cyclic_permute, layout_for, rotate90
+from roteq.tensor import LayoutError, cyclic_permute, group_count, rotate90
 
 from reference import rot90_ccw_permutation, rot180_permutation
 
@@ -46,43 +46,40 @@ def test_rotate90_swaps_dims_and_preserves_multiset(rng):
 
 def test_cyclic_permute_shifts_forward():
     t = np.arange(1, 5, dtype=float).reshape(1, 4, 1, 1)
-    out = cyclic_permute(t, GroupLayout(1), 1)
+    out = cyclic_permute(t, 1)
     np.testing.assert_array_equal(out.ravel(), [4.0, 1.0, 2.0, 3.0])
 
 
 def test_cyclic_permute_period_and_inverse(rng):
     t = rng.standard_normal((2, 8, 3, 3))
-    lay = layout_for(8)
-    np.testing.assert_array_equal(cyclic_permute(t, lay, 4), t)
+    np.testing.assert_array_equal(cyclic_permute(t, 4), t)
     for k in range(4):
-        np.testing.assert_array_equal(cyclic_permute(cyclic_permute(t, lay, k), lay, 4 - k), t)
+        np.testing.assert_array_equal(cyclic_permute(cyclic_permute(t, k), 4 - k), t)
 
 
 def test_cyclic_permute_composition(rng):
     t = rng.standard_normal((1, 12, 2, 2))
-    lay = layout_for(12)
-    three_steps = cyclic_permute(cyclic_permute(cyclic_permute(t, lay), lay), lay)
-    np.testing.assert_array_equal(three_steps, cyclic_permute(t, lay, 3))
+    three_steps = cyclic_permute(cyclic_permute(cyclic_permute(t)))
+    np.testing.assert_array_equal(three_steps, cyclic_permute(t, 3))
 
 
 def test_cyclic_permute_groups_independent(rng):
     t = rng.standard_normal((1, 8, 2, 2))
-    lay = layout_for(8)
-    out = cyclic_permute(t, lay, 1)
-    np.testing.assert_array_equal(out[:, :4], cyclic_permute(t[:, :4], GroupLayout(1), 1))
-    np.testing.assert_array_equal(out[:, 4:], cyclic_permute(t[:, 4:], GroupLayout(1), 1))
+    out = cyclic_permute(t, 1)
+    np.testing.assert_array_equal(out[:, :4], cyclic_permute(t[:, :4], 1))
+    np.testing.assert_array_equal(out[:, 4:], cyclic_permute(t[:, 4:], 1))
 
 
 def test_rotate_and_permute_commute(rng):
     t = rng.standard_normal((2, 4, 5, 5))
-    lay = layout_for(4)
     np.testing.assert_array_equal(
-        rotate90(cyclic_permute(t, lay)), cyclic_permute(rotate90(t), lay)
+        rotate90(cyclic_permute(t)), cyclic_permute(rotate90(t))
     )
 
 
 def test_layout_errors():
+    assert group_count(12) == 3
     with pytest.raises(LayoutError):
-        layout_for(6)
+        group_count(6)
     with pytest.raises(LayoutError):
-        cyclic_permute(np.zeros((1, 6, 2, 2)), GroupLayout(2), 1)
+        cyclic_permute(np.zeros((1, 6, 2, 2)), 1)
