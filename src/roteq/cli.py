@@ -211,11 +211,23 @@ def parse_run_config(text: str) -> dict:
     return cfg
 
 
+# stack-grammar token letter -> (LayerSpec field, value type)
+LAYER_TOKENS = {
+    "g": ("width", int),
+    "c": ("width", int),
+    "k": ("kernel", int),
+    "s": ("stride", int),
+    "p": ("pad", int),
+    "r": ("rate", float),
+}
+
+
 def parse_layer_stack(text: str):
     """Parse a stack description like 'cycle:g5:k3,relu,decycle:c10:k3,gap'.
 
     Tokens after the kind set fields: g/c width, k kernel, s stride,
-    p pad, r dropout rate. '@name' loads a named preset.
+    p pad, r dropout rate. '@name' loads a named preset. Every
+    malformed description raises ModelSpecError.
     """
     text = text.strip()
     if text.startswith("@"):
@@ -224,26 +236,20 @@ def parse_layer_stack(text: str):
     for item in text.split(","):
         item = item.strip()
         if not item:
-            raise ValueError("empty layer item in stack description")
+            raise ModelSpecError("empty layer item in stack description")
         parts = item.split(":")
         kind = KIND_ALIASES.get(parts[0], parts[0])
         fields = {}
         for tok in parts[1:]:
             if len(tok) < 2:
-                raise ValueError(f"bad layer token {tok!r} in {item!r}")
-            letter, number = tok[0], tok[1:]
-            if letter in ("g", "c"):
-                fields["width"] = int(number)
-            elif letter == "k":
-                fields["kernel"] = int(number)
-            elif letter == "s":
-                fields["stride"] = int(number)
-            elif letter == "p":
-                fields["pad"] = int(number)
-            elif letter == "r":
-                fields["rate"] = float(number)
-            else:
-                raise ValueError(f"unknown layer token {tok!r} in {item!r}")
+                raise ModelSpecError(f"bad layer token {tok!r} in {item!r}")
+            if tok[0] not in LAYER_TOKENS:
+                raise ModelSpecError(f"unknown layer token {tok!r} in {item!r}")
+            name, typ = LAYER_TOKENS[tok[0]]
+            try:
+                fields[name] = typ(tok[1:])
+            except ValueError:
+                raise ModelSpecError(f"bad value in layer token {tok!r} in {item!r}") from None
         specs.append(LayerSpec(kind, **fields))
     return specs
 
@@ -624,9 +630,20 @@ def sweep_stack(depth: int) -> list:
     return stack
 
 
+def _parse_depths(text: str) -> range:
+    """Depths of a sweep range like '1..7' or '3'; ConfigError unless a nonempty part of 1..7."""
+    lo, _, hi = text.partition("..")
+    try:
+        depths = range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        raise ConfigError(f"depths must be a range like 1..7, got {text!r}") from None
+    if not depths or depths[0] < 1 or depths[-1] > 7:
+        raise ConfigError(f"depths must be a nonempty range within 1..7, got {text!r}")
+    return depths
+
+
 def cmd_sweep(args) -> int:
-    lo, _, hi = args.depths.partition("..")
-    depths = range(int(lo), int(hi or lo) + 1)
+    depths = _parse_depths(args.depths)
     cfg, tc, train_ds, val_ds = _train_setup(args)
     if train_ds.images.shape[2] != 28:
         print("sweep: the depth family expects 28x28 images", file=sys.stderr)

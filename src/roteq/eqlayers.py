@@ -8,10 +8,11 @@ permuted-rotated outputs. A decycle layer is the row form of the cycle
 stack and collapses the permutation, leaving plain rotation
 equivariance. Each tied layer is one plain base array; every function
 here takes that array and reads group counts off the shapes of the
-arrays it is given. Forward passes expand the base into an ordinary
-filter bank and call the shared correlation kernel; backward passes
-push expanded-filter gradients back through the tying (the adjoint of
-a rotation is the inverse rotation).
+arrays it is given. Rotating a filter only moves its entries, so the
+forward pass gathers the bank from the base (each entry lands in four
+places, once per quarter turn) and the backward collapse is that
+gather's adjoint: each entry's gradient sums its four bank gradients.
+Both read one index table per (kind, base shape), built once.
 
 Free parameter counts: a cycle layer holds g*c_in*k^2 reals, an
 isotonic layer 4*g_out*g_in*k^2 (one quarter of the 16*g_out*g_in*k^2
@@ -19,17 +20,41 @@ an untied layer of the same expanded width would need), a decycle layer
 c_out*g_in*k^2.
 """
 
+import functools
+import math
+
 import numpy as np
 
 from .conv import ConvGeometry, correlate2d
 from .tensor import group_count, rotate_kernels90
 
 
-def _check_base(base: np.ndarray, what: str, ndim: int) -> None:
-    if base.ndim != ndim:
-        raise ValueError(f"{what} base must be rank {ndim}, got shape {base.shape}")
-    if base.shape[-1] != base.shape[-2]:
-        raise ValueError(f"{what} kernels must be square, got {base.shape[-2]}x{base.shape[-1]}")
+@functools.cache
+def _tying(kind: str, shape: tuple) -> tuple:
+    """(gather, scatter) of a `kind` base of `shape`: the flat base index
+    of each bank entry, in the bank's shape, and each base entry's four
+    flat bank positions in ascending order, shape (4, *shape). The three
+    branches are the only statement of each kind's tying."""
+    if kind == "isotonic" and (len(shape) != 5 or shape[1] != 4):
+        raise ValueError(f"isotonic base must have shape (g_out, 4, g_in, k, k), got {shape}")
+    ndim = 5 if kind == "isotonic" else 4
+    if len(shape) != ndim:
+        raise ValueError(f"{kind} base must be rank {ndim}, got shape {shape}")
+    if shape[-1] != shape[-2]:
+        raise ValueError(f"{kind} kernels must be square, got {shape[-2]}x{shape[-1]}")
+    g, k = shape[0], shape[-1]
+    idx = np.arange(math.prod(shape)).reshape(math.prod(shape[:-2]), 1, k, k)
+    turns = [rotate_kernels90(idx, j).reshape(shape) for j in range(4)]
+    if kind == "cycle":  # output channel (a, j): filter a turned j times
+        gather = np.stack(turns, axis=1).reshape(4 * g, *shape[1:])
+    elif kind == "isotonic":  # block (a, j, b, i): generator (i - j) mod 4 turned j times
+        rolled = [np.roll(t, j, axis=1) for j, t in enumerate(turns)]
+        gather = np.stack(rolled, axis=1).swapaxes(2, 3).reshape(4 * g, 4 * shape[2], k, k)
+    else:  # decycle input slot j of every group: filter turned j times
+        gather = np.stack(turns, axis=2).reshape(g, 4 * shape[1], k, k)
+    scatter = np.argsort(gather, axis=None, kind="stable").reshape(-1, 4).T.reshape(4, *shape)
+    gather.flags.writeable = scatter.flags.writeable = False  # shared by every later call
+    return gather, scatter
 
 
 def expand_cycle(base: np.ndarray) -> np.ndarray:
@@ -38,12 +63,7 @@ def expand_cycle(base: np.ndarray) -> np.ndarray:
     Output channel (a, i) holds the base filter of group a rotated i
     quarter turns, i = 0..3 within each group.
     """
-    _check_base(base, "cycle", 4)
-    g, c_in, k, _ = base.shape
-    out = np.empty((g, 4, c_in, k, k), dtype=base.dtype)
-    for i in range(4):
-        out[:, i] = rotate_kernels90(base, i)
-    return out.reshape(4 * g, c_in, k, k)
+    return base.ravel()[_tying("cycle", base.shape)[0]]
 
 
 def expand_isotonic(base: np.ndarray) -> np.ndarray:
@@ -55,15 +75,7 @@ def expand_isotonic(base: np.ndarray) -> np.ndarray:
     base[a, (i-j) mod 4, b] rotated j quarter turns; the resulting bank
     is a fixed point of the shift-both-slots-then-rotate map.
     """
-    if base.ndim != 5 or base.shape[1] != 4:
-        raise ValueError(f"isotonic base must have shape (g_out, 4, g_in, k, k), got {base.shape}")
-    _check_base(base, "isotonic", 5)
-    g_out, _, g_in, k, _ = base.shape
-    out = np.empty((g_out, 4, g_in, 4, k, k), dtype=base.dtype)
-    for j in range(4):
-        for i in range(4):
-            out[:, j, :, i] = rotate_kernels90(base[:, (i - j) % 4], j)
-    return out.reshape(4 * g_out, 4 * g_in, k, k)
+    return base.ravel()[_tying("isotonic", base.shape)[0]]
 
 
 def expand_decycle(base: np.ndarray) -> np.ndarray:
@@ -72,12 +84,7 @@ def expand_decycle(base: np.ndarray) -> np.ndarray:
     Input slot j of every group holds the base filter rotated j quarter
     turns: the row form [w, Rw, R^2w, R^3w].
     """
-    _check_base(base, "decycle", 4)
-    c_out, g_in, k, _ = base.shape
-    out = np.empty((c_out, g_in, 4, k, k), dtype=base.dtype)
-    for j in range(4):
-        out[:, :, j] = rotate_kernels90(base, j)
-    return out.reshape(c_out, 4 * g_in, k, k)
+    return base.ravel()[_tying("decycle", base.shape)[0]]
 
 
 def forward_cycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
@@ -92,36 +99,28 @@ def forward_decycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGe
     return correlate2d(x, expand_decycle(base), geom)
 
 
+def _collapse(kind: str, grad_w: np.ndarray, shape: tuple) -> np.ndarray:
+    gather, scatter = _tying(kind, shape)
+    # the reshape rejects a gradient whose size does not match the bank
+    return grad_w.reshape(gather.shape).ravel()[scatter].sum(axis=0)
+
+
 def collapse_cycle_grad(grad_w: np.ndarray) -> np.ndarray:
     """Fold a (4*g_out, c_in, k, k) expanded-filter gradient back onto the cycle base."""
     four_g, c_in, k, _ = grad_w.shape
-    gw = grad_w.reshape(four_g // 4, 4, c_in, k, k)
-    acc = np.zeros((four_g // 4, c_in, k, k), dtype=grad_w.dtype)
-    for i in range(4):
-        acc += rotate_kernels90(gw[:, i], -i)
-    return acc
+    return _collapse("cycle", grad_w, (four_g // 4, c_in, k, k))
 
 
 def collapse_isotonic_grad(grad_w: np.ndarray) -> np.ndarray:
     """Fold a (4*g_out, 4*g_in, k, k) expanded-filter gradient back onto the isotonic generators."""
     four_g_out, four_g_in, k, _ = grad_w.shape
-    g_out, g_in = four_g_out // 4, four_g_in // 4
-    gw = grad_w.reshape(g_out, 4, g_in, 4, k, k)
-    acc = np.zeros((g_out, 4, g_in, k, k), dtype=grad_w.dtype)
-    for j in range(4):
-        for m in range(4):
-            acc[:, m] += rotate_kernels90(gw[:, j, :, (m + j) % 4], -j)
-    return acc
+    return _collapse("isotonic", grad_w, (four_g_out // 4, 4, four_g_in // 4, k, k))
 
 
 def collapse_decycle_grad(grad_w: np.ndarray) -> np.ndarray:
     """Fold a (c_out, 4*g_in, k, k) expanded-filter gradient back onto the decycle base."""
     c_out, four_g, k, _ = grad_w.shape
-    gw = grad_w.reshape(c_out, four_g // 4, 4, k, k)
-    acc = np.zeros((c_out, four_g // 4, k, k), dtype=grad_w.dtype)
-    for j in range(4):
-        acc += rotate_kernels90(gw[:, :, j], -j)
-    return acc
+    return _collapse("decycle", grad_w, (c_out, four_g // 4, k, k))
 
 
 def group_cross_channel_pool(x: np.ndarray, mode: str = "max") -> np.ndarray:

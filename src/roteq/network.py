@@ -83,6 +83,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -317,9 +319,10 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
     after the terminator the only trainable allowed besides bias/norm is
     a 1x1 conv head. Conv-like and max-pool layers need kernel and
     stride >= 1 and a pad >= 0, conv-like ones a width >= 1; max
-    pooling takes no pad. Given `input_size`, every window must fit
-    its input. Stride settings that break the quarter-turn equivariance
-    condition produce a warning naming the layer.
+    pooling takes no pad, and a dropout rate lies in [0, 1). Given
+    `input_size`, every window must fit its input. Stride settings that
+    break the quarter-turn equivariance condition produce a warning
+    naming the layer.
     Nothing is allocated, so a stack read from a file can be sized
     before it is built.
     """
@@ -359,6 +362,8 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
             raise ModelSpecError(f"layer {i} ({kind}): pad {spec.pad} is negative")
         if kind == "max_pool" and spec.pad != 0:
             raise ModelSpecError(f"layer {i} (max_pool): max pooling takes no pad, got pad {spec.pad}")
+        if kind == "dropout" and not 0 <= spec.rate < 1:
+            raise ModelSpecError(f"layer {i} (dropout): rate {spec.rate} is outside [0, 1)")
         shapes.append(entry.shape(spec, c, 4 if zone == "dren" else 1) if entry.shape else None)
         c = entry.out_channels(spec, c)
         if kind == "cycle":
@@ -665,4 +670,4 @@ def preset_stack(name: str) -> list:
             LayerSpec("decycle", width=10, kernel=1),
             LayerSpec("global_avg_pool"),
         ]
-    raise ValueError(f"unknown preset {name!r}")
+    raise ModelSpecError(f"unknown preset {name!r}")

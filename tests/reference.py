@@ -73,6 +73,71 @@ def naive_max_pool2d_backward(grad_out, x, kernel, stride):
     return grad_x
 
 
+def _turn(w, times):
+    """Each (out, in) kernel of a filter bank rotated `times` quarter turns ccw."""
+    return np.ascontiguousarray(np.rot90(w, times % 4, axes=(2, 3)))
+
+
+def naive_expand_cycle(base):
+    """Cycle bank: output channel (a, i) is base filter a turned i times."""
+    g, c_in, k, _ = base.shape
+    out = np.empty((g, 4, c_in, k, k), dtype=base.dtype)
+    for i in range(4):
+        out[:, i] = _turn(base, i)
+    return out.reshape(4 * g, c_in, k, k)
+
+
+def naive_expand_isotonic(base):
+    """Isotonic bank: block entry (a, j, b, i) is generator (i - j) mod 4 turned j times."""
+    g_out, _, g_in, k, _ = base.shape
+    out = np.empty((g_out, 4, g_in, 4, k, k), dtype=base.dtype)
+    for j in range(4):
+        for i in range(4):
+            out[:, j, :, i] = _turn(base[:, (i - j) % 4], j)
+    return out.reshape(4 * g_out, 4 * g_in, k, k)
+
+
+def naive_expand_decycle(base):
+    """Decycle bank: input slot j of every group is the base filter turned j times."""
+    c_out, g_in, k, _ = base.shape
+    out = np.empty((c_out, g_in, 4, k, k), dtype=base.dtype)
+    for j in range(4):
+        out[:, :, j] = _turn(base, j)
+    return out.reshape(c_out, 4 * g_in, k, k)
+
+
+def naive_collapse_cycle_grad(grad_w):
+    """Cycle base gradient: each slot's gradient turned back, summed from slot 0 up."""
+    four_g, c_in, k, _ = grad_w.shape
+    gw = grad_w.reshape(four_g // 4, 4, c_in, k, k)
+    acc = np.zeros((four_g // 4, c_in, k, k), dtype=grad_w.dtype)
+    for i in range(4):
+        acc += _turn(gw[:, i], -i)
+    return acc
+
+
+def naive_collapse_isotonic_grad(grad_w):
+    """Isotonic generator gradient: block (j, (m + j) mod 4) turned back onto generator m."""
+    four_g_out, four_g_in, k, _ = grad_w.shape
+    g_out, g_in = four_g_out // 4, four_g_in // 4
+    gw = grad_w.reshape(g_out, 4, g_in, 4, k, k)
+    acc = np.zeros((g_out, 4, g_in, k, k), dtype=grad_w.dtype)
+    for j in range(4):
+        for m in range(4):
+            acc[:, m] += _turn(gw[:, j, :, (m + j) % 4], -j)
+    return acc
+
+
+def naive_collapse_decycle_grad(grad_w):
+    """Decycle base gradient: each input slot's gradient turned back, summed from slot 0 up."""
+    c_out, four_g, k, _ = grad_w.shape
+    gw = grad_w.reshape(c_out, four_g // 4, 4, k, k)
+    acc = np.zeros((c_out, four_g // 4, k, k), dtype=grad_w.dtype)
+    for j in range(4):
+        acc += _turn(gw[:, :, j], -j)
+    return acc
+
+
 def rot180_permutation(img):
     """out[i, j] = in[h-1-i, w-1-j] via explicit index loops."""
     h, w = img.shape

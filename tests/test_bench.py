@@ -108,7 +108,7 @@ def test_tracer_bindings_resolve():
     with t.installed():
         missing = list(t.missing)
         logits, cache = network.forward(model, x, mode="train")
-        network.backward(model, cache, np.ones_like(logits))
+        grads = network.backward(model, cache, np.ones_like(logits))
     assert network.forward is forward
     assert sorted(missing) == [
         "roteq.bench.correlate2d",
@@ -125,3 +125,12 @@ def test_tracer_bindings_resolve():
     tied = [i for i, spec in enumerate(model.specs) if spec.kind in network.TIED_KINDS]
     assert t.calls["eqlayers.expand"] == t.calls["eqlayers.collapse_grad"] == len(tied)
     assert {i for phase, i in t.per_layer if phase == "bwd"} == set(tied)
+    # after an update the next step expands every tied layer again, from
+    # index tables built once per shape: it rotates no kernel
+    network.sgd_step(model, grads, lr=0.05, momentum=0.9)
+    t = tracer.Tracer()
+    with t.installed():
+        logits, cache = network.forward(model, x, mode="train")
+        network.backward(model, cache, np.ones_like(logits))
+    assert t.calls["eqlayers.expand"] == t.calls["eqlayers.collapse_grad"] == len(tied)
+    assert t.calls["tensor.rotate_kernels90"] == 0

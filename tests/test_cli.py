@@ -143,6 +143,18 @@ def test_checkpoint_size_checked_before_allocation():
     assert peak < 1_000_000
 
 
+def test_checkpoint_dropout_rate_of_one_is_usage_error(tmp_path, data_dir, capsys):
+    # full_featured_model's layer 5 is dropout; its record's last u32 is the rate in ppm
+    raw = bytearray(encode_checkpoint(full_featured_model()))
+    rate_at = 16 + 5 * struct.calcsize("<BIIIII") + struct.calcsize("<BIIII")
+    assert struct.unpack_from("<I", raw, rate_at) == (400_000,)
+    struct.pack_into("<I", raw, rate_at, 1_000_000)
+    ckpt = tmp_path / "rate.ckpt"
+    ckpt.write_bytes(bytes(raw))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 2
+    assert "layer 5 (dropout): rate 1.0 is outside [0, 1)" in capsys.readouterr().err
+
+
 def test_eval_truncated_checkpoint_is_usage_error(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "cut.ckpt"
     ckpt.write_bytes(encode_checkpoint(full_featured_model())[:40])
@@ -312,6 +324,13 @@ def test_train_flag_overrides_config(tmp_path, data_dir, capsys):
         ("cycle:g0:k3,decycle:c2:k1,gap", "layer 0 (cycle): width 0 must be >= 1"),
         ("conv:c2:k30,gap", "layer 0 (conv): kernel 30 with stride 1 does not fit input 12"),
         ("conv:c2:k1,gap", "layer 1 (global_avg_pool) gives 2 logits per image, but the labels need 10 classes"),
+        ("conv:c10:k1,dropout:r1,gap", "layer 1 (dropout): rate 1.0 is outside [0, 1)"),
+        ("conv:c10:k1,dropout:r1.5,gap", "layer 1 (dropout): rate 1.5 is outside [0, 1)"),
+        ("conv:c10:k1,dropout:r-1,gap", "layer 1 (dropout): rate -1.0 is outside [0, 1)"),
+        ("conv:q3,gap", "unknown layer token 'q3' in 'conv:q3'"),
+        ("conv:kx,gap", "bad value in layer token 'kx' in 'conv:kx'"),
+        ("conv:c10:k1,,gap", "empty layer item"),
+        ("@nope", "unknown preset 'nope'"),
     ],
 )
 def test_train_rejects_bad_layer_geometry(data_dir, capsys, stack, message):
@@ -332,6 +351,28 @@ def test_unknown_precision_is_usage_error(tmp_path, capsys, command):
     argv = [command, "--data-dir", str(tmp_path / "absent"), "--precision", "float16"]
     assert cli.main(argv) == 2
     assert "precision must be one of float32, float64, got 'float16'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_zero_epochs_is_usage_error(tmp_path, capsys, command):
+    # the data dir does not exist, so reading it would fail with exit 1
+    argv = [command, "--data-dir", str(tmp_path / "absent"), "--epochs", "0"]
+    assert cli.main(argv) == 2
+    assert "epochs must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "depths,message",
+    [
+        ("x..2", "depths must be a range like 1..7, got 'x..2'"),
+        ("0..9", "depths must be a nonempty range within 1..7, got '0..9'"),
+        ("5..2", "depths must be a nonempty range within 1..7, got '5..2'"),
+    ],
+)
+def test_bad_sweep_depths_are_usage_errors(tmp_path, capsys, depths, message):
+    argv = ["sweep", "--depths", depths, "--data-dir", str(tmp_path / "absent")]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [MemoryError, OverflowError])

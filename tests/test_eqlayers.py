@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from roteq import eqlayers
 from roteq.conv import ConvGeometry, correlate2d, correlate2d_backward
@@ -18,6 +20,7 @@ from roteq.eqlayers import (
 from roteq.network import KINDS
 from roteq.tensor import cyclic_permute, rotate90, rotate_kernels90
 
+import reference
 from reference import max_rel, naive_correlate2d
 
 
@@ -207,6 +210,44 @@ def test_kernel_must_be_square():
         expand_decycle(np.zeros((1, 1, 3)))
     with pytest.raises(ValueError, match=r"\(g_out, 4, g_in, k, k\)"):
         expand_isotonic(np.zeros((1, 3, 1, 3, 3)))
+
+
+@st.composite
+def tied_cases(draw):
+    kind = draw(st.sampled_from(("cycle", "isotonic", "decycle")))
+    a, b, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    shape = (a, 4, b, k, k) if kind == "isotonic" else (a, b, k, k)
+    return kind, shape, draw(st.sampled_from((np.float32, np.float64))), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@seed(20240817)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=tied_cases())
+@example(case=("cycle", (5, 1, 3, 3), np.float32, 1))  # dren-z2cnn-shape's tied layers
+@example(case=("isotonic", (5, 4, 5, 3, 3), np.float32, 3))
+@example(case=("decycle", (10, 5, 4, 4), np.float32, 5))
+@example(case=("cycle", (5, 3, 3, 3), np.float64, 2))
+@example(case=("isotonic", (8, 4, 8, 1, 1), np.float64, 4))  # bench-nin-shape's 1x1 layers
+def test_tied_table_matches_loop_reference_bit_for_bit(case):
+    kind, shape, dtype, draw_seed = case
+    rng = np.random.default_rng(draw_seed)
+    base = rng.standard_normal(shape).astype(dtype)
+    bank = getattr(eqlayers, f"expand_{kind}")(base)
+    assert_same_array(bank, getattr(reference, f"naive_expand_{kind}")(base))
+    grad = rng.standard_normal(bank.shape).astype(dtype)
+    grad[rng.random(grad.shape) < 0.2] = -0.0  # signed zeros keep their sum order visible
+    assert_same_array(
+        getattr(eqlayers, f"collapse_{kind}_grad")(grad),
+        getattr(reference, f"naive_collapse_{kind}_grad")(grad),
+    )
+    gather, _ = eqlayers._tying(kind, shape)
+    assert (np.bincount(gather.ravel(), minlength=base.size) == 4).all()
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,8 @@ def test_batchnorm_state_commits_during_training():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="float16"):
         build_model(preset_stack("dren-small"), precision="float16")
     assert build_model(preset_stack("dren-small"), precision="float64").dtype == np.float64
