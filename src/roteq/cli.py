@@ -497,10 +497,11 @@ def _effective_config(args) -> dict:
 
 
 def _train_setup(args) -> tuple:
-    """(effective config, TrainConfig, train split, val split) of a train or sweep run.
+    """(effective config, TrainConfig) of a train or sweep run.
 
     Every config problem, an unknown precision among them, is raised
-    as a ConfigError before any data is read.
+    as a ConfigError; no data is read here, so callers check the rest
+    of their arguments before `_read_train_splits`.
     """
     cfg = _effective_config(args)
     if not cfg["data_dir"]:
@@ -519,8 +520,12 @@ def _train_setup(args) -> tuple:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return cfg, tc
+
+
+def _read_train_splits(cfg: dict) -> tuple:
     data_dir = Path(cfg["data_dir"])
-    return cfg, tc, read_split(data_dir, "train"), read_split(data_dir, "val")
+    return read_split(data_dir, "train"), read_split(data_dir, "val")
 
 
 def _check_logit_width(model: Model, size: int, *datasets) -> None:
@@ -541,9 +546,10 @@ def _check_logit_width(model: Model, size: int, *datasets) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg, tc, train_ds, val_ds = _train_setup(args)
-    print("effective config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))
+    cfg, tc = _train_setup(args)
     specs = parse_layer_stack(cfg["layers"])
+    train_ds, val_ds = _read_train_splits(cfg)
+    print("effective config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))
     size = train_ds.images.shape[2]
     model = build_model(specs, in_channels=1, seed=cfg["seed"], precision=cfg["precision"], input_size=size)
     _check_logit_width(model, size, train_ds, val_ds)
@@ -644,7 +650,8 @@ def _parse_depths(text: str) -> range:
 
 def cmd_sweep(args) -> int:
     depths = _parse_depths(args.depths)
-    cfg, tc, train_ds, val_ds = _train_setup(args)
+    cfg, tc = _train_setup(args)
+    train_ds, val_ds = _read_train_splits(cfg)
     if train_ds.images.shape[2] != 28:
         print("sweep: the depth family expects 28x28 images", file=sys.stderr)
         return 2

@@ -353,6 +353,13 @@ def test_unknown_precision_is_usage_error(tmp_path, capsys, command):
     assert "precision must be one of float32, float64, got 'float16'" in capsys.readouterr().err
 
 
+def test_bad_layer_stack_is_rejected_before_data_is_read(tmp_path, capsys):
+    # the data dir does not exist, so reading it would fail with exit 1
+    argv = ["train", "--data-dir", str(tmp_path / "absent"), "--layers", "conv:q3,gap"]
+    assert cli.main(argv) == 2
+    assert "unknown layer token 'q3' in 'conv:q3'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_zero_epochs_is_usage_error(tmp_path, capsys, command):
     # the data dir does not exist, so reading it would fail with exit 1

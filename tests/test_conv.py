@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from roteq import conv, network
 from roteq.conv import (
     ConvGeometry,
     correlate2d,
@@ -65,6 +68,76 @@ def test_errors():
         ConvGeometry(stride=0)
     with pytest.raises(ValueError):
         ConvGeometry(pad=-1)
+
+
+def per_image_columns(shape, w, geom):
+    """Bytes of one (c, h, w) image's patch columns in correlate2d."""
+    kh, kw = w.shape[2:]
+    oh = output_size(shape[1], kh, geom.stride, geom.pad)
+    ow = output_size(shape[2], kw, geom.stride, geom.pad)
+    return shape[0] * kh * kw * oh * ow * w.itemsize
+
+
+def assert_blocking_is_exact(monkeypatch, rng, shape, w, geom):
+    """Under a 2 MiB budget, a batch of 3 full chunks and one image runs
+    as 4 chunks of near-equal size, bit-identical to the one-chunk call.
+
+    The balance matters: a lone one-image chunk can be small enough
+    that OpenBLAS routes its GEMM to a small-matrix kernel, which
+    rounds differently. Balanced chunks of at least half the budget
+    stay clear of it.
+    """
+    budget, per_image = 1 << 21, per_image_columns(shape, w, geom)
+    n = 3 * (budget // per_image) + 1
+    x = rng.standard_normal((n,) + shape).astype(w.dtype)
+    monkeypatch.setattr(conv, "_COLS_BYTES", budget)
+    chunked = correlate2d(x, w, geom)
+    monkeypatch.setattr(conv, "_COLS_BYTES", n * per_image)
+    whole = correlate2d(x, w, geom)
+    # one chunk is the unblocked lowering: one tensordot over the whole batch
+    kh, kw = w.shape[2:]
+    patches = conv._patches(conv._pad_spatial(x, geom.pad), kh, kw, geom.stride)
+    unblocked = np.tensordot(w, patches, axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3)
+    assert_same_bits(whole, np.ascontiguousarray(unblocked))
+    assert_same_bits(chunked, whole)
+    assert chunked.flags.c_contiguous and whole.flags.c_contiguous
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("preset", ["dren-z2cnn-shape", "z2cnn-shape", "bench-nin-shape", "dren-small"])
+def test_blocked_lowering_is_bit_identical_on_preset_layers(monkeypatch, rng, preset, precision):
+    # the input shape and filter bank of every conv-like layer
+    model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
+    calls = []
+
+    def record(x, w, geom=ConvGeometry()):
+        calls.append((x.shape[1:], w, geom))
+        return correlate2d(x, w, geom)
+
+    with monkeypatch.context() as m:
+        m.setattr(network, "correlate2d", record)
+        network.forward(model, np.zeros((1, 1, 28, 28)), mode="eval")
+    assert len(calls) == sum(s.kind in ("cycle", "isotonic", "decycle", "conv") for s in model.specs)
+    for shape, w, geom in calls:
+        assert w.dtype == np.dtype(precision)
+        assert_blocking_is_exact(monkeypatch, rng, shape, w, geom)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_lowering_is_bit_identical_strided_and_padded(monkeypatch, rng, dtype):
+    w = rng.standard_normal((8, 3, 3, 3)).astype(dtype)
+    assert_blocking_is_exact(monkeypatch, rng, (3, 9, 9), w, ConvGeometry(stride=2, pad=1))
+
+
+def test_blocked_lowering_bounds_the_patch_matrix(rng):
+    # unblocked, the (180, 256*24*24) float32 patch matrix alone is 106 MB
+    x = rng.standard_normal((256, 20, 26, 26), dtype=np.float32)
+    w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
+    tracemalloc.start()
+    correlate2d(x, w)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 def test_backward_zero_grad(rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -430,6 +432,41 @@ def test_batchnorm_running_stats_update(rng):
     _, _, new_state = bn.forward(x, params, state, train=True)
     np.testing.assert_allclose(new_state["mean"], 0.5 * x.mean(), rtol=1e-12)
     assert state["mean"][0] == 0.0  # input state untouched
+
+
+def eval_batchnorm_case(rng, dtype):
+    bn = GroupBatchNorm(5)
+    x = (rng.standard_normal((8, 20, 13, 13)) * 3.0 + 1.0).astype(dtype)
+    params = {"gamma": rng.uniform(0.5, 2.0, 5).astype(dtype), "beta": rng.standard_normal(5).astype(dtype)}
+    state = {"mean": rng.standard_normal(5).astype(dtype), "var": rng.uniform(0.5, 2.0, 5).astype(dtype)}
+    return bn, x, params, state
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_eval_batchnorm_is_one_scale_and_shift(rng, dtype, tol):
+    bn, x, params, state = eval_batchnorm_case(rng, dtype)
+    before = x.copy()
+    y, _, new_state = bn.forward(x, params, state, train=False)
+    assert y.dtype == dtype and y.shape == x.shape
+    assert x.tobytes() == before.tobytes()
+    assert new_state is state
+    # the two-pass formula gamma * (x - mean) / sqrt(var + eps) + beta, in float64
+    g = (1, 5, 1, 1, 1)
+    mean, var = (state[k].astype(np.float64).reshape(g) for k in ("mean", "var"))
+    gamma, beta = (params[k].astype(np.float64).reshape(g) for k in ("gamma", "beta"))
+    xhat = (x.astype(np.float64).reshape(8, 5, 4, 13, 13) - mean) / np.sqrt(var + bn.eps)
+    assert max_rel(y, (gamma * xhat + beta).reshape(x.shape)) <= tol
+
+
+def test_eval_batchnorm_allocates_only_its_output(rng):
+    bn, _, params, state = eval_batchnorm_case(rng, np.float32)
+    x = rng.standard_normal((64, 20, 26, 26), dtype=np.float32)  # a dren-z2cnn-shape activation
+    tracemalloc.start()
+    y, cache, _ = bn.forward(x, params, state, train=False)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.1 * y.nbytes, (peak, y.nbytes)
+    assert cache["x"] is x  # the cache holds references, no normalized copy
 
 
 @pytest.mark.parametrize("group_size", [4, 1])
