@@ -39,12 +39,37 @@ The backward pass is two GEMMs over contiguous operands (unrolled
 convolution, Chellapilla et al. 2006). With the output gradient laid
 out as an (o, n*oh*ow) matrix, the filter gradient is that matrix
 times the transposed patch columns. The input gradient is the filter
-bank times it, scattered back over the patch windows (col2im). That
-stage runs one kernel row at a time, so at most one row's columns,
-(c*kw, n*oh*ow), exist at once: peak memory stays at the forward's
-patch matrix rather than growing by the k^2-sized column gradient.
-Every sum runs in a fixed order, so repeated runs are bitwise
-reproducible.
+bank times it, scattered back over the patch windows (col2im) as flat
+shifts, the row-shift idea of MEC. The output gradient is first spread
+over the padded input's (H, W) grid: entry (p, q) goes to (p*s, q*s)
+for stride s, every other position is zero. In the accumulator's flat
+(c, n, H, W) order, kernel offset (u, v) moves every entry u*W + v
+places on, so its whole scatter is one contiguous add of a GEMM row
+block. Each kernel row u is one GEMM of the filters' (kw*c, o) slice
+with the spread gradient, so at most one kernel row's columns exist at
+once and peak memory stays at the forward's patch matrix; the
+accumulator's (kh-1)*W + kw - 1 spare entries take the last shifts'
+overhang. A shift carries zeros across row, image and channel borders
+but never a gradient entry, which lands at (p*s + u, q*s + v), inside
+its own image. For finite filters a zero contributes +0 or -0, the
+accumulator starts at +0 and so never holds -0, and adding a signed
+zero leaves any other value as it was; each entry gets the same terms
+in the same order as from a strided scatter of the unspread gradient.
+On a 64x20x26x26 float32 input with 20 3x3 filters that scatter
+walked 30,720 strided runs of 24 elements per offset; a shift is one
+add over a single 865,280-element run, and the whole backward went
+from 20-23 to 16-19 ms (2 vCPUs, OpenBLAS 0.3.31).
+
+The input gradient is bit-identical to that scatter's wherever BLAS
+rounds a GEMM entry the same whatever its column's position. OpenBLAS
+does so on full 8-column blocks, so at a batch that is a multiple of
+8 (every preset layer, every benchmark batch) the results match. A
+trailing partial block rounds its own way in some shapes, and a
+one-column product goes to gemv; the spread moves entries into and out
+of those, and there the two differ by an ulp or so. Every sum runs in
+a fixed order, so repeated runs are bitwise reproducible. Below the
+lowest trainable layer no input gradient is needed, and
+`input_grad=False` skips the col2im stage.
 
 Max pooling is k^2 elementwise maxima: one (n, c, oh, ow) strided view
 per kernel offset, folded into the output with `np.maximum`. Reducing
@@ -146,9 +171,18 @@ def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(
 
 
 def correlate2d_backward(
-    grad_out: np.ndarray, x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoints of correlate2d: gradients w.r.t. the input and the filters."""
+    grad_out: np.ndarray,
+    x: np.ndarray,
+    w: np.ndarray,
+    geom: ConvGeometry = ConvGeometry(),
+    *,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Adjoints of correlate2d: gradients w.r.t. the input and the filters.
+
+    With `input_grad=False` the input gradient is not formed and is
+    returned as None.
+    """
     kh, kw = w.shape[2], w.shape[3]
     oh = output_size(x.shape[2], kh, geom.stride, geom.pad)
     ow = output_size(x.shape[3], kw, geom.stride, geom.pad)
@@ -164,17 +198,27 @@ def correlate2d_backward(
     cols = _patches(xp, kh, kw, s).transpose(1, 2, 3, 0, 4, 5)
     cols = np.ascontiguousarray(cols).reshape(c * kh * kw, n * oh * ow)
     grad_w = (g2 @ cols.T).reshape(o, c, kh, kw)
+    if not input_grad:
+        return None, grad_w
     del cols  # before col2im, so only one patch matrix is ever alive
 
-    # col2im by kernel row; in a (c, n, h, w) buffer each scatter-add
-    # touches whole (n, oh, ow) slabs of one channel
-    wt = np.ascontiguousarray(w.transpose(2, 1, 3, 0))  # (kh, c, kw, o)
-    grad_xp = np.zeros((c, n) + xp.shape[2:], dtype=xp.dtype)
+    # col2im as flat shifts (module docstring): the gradient dilated by
+    # the stride and padded to the input's (H, W), each channel's batch
+    # one flat run, then one contiguous add per kernel offset
+    hp, wp = xp.shape[2:]
+    size = c * n * hp * wp
+    gd = np.zeros((o, n, hp, wp), dtype=g2.dtype)
+    gd[:, :, : (oh - 1) * s + 1 : s, : (ow - 1) * s + 1 : s] = g2.reshape(o, n, oh, ow)
+    gd = gd.reshape(o, n * hp * wp)
+    del g2
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, c, o)
+    acc = np.zeros(size + (kh - 1) * wp + kw - 1, dtype=xp.dtype)
     for u in range(kh):
-        rows = (wt[u].reshape(c * kw, o) @ g2).reshape(c, kw, n, oh, ow)
+        rows = (wt[u].reshape(kw * c, o) @ gd).reshape(kw, size)
         for v in range(kw):
-            grad_xp[:, :, u : u + oh * s : s, v : v + ow * s : s] += rows[:, v]
-    grad_xp = grad_xp[:, :, pad : xp.shape[2] - pad, pad : xp.shape[3] - pad]
+            shift = u * wp + v
+            acc[shift : shift + size] += rows[v]
+    grad_xp = acc[:size].reshape(c, n, hp, wp)[:, :, pad : hp - pad, pad : wp - pad]
     return np.ascontiguousarray(grad_xp.transpose(1, 0, 2, 3)), grad_w
 
 

@@ -182,6 +182,14 @@ class GroupBatchNorm:
     way is what keeps eval mode equivariant. `group_size=4` is the tied
     layout; `group_size=1` recovers ordinary per-channel batch norm.
 
+    Train mode takes the mean once and keeps x - mean: its square is
+    the variance's summand and, scaled by 1/sqrt(var+eps), it becomes
+    the normalized input, which the cache keeps; the output is written
+    over the squares. The backward pass reuses one buffer for
+    go*xhat and xhat*(grad_gamma/m) and subtracts and scales in place.
+    Every value is the one the plain two-pass formula gives, bit for
+    bit, with fewer full-size temporaries.
+
     Eval mode folds the running statistics into one per-group scale and
     shift, a = gamma/sqrt(var+eps) and b = beta - mean*a, so the output
     is the only full-size array it allocates; no normalized copy is
@@ -215,16 +223,20 @@ class GroupBatchNorm:
             y = xg * a.reshape(1, g, 1, 1, 1)
             y += (params["beta"] - mean * a).reshape(1, g, 1, 1, 1)
             return y.reshape(n, c, h, w), {"x": x, "mean": mean, "inv_std": inv_std, "train": False}, state
-        mean = xg.mean(axis=(0, 2, 3, 4))
-        var = xg.var(axis=(0, 2, 3, 4))
+        mean = xg.mean(axis=(0, 2, 3, 4), keepdims=True)
+        xhat = xg - mean  # normalized in place once var is known
+        y = np.multiply(xhat, xhat)
+        var = y.mean(axis=(0, 2, 3, 4))  # the sum and divide np.var makes
+        mean = mean.reshape(g)
         m = self.momentum
         new_state = {
             "mean": (1 - m) * state["mean"] + m * mean,
             "var": (1 - m) * state["var"] + m * var,
         }
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (xg - mean.reshape(1, g, 1, 1, 1)) * inv_std.reshape(1, g, 1, 1, 1)
-        y = params["gamma"].reshape(1, g, 1, 1, 1) * xhat + params["beta"].reshape(1, g, 1, 1, 1)
+        xhat *= inv_std.reshape(1, g, 1, 1, 1)
+        np.multiply(params["gamma"].reshape(1, g, 1, 1, 1), xhat, out=y)
+        y += params["beta"].reshape(1, g, 1, 1, 1)
         cache = {"xhat": xhat, "inv_std": inv_std, "train": True}
         return y.reshape(n, c, h, w), cache, new_state
 
@@ -237,11 +249,15 @@ class GroupBatchNorm:
         else:
             xhat = (cache["x"].reshape(go.shape) - cache["mean"][:, None]) * cache["inv_std"][:, None]
         grad_beta = go.sum(axis=(0, 2))
-        grad_gamma = (go * xhat).sum(axis=(0, 2))
+        t = go * xhat  # reused below for xhat * grad_gamma / m
+        grad_gamma = t.sum(axis=(0, 2))
         scale = (params["gamma"] * cache["inv_std"])[:, None]
         if cache["train"]:
             m = go.shape[0] * go.shape[2]
-            grad_xg = scale * (go - (grad_beta / m)[:, None] - xhat * (grad_gamma / m)[:, None])
+            np.multiply(xhat, (grad_gamma / m)[:, None], out=t)
+            grad_xg = go - (grad_beta / m)[:, None]
+            grad_xg -= t
+            grad_xg *= scale
         else:
             grad_xg = scale * go
         return grad_xg.reshape(grad_out.shape), {"gamma": grad_gamma, "beta": grad_beta}

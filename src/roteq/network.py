@@ -10,6 +10,7 @@ so one step's forward and backward share an expansion, and so do all
 the batches of an evaluation.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -45,6 +46,10 @@ from .eqlayers import (
 
 class ModelSpecError(ValueError):
     """Layer stack violates ordering or channel-chaining rules."""
+
+
+class TrainingDiverged(RuntimeError):
+    """The training loss of a batch is not finite (NaN or infinite)."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,9 @@ class Model:
 
 # ---------------------------------------------------------------------------
 # layer steps: forward(model, i, h, train, rng) -> (output, cache, new state
-# or None); backward(model, i, grad, cache) -> (input grad, {name: grad} or None)
+# or None); backward(model, i, grad, cache) -> (input grad, {name: grad} or None).
+# A conv-like step's backward also takes input_grad=False, and then
+# returns None for the input grad.
 
 
 def _filter_forward(model, i, h, train, rng):
@@ -130,9 +137,9 @@ def _filter_forward(model, i, h, train, rng):
     return correlate2d(h, model.expanded_filter(i), geom), (h, geom), None
 
 
-def _filter_backward(model, i, g, cache):
+def _filter_backward(model, i, g, cache, input_grad=True):
     x, geom = cache
-    g, grad_w = correlate2d_backward(g, x, model.expanded_filter(i), geom)
+    g, grad_w = correlate2d_backward(g, x, model.expanded_filter(i), geom, input_grad=input_grad)
     kind = KINDS[model.specs[i].kind]
     name = kind.params[0]
     return g, {name: kind.collapse(grad_w)}
@@ -166,20 +173,39 @@ def _batchnorm_backward(model, i, g, cache):
     return bn.backward(g, model.params[i], bn_cache)
 
 
+def _keep_mask(rng, shape, rate):
+    """Boolean dropout mask: each entry kept with probability 1 - rate.
+
+    One 32-bit word of the generator's raw output per entry, kept when
+    it is at least round(rate * 2**32); a 64-bit draw yields two words,
+    low word first on a little-endian machine (high word first on a
+    big-endian one, so masks differ between the two). The threshold is
+    capped at 2**32 - 1, so rates within 2**-33 of 1 keep an entry with
+    probability 2**-32 rather than overflow.
+    """
+    size = math.prod(shape)
+    words = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size].reshape(shape)
+    return words >= np.uint32(min(round(rate * 2**32), 2**32 - 1))
+
+
 def _dropout_forward(model, i, h, train, rng):
     if not train:
         return h, None, None
     if rng is None:
         raise ValueError("training-mode forward through dropout needs an rng")
     rate = model.specs[i].rate
-    keep = rng.random(h.shape) >= rate
+    keep = _keep_mask(rng, h.shape, rate)
     scale = np.asarray(1.0 / (1.0 - rate), dtype=model.dtype)
-    return h * keep * scale, (keep, scale), None
+    out = np.multiply(h, keep)
+    out *= scale
+    return out, (keep, scale), None
 
 
 def _dropout_backward(model, i, g, cache):
     keep, scale = cache
-    return g * keep * scale, None
+    out = np.multiply(g, keep)
+    out *= scale
+    return out, None
 
 
 def _max_pool_forward(model, i, h, train, rng):
@@ -462,13 +488,21 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None):
 
 
 def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict:
-    """Walk the stack backwards; returns {layer index: {param name: grad}}."""
+    """Walk the stack backwards; returns {layer index: {param name: grad}}.
+
+    The walk stops at the lowest trainable layer: nothing below it has
+    parameters, so no gradient is passed further down, and a conv-like
+    layer there forms no input gradient at all.
+    """
     if not cache.train:
         raise ValueError("backward needs the cache of a train-mode forward; this one is from mode='eval'")
     grads = {}
     g = grad_logits.reshape(cache.logits_shape).astype(model.dtype, copy=False)
-    for i in range(len(model.specs) - 1, -1, -1):
-        g, layer_grads = KINDS[model.specs[i].kind].backward(model, i, g, cache.layer_caches[i])
+    lowest = min(model.params, default=len(model.specs))
+    for i in range(len(model.specs) - 1, lowest - 1, -1):
+        kind = KINDS[model.specs[i].kind]
+        bottom = {"input_grad": False} if i == lowest and kind.expand is not None else {}
+        g, layer_grads = kind.backward(model, i, g, cache.layer_caches[i], **bottom)
         if layer_grads is not None:
             grads[i] = layer_grads
     return grads
@@ -501,7 +535,16 @@ def sgd_step(model: Model, grads: dict, lr: float, momentum: float) -> None:
 
 
 def predict(model: Model, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Class predictions; ties break toward the lowest class index."""
+    """Class predictions; ties break toward the lowest class index.
+
+    In float32 an image's logits depend slightly on the batch it is
+    evaluated in: OpenBLAS sends small GEMMs (about 1e6 multiply-adds or
+    fewer) to a kernel that rounds differently, so a batch of a few
+    images, like the last partial batch here, can give logits up to
+    ~4.2e-7 relative away from the same images inside a full batch.
+    That can flip a prediction only where the top two logits tie to
+    round-off.
+    """
     out = []
     for lo in range(0, images.shape[0], batch_size):
         logits, _ = forward(model, images[lo : lo + batch_size], mode="eval")
@@ -519,7 +562,9 @@ def train(model: Model, train_ds, val_ds, config: TrainConfig) -> list:
     """Momentum-SGD training; returns [(epoch, train_loss, val_error), ...].
 
     The config seed fully determines shuffling and dropout masks;
-    initialization is fixed separately at build time.
+    initialization is fixed separately at build time. A batch whose
+    loss is not finite raises `TrainingDiverged`, naming the epoch and
+    the batch, before that batch updates the model.
     """
     rng = np.random.default_rng(config.seed)
     n = train_ds.images.shape[0]
@@ -529,12 +574,14 @@ def train(model: Model, train_ds, val_ds, config: TrainConfig) -> list:
         lr = config.lr * (config.lr_decay if epoch > decay_after else 1.0)
         order = rng.permutation(n)
         losses = []
-        for lo in range(0, n, config.batch_size):
+        for batch, lo in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[lo : lo + config.batch_size]
             xb = train_ds.images[idx]
             yb = train_ds.labels[idx]
             logits, cache = forward(model, xb, mode="train", rng=rng)
             loss, grad = softmax_cross_entropy(logits, yb)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"training diverged: loss {loss} at epoch {epoch}, batch {batch}")
             grads = backward(model, cache, grad)
             for i, st in cache.new_state.items():
                 model.state[i] = st

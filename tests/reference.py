@@ -34,6 +34,53 @@ def naive_correlate2d(x, w, stride=1, pad=0):
     return out
 
 
+def strided_scatter_input_grad(grad_out, w, x_shape, stride=1, pad=0):
+    """Input gradient of a correlation by the strided col2im scatter.
+
+    One GEMM of the filters' kernel-row slice with the (o, n*oh*ow)
+    output gradient per kernel row, then each kernel offset's block
+    added over its strided input window, offsets in row-major order.
+    """
+    n, c, h, w_in = x_shape
+    o, _, kh, kw = w.shape
+    _, _, oh, ow = grad_out.shape
+    s = stride
+    g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, n * oh * ow)
+    wt = np.ascontiguousarray(w.transpose(2, 1, 3, 0))  # (kh, c, kw, o)
+    grad_xp = np.zeros((c, n, h + 2 * pad, w_in + 2 * pad), dtype=np.result_type(grad_out, w))
+    for u in range(kh):
+        rows = (wt[u].reshape(c * kw, o) @ g2).reshape(c, kw, n, oh, ow)
+        for v in range(kw):
+            grad_xp[:, :, u : u + oh * s : s, v : v + ow * s : s] += rows[:, v]
+    grad_xp = grad_xp[:, :, pad : pad + h, pad : pad + w_in]
+    return np.ascontiguousarray(grad_xp.transpose(1, 0, 2, 3))
+
+
+def two_pass_batchnorm_train(x, gamma, beta, groups, eps=1e-5):
+    """Train-mode group batch norm as the plain formula: (y, xhat, inv_std, mean, var)."""
+    n, c, h, w = x.shape
+    xg = x.reshape(n, groups, c // groups, h, w)
+    mean = xg.mean(axis=(0, 2, 3, 4))
+    var = xg.var(axis=(0, 2, 3, 4))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (xg - mean.reshape(1, groups, 1, 1, 1)) * inv_std.reshape(1, groups, 1, 1, 1)
+    y = gamma.reshape(1, groups, 1, 1, 1) * xhat + beta.reshape(1, groups, 1, 1, 1)
+    return y.reshape(x.shape), xhat, inv_std, mean, var
+
+
+def two_pass_batchnorm_train_backward(grad_out, gamma, xhat, inv_std):
+    """(grad_x, grad_gamma, grad_beta) of `two_pass_batchnorm_train`, term by term."""
+    g = gamma.size
+    go = grad_out.reshape(grad_out.shape[0], g, -1)
+    xhat = xhat.reshape(go.shape)
+    grad_beta = go.sum(axis=(0, 2))
+    grad_gamma = (go * xhat).sum(axis=(0, 2))
+    m = go.shape[0] * go.shape[2]
+    scale = (gamma * inv_std)[:, None]
+    grad_xg = scale * (go - (grad_beta / m)[:, None] - xhat * (grad_gamma / m)[:, None])
+    return grad_xg.reshape(grad_out.shape), grad_gamma, grad_beta
+
+
 def _first_max(img, top, left, kernel):
     """Row-major first position of a window's maximum; a NaN wins at once."""
     best = (top, left)

@@ -392,6 +392,31 @@ def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch, exc):
     assert "error: cannot allocate the glyph array" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def data_dir_28(tmp_path_factory):
+    out = tmp_path_factory.mktemp("glyphs28")
+    argv = ["gen-data", "--out", str(out), "--n", "60", "--seed", "2", "--size", "28",
+            "--n-train", "40", "--n-val", "10", "--n-test", "10"]
+    assert cli.main(argv) == 0
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_diverged_training_exits_one(tmp_path, data_dir, data_dir_28, capsys, command):
+    ckpt, metrics = tmp_path / "model.ckpt", tmp_path / "metrics.csv"
+    if command == "train":
+        argv = ["train", "--data-dir", str(data_dir), "--layers", "@dren-small",
+                "--out", str(ckpt), "--metrics", str(metrics)]
+    else:
+        argv = ["sweep", "--depths", "1..1", "--data-dir", str(data_dir_28)]
+    assert cli.main(argv + ["--lr", "1e30", "--epochs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "training diverged" in err and "epoch" in err and "batch" in err
+    assert "Traceback" not in err
+    assert not ckpt.exists() and not metrics.exists()
+
+
 def test_train_without_data_dir(capsys):
     assert cli.main(["train"]) == 2
     assert "data_dir" in capsys.readouterr().err

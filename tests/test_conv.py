@@ -17,7 +17,13 @@ from roteq.conv import (
 )
 from roteq.tensor import rotate90, rotate_kernels90
 
-from reference import max_rel, naive_correlate2d, naive_max_pool2d, naive_max_pool2d_backward
+from reference import (
+    max_rel,
+    naive_correlate2d,
+    naive_max_pool2d,
+    naive_max_pool2d_backward,
+    strided_scatter_input_grad,
+)
 
 
 def test_all_ones_window_sum():
@@ -227,6 +233,48 @@ def test_backward_keeps_float32_and_tracks_float64(rng):
     assert gx64.dtype == np.float64 and gw64.dtype == np.float64
     assert max_rel(gx32, gx64) <= 1e-5
     assert max_rel(gw32, gw64) <= 1e-5
+
+
+@st.composite
+def col2im_cases(draw):
+    """(x shape, w shape, stride, pad, dtype, numpy seed) for an input-gradient check."""
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    n, c, o = draw(st.integers(1, 17)), draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    h = max(1, kh - 2 * pad) + draw(st.integers(0, 8))
+    w = max(1, kw - 2 * pad) + draw(st.integers(0, 8))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    return (n, c, h, w), (o, c, kh, kw), stride, pad, dtype, draw(st.integers(0, 2**32 - 1))
+
+
+@seed(20240817)
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=col2im_cases())
+@example(case=((8, 20, 4, 4), (10, 20, 4, 4), 1, 0, np.float32, 1))  # the 4x4 -> 1x1 decycle head
+@example(case=((1, 20, 4, 4), (10, 20, 4, 4), 1, 0, np.float32, 2))  # ... at batch 1
+@example(case=((8, 20, 26, 26), (20, 20, 3, 3), 1, 0, np.float32, 3))  # dren-z2cnn-shape L4
+@example(case=((16, 3, 9, 8), (5, 3, 2, 3), 3, 2, np.float64, 4))  # stride 3, pad 2, rectangular
+def test_flat_shift_col2im_matches_strided_scatter(case):
+    x_shape, w_shape, stride, pad, dtype, draw_seed = case
+    rng = np.random.default_rng(draw_seed)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    geom = ConvGeometry(stride, pad)
+    g = rng.standard_normal(correlate2d(x, w, geom).shape).astype(dtype)
+    g[rng.random(g.shape) < 0.2] = 0.0
+    g[rng.random(g.shape) < 0.2] = -0.0
+    gx, gw = correlate2d_backward(g, x, w, geom)
+    want = strided_scatter_input_grad(g, w, x_shape, stride, pad)
+    assert gx.dtype == want.dtype and gx.flags.c_contiguous
+    if x_shape[0] % 8 == 0:
+        # every GEMM column block full: each entry rounds as in the scatter
+        assert gx.tobytes() == want.tobytes()
+    else:
+        # OpenBLAS rounds a trailing partial column block (and a one-column
+        # product) its own way, and padding moves entries in or out of it
+        assert max_rel(gx, want) <= 8 * np.finfo(dtype).eps
+    none, gw_only = correlate2d_backward(g, x, w, geom, input_grad=False)
+    assert none is None and gw_only.tobytes() == gw.tobytes()
 
 
 def test_stride_predicate_examples():

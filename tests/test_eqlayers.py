@@ -469,6 +469,47 @@ def test_eval_batchnorm_allocates_only_its_output(rng):
     assert cache["x"] is x  # the cache holds references, no normalized copy
 
 
+@seed(20240817)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(1, 6),
+    groups=st.integers(1, 3),
+    group_size=st.sampled_from((1, 4)),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    dtype=st.sampled_from((np.float32, np.float64)),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+@example(n=64, groups=5, group_size=4, h=26, w=26, dtype=np.float32, draw_seed=1)  # dren-z2cnn-shape L3
+@example(n=64, groups=20, group_size=1, h=24, w=24, dtype=np.float64, draw_seed=2)  # z2cnn-shape, per channel
+def test_train_batchnorm_matches_two_pass_formula_bit_for_bit(n, groups, group_size, h, w, dtype, draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    bn = GroupBatchNorm(groups, group_size)
+    x = (rng.standard_normal((n, groups * group_size, h, w)) * 3.0 + 1.0).astype(dtype)
+    params = {"gamma": rng.uniform(0.5, 2.0, groups).astype(dtype), "beta": rng.standard_normal(groups).astype(dtype)}
+    state = {"mean": rng.standard_normal(groups).astype(dtype), "var": rng.uniform(0.5, 2.0, groups).astype(dtype)}
+    go = rng.standard_normal(x.shape).astype(dtype)
+    go[rng.random(x.shape) < 0.2] = -0.0
+    before = x.tobytes()
+    y, cache, new_state = bn.forward(x, params, state, train=True)
+    gx, gp = bn.backward(go, params, cache)
+    want_y, want_xhat, want_inv_std, mean, var = reference.two_pass_batchnorm_train(
+        x, params["gamma"], params["beta"], groups, bn.eps
+    )
+    want_gx, want_gamma, want_beta = reference.two_pass_batchnorm_train_backward(
+        go, params["gamma"], want_xhat, want_inv_std
+    )
+    m = bn.momentum
+    want_state = {"mean": (1 - m) * state["mean"] + m * mean, "var": (1 - m) * state["var"] + m * var}
+    pairs = [(y, want_y), (cache["xhat"], want_xhat), (cache["inv_std"], want_inv_std), (gx, want_gx)]
+    pairs += [(gp["gamma"], want_gamma), (gp["beta"], want_beta)]
+    pairs += [(new_state[k], want_state[k]) for k in ("mean", "var")]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == before
+
+
 @pytest.mark.parametrize("group_size", [4, 1])
 @pytest.mark.parametrize("train", [True, False])
 def test_batchnorm_backward_matches_finite_differences(rng, train, group_size):

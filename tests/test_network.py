@@ -10,6 +10,7 @@ import pytest
 
 from roteq import data, network
 from roteq.network import (
+    KINDS,
     LayerSpec,
     ModelSpecError,
     TrainConfig,
@@ -238,6 +239,120 @@ def test_dropout_needs_rng():
     assert logits.shape == (1, 8)
 
 
+def dropout_model(rate, precision="float32"):
+    return build_model([LayerSpec("dropout", rate=rate)], precision=precision)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.5, 0.9])
+def test_dropout_keeps_one_minus_rate(rate):
+    out, _ = forward(dropout_model(rate), np.ones((1, 1, 400, 500)), mode="train", rng=np.random.default_rng(5))
+    n = out.size
+    kept = np.count_nonzero(out) / n
+    assert abs(kept - (1 - rate)) <= 6 * np.sqrt(rate * (1 - rate) / n)
+    assert (out[out != 0] == np.float32(1 / (1 - rate))).all()
+
+
+def test_dropout_rate_zero_returns_the_input_bytes(rng):
+    x = rng.standard_normal((3, 2, 5, 5)).astype(np.float32)
+    x[0, 0, 0, :3] = (-0.0, np.inf, -np.inf)
+    out, _ = forward(dropout_model(0.0), x, mode="train", rng=rng)
+    assert out.tobytes() == x.tobytes()
+
+
+def test_dropout_rate_next_to_one_does_not_overflow(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, _ = forward(dropout_model(float(np.nextafter(1.0, 0.0))), np.ones((2, 1, 50, 50)), mode="train", rng=rng)
+    assert not out.any()  # an entry is kept with probability 2**-32
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_dropout_backward_applies_the_forward_mask_and_scale(rng, precision):
+    model = dropout_model(0.25, precision)
+    dtype = network.PRECISIONS[precision]
+    x = rng.standard_normal((4, 3, 6, 6)).astype(dtype)
+    out, cache = forward(model, x, mode="train", rng=rng)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    gx, _ = KINDS["dropout"].backward(model, 0, g, cache.layer_caches[0])
+    kept = out.reshape(x.shape) != 0  # no entry of x is zero
+    scale = np.asarray(1 / 0.75, dtype=dtype)
+    assert out.dtype == gx.dtype == dtype
+    assert out.tobytes() == (x * kept * scale).tobytes()
+    assert gx.tobytes() == (g * kept * scale).tobytes()
+
+
+def test_dropout_mask_follows_the_seed():
+    model = dropout_model(0.5)
+    x = np.ones((2, 3, 8, 8))
+    a, b, c = (forward(model, x, mode="train", rng=np.random.default_rng(s))[0] for s in (7, 7, 8))
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != c.tobytes()
+
+
+def full_backward_walk(model, cache, grad_logits):
+    """Parameter gradients from every layer's backward step, the bottom layer included."""
+    grads = {}
+    g = grad_logits.reshape(cache.logits_shape)
+    for i in range(len(model.specs) - 1, -1, -1):
+        g, layer_grads = KINDS[model.specs[i].kind].backward(model, i, g, cache.layer_caches[i])
+        if layer_grads is not None:
+            grads[i] = layer_grads
+    return grads
+
+
+def backward_case(rng, stack, size):
+    model = build_model(stack, precision="float64", input_size=size)
+    logits, cache = forward(model, rng.standard_normal((3, 1, size, size)), mode="train")
+    _, grad = softmax_cross_entropy(logits, np.array([0, 1, 2]))
+    return model, cache, grad
+
+
+def assert_same_grads(got, want):
+    assert got.keys() == want.keys()
+    for i in want:
+        assert got[i].keys() == want[i].keys()
+        for name in want[i]:
+            assert got[i][name].tobytes() == want[i][name].tobytes(), (i, name)
+
+
+def test_backward_forms_no_input_gradient_at_the_lowest_trainable_layer(rng, monkeypatch):
+    calls = []
+    real = network.correlate2d_backward
+
+    def recording(g, x, w, geom, **kwargs):
+        calls.append((x, kwargs.get("input_grad", True)))
+        return real(g, x, w, geom, **kwargs)
+
+    model, cache, grad = backward_case(rng, preset_stack("dren-small"), 12)
+    monkeypatch.setattr(network, "correlate2d_backward", recording)
+    grads = backward(model, cache, grad)
+    bottom_input = cache.layer_caches[0][0]
+    assert [flag for x, flag in calls if x is bottom_input] == [False]
+    assert [flag for x, flag in calls if x is not bottom_input] == [True] * 3
+    monkeypatch.undo()
+    assert_same_grads(grads, full_backward_walk(model, cache, grad))
+
+
+def test_backward_skips_the_layers_below_the_first_conv(rng, monkeypatch):
+    stack = [
+        LayerSpec("max_pool", kernel=2, stride=2),
+        LayerSpec("conv", width=3, kernel=3),
+        LayerSpec("relu"),
+        LayerSpec("group_batchnorm"),
+        LayerSpec("max_pool", kernel=2, stride=2),
+        LayerSpec("conv", width=4, kernel=1),
+        LayerSpec("global_avg_pool"),
+    ]
+    model, cache, grad = backward_case(rng, stack, 14)
+    pooled = []
+    real = network.max_pool2d_backward
+    monkeypatch.setattr(network, "max_pool2d_backward", lambda g, x, k, s: pooled.append(x) or real(g, x, k, s))
+    grads = backward(model, cache, grad)
+    assert len(pooled) == 1 and pooled[0] is cache.layer_caches[4]  # the upper pool only
+    monkeypatch.undo()
+    assert_same_grads(grads, full_backward_walk(model, cache, grad))
+
+
 def test_eval_forward_keeps_no_layer_caches(rng):
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     x = rng.standard_normal((2, 1, 28, 28))
@@ -337,6 +452,15 @@ def test_training_is_bit_identical_across_blas_thread_counts():
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+def test_training_stops_on_a_non_finite_loss():
+    tr, va, _ = small_data()
+    model = build_model(small_stack(), in_channels=1, seed=9)
+    with pytest.raises(network.TrainingDiverged, match=r"epoch \d+, batch \d+") as info:
+        train(model, tr, va, TrainConfig(lr=1e30, epochs=2, batch_size=25, seed=9))
+    assert isinstance(info.value, RuntimeError)
 
 
 def test_loss_decreases_on_synthetic_data():
