@@ -32,6 +32,7 @@ BENCH_MODELS = {
     "z2cnn-shape": ("bench-z2cnn-shape", 28),
     "nin-shape": ("bench-nin-shape", 28),
 }
+GATE_TOLERANCE = 1e-5  # largest relative deviation between the strategies' outputs
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,14 @@ def time_forward(
     batch: int = 64,
     trials: int = 5,
     seed: int = 0,
-    gate_tolerance: float = 1e-5,
 ) -> TimingReport:
     """Wall-clock seconds per full-batch forward pass for one strategy.
 
-    The first (warmup) run is discarded. The agreement gate's forward
-    expands the filters once and the model caches them, as it does
-    between optimizer steps; the map strategy rotates feature maps
-    inside the timed loop. Raises if the two strategies disagree beyond
-    `gate_tolerance` before any timing starts.
+    The first (warmup) run is discarded. Both strategies do all their
+    rotation inside the timed pass: the filter strategy expands every
+    tied bank from its base, as each training and inference forward
+    does, and the map strategy rotates feature maps. Raises if the two
+    disagree beyond `GATE_TOLERANCE` before any timing starts.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -120,14 +120,12 @@ def time_forward(
                 h = network.KINDS[spec.kind].forward(model, i, h, False, None)[0]
         return h
 
-    # [0] drops the forward cache, which would otherwise stay alive
-    # through the map pass and raise the peak by every cached activation
     fast = network.forward(model, x, mode="eval")[0]
     slow = rotate_maps()
     _, rel = relative_deviation(fast, slow.reshape(fast.shape))
-    if rel > gate_tolerance:
+    if rel > GATE_TOLERANCE:
         raise RuntimeError(
-            f"strategy outputs diverge (rel {rel:.3e} > {gate_tolerance:g}); refusing to time"
+            f"strategy outputs diverge (rel {rel:.3e} > {GATE_TOLERANCE:g}); refusing to time"
         )
 
     if strategy == ROTATE_FILTERS:

@@ -194,16 +194,16 @@ class GroupBatchNorm:
     shift, a = gamma/sqrt(var+eps) and b = beta - mean*a, so the output
     is the only full-size array it allocates; no normalized copy is
     built. Its rounding differs from the two-pass train formula (within
-    1e-12 relative in float64). Its cache holds references only (the
-    input, the mean and 1/sqrt(var+eps)); `backward` recomputes the
-    normalized input from them.
+    1e-12 relative in float64). It keeps no cache: `backward` follows
+    train-mode passes only.
     """
 
-    def __init__(self, groups: int, group_size: int = 4, eps: float = 1e-5, momentum: float = 0.1):
+    eps = 1e-5  # added to the variance before the square root
+    momentum = 0.1  # weight of the batch statistics in the running ones
+
+    def __init__(self, groups: int, group_size: int = 4):
         self.groups = groups
         self.group_size = group_size
-        self.eps = eps
-        self.momentum = momentum
 
     def _check(self, x: np.ndarray) -> None:
         if x.shape[1] != self.groups * self.group_size:
@@ -212,7 +212,8 @@ class GroupBatchNorm:
             )
 
     def forward(self, x, params, state, train: bool):
-        """Returns (y, cache, new_state); state is never mutated in place."""
+        """Returns (y, cache, new_state), cache None in eval mode; state is
+        never mutated in place."""
         self._check(x)
         n, c, h, w = x.shape
         g, gs = self.groups, self.group_size
@@ -222,7 +223,7 @@ class GroupBatchNorm:
             a = params["gamma"] * inv_std
             y = xg * a.reshape(1, g, 1, 1, 1)
             y += (params["beta"] - mean * a).reshape(1, g, 1, 1, 1)
-            return y.reshape(n, c, h, w), {"x": x, "mean": mean, "inv_std": inv_std, "train": False}, state
+            return y.reshape(n, c, h, w), None, state
         mean = xg.mean(axis=(0, 2, 3, 4), keepdims=True)
         xhat = xg - mean  # normalized in place once var is known
         y = np.multiply(xhat, xhat)
@@ -237,29 +238,21 @@ class GroupBatchNorm:
         xhat *= inv_std.reshape(1, g, 1, 1, 1)
         np.multiply(params["gamma"].reshape(1, g, 1, 1, 1), xhat, out=y)
         y += params["beta"].reshape(1, g, 1, 1, 1)
-        cache = {"xhat": xhat, "inv_std": inv_std, "train": True}
+        cache = {"xhat": xhat, "inv_std": inv_std}
         return y.reshape(n, c, h, w), cache, new_state
 
     def backward(self, grad_out, params, cache):
-        """Returns (grad_x, grad_params)."""
-        g = self.groups
-        go = grad_out.reshape(grad_out.shape[0], g, -1)
-        if cache["train"]:
-            xhat = cache["xhat"].reshape(go.shape)
-        else:
-            xhat = (cache["x"].reshape(go.shape) - cache["mean"][:, None]) * cache["inv_std"][:, None]
+        """Returns (grad_x, grad_params) from the cache of a train-mode forward."""
+        go = grad_out.reshape(grad_out.shape[0], self.groups, -1)
+        xhat = cache["xhat"].reshape(go.shape)
         grad_beta = go.sum(axis=(0, 2))
         t = go * xhat  # reused below for xhat * grad_gamma / m
         grad_gamma = t.sum(axis=(0, 2))
-        scale = (params["gamma"] * cache["inv_std"])[:, None]
-        if cache["train"]:
-            m = go.shape[0] * go.shape[2]
-            np.multiply(xhat, (grad_gamma / m)[:, None], out=t)
-            grad_xg = go - (grad_beta / m)[:, None]
-            grad_xg -= t
-            grad_xg *= scale
-        else:
-            grad_xg = scale * go
+        m = go.shape[0] * go.shape[2]
+        np.multiply(xhat, (grad_gamma / m)[:, None], out=t)
+        grad_xg = go - (grad_beta / m)[:, None]
+        grad_xg -= t
+        grad_xg *= (params["gamma"] * cache["inv_std"])[:, None]
         return grad_xg.reshape(grad_out.shape), {"gamma": grad_gamma, "beta": grad_beta}
 
 

@@ -100,9 +100,10 @@ def relative_deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return max_abs, (max_abs / scale if scale > 0 else 0.0)
 
 
-def compare_paths(kind, base, x, geom=ConvGeometry(), tolerance=None) -> PathComparison:
+def compare_paths(kind, base, x, tolerance=None) -> PathComparison:
     """Run the model's filter expansion and this module's `oracle_<kind>`
     on the base array of one tied layer kind and report the deviation.
+    Both correlate at stride 1 without padding.
 
     Default tolerance is 1e-12 for double precision inputs and 1e-5 for
     single precision.
@@ -111,7 +112,7 @@ def compare_paths(kind, base, x, geom=ConvGeometry(), tolerance=None) -> PathCom
         raise ValueError(f"unknown tied layer kind {kind!r}")
     if tolerance is None:
         tolerance = 1e-12 if x.dtype == np.float64 else 1e-5
-    fast = correlate2d(x, KINDS[kind].expand(base), geom)
-    slow = globals()[f"oracle_{kind}"](base, x, geom)
+    fast = correlate2d(x, KINDS[kind].expand(base))
+    slow = globals()[f"oracle_{kind}"](base, x)
     max_abs, max_rel = relative_deviation(fast, slow)
     return PathComparison(kind, max_abs, max_rel, tolerance)

@@ -121,9 +121,11 @@ def test_tracer_bindings_resolve():
     for span in tracer.LAYER_SPANS:
         bound = [f"{m}.{a}" for m, a in tracer.BINDINGS[span] if f"{m}.{a}" not in missing]
         assert bound, f"span {span} resolves nowhere"
-    # one expansion and one collapse per tied layer, each split to its layer
+    # forward and backward each expand every tied layer from its base, and
+    # backward collapses each once; every call is split to its layer
     tied = [i for i, spec in enumerate(model.specs) if spec.kind in network.TIED_KINDS]
-    assert t.calls["eqlayers.expand"] == t.calls["eqlayers.collapse_grad"] == len(tied)
+    assert t.calls["eqlayers.expand"] == 2 * len(tied)
+    assert t.calls["eqlayers.collapse_grad"] == len(tied)
     assert {i for phase, i in t.per_layer if phase == "bwd"} == set(tied)
     # after an update the next step expands every tied layer again, from
     # index tables built once per shape: it rotates no kernel
@@ -132,5 +134,6 @@ def test_tracer_bindings_resolve():
     with t.installed():
         logits, cache = network.forward(model, x, mode="train")
         network.backward(model, cache, np.ones_like(logits))
-    assert t.calls["eqlayers.expand"] == t.calls["eqlayers.collapse_grad"] == len(tied)
+    assert t.calls["eqlayers.expand"] == 2 * len(tied)
+    assert t.calls["eqlayers.collapse_grad"] == len(tied)
     assert t.calls["tensor.rotate_kernels90"] == 0

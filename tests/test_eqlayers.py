@@ -425,12 +425,12 @@ def test_batchnorm_permutation_and_rotation_equivariance(rng):
 
 
 def test_batchnorm_running_stats_update(rng):
-    bn = GroupBatchNorm(1, momentum=0.5)
+    bn = GroupBatchNorm(1)
     x = rng.standard_normal((8, 4, 3, 3))
     state = {"mean": np.zeros(1), "var": np.ones(1)}
     params = {"gamma": np.ones(1), "beta": np.zeros(1)}
     _, _, new_state = bn.forward(x, params, state, train=True)
-    np.testing.assert_allclose(new_state["mean"], 0.5 * x.mean(), rtol=1e-12)
+    np.testing.assert_allclose(new_state["mean"], GroupBatchNorm.momentum * x.mean(), rtol=1e-12)
     assert state["mean"][0] == 0.0  # input state untouched
 
 
@@ -466,7 +466,7 @@ def test_eval_batchnorm_allocates_only_its_output(rng):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 1.1 * y.nbytes, (peak, y.nbytes)
-    assert cache["x"] is x  # the cache holds references, no normalized copy
+    assert cache is None  # eval mode keeps nothing for a backward pass
 
 
 @seed(20240817)
@@ -511,8 +511,7 @@ def test_train_batchnorm_matches_two_pass_formula_bit_for_bit(n, groups, group_s
 
 
 @pytest.mark.parametrize("group_size", [4, 1])
-@pytest.mark.parametrize("train", [True, False])
-def test_batchnorm_backward_matches_finite_differences(rng, train, group_size):
+def test_batchnorm_backward_matches_finite_differences(rng, group_size):
     bn = GroupBatchNorm(8 // group_size, group_size)
     x = rng.standard_normal((3, 8, 4, 4)) * 2.0 + 0.5
     params = {"gamma": rng.uniform(0.5, 2.0, bn.groups), "beta": rng.standard_normal(bn.groups)}
@@ -520,10 +519,10 @@ def test_batchnorm_backward_matches_finite_differences(rng, train, group_size):
     r = rng.standard_normal(x.shape)
 
     def loss():
-        y, _, _ = bn.forward(x, params, state, train)
+        y, _, _ = bn.forward(x, params, state, train=True)
         return float((y * r).sum())
 
-    _, cache, _ = bn.forward(x, params, state, train)
+    _, cache, _ = bn.forward(x, params, state, train=True)
     gx, gp = bn.backward(r, params, cache)
     assert gx.shape == x.shape
     eps = 1e-6
