@@ -9,7 +9,8 @@ File formats owned here:
   encoded model reproduces specs, parameters, and normalization state
   bit-exactly; unknown versions are rejected.
 * Run config: ``key = value`` lines, ``#`` comments; unknown keys are
-  rejected with their line number.
+  rejected with their line number. Its ``layers`` value is a stack in
+  the layer grammar, which `network.parse_layer_stack` owns.
 * Metrics: one ``epoch,train_loss,val_error`` line per epoch.
 
 Exit codes: 0 success, 1 failure (failed suite, training error, out of
@@ -29,7 +30,7 @@ from . import bench as bench_mod
 from . import data as data_mod
 from . import eqlayers, network, oracle, tensor
 from .conv import ConvGeometry, stride_preserves_equivariance
-from .network import LayerSpec, Model, ModelSpecError, TrainConfig, build_model, preset_stack
+from .network import LayerSpec, Model, ModelSpecError, TrainConfig, build_model, parse_layer_stack
 from .oracle import relative_deviation
 
 CHECKPOINT_MAGIC = b"DREN"
@@ -154,7 +155,7 @@ def load_checkpoint(path) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# run config and layer-stack grammar
+# run config
 
 CONFIG_DEFAULTS = {  # each key's value type is that of its default
     "layers": "@dren-small",
@@ -167,16 +168,6 @@ CONFIG_DEFAULTS = {  # each key's value type is that of its default
     "lr_decay": 0.1,
     "data_dir": "",
 }
-
-KIND_ALIASES = {
-    "gap": "global_avg_pool",
-    "bn": "group_batchnorm",
-    "bias": "shared_bias",
-    "maxpool": "max_pool",
-    "gpmax": "group_pool_max",
-    "gpmean": "group_pool_mean",
-}
-
 
 def parse_run_config(text: str) -> dict:
     """Parse key = value lines; unknown keys name their line number."""
@@ -197,49 +188,6 @@ def parse_run_config(text: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return cfg
-
-
-# stack-grammar token letter -> (LayerSpec field, value type)
-LAYER_TOKENS = {
-    "g": ("width", int),
-    "c": ("width", int),
-    "k": ("kernel", int),
-    "s": ("stride", int),
-    "p": ("pad", int),
-    "r": ("rate", float),
-}
-
-
-def parse_layer_stack(text: str):
-    """Parse a stack description like 'cycle:g5:k3,relu,decycle:c10:k3,gap'.
-
-    Tokens after the kind set fields: g/c width, k kernel, s stride,
-    p pad, r dropout rate. '@name' loads a named preset. Every
-    malformed description raises ModelSpecError.
-    """
-    text = text.strip()
-    if text.startswith("@"):
-        return preset_stack(text[1:])
-    specs = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            raise ModelSpecError("empty layer item in stack description")
-        parts = item.split(":")
-        kind = KIND_ALIASES.get(parts[0], parts[0])
-        fields = {}
-        for tok in parts[1:]:
-            if len(tok) < 2:
-                raise ModelSpecError(f"bad layer token {tok!r} in {item!r}")
-            if tok[0] not in LAYER_TOKENS:
-                raise ModelSpecError(f"unknown layer token {tok!r} in {item!r}")
-            name, typ = LAYER_TOKENS[tok[0]]
-            try:
-                fields[name] = typ(tok[1:])
-            except ValueError:
-                raise ModelSpecError(f"bad value in layer token {tok!r} in {item!r}") from None
-        specs.append(LayerSpec(kind, **fields))
-    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -317,29 +265,23 @@ def suite_layers(trials: int, seed: int) -> list:
 
 
 def _end_to_end_deviation(rng) -> float:
-    """f(Rx) vs R f(x) through cycle -> k isotonic -> decycle with
-    relu, shared bias, and eval-mode batch norm interleaved."""
+    """f(Rx) vs R f(x) through an eval-mode `network.forward` of cycle -> k
+    isotonic -> decycle with shared bias, batch norm and relu interleaved."""
     g = int(rng.integers(1, 3))
     k_iso = int(rng.integers(0, 3))
     size = int(rng.integers(6, 11))
+    text = f"cycle:g{g}:k3,bias,relu," + f"isotonic:g{g}:k1,bn,relu," * k_iso + "decycle:c5:k1"
+    model = build_model(parse_layer_stack(text), precision="float64")
+    for i, arrays in model.params.items():
+        model.params[i] = {name: rng.standard_normal(a.shape) for name, a in arrays.items()}
+    for state in model.state.values():
+        state["mean"] = rng.standard_normal(state["mean"].shape)
+        state["var"] = rng.uniform(0.5, 2.0, state["var"].shape)
     x = rng.standard_normal((2, 1, size, size))
-    cyc = rng.standard_normal((g, 1, 3, 3))
-    isos = [rng.standard_normal((g, 4, g, 1, 1)) for _ in range(k_iso)]
-    dec = rng.standard_normal((5, g, 1, 1))
-    bias = rng.standard_normal(g)
-    bn = eqlayers.GroupBatchNorm(g)
-    bn_params = {"gamma": rng.standard_normal(g), "beta": rng.standard_normal(g)}
-    bn_state = {"mean": rng.standard_normal(g), "var": rng.uniform(0.5, 2.0, g)}
 
     def f(inp):
-        h = eqlayers.forward_cycle(cyc, inp)
-        h = eqlayers.shared_bias_add(h, bias)
-        h = np.maximum(h, 0)
-        for iso in isos:
-            h = eqlayers.forward_isotonic(iso, h)
-            h, _, _ = bn.forward(h, bn_params, bn_state, train=False)
-            h = np.maximum(h, 0)
-        return eqlayers.forward_decycle(dec, h)
+        logits, cache = network.forward(model, inp, mode="eval")
+        return logits.reshape(cache.logits_shape)
 
     return relative_deviation(f(tensor.rotate90(x)), tensor.rotate90(f(x)))[1]
 
@@ -375,22 +317,11 @@ def suite_gradients(trials: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     results = []
     stacks = {
-        "dren_small": [
-            LayerSpec("cycle", width=5, kernel=3),
-            LayerSpec("isotonic", width=5, kernel=3),
-            LayerSpec("isotonic", width=5, kernel=3),
-            LayerSpec("decycle", width=10, kernel=3),
-            LayerSpec("global_avg_pool"),
-        ],
-        "plain_cnn": [
-            LayerSpec("conv", width=12, kernel=3),
-            LayerSpec("conv", width=12, kernel=3),
-            LayerSpec("conv", width=10, kernel=3),
-            LayerSpec("global_avg_pool"),
-        ],
+        "dren_small": "cycle:g5:k3," + "isotonic:g5:k3," * 2 + "decycle:c10:k3,gap",
+        "plain_cnn": "conv:c12:k3," * 2 + "conv:c10:k3,gap",
     }
     for name, stack in stacks.items():
-        model = build_model(stack, in_channels=1, seed=seed, precision="float64")
+        model = build_model(parse_layer_stack(stack), in_channels=1, seed=seed, precision="float64")
         x = rng.random((2, 1, 10, 10))
         labels = rng.integers(0, 10, size=2)
         err = network.finite_diff_check(model, x, labels)
@@ -592,29 +523,26 @@ def cmd_analyze(args) -> int:
 
 
 def sweep_stack(depth: int) -> list:
-    """Seven-layer family with the first `depth` slots tied (28x28 inputs)."""
+    """Seven-slot family with the first `depth` slots tied (28x28 inputs).
+
+    Slot 1 is a cycle layer, isotonic layers follow up to slot `depth`,
+    which is a decycle layer (at depth 1 the cycle layer is closed by
+    group max pooling instead), and untied convs fill the rest. Each
+    slot ends in relu, slot 2 also in 2x2 max pooling; slot 7 is the
+    10-channel 4x4 head.
+    """
     if not 1 <= depth <= 7:
         raise ValueError("depth must be in 1..7")
-    stack = []
-    for slot in range(1, 8):
-        last = slot == 7
+    tied = ["cycle"] + ["isotonic"] * max(depth - 2, 0) + (["decycle"] if depth > 1 else [])
+    text = ""
+    for slot, kind in enumerate(tied + ["conv"] * (7 - len(tied)), start=1):
+        shape = "g5:k3" if kind in ("cycle", "isotonic") else "c10:k4" if slot == 7 else "c20:k3"
+        text += f"{kind}:{shape},relu,"
         if depth == 1 and slot == 1:
-            stack += [LayerSpec("cycle", width=5, kernel=3), LayerSpec("relu"),
-                      LayerSpec("group_pool_max")]
-        elif slot == 1 and depth >= 2:
-            stack += [LayerSpec("cycle", width=5, kernel=3), LayerSpec("relu")]
-        elif slot < depth:
-            stack += [LayerSpec("isotonic", width=5, kernel=3), LayerSpec("relu")]
-        elif slot == depth:
-            width, kernel = (10, 4) if last else (20, 3)
-            stack += [LayerSpec("decycle", width=width, kernel=kernel), LayerSpec("relu")]
-        else:
-            width, kernel = (10, 4) if last else (20, 3)
-            stack += [LayerSpec("conv", width=width, kernel=kernel), LayerSpec("relu")]
+            text += "gpmax,"
         if slot == 2:
-            stack.append(LayerSpec("max_pool", kernel=2, stride=2))
-    stack.append(LayerSpec("global_avg_pool"))
-    return stack
+            text += "maxpool:k2:s2,"
+    return parse_layer_stack(text + "gap")
 
 
 def _parse_depths(text: str) -> range:
@@ -650,6 +578,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _count_at_least(lowest: int):
+    """argparse type of an integer flag >= `lowest`; argparse exits 2 naming the flag otherwise."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    return parse
+
+
+NON_NEGATIVE, POSITIVE = _count_at_least(0), _count_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roteq", description="rotation-equivariant convolution kit"
@@ -659,12 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write synthetic IDX train/val/test splits")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("exact", "arbitrary", "synth"), default="exact")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=28)
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--n-val", type=int, default=None)
-    p.add_argument("--n-test", type=int, default=None)
+    p.add_argument("--n", type=NON_NEGATIVE, default=1000)
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0)
+    p.add_argument("--size", type=POSITIVE, default=28)
+    p.add_argument("--n-train", type=NON_NEGATIVE, default=None)
+    p.add_argument("--n-val", type=NON_NEGATIVE, default=None)
+    p.add_argument("--n-test", type=NON_NEGATIVE, default=None)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model from a run config")
@@ -683,25 +629,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=POSITIVE, default=20)
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="time both layer strategies")
     p.add_argument("--model", choices=sorted(bench_mod.BENCH_MODELS), default="z2cnn-shape")
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch", type=POSITIVE, default=64)
+    p.add_argument("--trials", type=POSITIVE, default=5)
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.add_argument("--out", default=None, help="CSV path")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("analyze", help="print analytic memory costs for one layer")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cin", type=int, required=True)
-    p.add_argument("--cout", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--n", type=POSITIVE, required=True)
+    p.add_argument("--cin", type=POSITIVE, required=True)
+    p.add_argument("--cout", type=POSITIVE, required=True)
+    p.add_argument("--k", type=POSITIVE, required=True)
+    p.add_argument("--w", type=POSITIVE, required=True)
+    p.add_argument("--h", type=POSITIVE, required=True)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="train the tied-depth family, report val errors")

@@ -10,6 +10,9 @@ expands each filter bank afresh from them, so a write to a parameter
 shows in the next pass with nothing to invalidate. An expansion is one
 index gather; all seven banks of dren-z2cnn-shape take about 0.04 ms,
 some 0.05% of a train step.
+
+The layer grammar lives here too: `parse_layer_stack` reads a stack
+written as text, and every named stack (`PRESETS`) is written in it.
 """
 
 import math
@@ -92,6 +95,11 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("lr", "momentum", "lr_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -243,11 +251,14 @@ class LayerKind:
     `expand` turns it into the (c_out, c_in, k, k) filter bank,
     `collapse(grad)` folds the bank's gradient back onto its shape, and
     the array starts uniform random. Other kinds start at `fill`, one value per
-    array. A `grouped` kind needs 4-channel groups at its input.
+    array. A `grouped` kind needs 4-channel groups at its input. `reads`
+    names the `LayerSpec` fields the kind uses; the grammar rejects a
+    token for any other field.
     """
 
     forward: Callable
     backward: Callable
+    reads: tuple = ()
     params: tuple = ()
     state: tuple = ()
     shape: Callable | None = None
@@ -258,9 +269,13 @@ class LayerKind:
     collapse: Callable | None = None
 
 
+_WINDOW_FIELDS = ("kernel", "stride", "pad")
+
+
 def _filter_kind(name="base", **fields):
     """Entry of a conv-like kind, which stores one array called `name`."""
-    return LayerKind(_filter_forward, _filter_backward, params=(name,), **fields)
+    reads = ("width", *_WINDOW_FIELDS)
+    return LayerKind(_filter_forward, _filter_backward, reads, params=(name,), **fields)
 
 
 # The lambdas look eqlayers functions up by name on every call, so a
@@ -310,8 +325,8 @@ KINDS = {
         shape=lambda spec, c, group: (c // group,),
         fill=(1.0, 0.0, 0.0, 1.0),
     ),
-    "dropout": LayerKind(_dropout_forward, _dropout_backward),
-    "max_pool": LayerKind(_max_pool_forward, _max_pool_backward),
+    "dropout": LayerKind(_dropout_forward, _dropout_backward, ("rate",)),
+    "max_pool": LayerKind(_max_pool_forward, _max_pool_backward, _WINDOW_FIELDS),
     "group_pool_max": LayerKind(
         partial(_group_pool_forward, "max"),
         partial(_group_pool_backward, "max"),
@@ -329,6 +344,89 @@ KINDS = {
 ALL_KINDS = tuple(KINDS)  # checkpoint kind codes are positions in this tuple
 TIED_KINDS = ("cycle", "isotonic", "decycle")  # each has an `oracle.oracle_<kind>`
 DREN_KINDS = TIED_KINDS + ("group_pool_max", "group_pool_mean")
+
+
+# ---------------------------------------------------------------------------
+# the layer grammar, in which every stack (the presets among them) is written
+
+KIND_ALIASES = {
+    "gap": "global_avg_pool",
+    "bn": "group_batchnorm",
+    "bias": "shared_bias",
+    "maxpool": "max_pool",
+    "gpmax": "group_pool_max",
+    "gpmean": "group_pool_mean",
+}
+
+# stack-grammar token letter -> (LayerSpec field, value type)
+LAYER_TOKENS = {
+    "g": ("width", int),
+    "c": ("width", int),
+    "k": ("kernel", int),
+    "s": ("stride", int),
+    "p": ("pad", int),
+    "r": ("rate", float),
+}
+
+
+def parse_layer_stack(text: str) -> list:
+    """Parse a stack description like 'cycle:g5:k3,relu,decycle:c10:k3,gap'.
+
+    Tokens after the kind set fields: g/c width, k kernel, s stride,
+    p pad, r dropout rate. A kind takes only the tokens of the fields it
+    reads (`LayerKind.reads`). '@name' loads a preset of `PRESETS`.
+    Every malformed description raises ModelSpecError.
+    """
+    text = text.strip()
+    if text.startswith("@"):
+        return preset_stack(text[1:])
+    specs = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            raise ModelSpecError("empty layer item in stack description")
+        parts = item.split(":")
+        kind = KIND_ALIASES.get(parts[0], parts[0])
+        if kind not in KINDS:
+            raise ModelSpecError(f"unknown layer kind {kind!r}")
+        fields = {}
+        for tok in parts[1:]:
+            if len(tok) < 2:
+                raise ModelSpecError(f"bad layer token {tok!r} in {item!r}")
+            if tok[0] not in LAYER_TOKENS:
+                raise ModelSpecError(f"unknown layer token {tok!r} in {item!r}")
+            name, typ = LAYER_TOKENS[tok[0]]
+            if name not in KINDS[kind].reads:
+                raise ModelSpecError(f"{kind} takes no {name}: token {tok!r} in {item!r}")
+            try:
+                fields[name] = typ(tok[1:])
+            except ValueError:
+                raise ModelSpecError(f"bad value in layer token {tok!r} in {item!r}") from None
+        specs.append(LayerSpec(kind, **fields))
+    return specs
+
+
+_Z2 = "relu,dropout:r0.25,bn,"  # follows each 3x3 layer of the two z2cnn shapes
+
+PRESETS = {  # name -> stack text, loaded as '@name'
+    "dren-small": "cycle:g5:k3,relu," + "isotonic:g5:k3,relu," * 2 + "decycle:c10:k3,gap",
+    "cnn-small": "conv:c20:k3,relu," * 3 + "conv:c10:k3,gap",
+    "z2cnn-shape": f"conv:c20:k3,{_Z2}" * 2 + "maxpool:k2:s2,"
+    + f"conv:c20:k3,{_Z2}" * 4 + "conv:c10:k4,gap",
+    "dren-z2cnn-shape": f"cycle:g5:k3,{_Z2}isotonic:g5:k3,{_Z2}maxpool:k2:s2,"
+    + f"isotonic:g5:k3,{_Z2}" * 4 + "decycle:c10:k4,gap",
+    "bench-z2cnn-shape": "cycle:g5:k3,relu,isotonic:g5:k3,relu,maxpool:k2:s2,"
+    + "isotonic:g5:k3,relu," * 4 + "decycle:c10:k4,gap",
+    "bench-nin-shape": "cycle:g8:k3,relu,isotonic:g8:k1,relu,isotonic:g8:k1,relu,maxpool:k2:s2,"
+    + "isotonic:g8:k3,relu,isotonic:g8:k1,relu,decycle:c10:k1,gap",
+}
+
+
+def preset_stack(name: str) -> list:
+    """The layer stack of preset `name`, parsed from `PRESETS`."""
+    if name not in PRESETS:
+        raise ModelSpecError(f"unknown preset {name!r}")
+    return parse_layer_stack(PRESETS[name])
 
 
 def plan_layers(specs: list, in_channels: int, input_size: int | None = None) -> tuple:
@@ -372,7 +470,7 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
         entry = KINDS[kind]
         if entry.grouped and c % 4 != 0:
             raise ModelSpecError(f"layer {i} ({kind}): channel count {c} is not divisible by 4")
-        windowed = entry.expand is not None or kind == "max_pool"
+        windowed = "kernel" in entry.reads
         if windowed and (spec.kernel < 1 or spec.stride < 1):
             raise ModelSpecError(
                 f"layer {i} ({kind}): kernel {spec.kernel} and stride {spec.stride} must both be >= 1"
@@ -633,86 +731,3 @@ def finite_diff_check(model: Model, x: np.ndarray, labels: np.ndarray) -> float:
                 denom = max(abs(fd) + abs(gflat[j]), floor)
                 worst = max(worst, abs(fd - gflat[j]) / denom)
     return worst
-
-
-def preset_stack(name: str) -> list:
-    """Named layer stacks used by the CLI, benchmarks, and tests."""
-    k3, k4 = 3, 4
-    if name == "dren-small":
-        return [
-            LayerSpec("cycle", width=5, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("isotonic", width=5, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("isotonic", width=5, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("decycle", width=10, kernel=k3),
-            LayerSpec("global_avg_pool"),
-        ]
-    if name == "cnn-small":
-        return [
-            LayerSpec("conv", width=20, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("conv", width=20, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("conv", width=20, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("conv", width=10, kernel=k3),
-            LayerSpec("global_avg_pool"),
-        ]
-    if name == "z2cnn-shape":
-        stack = []
-        for layer in range(6):
-            stack += [
-                LayerSpec("conv", width=20, kernel=k3),
-                LayerSpec("relu"),
-                LayerSpec("dropout", rate=0.25),
-                LayerSpec("group_batchnorm"),
-            ]
-            if layer == 1:
-                stack.append(LayerSpec("max_pool", kernel=2, stride=2))
-        stack += [LayerSpec("conv", width=10, kernel=k4), LayerSpec("global_avg_pool")]
-        return stack
-    if name == "dren-z2cnn-shape":
-        stack = [
-            LayerSpec("cycle", width=5, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("dropout", rate=0.25),
-            LayerSpec("group_batchnorm"),
-        ]
-        for layer in range(5):
-            stack += [
-                LayerSpec("isotonic", width=5, kernel=k3),
-                LayerSpec("relu"),
-                LayerSpec("dropout", rate=0.25),
-                LayerSpec("group_batchnorm"),
-            ]
-            if layer == 0:
-                stack.append(LayerSpec("max_pool", kernel=2, stride=2))
-        stack += [LayerSpec("decycle", width=10, kernel=k4), LayerSpec("global_avg_pool")]
-        return stack
-    if name == "bench-z2cnn-shape":
-        stack = [LayerSpec("cycle", width=5, kernel=k3), LayerSpec("relu")]
-        for layer in range(5):
-            stack += [LayerSpec("isotonic", width=5, kernel=k3), LayerSpec("relu")]
-            if layer == 0:
-                stack.append(LayerSpec("max_pool", kernel=2, stride=2))
-        stack += [LayerSpec("decycle", width=10, kernel=k4), LayerSpec("global_avg_pool")]
-        return stack
-    if name == "bench-nin-shape":
-        return [
-            LayerSpec("cycle", width=8, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("isotonic", width=8, kernel=1),
-            LayerSpec("relu"),
-            LayerSpec("isotonic", width=8, kernel=1),
-            LayerSpec("relu"),
-            LayerSpec("max_pool", kernel=2, stride=2),
-            LayerSpec("isotonic", width=8, kernel=k3),
-            LayerSpec("relu"),
-            LayerSpec("isotonic", width=8, kernel=1),
-            LayerSpec("relu"),
-            LayerSpec("decycle", width=10, kernel=1),
-            LayerSpec("global_avg_pool"),
-        ]
-    raise ModelSpecError(f"unknown preset {name!r}")

@@ -156,6 +156,16 @@ def test_checkpoint_dropout_rate_of_one_is_usage_error(tmp_path, data_dir, capsy
     assert "layer 5 (dropout): rate 1.0 is outside [0, 1)" in capsys.readouterr().err
 
 
+def test_checkpoint_with_fields_its_kinds_do_not_read_still_loads():
+    # layer 2 is relu; give its record a width, kernel, stride and pad that
+    # the layer grammar would reject, as a file written before it did
+    raw = bytearray(encode_checkpoint(full_featured_model()))
+    struct.pack_into("<IIII", raw, 16 + 2 * struct.calcsize("<BIIIII") + 1, 5, 3, 2, 1)
+    model = decode_checkpoint(bytes(raw))
+    assert model.specs[2] == LayerSpec("relu", width=5, kernel=3, stride=2, pad=1)
+    assert encode_checkpoint(model) == bytes(raw)
+
+
 def test_eval_truncated_checkpoint_is_usage_error(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "cut.ckpt"
     ckpt.write_bytes(encode_checkpoint(full_featured_model())[:40])
@@ -331,6 +341,10 @@ def test_train_flag_overrides_config(tmp_path, data_dir, capsys):
         ("conv:q3,gap", "unknown layer token 'q3' in 'conv:q3'"),
         ("conv:kx,gap", "bad value in layer token 'kx' in 'conv:kx'"),
         ("conv:c10:k1,,gap", "empty layer item"),
+        ("conv:c10:k1,relu:g5,gap", "relu takes no width: token 'g5' in 'relu:g5'"),
+        ("conv:c10:k1,gap:r0.9", "global_avg_pool takes no rate: token 'r0.9' in 'gap:r0.9'"),
+        ("conv:c10:k1,dropout:k3,gap", "dropout takes no kernel: token 'k3' in 'dropout:k3'"),
+        ("conv:c10:k1,maxpool:g5:k2:s2,gap", "max_pool takes no width: token 'g5' in 'maxpool:g5:k2:s2'"),
         ("@nope", "unknown preset 'nope'"),
     ],
 )
@@ -367,6 +381,56 @@ def test_zero_epochs_is_usage_error(tmp_path, capsys, command):
     argv = [command, "--data-dir", str(tmp_path / "absent"), "--epochs", "0"]
     assert cli.main(argv) == 2
     assert "epochs must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--lr", "nan"], "lr must be finite, got nan"),
+        (["--momentum", "inf"], "momentum must be finite, got inf"),
+        (["--lr-decay=-inf"], "lr_decay must be finite, got -inf"),
+    ],
+    ids=["seed", "lr", "momentum", "lr_decay"],
+)
+def test_out_of_range_train_values_are_usage_errors(tmp_path, capsys, command, flags, message):
+    # the data dir does not exist, so reading it would fail with exit 1
+    argv = [command, "--data-dir", str(tmp_path / "absent"), *flags]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_seed_in_run_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'absent'}\nseed = -1\n")
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag,message",
+    [
+        (["gen-data", "--seed", "-1"], "--seed", "must be >= 0, got -1"),
+        (["gen-data", "--n", "-5"], "--n", "must be >= 0, got -5"),
+        (["gen-data", "--n", "10", "--n-train", "-1"], "--n-train", "must be >= 0, got -1"),
+        (["verify", "--seed", "-1"], "--seed", "must be >= 0, got -1"),
+        (["verify", "--trials", "-3"], "--trials", "must be >= 1, got -3"),
+        (["verify", "--trials", "0"], "--trials", "must be >= 1, got 0"),
+        (["bench", "--seed", "-1"], "--seed", "must be >= 0, got -1"),
+        (["bench", "--batch", "0"], "--batch", "must be >= 1, got 0"),
+        (["bench", "--batch", "two"], "--batch", "expected an integer, got 'two'"),
+    ],
+    ids=lambda v: "_".join(v) if isinstance(v, list) else None,
+)
+def test_bad_count_flags_exit_two_naming_the_flag(tmp_path, capsys, argv, flag, message):
+    if argv[0] == "gen-data":
+        argv = [*argv, "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -483,6 +547,41 @@ def test_python_dash_m_runs_cli():
     )
     assert run.returncode == 0, run.stderr
     assert "usage:" in run.stdout and "verify" in run.stdout
+
+
+# sha256 of repr(preset_stack(name)), recorded from the builders the
+# PRESETS texts replaced
+PRESET_DIGESTS = {
+    "dren-small": "7846de62970df64c26925cc20f470657fa367470e04fc7958435338afc352b0f",
+    "cnn-small": "f90bd1244814ae8a465dfc471ca9c65fbf4979552aa521d433d038add7659727",
+    "z2cnn-shape": "1cd3a5ed4302a01eb87d35bfd23cb47d03ac96cd2201c8e00ecefbdaedc346eb",
+    "dren-z2cnn-shape": "fd60114a0c8dee35a1f31d7df8dfdf0e196c7a93f9bf74d0a92a2f1f54cd9673",
+    "bench-z2cnn-shape": "7a50474e2cebb9e54bbdb26be2ad97ecc456b83ae922baefe1c33d6f4e639cfe",
+    "bench-nin-shape": "b1dab537758d7714dcf635606dda35a87b70e43436f783c4f1e57631ebceb4c5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_stack_matches_recorded_digest(name):
+    assert hashlib.sha256(repr(preset_stack(name)).encode()).hexdigest() == PRESET_DIGESTS[name]
+
+
+# sha256 of repr(sweep_stack(depth)), recorded from the builder the
+# grammar text replaced
+SWEEP_DIGESTS = {
+    1: "badad2bbdee7d9c209bca5e8f5fbbaf8332eeed19768746e556650d69ec52620",
+    2: "1ea5c187edf28cc3cb7984bbcec52a287b38a9930e82d5c475a1be22a3f25bef",
+    3: "a13354f39d6c3630f6fa285ddb1cf01bf1ea74472deee09bdecbd0a8792cbfc7",
+    4: "a72ea661fe841573ba05cdc3954f3690cdb5cebbb71846f514407ca24689aedd",
+    5: "0783ece3fe41da2061a3639833c6cde94b0608db82d6685f0984bf0c63132a76",
+    6: "f80b7f123a80487a4d5488c972f19de703cd1016a5b4445928edbd5b07a4c562",
+    7: "5ffb33312012d4030ecfb9b33590c64f3324cecfe0d61f6b615cfb2a759f6d1b",
+}
+
+
+@pytest.mark.parametrize("depth", sorted(SWEEP_DIGESTS))
+def test_sweep_stack_matches_recorded_digest(depth):
+    assert hashlib.sha256(repr(sweep_stack(depth)).encode()).hexdigest() == SWEEP_DIGESTS[depth]
 
 
 def test_sweep_stacks_build_at_every_depth():

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from roteq import data, network
 from roteq.network import (
+    KIND_ALIASES,
     KINDS,
+    LAYER_TOKENS,
+    PRESETS,
     LayerSpec,
     ModelSpecError,
     TrainConfig,
@@ -19,6 +26,7 @@ from roteq.network import (
     evaluate,
     finite_diff_check,
     forward,
+    parse_layer_stack,
     predict,
     preset_stack,
     softmax_cross_entropy,
@@ -135,6 +143,68 @@ def test_stride_condition_warning():
         warnings.simplefilter("always")
         build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     assert not rec  # the 28x28 stack satisfies the condition everywhere
+
+
+# ---------------------------------------------------------------------------
+# the layer grammar
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("conv:c4:k3:r0.5", "conv takes no rate: token 'r0.5' in 'conv:c4:k3:r0.5'"),
+        ("cycle:g2:k3,bn:c8,decycle:c2:k1", "group_batchnorm takes no width: token 'c8' in 'bn:c8'"),
+        ("conv:c2:k1,gpmean:s2", "group_pool_mean takes no stride: token 's2' in 'gpmean:s2'"),
+    ],
+)
+def test_grammar_rejects_tokens_the_kind_does_not_read(text, message):
+    with pytest.raises(ModelSpecError) as exc:
+        parse_layer_stack(text)
+    assert str(exc.value) == message
+
+
+_GRAMMAR_WORDS = sorted(set(KINDS) | set(KIND_ALIASES)) + ["@" + name for name in PRESETS]
+_GRAMMAR_ALPHABET = "".join(
+    sorted(set("".join(_GRAMMAR_WORDS)) | set(LAYER_TOKENS) | set("0123456789.-+e:,@ "))
+)
+
+
+@st.composite
+def grammar_texts(draw):
+    """Stack text over the grammar's alphabet: free strings, or items of real kinds and tokens."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=_GRAMMAR_ALPHABET, max_size=60))
+    odd_numbers = st.one_of(st.floats().map(str), st.text("0123456789.-e", max_size=4))
+    items = []
+    for word in draw(st.lists(st.sampled_from(_GRAMMAR_WORDS), min_size=1, max_size=6)):
+        kind = KINDS.get(KIND_ALIASES.get(word, word))
+        read = [c for c, (field, _) in LAYER_TOKENS.items() if kind and field in kind.reads]
+        # mostly small integers in tokens the kind reads, so that many draws parse
+        fair = draw(st.integers(0, 4)) > 0
+        letters = read if read and fair else sorted(LAYER_TOKENS)
+        number = st.integers(-3, 40).map(str) if fair else odd_numbers
+        token = st.builds(str.__add__, st.sampled_from(letters), number)
+        items.append(":".join([word, *draw(st.lists(token, max_size=4 if read else int(not fair)))]))
+    return ",".join(items)
+
+
+@seed(20240817)
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=grammar_texts())
+@example(text="@dren-z2cnn-shape")
+@example(text="conv:c1_0:k3")  # int() takes digit-group underscores
+@example(text="dropout:rnan,dropout:r-inf")
+@example(text="cycle:g" + "9" * 5000)  # past int()'s digit limit
+def test_grammar_returns_specs_or_raises_a_spec_error(text):
+    try:
+        specs = parse_layer_stack(text)
+    except ModelSpecError:
+        return
+    assert specs and all(isinstance(spec, LayerSpec) for spec in specs)
+    default = LayerSpec("relu")
+    for spec in specs:  # a field the kind does not read keeps its default
+        unread = {f.name for f in dataclasses.fields(LayerSpec)} - {"kind", *KINDS[spec.kind].reads}
+        assert all(getattr(spec, name) == getattr(default, name) for name in unread), spec
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +602,12 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
+    for name in ("lr", "momentum", "lr_decay"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+                TrainConfig(**{name: value})
     with pytest.raises(ValueError, match="float16"):
         build_model(preset_stack("dren-small"), precision="float16")
     assert build_model(preset_stack("dren-small"), precision="float64").dtype == np.float64
