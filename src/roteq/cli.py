@@ -28,8 +28,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import data as data_mod
-from . import eqlayers, network, oracle, tensor
-from .conv import ConvGeometry, stride_preserves_equivariance
+from . import network, oracle, tensor
+from .conv import ConvGeometry, correlate2d, stride_preserves_equivariance
 from .network import LayerSpec, Model, ModelSpecError, TrainConfig, build_model, parse_layer_stack
 from .oracle import relative_deviation
 
@@ -229,39 +229,46 @@ class PropertyResult:
         return f"{self.name:<44s} dev={self.deviation:.3e} limit={self.threshold:.1e} {status}"
 
 
+def _tied_case(rng, kind: str, kernel=None, size=None) -> tuple:
+    """(base, x): a random float64 layer of tied `kind`, shaped by the kind
+    table, and its input. Width 1..5, 1..3 input channels or groups, batch
+    1..2, and unless given kernel 1 or 3 and size max(4, kernel)..12."""
+    spec = LayerSpec(kind, width=int(rng.integers(1, 6)), kernel=kernel or int(rng.choice([1, 3])))
+    size = size or int(rng.integers(max(4, spec.kernel), 13))
+    entry = network.KINDS[kind]
+    c_in = int(rng.integers(1, 4)) * (4 if entry.permuted[0] else 1)
+    x = rng.standard_normal((int(rng.integers(1, 3)), c_in, size, size))
+    return rng.standard_normal(entry.shape(spec, c_in, 4)), x
+
+
+def _identity_deviation(kind: str, base, x, geom=ConvGeometry()) -> float:
+    """Relative gap of f(R P^a x) from R P^b f(x), f one tied layer, (a, b) its kind's `permuted`."""
+    entry = network.KINDS[kind]
+    a, b = entry.permuted
+    f = lambda h: correlate2d(h, entry.expand(base), geom)
+    turn = lambda h, permuted: tensor.rotate90(tensor.cyclic_permute(h) if permuted else h)
+    return relative_deviation(f(turn(x, a)), turn(f(x), b))[1]
+
+
+def _at_most(name: str, deviation: float, limit: float) -> PropertyResult:
+    return PropertyResult(name, deviation, limit, deviation <= limit)
+
+
+def _worst_per_tied_kind(rng, trials: int, measure) -> dict:
+    """Largest `measure(kind, base, x)` over `trials` random layers of each tied kind."""
+    worst = dict.fromkeys(network.TIED_KINDS, 0.0)
+    for _ in range(trials):
+        for kind in network.TIED_KINDS:
+            worst[kind] = max(worst[kind], measure(kind, *_tied_case(rng, kind)))
+    return worst
+
+
 def suite_layers(trials: int, seed: int) -> list:
     """Randomized layer identities in float64; reports the worst deviation seen."""
     rng = np.random.default_rng(seed)
-    worst = {"cycle": 0.0, "isotonic": 0.0, "decycle": 0.0, "end_to_end": 0.0}
-    for _ in range(trials):
-        g_in = int(rng.integers(1, 4))
-        g_out = int(rng.integers(1, 4))
-        k = int(rng.choice([1, 3]))
-        size = int(rng.integers(max(4, k), 13))
-        n = int(rng.integers(1, 3))
-        x1 = rng.standard_normal((n, int(rng.integers(1, 4)), size, size))
-        base = rng.standard_normal((g_out, x1.shape[1], k, k))
-        lhs = eqlayers.forward_cycle(base, tensor.rotate90(x1))
-        rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_cycle(base, x1)))
-        worst["cycle"] = max(worst["cycle"], relative_deviation(lhs, rhs)[1])
-
-        x4 = rng.standard_normal((n, 4 * g_in, size, size))
-        rpx = tensor.rotate90(tensor.cyclic_permute(x4))
-        base = rng.standard_normal((g_out, 4, g_in, k, k))
-        lhs = eqlayers.forward_isotonic(base, rpx)
-        rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_isotonic(base, x4)))
-        worst["isotonic"] = max(worst["isotonic"], relative_deviation(lhs, rhs)[1])
-
-        base = rng.standard_normal((int(rng.integers(1, 6)), g_in, k, k))
-        lhs = eqlayers.forward_decycle(base, rpx)
-        rhs = tensor.rotate90(eqlayers.forward_decycle(base, x4))
-        worst["decycle"] = max(worst["decycle"], relative_deviation(lhs, rhs)[1])
-
-        worst["end_to_end"] = max(worst["end_to_end"], _end_to_end_deviation(rng))
-    return [
-        PropertyResult(f"layers/{name}_identity", dev, 1e-12, dev <= 1e-12)
-        for name, dev in worst.items()
-    ]
+    worst = _worst_per_tied_kind(rng, trials, _identity_deviation)
+    worst["end_to_end"] = max(_end_to_end_deviation(rng) for _ in range(trials))
+    return [_at_most(f"layers/{name}_identity", dev, 1e-12) for name, dev in worst.items()]
 
 
 def _end_to_end_deviation(rng) -> float:
@@ -288,28 +295,9 @@ def _end_to_end_deviation(rng) -> float:
 
 def suite_oracle(trials: int, seed: int) -> list:
     """Tied-filter layers against their map-rotating twins, in float64."""
-    rng = np.random.default_rng(seed)
-    worst = {"cycle": 0.0, "isotonic": 0.0, "decycle": 0.0}
-    for _ in range(trials):
-        g_in = int(rng.integers(1, 3))
-        g_out = int(rng.integers(1, 3))
-        k = int(rng.choice([1, 3]))
-        size = int(rng.choice([5, 8, 9]))
-        c_in = int(rng.integers(1, 4))
-        x1 = rng.standard_normal((2, c_in, size, size))
-        x4 = rng.standard_normal((2, 4 * g_in, size, size))
-        cases = [
-            ("cycle", (g_out, c_in, k, k), x1),
-            ("isotonic", (g_out, 4, g_in, k, k), x4),
-            ("decycle", (3, g_in, k, k), x4),
-        ]
-        for kind, shape, x in cases:
-            report = oracle.compare_paths(kind, rng.standard_normal(shape), x)
-            worst[kind] = max(worst[kind], report.max_rel_diff)
-    return [
-        PropertyResult(f"oracle/{name}_equivalence", dev, 1e-12, dev <= 1e-12)
-        for name, dev in worst.items()
-    ]
+    measure = lambda kind, base, x: oracle.compare_paths(kind, base, x).max_rel_diff
+    worst = _worst_per_tied_kind(np.random.default_rng(seed), trials, measure)
+    return [_at_most(f"oracle/{name}_equivalence", dev, 1e-12) for name, dev in worst.items()]
 
 
 def suite_gradients(trials: int, seed: int) -> list:
@@ -333,29 +321,17 @@ def suite_stride(trials: int, seed: int) -> list:
     """Quarter-turn equivariance of a strided cycle layer vs the size rule."""
     rng = np.random.default_rng(seed)
     draws = max(1, trials // 10)
-    true_worst = 0.0
-    false_best = np.inf
+    devs = {True: [], False: []}  # by whether the size rule holds
     for kernel in (2, 3):
         for size in range(3, 13):
-            if size < kernel:
-                continue
-            holds = stride_preserves_equivariance(size, 2, kernel)
             for _ in range(draws):
-                base = rng.standard_normal((2, 1, kernel, kernel))
-                x = rng.standard_normal((2, 1, size, size))
-                geom = ConvGeometry(stride=2)
-                lhs = eqlayers.forward_cycle(base, tensor.rotate90(x), geom)
-                rhs = tensor.rotate90(tensor.cyclic_permute(eqlayers.forward_cycle(base, x, geom)))
-                dev = relative_deviation(lhs, rhs)[1]
-                if holds:
-                    true_worst = max(true_worst, dev)
-                else:
-                    false_best = min(false_best, dev)
+                base, x = _tied_case(rng, "cycle", kernel, size)
+                dev = _identity_deviation("cycle", base, x, ConvGeometry(stride=2))
+                devs[stride_preserves_equivariance(size, 2, kernel)].append(dev)
+    false_best = min(devs[False])
     return [
-        PropertyResult("stride/equivariant_when_rule_holds", true_worst, 1e-12, true_worst <= 1e-12),
-        PropertyResult(
-            "stride/violated_when_rule_fails", false_best, 1e-3, bool(false_best > 1e-3)
-        ),
+        _at_most("stride/equivariant_when_rule_holds", max(devs[True]), 1e-12),
+        PropertyResult("stride/violated_when_rule_fails", false_best, 1e-3, false_best > 1e-3),
     ]
 
 
@@ -380,11 +356,13 @@ def run_suites(which: str, trials: int, seed: int) -> list:
 
 
 def cmd_gen_data(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_train = args.n_train if args.n_train is not None else (args.n * 7) // 10
     n_val = args.n_val if args.n_val is not None else (args.n * 15) // 100
-    n_test = args.n_test if args.n_test is not None else args.n - n_train - n_val
+    n_test = args.n_test if args.n_test is not None else max(args.n - n_train - n_val, 0)
+    if n_train + n_val + n_test > args.n:
+        raise ConfigError(f"--n-train {n_train} + --n-val {n_val} + --n-test {n_test} exceed --n {args.n}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ds = data_mod.synth_glyphs(args.n, size=args.size, seed=args.seed)
     if args.mode == "exact":
         ds = data_mod.rotate_dataset_exact(ds, seed=args.seed + 1)
@@ -607,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "arbitrary", "synth"), default="exact")
     p.add_argument("--n", type=NON_NEGATIVE, default=1000)
     p.add_argument("--seed", type=NON_NEGATIVE, default=0)
-    p.add_argument("--size", type=POSITIVE, default=28)
+    p.add_argument("--size", type=_count_at_least(10), default=28)
     p.add_argument("--n-train", type=NON_NEGATIVE, default=None)
     p.add_argument("--n-val", type=NON_NEGATIVE, default=None)
     p.add_argument("--n-test", type=NON_NEGATIVE, default=None)
@@ -636,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time both layer strategies")
     p.add_argument("--model", choices=sorted(bench_mod.BENCH_MODELS), default="z2cnn-shape")
     p.add_argument("--batch", type=POSITIVE, default=64)
-    p.add_argument("--trials", type=POSITIVE, default=5)
+    p.add_argument("--trials", type=_count_at_least(3), default=5)
     p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.add_argument("--out", default=None, help="CSV path")
     p.set_defaults(fn=cmd_bench)

@@ -251,9 +251,11 @@ class LayerKind:
     `expand` turns it into the (c_out, c_in, k, k) filter bank,
     `collapse(grad)` folds the bank's gradient back onto its shape, and
     the array starts uniform random. Other kinds start at `fill`, one value per
-    array. A `grouped` kind needs 4-channel groups at its input. `reads`
-    names the `LayerSpec` fields the kind uses; the grammar rejects a
-    token for any other field.
+    array. `permuted` = (a, b) says a tied kind maps R P^a x to R P^b f(x)
+    (R a quarter turn, P the cyclic shift within each 4-channel group);
+    None means the kind commutes with R and P. A `grouped` kind, like any
+    with permuted input, needs 4-channel groups. `reads` names the
+    `LayerSpec` fields the kind uses; the grammar rejects a token for any other field.
     """
 
     forward: Callable
@@ -267,6 +269,7 @@ class LayerKind:
     fill: tuple = ()
     expand: Callable | None = None
     collapse: Callable | None = None
+    permuted: tuple | None = None
 
 
 _WINDOW_FIELDS = ("kernel", "stride", "pad")
@@ -286,20 +289,21 @@ KINDS = {
         out_channels=lambda spec, c: 4 * spec.width,
         expand=lambda base: expand_cycle(base),
         collapse=lambda grad: collapse_cycle_grad(grad),
+        permuted=(False, True),
     ),
     "isotonic": _filter_kind(
         shape=lambda spec, c, group: (spec.width, 4, c // 4, spec.kernel, spec.kernel),
         out_channels=lambda spec, c: 4 * spec.width,
         expand=lambda base: expand_isotonic(base),
         collapse=lambda grad: collapse_isotonic_grad(grad),
-        grouped=True,
+        permuted=(True, True),
     ),
     "decycle": _filter_kind(
         shape=lambda spec, c, group: (spec.width, c // 4, spec.kernel, spec.kernel),
         out_channels=lambda spec, c: spec.width,
         expand=lambda base: expand_decycle(base),
         collapse=lambda grad: collapse_decycle_grad(grad),
-        grouped=True,
+        permuted=(True, False),
     ),
     "conv": _filter_kind(
         shape=lambda spec, c, group: (spec.width, c, spec.kernel, spec.kernel),
@@ -331,19 +335,18 @@ KINDS = {
         partial(_group_pool_forward, "max"),
         partial(_group_pool_backward, "max"),
         out_channels=lambda spec, c: c // 4,
-        grouped=True,
+        permuted=(True, False),
     ),
     "group_pool_mean": LayerKind(
         partial(_group_pool_forward, "mean"),
         partial(_group_pool_backward, "mean"),
         out_channels=lambda spec, c: c // 4,
-        grouped=True,
+        permuted=(True, False),
     ),
     "global_avg_pool": LayerKind(_global_pool_forward, _global_pool_backward),
 }
 ALL_KINDS = tuple(KINDS)  # checkpoint kind codes are positions in this tuple
 TIED_KINDS = ("cycle", "isotonic", "decycle")  # each has an `oracle.oracle_<kind>`
-DREN_KINDS = TIED_KINDS + ("group_pool_max", "group_pool_mean")
 
 
 # ---------------------------------------------------------------------------
@@ -432,42 +435,38 @@ def preset_stack(name: str) -> list:
 def plan_layers(specs: list, in_channels: int, input_size: int | None = None) -> tuple:
     """Check a layer stack; returns (per-layer array shape or None, per-layer output channels).
 
-    Ordering rules for stacks containing tied layers: the first
-    trainable layer must be a cycle layer; isotonic layers may only
-    appear between it and a single decycle (or group pool) terminator;
-    after the terminator the only trainable allowed besides bias/norm is
-    a 1x1 conv head. Conv-like and max-pool layers need kernel and
-    stride >= 1 and a pad >= 0, conv-like ones a width >= 1; max
-    pooling takes no pad, and a dropout rate lies in [0, 1). Given
-    `input_size`, every window must fit its input. Stride settings that
-    break the quarter-turn equivariance condition produce a warning
-    naming the layer.
-    Nothing is allocated, so a stack read from a file can be sized
-    before it is built.
+    Tied-segment rules come from each kind's `permuted` pair: a kind
+    with permuted output but not input opens the segment, before all
+    other tied layers and after no untied conv; one with permuted input
+    needs it open and closes it unless its output is permuted too; no
+    untied conv sits inside it, and it must be closed. Untied convs of
+    any kernel may follow it; wider than 1x1 they lose exact invariance. Conv-like
+    and max-pool layers need kernel and stride >= 1 and a pad >= 0,
+    conv-like ones a width >= 1; max pooling takes no pad, and a dropout
+    rate lies in [0, 1). Given `input_size`, every window must fit its
+    input, and in a tied stack a stride that breaks the quarter-turn
+    condition warns, naming the layer. Nothing is allocated, so a stack
+    read from a file can be sized before it is built.
     """
     if not specs:
         raise ModelSpecError("layer stack is empty")
-    uses_dren = any(s.kind in DREN_KINDS for s in specs)
+    tied = any(KINDS[s.kind].permuted for s in specs)
     shapes, channels = [], []
     c = in_channels
     size = input_size
-    zone = "pre"  # pre -> dren (after cycle) -> post (after terminator); plain stacks stay "pre"
+    permuted = None  # whether the maps carry P: None before the tied segment, True inside, False after
     for i, spec in enumerate(specs):
         kind = spec.kind
-        if kind == "cycle":
-            if zone != "pre":
-                raise ModelSpecError(f"layer {i}: cycle layer must come before all other tied layers")
-            if uses_dren and any(s.kind == "conv" for s in specs[:i]):
-                raise ModelSpecError(f"layer {i}: cycle must be the first trainable layer")
-        elif kind == "isotonic" and zone != "dren":
-            raise ModelSpecError(f"layer {i}: isotonic layer outside the cycle..decycle segment")
-        elif kind == "decycle" and zone != "dren":
-            raise ModelSpecError(f"layer {i}: decycle layer requires a preceding cycle layer")
-        elif kind in ("group_pool_max", "group_pool_mean") and zone != "dren":
-            raise ModelSpecError(f"layer {i}: group pooling requires a preceding cycle layer")
-        elif kind == "conv" and zone == "dren":
-            raise ModelSpecError(f"layer {i}: untied conv inside the cycle..decycle segment")
         entry = KINDS[kind]
+        if entry.permuted and not entry.permuted[0]:
+            if permuted is not None:
+                raise ModelSpecError(f"layer {i}: {kind} layer must come before all other tied layers")
+            if any(KINDS[s.kind].expand for s in specs[:i]):  # all untied, the segment not yet open
+                raise ModelSpecError(f"layer {i}: {kind} must be the first trainable layer")
+        elif entry.permuted and not permuted:
+            raise ModelSpecError(f"layer {i}: {kind} layer outside the cycle..decycle segment")
+        elif entry.expand and not entry.permuted and permuted:
+            raise ModelSpecError(f"layer {i}: untied {kind} inside the cycle..decycle segment")
         if entry.grouped and c % 4 != 0:
             raise ModelSpecError(f"layer {i} ({kind}): channel count {c} is not divisible by 4")
         windowed = "kernel" in entry.reads
@@ -483,19 +482,17 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
             raise ModelSpecError(f"layer {i} (max_pool): max pooling takes no pad, got pad {spec.pad}")
         if kind == "dropout" and not 0 <= spec.rate < 1:
             raise ModelSpecError(f"layer {i} (dropout): rate {spec.rate} is outside [0, 1)")
-        shapes.append(entry.shape(spec, c, 4 if zone == "dren" else 1) if entry.shape else None)
+        shapes.append(entry.shape(spec, c, 4 if permuted else 1) if entry.shape else None)
         c = entry.out_channels(spec, c)
-        if kind == "cycle":
-            zone = "dren"
-        elif kind in ("decycle", "group_pool_max", "group_pool_mean"):
-            zone = "post"
+        if entry.permuted:
+            permuted = entry.permuted[1]
 
         if size is not None and windowed:
             try:
                 out_size = output_size(size, spec.kernel, spec.stride, spec.pad)
             except ValueError as exc:
                 raise ModelSpecError(f"layer {i} ({kind}): {exc}") from None
-            if uses_dren and not stride_preserves_equivariance(size + 2 * spec.pad, spec.stride, spec.kernel):
+            if tied and not stride_preserves_equivariance(size + 2 * spec.pad, spec.stride, spec.kernel):
                 warnings.warn(
                     f"layer {i} ({kind}): input size {size} with stride {spec.stride} and "
                     f"kernel {spec.kernel} breaks the rotation-equivariance condition",
@@ -506,10 +503,8 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
             size = 1
         channels.append(c)
 
-    if zone == "dren":
-        raise ModelSpecError(
-            "tied stack never terminated: add a decycle or group pooling layer"
-        )
+    if permuted:
+        raise ModelSpecError("tied stack never terminated: add a decycle or group pooling layer")
     return shapes, channels
 
 

@@ -210,3 +210,35 @@ def max_rel(a, b):
     diff = float(np.max(np.abs(a - b))) if np.asarray(a).size else 0.0
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
     return diff / scale
+
+
+def segment_rule_violation(kinds):
+    """Index of the first layer the tied-segment ordering rules reject,
+    len(kinds) for a segment never closed, or None for an accepted stack.
+
+    The explicit per-kind chain the rules were first written as: zone
+    "pre" until the cycle layer, "dren" inside the segment, "post" after
+    the decycle or group-pool terminator.
+    """
+    dren_kinds = ("cycle", "isotonic", "decycle", "group_pool_max", "group_pool_mean")
+    uses_dren = any(kind in dren_kinds for kind in kinds)
+    zone = "pre"
+    for i, kind in enumerate(kinds):
+        if kind == "cycle":
+            if zone != "pre":
+                return i
+            if uses_dren and "conv" in kinds[:i]:
+                return i
+        elif kind == "isotonic" and zone != "dren":
+            return i
+        elif kind == "decycle" and zone != "dren":
+            return i
+        elif kind in ("group_pool_max", "group_pool_mean") and zone != "dren":
+            return i
+        elif kind == "conv" and zone == "dren":
+            return i
+        if kind == "cycle":
+            zone = "dren"
+        elif kind in ("decycle", "group_pool_max", "group_pool_mean"):
+            zone = "post"
+    return len(kinds) if zone == "dren" else None

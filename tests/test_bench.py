@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roteq import network
+from roteq import network, oracle
 
 from roteq.bench import (
     ROTATE_FEATURE_MAPS,
@@ -137,3 +137,10 @@ def test_tracer_bindings_resolve():
     assert t.calls["eqlayers.expand"] == 2 * len(tied)
     assert t.calls["eqlayers.collapse_grad"] == len(tied)
     assert t.calls["tensor.rotate_kernels90"] == 0
+
+
+def test_time_forward_refuses_to_time_diverging_strategies(monkeypatch):
+    real = oracle.oracle_cycle
+    monkeypatch.setattr(oracle, "oracle_cycle", lambda base, x, geom: real(base, x, geom) * 1.01)
+    with pytest.raises(RuntimeError, match="refusing to time"):
+        time_forward("z2cnn-shape", ROTATE_FILTERS, batch=2, trials=3)

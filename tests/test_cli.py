@@ -262,6 +262,31 @@ def test_gen_data_files_load_back(data_dir):
         assert ds.images.shape[2:] == (12, 12)
 
 
+def test_gen_data_arbitrary_mode_writes_loadable_splits(tmp_path, capsys):
+    argv = ["gen-data", "--out", str(tmp_path), "--mode", "arbitrary", "--n", "20", "--size", "10"]
+    assert cli.main(argv) == 0
+    assert "wrote 14/3/3 arbitrary images of size 10" in capsys.readouterr().out
+    for name, count in (("train", 14), ("val", 3), ("test", 3)):
+        ds = cli.read_split(tmp_path, name)
+        assert len(ds) == count and ds.images.shape[1:] == (1, 10, 10)
+
+
+@pytest.mark.parametrize(
+    "split,message",
+    [
+        (["--n-train", "12"], "--n-train 12 + --n-val 1 + --n-test 0 exceed --n 10"),
+        (["--n-val", "11"], "--n-train 7 + --n-val 11 + --n-test 0 exceed --n 10"),
+        (["--n-train", "5", "--n-val", "3", "--n-test", "3"], "--n-train 5 + --n-val 3 + --n-test 3 exceed --n 10"),
+    ],
+    ids=["n_train_alone", "n_val_alone", "all_three"],
+)
+def test_gen_data_split_larger_than_n_is_usage_error(tmp_path, capsys, split, message):
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--out", str(out), "--n", "10", "--size", "10", *split]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_eval_round_trip(tmp_path, data_dir, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -420,6 +445,9 @@ def test_negative_seed_in_run_config_is_usage_error(tmp_path, capsys):
         (["bench", "--seed", "-1"], "--seed", "must be >= 0, got -1"),
         (["bench", "--batch", "0"], "--batch", "must be >= 1, got 0"),
         (["bench", "--batch", "two"], "--batch", "expected an integer, got 'two'"),
+        (["bench", "--trials", "1"], "--trials", "must be >= 3, got 1"),
+        (["bench", "--trials", "2"], "--trials", "must be >= 3, got 2"),
+        (["gen-data", "--size", "5"], "--size", "must be >= 10, got 5"),
     ],
     ids=lambda v: "_".join(v) if isinstance(v, list) else None,
 )
@@ -499,6 +527,31 @@ def test_verify_command_exits_zero(capsys):
     assert cli.main(["verify", "--suite", "layers", "--trials", "5", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "properties passed" in out
+
+
+VERIFY_PROPERTIES = [  # (name, printed limit) of every property `verify --suite all` reports
+    ("layers/cycle_identity", "1.0e-12"),
+    ("layers/isotonic_identity", "1.0e-12"),
+    ("layers/decycle_identity", "1.0e-12"),
+    ("layers/end_to_end_identity", "1.0e-12"),
+    ("oracle/cycle_equivalence", "1.0e-12"),
+    ("oracle/isotonic_equivalence", "1.0e-12"),
+    ("oracle/decycle_equivalence", "1.0e-12"),
+    ("gradients/dren_small_finite_diff", "1.0e-04"),
+    ("gradients/plain_cnn_finite_diff", "1.0e-04"),
+    ("stride/equivariant_when_rule_holds", "1.0e-12"),
+    ("stride/violated_when_rule_fails", "1.0e-03"),
+]
+
+
+def test_verify_all_suites_report_every_property(capsys):
+    assert cli.main(["verify", "--suite", "all", "--trials", "3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    rows = [re.fullmatch(r"(\S+) +dev=\S+ limit=(\S+) (PASS|FAIL)", line) for line in lines[:-1]]
+    assert [(m.group(1), m.group(2), m.group(3)) for m in rows] == [
+        (name, limit, "PASS") for name, limit in VERIFY_PROPERTIES
+    ]
+    assert lines[-1] == "11/11 properties passed"
 
 
 def test_verify_stride_suite(capsys):
@@ -599,6 +652,13 @@ def test_sweep_stacks_build_at_every_depth():
         assert kinds.count("decycle") + kinds.count("group_pool_max") == 1
     with pytest.raises(ValueError):
         sweep_stack(8)
+
+
+def test_sweep_rejects_images_other_than_28_pixels(data_dir, capsys):
+    assert cli.main(["sweep", "--depths", "1", "--data-dir", str(data_dir), "--epochs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "sweep: the depth family expects 28x28 images" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_command_tiny(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +34,8 @@ from roteq.network import (
     train,
 )
 from roteq.tensor import rotate90
+
+import reference
 
 
 def dren_small_linear():
@@ -143,6 +146,45 @@ def test_stride_condition_warning():
         warnings.simplefilter("always")
         build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     assert not rec  # the 28x28 stack satisfies the condition everywhere
+
+
+# one grammar item per kind, sized so that only the segment rules can reject
+_SEGMENT_ITEMS = {
+    "cycle": "cycle:g2:k1",
+    "isotonic": "isotonic:g1:k1",
+    "decycle": "decycle:c4:k1",
+    "group_pool_max": "gpmax",
+    "group_pool_mean": "gpmean",
+    "conv": "conv:c4:k1",
+    "relu": "relu",
+    "group_batchnorm": "bn",
+    "global_avg_pool": "gap",
+}
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(kinds=st.lists(st.sampled_from(sorted(_SEGMENT_ITEMS)), min_size=1, max_size=8))
+@example(kinds=["cycle", "relu", "group_pool_max", "conv", "relu", "conv", "global_avg_pool"])
+@example(kinds=["group_batchnorm", "cycle", "isotonic", "decycle", "conv", "global_avg_pool"])
+@example(kinds=["conv", "relu", "cycle", "decycle"])
+@example(kinds=["cycle", "decycle", "cycle", "decycle"])
+@example(kinds=["cycle", "group_pool_mean", "isotonic"])
+@example(kinds=["cycle", "conv", "decycle"])
+@example(kinds=["cycle", "isotonic", "global_avg_pool"])
+@example(kinds=["conv", "decycle"])
+def test_segment_rules_match_the_per_kind_reference(kinds):
+    specs = parse_layer_stack(",".join(_SEGMENT_ITEMS[kind] for kind in kinds))
+    want = reference.segment_rule_violation(kinds)
+    try:
+        network.plan_layers(specs, in_channels=1)
+    except ModelSpecError as exc:
+        at = re.match(r"layer (\d+): ", str(exc))
+        if at is None:
+            assert "never terminated" in str(exc), exc
+        assert (int(at.group(1)) if at else len(kinds)) == want, exc
+    else:
+        assert want is None
 
 
 # ---------------------------------------------------------------------------
