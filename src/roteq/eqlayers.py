@@ -12,7 +12,9 @@ arrays it is given. Rotating a filter only moves its entries, so the
 forward pass gathers the bank from the base (each entry lands in four
 places, once per quarter turn) and the backward collapse is that
 gather's adjoint: each entry's gradient sums its four bank gradients.
-Both read one index table per (kind, base shape), built once.
+Both read one index table per (kind, base shape), built once. The
+module depends only on `tensor`; the correlation that applies a bank
+is the caller's (`network` runs it through `conv.correlate2d`).
 
 Free parameter counts: a cycle layer holds g*c_in*k^2 reals, an
 isotonic layer 4*g_out*g_in*k^2 (one quarter of the 16*g_out*g_in*k^2
@@ -25,7 +27,6 @@ import math
 
 import numpy as np
 
-from .conv import ConvGeometry, correlate2d
 from .tensor import group_count, rotate_kernels90
 
 
@@ -85,18 +86,6 @@ def expand_decycle(base: np.ndarray) -> np.ndarray:
     turns: the row form [w, Rw, R^2w, R^3w].
     """
     return base.ravel()[_tying("decycle", base.shape)[0]]
-
-
-def forward_cycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
-    return correlate2d(x, expand_cycle(base), geom)
-
-
-def forward_isotonic(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
-    return correlate2d(x, expand_isotonic(base), geom)
-
-
-def forward_decycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
-    return correlate2d(x, expand_decycle(base), geom)
 
 
 def _collapse(kind: str, grad_w: np.ndarray, shape: tuple) -> np.ndarray:
@@ -260,9 +249,6 @@ __all__ = [
     "expand_cycle",
     "expand_isotonic",
     "expand_decycle",
-    "forward_cycle",
-    "forward_isotonic",
-    "forward_decycle",
     "collapse_cycle_grad",
     "collapse_isotonic_grad",
     "collapse_decycle_grad",

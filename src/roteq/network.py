@@ -83,7 +83,7 @@ PRECISIONS = {"float32": np.float32, "float64": np.float64}  # `build_model` pre
 
 @dataclass
 class TrainConfig:
-    lr: float = 0.05
+    lr: float = 0.01
     momentum: float = 0.9
     batch_size: int = 32
     epochs: int = 10
@@ -346,7 +346,8 @@ KINDS = {
     "global_avg_pool": LayerKind(_global_pool_forward, _global_pool_backward),
 }
 ALL_KINDS = tuple(KINDS)  # checkpoint kind codes are positions in this tuple
-TIED_KINDS = ("cycle", "isotonic", "decycle")  # each has an `oracle.oracle_<kind>`
+# conv-like kinds with a permuted side; each has an `oracle.oracle_<kind>`
+TIED_KINDS = tuple(k for k, e in KINDS.items() if e.permuted and e.expand)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +462,10 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
         if entry.permuted and not entry.permuted[0]:
             if permuted is not None:
                 raise ModelSpecError(f"layer {i}: {kind} layer must come before all other tied layers")
-            if any(KINDS[s.kind].expand for s in specs[:i]):  # all untied, the segment not yet open
-                raise ModelSpecError(f"layer {i}: {kind} must be the first trainable layer")
+            conv = next((j for j, s in enumerate(specs[:i]) if KINDS[s.kind].expand), None)
+            if conv is not None:  # untied, as the segment is not yet open
+                raise ModelSpecError(f"layer {i}: {kind} after untied conv layer {conv}; "
+                                     "no untied conv may precede the tied segment")
         elif entry.permuted and not permuted:
             raise ModelSpecError(f"layer {i}: {kind} layer outside the cycle..decycle segment")
         elif entry.expand and not entry.permuted and permuted:

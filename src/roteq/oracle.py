@@ -8,15 +8,14 @@ the result back. Nothing is cached and the four slot passes stay
 separate on purpose; this is the slow path the benchmark contrasts
 against, and the independent witness used to cross-check the
 tied-filter implementation. Both paths share the same correlation
-kernel, so discrepancies localize to the layer algebra.
+kernel, so discrepancies localize to the layer algebra. The module
+depends only on `conv` and `tensor`: it imports none of the code it
+witnesses, and callers pair it with `network.KINDS` themselves.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .conv import ConvGeometry, correlate2d
-from .network import KINDS, TIED_KINDS
 from .tensor import rotate90
 
 
@@ -79,40 +78,9 @@ def oracle_decycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeo
     return acc
 
 
-@dataclass
-class PathComparison:
-    """Agreement report between the tied-filter and map-rotating paths."""
-
-    kind: str
-    max_abs_diff: float
-    max_rel_diff: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_diff <= self.tolerance
-
-
 def relative_deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """(max abs diff, max diff scaled by the larger magnitude of the pair)."""
     max_abs = float(np.max(np.abs(a - b))) if a.size else 0.0
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 0.0)
     return max_abs, (max_abs / scale if scale > 0 else 0.0)
 
-
-def compare_paths(kind, base, x, tolerance=None) -> PathComparison:
-    """Run the model's filter expansion and this module's `oracle_<kind>`
-    on the base array of one tied layer kind and report the deviation.
-    Both correlate at stride 1 without padding.
-
-    Default tolerance is 1e-12 for double precision inputs and 1e-5 for
-    single precision.
-    """
-    if kind not in TIED_KINDS:
-        raise ValueError(f"unknown tied layer kind {kind!r}")
-    if tolerance is None:
-        tolerance = 1e-12 if x.dtype == np.float64 else 1e-5
-    fast = correlate2d(x, KINDS[kind].expand(base))
-    slow = globals()[f"oracle_{kind}"](base, x)
-    max_abs, max_rel = relative_deviation(fast, slow)
-    return PathComparison(kind, max_abs, max_rel, tolerance)

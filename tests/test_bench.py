@@ -116,6 +116,7 @@ def test_tracer_bindings_resolve():
         "roteq.bench.expand_decycle",
         "roteq.bench.expand_isotonic",
         "roteq.bench.max_pool2d",
+        "roteq.eqlayers.correlate2d",
         "roteq.eqlayers.correlate2d_backward",
     ]
     for span in tracer.LAYER_SPANS:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import re
@@ -20,7 +21,7 @@ from roteq.cli import (
     parse_run_config,
     sweep_stack,
 )
-from roteq.network import LayerSpec, build_model, preset_stack
+from roteq.network import LayerSpec, TrainConfig, build_model, preset_stack
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,13 @@ def test_parse_run_config_defaults_and_overrides():
     cfg = parse_run_config("lr = 0.5\nepochs=3\n# comment\n\nseed = 4\n")
     assert cfg["lr"] == 0.5 and cfg["epochs"] == 3 and cfg["seed"] == 4
     assert cfg["momentum"] == 0.9  # default preserved
+
+
+def test_train_config_defaults_are_the_run_config_defaults():
+    keys = {"batch_size": "batch"}  # the run-config key of each TrainConfig field
+    for f in dataclasses.fields(TrainConfig):
+        assert cli.CONFIG_DEFAULTS[keys.get(f.name, f.name)] == f.default, f.name
+    assert TrainConfig().lr == 0.01  # the default README documents
 
 
 def test_parse_run_config_unknown_key_names_line():
@@ -509,6 +517,26 @@ def test_diverged_training_exits_one(tmp_path, data_dir, data_dir_28, capsys, co
     if command == "sweep":
         assert out == ""  # no header-only CSV
     assert not ckpt.exists() and not metrics.exists()
+
+
+@pytest.mark.parametrize("command,empty", [("train", "val"), ("sweep", "train"), ("eval", "test")])
+def test_empty_split_is_usage_error(tmp_path, capsys, command, empty):
+    counts = {"train": 8, "val": 2, "test": 2} | {empty: 0}
+    argv = ["gen-data", "--out", str(tmp_path), "--n", "12", "--size", "28"]
+    argv += [x for name, n in counts.items() for x in (f"--n-{name}", str(n))]
+    assert cli.main(argv) == 0
+    if command == "eval":
+        ckpt = tmp_path / "model.ckpt"
+        cli.save_checkpoint(build_model(preset_stack("dren-small")), ckpt)
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path)]
+    else:
+        argv = [command, "--data-dir", str(tmp_path), "--epochs", "1"]
+        argv += ["--layers", "@dren-small"] if command == "train" else ["--depths", "1"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: the {empty} split in {tmp_path} holds no images\n"
+    assert out == ""
 
 
 def test_train_without_data_dir(capsys):

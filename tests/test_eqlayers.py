@@ -12,9 +12,6 @@ from roteq.eqlayers import (
     expand_cycle,
     expand_decycle,
     expand_isotonic,
-    forward_cycle,
-    forward_decycle,
-    forward_isotonic,
     global_spatial_avg_pool,
     group_cross_channel_pool,
     shared_bias_add,
@@ -101,7 +98,7 @@ def test_expand_decycle_mean_pooling_base(rng):
     p = np.full((1, 1, 1, 1), 0.25)
     x = rng.standard_normal((2, 4, 5, 5))
     np.testing.assert_allclose(
-        forward_decycle(p, x),
+        correlate2d(x, expand_decycle(p)),
         group_cross_channel_pool(x, "mean"),
         rtol=1e-15,
         atol=1e-15,
@@ -125,7 +122,7 @@ def test_expand_decycle_delta_base_hand_expanded(rng):
     for j in range(4):
         rotated = np.rot90(base[0, 0], j)
         want += naive_correlate2d(x[:, j : j + 1], rotated.reshape(1, 1, 3, 3))
-    np.testing.assert_allclose(forward_decycle(base, x), want, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(correlate2d(x, expand_decycle(base)), want, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +137,8 @@ def test_cycle_identity(rng, kernel, dtype, tol):
         size = int(rng.integers(max(4, kernel), 13))
         x = rng.standard_normal((2, 2, size, size)).astype(dtype)
         p = rng.standard_normal((g, 2, kernel, kernel)).astype(dtype)
-        lhs = forward_cycle(p, R(x))
-        rhs = R(P(forward_cycle(p, x)))
+        lhs = correlate2d(R(x), expand_cycle(p))
+        rhs = R(P(correlate2d(x, expand_cycle(p))))
         assert max_rel(lhs, rhs) <= tol
 
 
@@ -153,8 +150,8 @@ def test_isotonic_identity(rng, kernel, dtype, tol):
         size = int(rng.integers(max(4, kernel), 13))
         x = rng.standard_normal((2, 4 * g_in, size, size)).astype(dtype)
         p = rng.standard_normal((g_out, 4, g_in, kernel, kernel)).astype(dtype)
-        lhs = forward_isotonic(p, R(P(x)))
-        rhs = R(P(forward_isotonic(p, x)))
+        lhs = correlate2d(R(P(x)), expand_isotonic(p))
+        rhs = R(P(correlate2d(x, expand_isotonic(p))))
         assert max_rel(lhs, rhs) <= tol
 
 
@@ -166,8 +163,8 @@ def test_decycle_identity(rng, kernel, dtype, tol):
         size = int(rng.integers(max(4, kernel), 13))
         x = rng.standard_normal((2, 4 * g_in, size, size)).astype(dtype)
         p = rng.standard_normal((5, g_in, kernel, kernel)).astype(dtype)
-        lhs = forward_decycle(p, R(P(x)))
-        rhs = R(forward_decycle(p, x))
+        lhs = correlate2d(R(P(x)), expand_decycle(p))
+        rhs = R(correlate2d(x, expand_decycle(p)))
         assert max_rel(lhs, rhs) <= tol
 
 
@@ -185,22 +182,16 @@ def test_composition_identity_with_interleaved_layers(rng):
         bs = {"mean": rng.standard_normal(g), "var": rng.uniform(0.5, 2.0, g)}
 
         def f(inp):
-            h = forward_cycle(p_c, inp)
+            h = correlate2d(inp, expand_cycle(p_c))
             h = shared_bias_add(h, bias)
             h = np.maximum(h, 0)
             for pi in isos:
-                h = forward_isotonic(pi, h)
+                h = correlate2d(h, expand_isotonic(pi))
                 h, _, _ = bn.forward(h, bp, bs, train=False)
                 h = np.maximum(h, 0)
-            return forward_decycle(p_d, h)
+            return correlate2d(h, expand_decycle(p_d))
 
         assert max_rel(f(R(x)), R(f(x))) <= 1e-12
-
-
-def test_forward_uses_correlation_of_expansion(rng):
-    x = rng.standard_normal((1, 8, 7, 7))
-    p = rng.standard_normal((2, 4, 2, 3, 3))
-    np.testing.assert_array_equal(forward_isotonic(p, x), correlate2d(x, expand_isotonic(p)))
 
 
 def test_kernel_must_be_square():
@@ -265,7 +256,7 @@ def tied_backward(kind, p, x, grad_out):
 def test_tied_backward_zero_grad(rng):
     x = rng.standard_normal((1, 4, 6, 6))
     p = rng.standard_normal((1, 4, 1, 3, 3))
-    y = forward_isotonic(p, x)
+    y = correlate2d(x, expand_isotonic(p))
     gx, gb = tied_backward("isotonic", p, x, np.zeros_like(y))
     assert not gx.any() and not gb.any()
 
@@ -286,13 +277,13 @@ def test_tied_backward_matches_finite_differences(rng, kind):
     x = rng.standard_normal((2, 4, 6, 6))
     if kind == "cycle":
         p = rng.standard_normal((2, 4, 3, 3))
-        fwd = lambda b: forward_cycle(b, x)
+        fwd = lambda b: correlate2d(x, expand_cycle(b))
     elif kind == "isotonic":
         p = rng.standard_normal((2, 4, 1, 3, 3))
-        fwd = lambda b: forward_isotonic(b, x)
+        fwd = lambda b: correlate2d(x, expand_isotonic(b))
     else:
         p = rng.standard_normal((3, 1, 3, 3))
-        fwd = lambda b: forward_decycle(b, x)
+        fwd = lambda b: correlate2d(x, expand_decycle(b))
 
     y = fwd(p)
     g = rng.standard_normal(y.shape)
@@ -313,7 +304,7 @@ def test_tied_backward_matches_finite_differences(rng, kind):
 def test_tied_backward_grad_x_adjoint(rng):
     x = rng.standard_normal((2, 4, 6, 6))
     p = rng.standard_normal((3, 1, 3, 3))
-    y = forward_decycle(p, x)
+    y = correlate2d(x, expand_decycle(p))
     g = rng.standard_normal(y.shape)
     gx, _ = tied_backward("decycle", p, x, g)
     assert abs(np.vdot(y, g) - np.vdot(x, gx)) / abs(np.vdot(y, g)) < 1e-10
@@ -370,9 +361,9 @@ def test_full_stack_logit_invariance(rng):
     p_d = rng.standard_normal((7, 2, 3, 3))
 
     def logits(inp):
-        h = np.maximum(forward_cycle(p_c, inp), 0)
-        h = np.maximum(forward_isotonic(p_i, h), 0)
-        return global_spatial_avg_pool(forward_decycle(p_d, h))[:, :, 0, 0]
+        h = np.maximum(correlate2d(inp, expand_cycle(p_c)), 0)
+        h = np.maximum(correlate2d(h, expand_isotonic(p_i)), 0)
+        return global_spatial_avg_pool(correlate2d(h, expand_decycle(p_d)))[:, :, 0, 0]
 
     base = logits(x)
     for k in range(4):
@@ -397,7 +388,7 @@ def test_isotonic_identity_with_bias(rng):
     x = rng.standard_normal((2, 4 * g, 8, 8))
     p = rng.standard_normal((g, 4, g, 3, 3))
     bias = rng.standard_normal(g)
-    f = lambda t: shared_bias_add(forward_isotonic(p, t), bias)
+    f = lambda t: shared_bias_add(correlate2d(t, expand_isotonic(p)), bias)
     assert max_rel(f(R(P(x))), R(P(f(x)))) <= 1e-12
 
 

@@ -84,13 +84,19 @@ def test_ordering_violations():
         build_model([LayerSpec("isotonic", width=1, kernel=3)])
     with pytest.raises(ModelSpecError, match="cycle"):
         build_model([LayerSpec("decycle", width=4, kernel=3)])
-    with pytest.raises(ModelSpecError, match="first trainable"):
+    with pytest.raises(
+        ModelSpecError,
+        match="layer 1: cycle after untied conv layer 0; no untied conv may precede the tied segment",
+    ):
         build_model(
             [
                 LayerSpec("conv", width=4, kernel=3),
                 LayerSpec("cycle", width=1, kernel=3),
             ]
         )
+    # a per-channel batch norm commutes with quarter turns, so it may precede the segment
+    model = build_model(parse_layer_stack("bn,cycle:g1:k3,decycle:c4:k1,gap"))
+    assert model.parameter_counts()[0] == 2
     with pytest.raises(ModelSpecError):  # tied layer after the terminator
         build_model(
             [
