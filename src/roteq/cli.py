@@ -21,7 +21,7 @@ import argparse
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,6 @@ from .oracle import relative_deviation
 
 CHECKPOINT_MAGIC = b"DREN"
 CHECKPOINT_VERSION = 1
-
-KIND_CODES = {kind: i for i, kind in enumerate(network.ALL_KINDS)}
-CODE_KINDS = {i: kind for kind, i in KIND_CODES.items()}
 
 
 class ConfigError(ValueError):
@@ -59,7 +56,7 @@ def encode_checkpoint(model: Model) -> bytes:
         out.append(
             struct.pack(
                 "<BIIIII",
-                KIND_CODES[spec.kind],
+                network.ALL_KINDS.index(spec.kind),
                 spec.width,
                 spec.kernel,
                 spec.stride,
@@ -100,11 +97,11 @@ def _decode_checkpoint(raw: bytes) -> Model:
     for _ in range(n_layers):
         code, width, kernel, stride, pad, rate_ppm = struct.unpack_from("<BIIIII", raw, off)
         off += struct.calcsize("<BIIIII")
-        if code not in CODE_KINDS:
+        if code >= len(network.ALL_KINDS):
             raise CheckpointError(f"unknown layer kind code {code}")
         specs.append(
             LayerSpec(
-                CODE_KINDS[code],
+                network.ALL_KINDS[code],
                 width=width,
                 kernel=kernel,
                 stride=stride,
@@ -157,15 +154,12 @@ def load_checkpoint(path) -> Model:
 # ---------------------------------------------------------------------------
 # run config
 
+# run-config key of each TrainConfig field: its name, but for batch_size
+TRAIN_KEYS = {f.name: {"batch_size": "batch"}.get(f.name, f.name) for f in fields(TrainConfig)}
 CONFIG_DEFAULTS = {  # each key's value type is that of its default; training ones are TrainConfig's
     "layers": "@dren-small",
-    "lr": TrainConfig.lr,
-    "momentum": TrainConfig.momentum,
-    "epochs": TrainConfig.epochs,
-    "batch": TrainConfig.batch_size,
-    "seed": TrainConfig.seed,
+    **{key: getattr(TrainConfig, name) for name, key in TRAIN_KEYS.items()},
     "precision": "float32",
-    "lr_decay": TrainConfig.lr_decay,
     "data_dir": "",
 }
 
@@ -404,14 +398,7 @@ def _train_setup(args) -> tuple:
         choices = ", ".join(network.PRECISIONS)
         raise ConfigError(f"precision must be one of {choices}, got {cfg['precision']!r}")
     try:
-        tc = TrainConfig(
-            lr=cfg["lr"],
-            momentum=cfg["momentum"],
-            batch_size=cfg["batch"],
-            epochs=cfg["epochs"],
-            seed=cfg["seed"],
-            lr_decay=cfg["lr_decay"],
-        )
+        tc = TrainConfig(**{name: cfg[key] for name, key in TRAIN_KEYS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg, tc
@@ -465,6 +452,8 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     test_ds = read_split(Path(args.data), "test")
     images = test_ds.images
+    network.plan_layers(model.specs, model.in_channels, images.shape[2])
+    _check_logit_width(model, images.shape[2], test_ds)
     if args.rotate % 4 != 0:
         images = tensor.rotate90(images, args.rotate)
     preds = network.predict(model, images)
@@ -542,6 +531,8 @@ def _parse_depths(text: str) -> range:
 def cmd_sweep(args) -> int:
     depths = _parse_depths(args.depths)
     cfg, tc = _train_setup(args)
+    if cfg["layers"] != CONFIG_DEFAULTS["layers"]:
+        raise ConfigError(f"sweep trains its own depth family; the config sets layers = {cfg['layers']!r}")
     train_ds, val_ds = _read_train_splits(cfg)
     if train_ds.images.shape[2] != 28:
         print("sweep: the depth family expects 28x28 images", file=sys.stderr)
@@ -636,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", default="1..7", help="range like 1..7")
     p.add_argument("--config", default=None)
     for key, default in CONFIG_DEFAULTS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(default), default=None)
+        if key != "layers":
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(default), default=None)
     p.set_defaults(fn=cmd_sweep)
 
     return parser

@@ -8,6 +8,7 @@ uses bilinear interpolation with zero fill and is only used to make
 evaluation data, never inside the equivariance proofs.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -49,52 +50,45 @@ class Dataset:
         return Dataset(self.images[idx], self.labels[idx])
 
 
+def _load_idx(raw: bytes, magic: int, what: str) -> tuple:
+    """(dimensions, u8 payload) of an IDX `what` file; the magic's low byte is its rank."""
+    header = 4 * ((magic & 0xFF) + 1)
+    if len(raw) < header:
+        raise IdxFormatError(f"{what} header needs {header} bytes, got {len(raw)}")
+    found, *dims = struct.unpack(f">{header // 4}I", raw[:header])
+    if found != magic:
+        raise IdxFormatError(f"bad {what} magic: expected {magic:#010x}, found {found:#010x}")
+    count = math.prod(dims)
+    if count > len(raw) - header:
+        raise IdxFormatError(
+            f"truncated payload: header promises {count} {what} bytes, file holds {len(raw) - header}"
+        )
+    return dims, np.frombuffer(raw, dtype=np.uint8, count=count, offset=header)
+
+
+def _dump_idx(magic: int, payload: np.ndarray) -> bytes:
+    """IDX bytes of a u8 `payload`, whose rank must be the magic's low byte."""
+    return struct.pack(f">{(magic & 0xFF) + 1}I", magic, *payload.shape) + payload.tobytes()
+
+
 def load_idx_images(raw: bytes) -> np.ndarray:
     """Decode an IDX image file into (n, 1, h, w) float32 scaled by 1/255."""
-    if len(raw) < 16:
-        raise IdxFormatError(f"image header needs 16 bytes, got {len(raw)}")
-    magic, n, h, w = struct.unpack(">IIII", raw[:16])
-    if magic != IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"bad image magic: expected {IMAGE_MAGIC:#010x}, found {magic:#010x}"
-        )
-    expected = n * h * w
-    if expected > len(raw) - 16:
-        raise IdxFormatError(
-            f"truncated payload: header promises {expected} pixels, "
-            f"file holds {len(raw) - 16} bytes"
-        )
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=16)
+    (n, h, w), pixels = _load_idx(raw, IMAGE_MAGIC, "image")
     return (pixels.astype(np.float32) / 255.0).reshape(n, 1, h, w)
 
 
 def load_idx_labels(raw: bytes) -> np.ndarray:
     """Decode an IDX label file into an int64 vector."""
-    if len(raw) < 8:
-        raise IdxFormatError(f"label header needs 8 bytes, got {len(raw)}")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(
-            f"bad label magic: expected {LABEL_MAGIC:#010x}, found {magic:#010x}"
-        )
-    if n > len(raw) - 8:
-        raise IdxFormatError(
-            f"truncated payload: header promises {n} labels, file holds {len(raw) - 8} bytes"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+    return _load_idx(raw, LABEL_MAGIC, "label")[1].astype(np.int64)
 
 
 def dump_idx_images(images: np.ndarray) -> bytes:
     """Encode (n, 1, h, w) images in [0, 1] as IDX bytes (u8, rounded)."""
-    n, _, h, w = images.shape
-    header = struct.pack(">IIII", IMAGE_MAGIC, n, h, w)
-    payload = np.rint(images * 255.0).astype(np.uint8).tobytes()
-    return header + payload
+    return _dump_idx(IMAGE_MAGIC, np.rint(images[:, 0] * 255.0).astype(np.uint8))
 
 
 def dump_idx_labels(labels: np.ndarray) -> bytes:
-    header = struct.pack(">II", LABEL_MAGIC, len(labels))
-    return header + np.asarray(labels, dtype=np.uint8).tobytes()
+    return _dump_idx(LABEL_MAGIC, np.asarray(labels, dtype=np.uint8))
 
 
 def load_dataset(image_bytes: bytes, label_bytes: bytes) -> Dataset:

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .tensor import group_count, rotate_kernels90
+from .tensor import group_count, rotate90
 
 
 @functools.cache
@@ -45,7 +45,7 @@ def _tying(kind: str, shape: tuple) -> tuple:
         raise ValueError(f"{kind} kernels must be square, got {shape[-2]}x{shape[-1]}")
     g, k = shape[0], shape[-1]
     idx = np.arange(math.prod(shape)).reshape(math.prod(shape[:-2]), 1, k, k)
-    turns = [rotate_kernels90(idx, j).reshape(shape) for j in range(4)]
+    turns = [rotate90(idx, j).reshape(shape) for j in range(4)]
     if kind == "cycle":  # output channel (a, j): filter a turned j times
         gather = np.stack(turns, axis=1).reshape(4 * g, *shape[1:])
     elif kind == "isotonic":  # block (a, j, b, i): generator (i - j) mod 4 turned j times

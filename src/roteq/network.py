@@ -436,21 +436,23 @@ def preset_stack(name: str) -> list:
 def plan_layers(specs: list, in_channels: int, input_size: int | None = None) -> tuple:
     """Check a layer stack; returns (per-layer array shape or None, per-layer output channels).
 
-    Tied-segment rules come from each kind's `permuted` pair: a kind
-    with permuted output but not input opens the segment, before all
-    other tied layers and after no untied conv; one with permuted input
-    needs it open and closes it unless its output is permuted too; no
-    untied conv sits inside it, and it must be closed. Untied convs of
-    any kernel may follow it; wider than 1x1 they lose exact invariance. Conv-like
-    and max-pool layers need kernel and stride >= 1 and a pad >= 0,
-    conv-like ones a width >= 1; max pooling takes no pad, and a dropout
-    rate lies in [0, 1). Given `input_size`, every window must fit its
-    input, and in a tied stack a stride that breaks the quarter-turn
-    condition warns, naming the layer. Nothing is allocated, so a stack
-    read from a file can be sized before it is built.
+    Tied-segment rules come from each kind's `permuted` pair: a kind with
+    permuted output but not input opens the segment, before all other tied
+    layers and after no untied conv; one with permuted input needs it open
+    and closes it unless its output is permuted too; no untied conv sits
+    inside it, and it must be closed. Untied convs of any kernel may follow
+    it; wider than 1x1 they lose exact invariance. The input needs a
+    channel. Conv-like and max-pool layers need kernel and stride >= 1 and a
+    pad >= 0, conv-like ones a width >= 1; max pooling takes no pad, and a
+    dropout rate lies in [0, 1). Given `input_size`, every window must fit
+    its input, and in a tied stack a stride that breaks the quarter-turn
+    condition warns, naming the layer. Nothing is allocated, so a stack read
+    from a file can be sized before it is built.
     """
     if not specs:
         raise ModelSpecError("layer stack is empty")
+    if in_channels < 1:
+        raise ModelSpecError(f"input channels {in_channels} must be >= 1")
     tied = any(KINDS[s.kind].permuted for s in specs)
     shapes, channels = [], []
     c = in_channels

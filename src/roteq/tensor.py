@@ -30,7 +30,7 @@ def _require_rank4(t: np.ndarray) -> None:
 
 
 def rotate90(t: np.ndarray, times: int = 1) -> np.ndarray:
-    """Rotate the two trailing spatial axes counterclockwise by times*90 deg.
+    """Rotate the two trailing axes (maps, or each kernel of a filter bank) by times*90 deg ccw.
 
     Index convention for one turn: out[i, j] = in[j, w-1-i]. Pure
     permutation, no arithmetic; times is taken modulo 4 and may be
@@ -38,13 +38,6 @@ def rotate90(t: np.ndarray, times: int = 1) -> np.ndarray:
     """
     _require_rank4(t)
     return np.ascontiguousarray(np.rot90(t, times % 4, axes=(2, 3)))
-
-
-def rotate_kernels90(w: np.ndarray, times: int = 1) -> np.ndarray:
-    """rotate90 applied to each (out, in) kernel slice of a filter bank."""
-    if w.ndim != 4:
-        raise ValueError(f"expected a rank-4 filter array, got shape {w.shape}")
-    return np.ascontiguousarray(np.rot90(w, times % 4, axes=(2, 3)))
 
 
 def cyclic_permute(t: np.ndarray, times: int = 1) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roteq import network, oracle
+from roteq import eqlayers, network, oracle
 
 from roteq.bench import (
     ROTATE_FEATURE_MAPS,
@@ -94,7 +94,7 @@ def test_compare_strategies_fills_ratios():
     assert fast.ratio * slow.ratio == pytest.approx(1.0)
 
 
-def test_tracer_bindings_resolve():
+def test_tracer_bindings_resolve(monkeypatch):
     # the benchmark's tracer patches functions by module and name; a rename
     # in roteq must fail here rather than silently empty a per-layer metric
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -118,6 +118,8 @@ def test_tracer_bindings_resolve():
         "roteq.bench.max_pool2d",
         "roteq.eqlayers.correlate2d",
         "roteq.eqlayers.correlate2d_backward",
+        "roteq.eqlayers.rotate_kernels90",
+        "roteq.tensor.rotate_kernels90",
     ]
     for span in tracer.LAYER_SPANS:
         bound = [f"{m}.{a}" for m, a in tracer.BINDINGS[span] if f"{m}.{a}" not in missing]
@@ -129,15 +131,22 @@ def test_tracer_bindings_resolve():
     assert t.calls["eqlayers.collapse_grad"] == len(tied)
     assert {i for phase, i in t.per_layer if phase == "bwd"} == set(tied)
     # after an update the next step expands every tied layer again, from
-    # index tables built once per shape: it rotates no kernel
+    # index tables built once per shape: it rotates no kernel and builds no table
     network.sgd_step(model, grads, lr=0.05, momentum=0.9)
+    before = eqlayers._tying.cache_info()
+    rotated = []  # shapes of the arrays np.rot90 turns during the step
+    rot90 = np.rot90
+    monkeypatch.setattr(np, "rot90", lambda m, *args, **kw: rotated.append(m.shape) or rot90(m, *args, **kw))
     t = tracer.Tracer()
     with t.installed():
         logits, cache = network.forward(model, x, mode="train")
         network.backward(model, cache, np.ones_like(logits))
     assert t.calls["eqlayers.expand"] == 2 * len(tied)
     assert t.calls["eqlayers.collapse_grad"] == len(tied)
-    assert t.calls["tensor.rotate_kernels90"] == 0
+    # each expansion and collapse reads an index table built before this step
+    after = eqlayers._tying.cache_info()
+    assert (after.hits - before.hits, after.misses) == (3 * len(tied), before.misses)
+    assert rotated == []
 
 
 def test_time_forward_refuses_to_time_diverging_strategies(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import struct
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from roteq import cli, data, network
 from roteq.cli import (
@@ -21,7 +24,7 @@ from roteq.cli import (
     parse_run_config,
     sweep_stack,
 )
-from roteq.network import LayerSpec, TrainConfig, build_model, preset_stack
+from roteq.network import LayerSpec, ModelSpecError, TrainConfig, build_model, preset_stack
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +135,7 @@ def test_checkpoint_bytes_match_golden_hashes():
 def test_checkpoint_size_checked_before_allocation():
     # header and layer table of a 16M-parameter cycle layer, no parameters
     raw = struct.pack("<4sIII", b"DREN", 1, 2, 1) + b"".join(
-        struct.pack("<BIIIII", cli.KIND_CODES[kind], width, kernel, 1, 0, 250_000)
+        struct.pack("<BIIIII", network.ALL_KINDS.index(kind), width, kernel, 1, 0, 250_000)
         for kind, width, kernel in (("cycle", 1 << 24, 1), ("group_pool_max", 0, 0))
     )
     tracemalloc.start()
@@ -174,6 +177,92 @@ def test_eval_truncated_checkpoint_is_usage_error(tmp_path, data_dir, capsys):
     capsys.readouterr()
 
 
+RATES_PPM = (0, 250_000, 999_999, 1_000_000)
+CONV, GAP = network.ALL_KINDS.index("conv"), network.ALL_KINDS.index("global_avg_pool")
+
+
+def checkpoint_from_table(in_channels: int, records: list) -> bytes:
+    """A checkpoint of `records` (kind code, width, kernel, stride, pad, rate ppm)
+    whose arrays are zeros sized by `plan_layers`, or absent where it rejects."""
+    raw = struct.pack("<4sIII", b"DREN", 1, len(records), in_channels)
+    raw += b"".join(struct.pack("<BIIIII", *r) for r in records)
+    if any(r[0] >= len(network.ALL_KINDS) for r in records):
+        return raw
+    specs = [LayerSpec(network.ALL_KINDS[c], w, k, s, p, ppm / 1_000_000) for c, w, k, s, p, ppm in records]
+    try:
+        shapes, _ = network.plan_layers(specs, in_channels)
+    except ModelSpecError:
+        return raw
+    for spec, shape in zip(specs, shapes):
+        if shape is not None:
+            entry = network.KINDS[spec.kind]
+            for _ in entry.params + entry.state:
+                raw += struct.pack("<Q", math.prod(shape)) + bytes(4 * math.prod(shape))
+    return raw
+
+
+@seed(20261018)
+@settings(max_examples=500, deadline=None, database=None)
+@given(
+    in_channels=st.integers(0, 3),
+    records=st.lists(
+        st.tuples(
+            st.integers(0, len(network.ALL_KINDS)),
+            *[st.integers(0, 5)] * 4,
+            st.sampled_from(RATES_PPM),
+        ),
+        max_size=6,
+    ),
+)
+@example(in_channels=0, records=[(CONV, 4, 1, 1, 0, 0), (GAP, 0, 0, 0, 0, 0)])
+def test_structured_checkpoint_tables_decode_or_are_rejected(in_channels, records):
+    raw = checkpoint_from_table(in_channels, records)
+    try:
+        model = decode_checkpoint(raw)
+    except (CheckpointError, ModelSpecError):
+        return
+    assert encode_checkpoint(model) == raw
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(cut=st.integers(0, 10_000), flip=st.integers(0, 10_000), mask=st.integers(1, 255), truncate=st.booleans())
+def test_truncated_or_flipped_checkpoint_decodes_or_is_rejected(cut, flip, mask, truncate):
+    raw = bytearray(encode_checkpoint(full_featured_model()))
+    if truncate:
+        raw = raw[: cut % len(raw)]
+    else:
+        raw[flip % len(raw)] ^= mask
+    try:
+        decode_checkpoint(bytes(raw))
+    except (CheckpointError, ModelSpecError):
+        pass
+
+
+def test_eval_zero_input_channel_checkpoint_is_usage_error(tmp_path, data_dir, capsys):
+    ckpt = tmp_path / "zero.ckpt"
+    # 66 bytes: no input channels, layers conv:c4:k1,gap, and the conv's empty filter bank
+    raw = struct.pack("<4sIII", b"DREN", 1, 2, 0) + struct.pack("<BIIIII", CONV, 4, 1, 1, 0, 0)
+    ckpt.write_bytes(raw + struct.pack("<BIIIIIQ", GAP, 0, 0, 0, 0, 0, 0))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 2
+    assert capsys.readouterr().err == "error: input channels 0 must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "stack,message",
+    [
+        ("conv:c10:k20,gap", "layer 0 (conv): kernel 20 with stride 1 does not fit input 12 (pad 0)"),
+        ("conv:c2:k1,gap", "layer 1 (global_avg_pool) gives 2 logits per image, but the labels need 10 classes"),
+    ],
+)
+def test_eval_checks_the_model_against_the_data(tmp_path, data_dir, capsys, stack, message):
+    ckpt = tmp_path / "model.ckpt"
+    cli.save_checkpoint(build_model(parse_layer_stack(stack)), ckpt)
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and out == ""
+
+
 # ---------------------------------------------------------------------------
 # run config and stack grammar
 
@@ -201,6 +290,26 @@ def test_parse_run_config_bad_value_and_shape():
         parse_run_config("epochs = three\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_run_config("just some words\n")
+
+
+config_lines = st.tuples(
+    st.sampled_from([*cli.CONFIG_DEFAULTS, "warp_speed", ""]),
+    st.sampled_from(["=", " = ", "", "=="]),
+    st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(str)),
+    st.sampled_from(["", " # note"]),
+).map("".join)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=st.one_of(st.text(), st.lists(config_lines, max_size=6).map("\n".join)))
+@example(text="seed = " + "9" * 5000)  # past int()'s digit limit
+def test_parse_run_config_returns_a_config_or_config_error(text):
+    try:
+        cfg = parse_run_config(text)
+    except ConfigError:
+        return
+    assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in cli.CONFIG_DEFAULTS.items()}
 
 
 def test_parse_layer_stack_round_trip():
@@ -687,6 +796,24 @@ def test_sweep_rejects_images_other_than_28_pixels(data_dir, capsys):
     captured = capsys.readouterr()
     assert "sweep: the depth family expects 28x28 images" in captured.err
     assert captured.out == ""
+
+
+def test_sweep_takes_no_layers_flag(data_dir_28, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--depths", "1", "--epochs", "1", "--data-dir", str(data_dir_28),
+                  "--layers", "conv:c4:k1,gap"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "unrecognized arguments: --layers" in err and out == ""
+
+
+def test_sweep_config_layers_is_usage_error(tmp_path, data_dir_28, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data_dir = {data_dir_28}\nlayers = conv:c4:k1,gap\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--depths", "1", "--epochs", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: sweep trains its own depth family; the config sets layers = 'conv:c4:k1,gap'\n"
+    assert out == ""
 
 
 def test_sweep_command_tiny(tmp_path, capsys):

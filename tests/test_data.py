@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from roteq import data
 from roteq.data import (
@@ -58,6 +60,33 @@ def test_idx_round_trip_bit_exact(rng):
 
     labels = rng.integers(0, 10, size=9).astype(np.int64)
     assert load_idx_labels(dump_idx_labels(labels)).tolist() == labels.tolist()
+
+
+IDX_FILES = {  # name -> (valid file, its loader)
+    "images": (dump_idx_images(synth_glyphs(6, size=10).images), load_idx_images),
+    "labels": (dump_idx_labels(np.arange(6) % 10), load_idx_labels),
+}
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(IDX_FILES)),
+    at=st.integers(0, 10_000),
+    mask=st.integers(1, 255),
+    truncate=st.booleans(),
+)
+def test_truncated_or_flipped_idx_loads_or_is_rejected(name, at, mask, truncate):
+    valid, load = IDX_FILES[name]
+    raw = bytearray(valid)
+    if truncate:
+        raw = raw[: at % len(raw)]
+    else:
+        raw[at % len(raw)] ^= mask
+    try:
+        load(bytes(raw))
+    except IdxFormatError:
+        pass
 
 
 def test_dataset_validation():

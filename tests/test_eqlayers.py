@@ -17,7 +17,7 @@ from roteq.eqlayers import (
     shared_bias_add,
 )
 from roteq.network import KINDS
-from roteq.tensor import cyclic_permute, rotate90, rotate_kernels90
+from roteq.tensor import cyclic_permute, rotate90
 
 import reference
 from reference import max_rel, naive_correlate2d
@@ -56,7 +56,7 @@ def test_expand_cycle_rows_are_successive_rotations(rng):
     p = rng.standard_normal((3, 2, 3, 3))
     w = expand_cycle(p).reshape(3, 4, 2, 3, 3)
     for i in range(1, 4):
-        np.testing.assert_array_equal(w[:, i], rotate_kernels90(w[:, i - 1], 1))
+        np.testing.assert_array_equal(w[:, i], rotate90(w[:, i - 1], 1))
 
 
 def test_expand_isotonic_symmetric_base_all_equal(rng):
