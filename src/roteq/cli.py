@@ -453,6 +453,10 @@ def cmd_eval(args) -> int:
     test_ds = read_split(Path(args.data), "test")
     images = test_ds.images
     network.plan_layers(model.specs, model.in_channels, images.shape[2])
+    if model.in_channels != images.shape[1]:
+        raise ModelSpecError(
+            f"the model takes {model.in_channels} input channels, but the test images have {images.shape[1]}"
+        )
     _check_logit_width(model, images.shape[2], test_ds)
     if args.rotate % 4 != 0:
         images = tensor.rotate90(images, args.rotate)

@@ -46,8 +46,7 @@ for stride s, every other position is zero. In the accumulator's flat
 (c, n, H, W) order, kernel offset (u, v) moves every entry u*W + v
 places on, so its whole scatter is one contiguous add of a GEMM row
 block. Each kernel row u is one GEMM of the filters' (kw*c, o) slice
-with the spread gradient, so at most one kernel row's columns exist at
-once and peak memory stays at the forward's patch matrix; the
+with the spread gradient, written into one preallocated buffer; the
 accumulator's (kh-1)*W + kw - 1 spare entries take the last shifts'
 overhang. A shift carries zeros across row, image and channel borders
 but never a gradient entry, which lands at (p*s + u, q*s + v), inside
@@ -59,6 +58,31 @@ On a 64x20x26x26 float32 input with 20 3x3 filters that scatter
 walked 30,720 strided runs of 24 elements per offset; a shift is one
 add over a single 865,280-element run, and the whole backward went
 from 20-23 to 16-19 ms (2 vCPUs, OpenBLAS 0.3.31).
+
+Both backward GEMMs stay within the forward's `_COLS_BYTES`, blocked
+by input channel with the forward's rule (as few blocks as the budget
+allows, sizes differing by at most one). The filter gradient copies
+one block's (cb*kh*kw, n*oh*ow) patch columns at a time and fills that
+block's columns of the gradient; col2im forms one block's (kw*cb, o)
+products at a time, and their shifted adds land in the block's own
+contiguous (cb, n, H, W) run of the accumulator. What a block's last
+shifts carry past its last channel is zeros only, by the border
+argument above, so the adds it makes into the next block's run change
+nothing and their order does not matter. A channel block splits only
+the output columns of each GEMM: every gradient entry is still one dot
+product over all n*oh*ow (or all o) terms. Blocking by batch would
+split the filter gradient's n*oh*ow reduction into partial sums and
+change its rounding, so the batch is never blocked here. A layer whose
+operands fit the budget runs as one block, exactly the unblocked GEMMs.
+On dren-z2cnn-shape's 20->20 3x3 layer at 26x26 (float32) the
+backward's traced peak went from 29.5 to 17.3 MB at batch 64 and from
+118.0 to 42.3 MB at batch 256, and a batch-64 train step of that preset
+from 52.2 to 40.1 MB. Its time did not move: 18-21 ms at batch 64
+either way, in interleaved runs (2 vCPUs, OpenBLAS 0.3.31). The filter gradient and the
+input gradient are bit-identical to the one-block call's on every
+preset layer under a 2 MiB budget; budgets far below 1 MiB leave
+blocks of a channel or two, whose GEMMs go to OpenBLAS's small-matrix
+and gemv kernels and round differently, as in the forward.
 
 The input gradient is bit-identical to that scatter's wherever BLAS
 rounds a GEMM entry the same whatever its column's position. OpenBLAS
@@ -141,8 +165,16 @@ def _patches(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
-# Patch-column budget of one forward GEMM; see the module docstring.
+# Operand budget of one lowering GEMM, forward or backward; see the module docstring.
 _COLS_BYTES = 1 << 24
+
+
+def _block_bounds(count: int, item_bytes: int) -> list:
+    """(lo, hi) of as few blocks of `count` items, `item_bytes` each, as keep
+    every block within `_COLS_BYTES`; block sizes differ by at most one."""
+    most = max(1, _COLS_BYTES // item_bytes)
+    parts = max(1, -(-count // most))
+    return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
 def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
@@ -161,10 +193,7 @@ def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(
     patches = _patches(xp, kh, kw, geom.stride)
     n, c, _, _, oh, ow = patches.shape
     out = np.empty((n, w.shape[0], oh, ow), dtype=np.result_type(w, xp))
-    most = max(1, _COLS_BYTES // (c * kh * kw * oh * ow * xp.itemsize))
-    parts = max(1, -(-n // most))
-    bounds = [k * n // parts for k in range(parts + 1)]  # sizes differ by at most one
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in _block_bounds(n, c * kh * kw * oh * ow * xp.itemsize):
         block = np.tensordot(w, patches[lo:hi], axes=([1, 2, 3], [1, 2, 3]))
         out[lo:hi] = block.transpose(1, 0, 2, 3)
     return out
@@ -193,32 +222,41 @@ def correlate2d_backward(
     o, c = w.shape[0], w.shape[1]
     n, s, pad = x.shape[0], geom.stride, geom.pad
     xp = _pad_spatial(x, pad)
-    # both GEMM operands contiguous: g2 is (o, n*oh*ow), cols is (c*kh*kw, n*oh*ow)
+    # both GEMM operands contiguous: g2 is (o, n*oh*ow), a block's cols (cb*kh*kw, n*oh*ow)
     g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, n * oh * ow)
-    cols = _patches(xp, kh, kw, s).transpose(1, 2, 3, 0, 4, 5)
-    cols = np.ascontiguousarray(cols).reshape(c * kh * kw, n * oh * ow)
-    grad_w = (g2 @ cols.T).reshape(o, c, kh, kw)
+    patches = _patches(xp, kh, kw, s).transpose(1, 2, 3, 0, 4, 5)
+    grad_w = np.empty((o, c * kh * kw), dtype=np.result_type(g2, xp))
+    for lo, hi in _block_bounds(c, kh * kw * n * oh * ow * xp.itemsize):
+        cols = np.ascontiguousarray(patches[lo:hi]).reshape((hi - lo) * kh * kw, n * oh * ow)
+        grad_w[:, lo * kh * kw : hi * kh * kw] = g2 @ cols.T
+        del cols  # before the next block's copy, so only one block is ever alive
+    grad_w = grad_w.reshape(o, c, kh, kw)
     if not input_grad:
         return None, grad_w
-    del cols  # before col2im, so only one patch matrix is ever alive
 
     # col2im as flat shifts (module docstring): the gradient dilated by
     # the stride and padded to the input's (H, W), each channel's batch
     # one flat run, then one contiguous add per kernel offset
     hp, wp = xp.shape[2:]
-    size = c * n * hp * wp
+    run = n * hp * wp  # one channel's flat run in acc
     gd = np.zeros((o, n, hp, wp), dtype=g2.dtype)
     gd[:, :, : (oh - 1) * s + 1 : s, : (ow - 1) * s + 1 : s] = g2.reshape(o, n, oh, ow)
-    gd = gd.reshape(o, n * hp * wp)
+    gd = gd.reshape(o, run)
     del g2
-    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, c, o)
-    acc = np.zeros(size + (kh - 1) * wp + kw - 1, dtype=xp.dtype)
-    for u in range(kh):
-        rows = (wt[u].reshape(kw * c, o) @ gd).reshape(kw, size)
-        for v in range(kw):
-            shift = u * wp + v
-            acc[shift : shift + size] += rows[v]
-    grad_xp = acc[:size].reshape(c, n, hp, wp)[:, :, pad : hp - pad, pad : wp - pad]
+    acc = np.zeros(c * run + (kh - 1) * wp + kw - 1, dtype=xp.dtype)
+    blocks = _block_bounds(c, kw * run * gd.itemsize)
+    rows = np.empty((kw * max(hi - lo for lo, hi in blocks), run), dtype=np.result_type(w, gd))
+    for lo, hi in blocks:
+        size = (hi - lo) * run
+        wt = np.ascontiguousarray(w[:, lo:hi].transpose(2, 3, 1, 0))  # (kh, kw, cb, o)
+        for u in range(kh):
+            prod = np.matmul(wt[u].reshape(kw * (hi - lo), o), gd, out=rows[: kw * (hi - lo)])
+            prod = prod.reshape(kw, size)
+            for v in range(kw):
+                shift = lo * run + u * wp + v
+                acc[shift : shift + size] += prod[v]
+    del rows, prod, gd  # before the transposed copy, so they never coexist with it
+    grad_xp = acc[: c * run].reshape(c, n, hp, wp)[:, :, pad : hp - pad, pad : wp - pad]
     return np.ascontiguousarray(grad_xp.transpose(1, 0, 2, 3)), grad_w
 
 

@@ -21,7 +21,7 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX payload (bad magic, truncation, size overflow)."""
+    """Malformed IDX payload (bad magic, truncation, trailing bytes, size overflow)."""
 
 
 @dataclass
@@ -58,11 +58,10 @@ def _load_idx(raw: bytes, magic: int, what: str) -> tuple:
     found, *dims = struct.unpack(f">{header // 4}I", raw[:header])
     if found != magic:
         raise IdxFormatError(f"bad {what} magic: expected {magic:#010x}, found {found:#010x}")
-    count = math.prod(dims)
-    if count > len(raw) - header:
-        raise IdxFormatError(
-            f"truncated payload: header promises {count} {what} bytes, file holds {len(raw) - header}"
-        )
+    count, held = math.prod(dims), len(raw) - header
+    if count != held:
+        problem = "truncated payload" if count > held else "trailing bytes"
+        raise IdxFormatError(f"{problem}: header promises {count} {what} bytes, file holds {held}")
     return dims, np.frombuffer(raw, dtype=np.uint8, count=count, offset=header)
 
 

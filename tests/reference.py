@@ -56,6 +56,24 @@ def strided_scatter_input_grad(grad_out, w, x_shape, stride=1, pad=0):
     return np.ascontiguousarray(grad_xp.transpose(1, 0, 2, 3))
 
 
+def whole_matrix_filter_grad(grad_out, x, w, stride=1, pad=0):
+    """Filter gradient as one GEMM of the (o, n*oh*ow) output gradient
+    with the whole transposed (c*kh*kw, n*oh*ow) patch matrix, the
+    matrix built one kernel offset at a time from the padded input."""
+    n, c, h, w_in = x.shape
+    o, _, kh, kw = w.shape
+    _, _, oh, ow = grad_out.shape
+    s = stride
+    padded = np.zeros((n, c, h + 2 * pad, w_in + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad : pad + h, pad : pad + w_in] = x
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = padded[:, :, u : u + oh * s : s, v : v + ow * s : s].transpose(1, 0, 2, 3)
+    g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, n * oh * ow)
+    return (g2 @ cols.reshape(c * kh * kw, n * oh * ow).T).reshape(o, c, kh, kw)
+
+
 def two_pass_batchnorm_train(x, gamma, beta, groups, eps=1e-5):
     """Train-mode group batch norm as the plain formula: (y, xhat, inv_std, mean, var)."""
     n, c, h, w = x.shape

@@ -263,6 +263,14 @@ def test_eval_checks_the_model_against_the_data(tmp_path, data_dir, capsys, stac
     assert err == f"error: {message}\n" and out == ""
 
 
+def test_eval_checks_the_model_input_channels_against_the_data(tmp_path, data_dir, capsys):
+    ckpt = tmp_path / "rgb.ckpt"
+    cli.save_checkpoint(build_model(parse_layer_stack("conv:c10:k3,gap"), in_channels=3), ckpt)
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: the model takes 3 input channels, but the test images have 1\n" and out == ""
+
+
 # ---------------------------------------------------------------------------
 # run config and stack grammar
 

@@ -23,6 +23,7 @@ from reference import (
     naive_max_pool2d,
     naive_max_pool2d_backward,
     strided_scatter_input_grad,
+    whole_matrix_filter_grad,
 )
 
 
@@ -144,6 +145,87 @@ def test_blocked_lowering_bounds_the_patch_matrix(rng):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 40e6, peak
+
+
+def assert_backward_blocking_is_exact(monkeypatch, rng, shape, w, geom):
+    """Under a 2 MiB budget, a batch-64 backward runs both GEMM stages in
+    channel blocks wherever their operands exceed the budget, and its
+    gradients are bit-identical to the one-block call's, whose filter
+    gradient is the whole-matrix GEMM. Returns the filter-gradient
+    stage's block count.
+
+    Budgets below 1 MiB cut blocks to a channel or two, where OpenBLAS's
+    small-matrix and gemv kernels round differently, so none is used.
+    """
+    budget, n = 1 << 21, 64
+    x = rng.standard_normal((n,) + shape).astype(w.dtype)
+    g = rng.standard_normal(correlate2d(x, w, geom).shape).astype(w.dtype)
+    stages = []  # (count, item bytes, block count) of each _block_bounds call
+
+    def spy(count, item_bytes):
+        bounds = block_bounds(count, item_bytes)
+        stages.append((count, item_bytes, len(bounds)))
+        return bounds
+
+    block_bounds = conv._block_bounds
+    with monkeypatch.context() as m:
+        m.setattr(conv, "_COLS_BYTES", budget)
+        m.setattr(conv, "_block_bounds", spy)
+        gx, gw = correlate2d_backward(g, x, w, geom)
+        none, gw_only = correlate2d_backward(g, x, w, geom, input_grad=False)
+    assert [count for count, _, _ in stages] == [w.shape[1]] * 3
+    for count, item_bytes, blocks in stages:
+        assert (blocks > 1) == (count > 1 and count * item_bytes > budget), (count, item_bytes)
+    with monkeypatch.context() as m:
+        m.setattr(conv, "_COLS_BYTES", 1 << 40)
+        gx_whole, gw_whole = correlate2d_backward(g, x, w, geom)
+    assert_same_bits(gw_whole, whole_matrix_filter_grad(g, x, w, geom.stride, geom.pad))
+    assert_same_bits(gw, gw_whole)
+    assert_same_bits(gx, gx_whole)
+    assert none is None
+    assert_same_bits(gw_only, gw_whole)
+    assert gx.flags.c_contiguous and gw.flags.c_contiguous
+    return stages[0][2]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("preset", ["dren-z2cnn-shape", "z2cnn-shape", "bench-nin-shape", "dren-small"])
+def test_blocked_backward_is_bit_identical_on_preset_layers(monkeypatch, rng, preset, precision):
+    # the input shape and filter bank of every conv-like layer
+    model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
+    calls = []
+
+    def record(x, w, geom=ConvGeometry()):
+        calls.append((x.shape[1:], w, geom))
+        return correlate2d(x, w, geom)
+
+    with monkeypatch.context() as m:
+        m.setattr(network, "correlate2d", record)
+        network.forward(model, np.zeros((1, 1, 28, 28)), mode="eval")
+    assert len(calls) == sum(s.kind in ("cycle", "isotonic", "decycle", "conv") for s in model.specs)
+    blocks = [assert_backward_blocking_is_exact(monkeypatch, rng, shape, w, geom) for shape, w, geom in calls]
+    # every 26-px layer (L4, bench-nin-shape's 1x1 layers) splits its columns
+    wide = [i for i, (shape, _, _) in enumerate(calls) if shape[1] == 26]
+    assert wide and all(blocks[i] > 1 for i in wide), blocks
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_backward_is_bit_identical_strided_and_padded(monkeypatch, rng, dtype):
+    w = rng.standard_normal((8, 24, 3, 3)).astype(dtype)
+    assert assert_backward_blocking_is_exact(monkeypatch, rng, (24, 33, 33), w, ConvGeometry(stride=2, pad=1)) > 1
+
+
+def test_blocked_backward_bounds_its_operands(rng):
+    # dren-z2cnn-shape's L4 at batch 256: unblocked, the float32 patch
+    # matrix alone is 106 MB and the call's traced peak 118 MB
+    x = rng.standard_normal((256, 20, 26, 26), dtype=np.float32)
+    w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
+    g = rng.standard_normal((256, 20, 24, 24), dtype=np.float32)
+    tracemalloc.start()
+    correlate2d_backward(g, x, w)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 50e6, peak
 
 
 def test_backward_zero_grad(rng):

@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from roteq import data
@@ -11,6 +11,7 @@ from roteq.data import (
     IdxFormatError,
     dump_idx_images,
     dump_idx_labels,
+    load_dataset,
     load_idx_images,
     load_idx_labels,
     rotate_dataset_arbitrary,
@@ -62,9 +63,25 @@ def test_idx_round_trip_bit_exact(rng):
     assert load_idx_labels(dump_idx_labels(labels)).tolist() == labels.tolist()
 
 
-IDX_FILES = {  # name -> (valid file, its loader)
-    "images": (dump_idx_images(synth_glyphs(6, size=10).images), load_idx_images),
-    "labels": (dump_idx_labels(np.arange(6) % 10), load_idx_labels),
+def test_idx_trailing_bytes_rejected():
+    raw = dump_idx_labels(np.array([1, 2, 3])) + b"garbage"
+    with pytest.raises(IdxFormatError, match="trailing bytes: header promises 3 label bytes, file holds 10"):
+        load_idx_labels(raw)
+    raw = struct.pack(">IIII", 0x803, 1, 2, 2) + bytes(5)
+    with pytest.raises(IdxFormatError, match="trailing bytes: header promises 4 image bytes, file holds 5"):
+        load_idx_images(raw)
+
+
+def test_load_dataset_rejects_image_and_label_counts_that_disagree():
+    images = dump_idx_images(synth_glyphs(6, size=10).images)
+    with pytest.raises(IdxFormatError, match="6 images but 5 labels"):
+        load_dataset(images, dump_idx_labels(np.arange(5)))
+    assert len(load_dataset(images, dump_idx_labels(np.arange(6)))) == 6
+
+
+IDX_FILES = {  # name -> (valid file, its loader, its writer)
+    "images": (dump_idx_images(synth_glyphs(6, size=10).images), load_idx_images, dump_idx_images),
+    "labels": (dump_idx_labels(np.arange(6) % 10), load_idx_labels, dump_idx_labels),
 }
 
 
@@ -76,17 +93,21 @@ IDX_FILES = {  # name -> (valid file, its loader)
     mask=st.integers(1, 255),
     truncate=st.booleans(),
 )
+@example(name="labels", at=7, mask=2, truncate=False)  # count 6 -> 4: two bytes left over
+@example(name="images", at=7, mask=7, truncate=False)  # 6 images -> 1
 def test_truncated_or_flipped_idx_loads_or_is_rejected(name, at, mask, truncate):
-    valid, load = IDX_FILES[name]
+    valid, load, dump = IDX_FILES[name]
     raw = bytearray(valid)
     if truncate:
         raw = raw[: at % len(raw)]
     else:
         raw[at % len(raw)] ^= mask
     try:
-        load(bytes(raw))
+        loaded = load(bytes(raw))
     except IdxFormatError:
-        pass
+        return
+    # what loads is the whole file: writing it back gives the same bytes
+    assert dump(loaded) == bytes(raw)
 
 
 def test_dataset_validation():

@@ -532,6 +532,29 @@ def test_eval_forward_peak_matches_a_cache_free_walk():
     assert peaks[0] <= 1.02 * peaks[1], peaks
 
 
+def test_train_step_peak_stays_within_the_lowering_budget():
+    # one momentum-SGD step of dren-z2cnn-shape at batch 64, float32; L4's
+    # whole patch matrix alone would be 26.5 MB
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    ds = data.synth_glyphs(128, size=28, seed=0)
+    rng = np.random.default_rng(1)
+
+    def step(lo):
+        logits, cache = forward(model, ds.images[lo : lo + 64], mode="train", rng=rng)
+        _, grad = softmax_cross_entropy(logits, ds.labels[lo : lo + 64])
+        grads = backward(model, cache, grad)
+        for i, st in cache.new_state.items():
+            model.state[i] = st
+        network.sgd_step(model, grads, 0.05, 0.9)
+
+    step(0)  # build the tying tables outside the measurement
+    tracemalloc.start()
+    step(64)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 42e6, peak
+
+
 # ---------------------------------------------------------------------------
 # training behaviour
 
