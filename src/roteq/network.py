@@ -149,7 +149,7 @@ def _filter_backward(model, i, g, cache, input_grad=True):
 
 
 def _relu_forward(model, i, h, train, rng):
-    return np.maximum(h, 0), h > 0, None
+    return np.maximum(h, 0), (h > 0) if train else None, None
 
 
 def _relu_backward(model, i, g, mask):
@@ -551,6 +551,14 @@ def build_model(
 
 @dataclass
 class ForwardCache:
+    """What a train-mode `forward` keeps for `backward`, one entry per layer.
+
+    `backward` consumes it: it takes the list (leaving `layer_caches`
+    None) and frees each entry as soon as that layer's step returns. A
+    second `backward` on the same cache raises ValueError; `new_state`
+    stays readable.
+    """
+
     layer_caches: list
     new_state: dict
     logits_shape: tuple
@@ -585,17 +593,23 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
 
     The walk stops at the lowest trainable layer: nothing below it has
     parameters, so no gradient is passed further down, and a conv-like
-    layer there forms no input gradient at all.
+    layer there forms no input gradient at all. The cache is consumed:
+    each layer's entry is dropped as the walk passes it, so the walk's
+    peak holds only the caches of the layers still below it.
     """
     if not cache.train:
         raise ValueError("backward needs the cache of a train-mode forward; this one is from mode='eval'")
+    if cache.layer_caches is None:
+        raise ValueError("this forward cache was already consumed by a backward pass; run forward again")
+    caches, cache.layer_caches = cache.layer_caches, None  # consumed even if a step raises
     grads = {}
     g = grad_logits.reshape(cache.logits_shape).astype(model.dtype, copy=False)
     lowest = min(model.params, default=len(model.specs))
     for i in range(len(model.specs) - 1, lowest - 1, -1):
         kind = KINDS[model.specs[i].kind]
         bottom = {"input_grad": False} if i == lowest and kind.expand is not None else {}
-        g, layer_grads = kind.backward(model, i, g, cache.layer_caches[i], **bottom)
+        layer_cache, caches[i] = caches[i], None
+        g, layer_grads = kind.backward(model, i, g, layer_cache, **bottom)
         if layer_grads is not None:
             grads[i] = layer_grads
     return grads

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,12 +103,55 @@ def test_truncated_or_flipped_idx_loads_or_is_rejected(name, at, mask, truncate)
         raw = raw[: at % len(raw)]
     else:
         raw[at % len(raw)] ^= mask
+    assert_loads_whole_or_is_rejected(load, dump, bytes(raw))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(IDX_FILES)),
+    flips=st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 255)), min_size=2, max_size=8),
+)
+def test_multi_byte_flipped_idx_loads_or_is_rejected(name, flips):
+    valid, load, dump = IDX_FILES[name]
+    raw = bytearray(valid)
+    for at, mask in flips:
+        raw[at % len(raw)] ^= mask
+    assert_loads_whole_or_is_rejected(load, dump, bytes(raw))
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    big=st.lists(st.integers(2**20 + 1, 2**32 - 1), min_size=2, max_size=2),
+    free=st.integers(1, 2**32 - 1),
+    at=st.integers(0, 2),
+    payload=st.binary(max_size=64),
+)
+def test_idx_header_promising_past_2_to_the_40_is_rejected(big, free, at, payload):
+    dims = big[:at] + [free] + big[at:]  # any order; the two big ones alone pass 2**40
+    raw = struct.pack(">4I", data.IMAGE_MAGIC, *dims) + payload
+    assert not assert_loads_whole_or_is_rejected(load_idx_images, dump_idx_images, raw)
+
+
+def assert_loads_whole_or_is_rejected(load, dump, raw) -> bool:
+    """`raw` loads and writes back to the same bytes (True), or raises
+    IdxFormatError (False); either way loading allocates under 1 MB,
+    whatever the header promises."""
+    tracemalloc.start()
     try:
-        loaded = load(bytes(raw))
+        loaded = load(raw)
     except IdxFormatError:
-        return
+        loaded = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    if loaded is None:
+        return False
     # what loads is the whole file: writing it back gives the same bytes
-    assert dump(loaded) == bytes(raw)
+    assert dump(loaded) == raw
+    return True
 
 
 def test_dataset_validation():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -442,13 +443,13 @@ def test_backward_forms_no_input_gradient_at_the_lowest_trainable_layer(rng, mon
         return real(g, x, w, geom, **kwargs)
 
     model, cache, grad = backward_case(rng, preset_stack("dren-small"), 12)
+    bottom_input = cache.layer_caches[0][0]
+    want = full_backward_walk(model, cache, grad)  # before backward consumes the cache
     monkeypatch.setattr(network, "correlate2d_backward", recording)
     grads = backward(model, cache, grad)
-    bottom_input = cache.layer_caches[0][0]
     assert [flag for x, flag in calls if x is bottom_input] == [False]
     assert [flag for x, flag in calls if x is not bottom_input] == [True] * 3
-    monkeypatch.undo()
-    assert_same_grads(grads, full_backward_walk(model, cache, grad))
+    assert_same_grads(grads, want)
 
 
 def test_backward_skips_the_layers_below_the_first_conv(rng, monkeypatch):
@@ -462,13 +463,14 @@ def test_backward_skips_the_layers_below_the_first_conv(rng, monkeypatch):
         LayerSpec("global_avg_pool"),
     ]
     model, cache, grad = backward_case(rng, stack, 14)
+    upper_pool_input = cache.layer_caches[4]
+    want = full_backward_walk(model, cache, grad)  # before backward consumes the cache
     pooled = []
     real = network.max_pool2d_backward
     monkeypatch.setattr(network, "max_pool2d_backward", lambda g, x, k, s: pooled.append(x) or real(g, x, k, s))
     grads = backward(model, cache, grad)
-    assert len(pooled) == 1 and pooled[0] is cache.layer_caches[4]  # the upper pool only
-    monkeypatch.undo()
-    assert_same_grads(grads, full_backward_walk(model, cache, grad))
+    assert len(pooled) == 1 and pooled[0] is upper_pool_input  # the upper pool only
+    assert_same_grads(grads, want)
 
 
 def test_eval_forward_keeps_no_layer_caches(rng):
@@ -532,9 +534,8 @@ def test_eval_forward_peak_matches_a_cache_free_walk():
     assert peaks[0] <= 1.02 * peaks[1], peaks
 
 
-def test_train_step_peak_stays_within_the_lowering_budget():
-    # one momentum-SGD step of dren-z2cnn-shape at batch 64, float32; L4's
-    # whole patch matrix alone would be 26.5 MB
+def dren_z2cnn_step_peak():
+    """Traced peak bytes of one momentum-SGD step of dren-z2cnn-shape at batch 64, float32."""
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     ds = data.synth_glyphs(128, size=28, seed=0)
     rng = np.random.default_rng(1)
@@ -552,7 +553,59 @@ def test_train_step_peak_stays_within_the_lowering_budget():
     step(64)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    return peak
+
+
+def test_train_step_peak_stays_within_the_lowering_budget():
+    # L4's whole patch matrix alone would be 26.5 MB
+    peak = dren_z2cnn_step_peak()
     assert peak <= 42e6, peak
+
+
+def test_train_step_peak_holds_no_spent_layer_cache():
+    # the peak sits in L4's backward; the caches of layers 5-25, about
+    # 10.9 MB, are freed by then, as nothing reads them again
+    peak = dren_z2cnn_step_peak()
+    assert peak <= 31e6, peak
+
+
+def test_backward_frees_each_layer_cache_once_used(rng, monkeypatch):
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    logits, cache = forward(model, rng.standard_normal((4, 1, 28, 28)), mode="train", rng=rng)
+    _, grad = softmax_cross_entropy(logits, np.arange(4))
+    l4_input = cache.layer_caches[4][0]
+    l7_xhat = weakref.ref(cache.layer_caches[7][1]["xhat"])  # L7's batch norm
+    freed = []
+    real = network.correlate2d_backward
+
+    def recording(g, x, w, geom, **kwargs):
+        if x is l4_input:
+            freed.append(l7_xhat() is None)
+        return real(g, x, w, geom, **kwargs)
+
+    monkeypatch.setattr(network, "correlate2d_backward", recording)
+    backward(model, cache, grad)
+    assert freed == [True]
+    assert cache.layer_caches is None and cache.new_state
+
+
+def test_backward_consumes_its_cache(rng):
+    model = build_model(preset_stack("dren-small"), precision="float64")
+    logits, cache = forward(model, rng.standard_normal((2, 1, 12, 12)), mode="train")
+    _, grad = softmax_cross_entropy(logits, np.array([0, 1]))
+    backward(model, cache, grad)
+    with pytest.raises(ValueError, match="already consumed"):
+        backward(model, cache, grad)
+
+
+def test_eval_relu_forms_no_mask(rng):
+    model = build_model([LayerSpec("relu")], precision="float64")
+    x = rng.standard_normal((2, 1, 5, 5))
+    y_eval, cache, _ = KINDS["relu"].forward(model, 0, x, False, None)
+    y_train, mask, _ = KINDS["relu"].forward(model, 0, x, True, None)
+    assert cache is None
+    assert y_eval.tobytes() == y_train.tobytes()
+    assert mask.tobytes() == (x > 0).tobytes()
 
 
 # ---------------------------------------------------------------------------
