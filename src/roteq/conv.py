@@ -1,24 +1,70 @@
 """2-D multi-channel spatial correlation, its adjoints, and pooling.
 
-The forward pass lowers input patches to a column tensor (a strided
-view, copied once inside the GEMM) so both the tied-filter layers and
-the map-rotating reference path share one kernel. It lowers the batch
-in blocks: the output is allocated once, and each block of images is
-one `np.tensordot` of the filters with that block's patch view,
-written into its slice of the output. A block's patch columns stay
-within `_COLS_BYTES` (16 MiB), so the patch matrix is bounded whatever
-the batch size (Cho & Brand 2017, "MEC", on the lowering's memory
-overhead). On a 256x20x26x26 float32 input with 20 3x3 filters the
-whole-batch matrix is 106 MB and the call's traced peak 118 MB;
-blocked, the peak is 30.6 MB. A batch whose columns fit the budget is
-one block, exactly the unblocked call.
+The forward pass lowers input patches to a column matrix and multiplies
+it by the (o, c*kh*kw) filter matrix, so both the tied-filter layers
+and the map-rotating reference path share one kernel. It lowers the
+batch in blocks: the output is allocated once, and each block of
+images is copied into one column buffer, multiplied into one result
+buffer (`np.matmul` with `out=`) and written, transposed, into its
+slice of the output. Both buffers are allocated once per call, sized
+for the largest block. A block's patch columns stay within
+`_COLS_BYTES` (16 MiB), so the lowering is bounded whatever the batch
+size (Cho & Brand 2017, "MEC", on the lowering's memory overhead). On
+a 256x20x26x26 float32 input with 20 3x3 filters the whole-batch
+matrix is 106 MB and the call's traced peak was 118 MB; blocked, the
+peak is 30.3 MB. A batch whose columns fit the budget is one block.
 
-Why each block stays a `tensordot`: its reshape of the patch view is
-the same as the unblocked call's, so BLAS sees the same operand
-layout. For a 1x1 output (the 4x4 decycle head) that reshape is a
-view and BLAS runs a transposed-operand GEMM; copying the block to a
-contiguous matrix first changed that layer's float32 output by up to
-6.3e-7 relative at batch 64.
+Row runs (stride 1): row (channel, u, v) of a block's column matrix
+holds, per image, one contiguous run of the padded (H, W) plane read
+as a flat array: the (oh-1)*W + ow entries from offset u*W + v on,
+copied through one `as_strided` view. Output entry (p, q) reads entry
+p*W + q of the run, x_pad[p+u, q+v], so the matrix's columns run along
+the padded width W instead of ow. Each output row gets W - ow extra
+columns, which wrap onto the next input row; the GEMM computes them
+and the write into the output drops them. On that 26-px layer at batch
+256, a copy of 180*256 runs of 622 floats replaces one of 180*256*24
+runs of 24: the copy alone went from 13.7-15.3 to 7.8-8.5 ms, and the
+whole call, with its buffers reused, from 44-48 to 25-26 ms (2 vCPUs,
+OpenBLAS 0.3.31).
+
+Why kept entries are bit-identical: each is still the dot product of
+the same filter row with the same c*kh*kw inputs in the same order,
+and only its column in the GEMM moves. OpenBLAS rounds an entry the
+same wherever its column lies on full column blocks (see the input
+gradient below): on every preset layer, in both precisions, at
+batches 8, 16, 32, 50, 64 and 256, the output matches the per-row
+lowering bit for bit. At batches of 7 or fewer the GEMMs of the
+small layers (the 12-, 8- and 6-px layers of the z2cnn family, and at
+batch 1 the last 3x3 layer of dren-small and cnn-small) fall under
+OpenBLAS's small-matrix kernel, where the wider matrix rounds
+differently: by up to 4.8e-7 relative in float32 and 6.5e-16 in
+float64 per layer.
+
+Why only the overhang is zeroed: the columns between output rows hold
+input values, finite wherever the input is, and their products land
+in dropped columns. The run of the last output row ends at its
+image's last entry, so the W - ow columns after it are never copied
+into. They are zeroed once per call: left as they were allocated, they
+could hold an Inf whose product with a zero weight sets numpy's
+invalid-value flag, and reading them from the input instead would run
+into the next image or past the array.
+
+Why strided layers keep per-row copies: at stride s > 1 an output row
+reads every s-th entry of an input row, which no contiguous run holds.
+Those layers, and inputs whose (H, W) plane is not one flat run (a
+transposed view, say, with no padding to copy it), copy one run of ow
+entries per output row into the same buffer: the operand `tensordot`
+built, with the same layout.
+
+Why 1x1 outputs (the 4x4 decycle head) keep `tensordot`'s operand,
+`patches.transpose(1, 2, 3, 0, 4, 5).reshape(c*kh*kw, n)`: when the
+window covers the whole padded image, that reshape is a view and BLAS
+runs a transposed-operand GEMM. Copying the block to a contiguous
+matrix first changed that layer's output at batch 64 by up to 5.1e-7
+relative in float32 and 1.1e-15 in float64. A partial window's reshape
+is the same C-order copy `tensordot` made; a transposed view of an
+(n, c*kh*kw) copy instead changed a 6-px k5 stride-3 head by up to
+5.7e-7 in float32 and 9.6e-16 in float64.
 
 Why the blocks are near-equal: a lone small remainder block can fall
 under OpenBLAS's small-matrix GEMM threshold (about 1e6
@@ -192,10 +238,39 @@ def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(
     xp = _pad_spatial(x, geom.pad)
     patches = _patches(xp, kh, kw, geom.stride)
     n, c, _, _, oh, ow = patches.shape
-    out = np.empty((n, w.shape[0], oh, ow), dtype=np.result_type(w, xp))
-    for lo, hi in _block_bounds(n, c * kh * kw * oh * ow * xp.itemsize):
-        block = np.tensordot(w, patches[lo:hi], axes=([1, 2, 3], [1, 2, 3]))
-        out[lo:hi] = block.transpose(1, 0, 2, 3)
+    o, k, wp = w.shape[0], c * kh * kw, xp.shape[3]
+    out = np.empty((n, o, oh, ow), dtype=np.result_type(w, xp))
+    w2 = w.reshape(o, k).astype(out.dtype, copy=False)
+    # row runs (module docstring) need stride 1 and each (h, w) plane one
+    # flat run; `width` is the GEMM's column count per output row
+    head = oh == ow == 1
+    rows = geom.stride == 1 and xp.strides[2] == wp * xp.strides[3] and not head
+    width = wp if rows else ow
+    run, span = (oh - 1) * wp + ow, oh * width
+    if rows:  # (c, kh, kw, n, run): the run of row (channel, u, v) in each image
+        s0, s1, s2, s3 = xp.strides
+        runs = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, n, run), (s1, s2, s3, s0, s3), writeable=False)
+    bounds = _block_bounds(n, k * oh * ow * xp.itemsize)
+    most = max(hi - lo for lo, hi in bounds)
+    res = np.empty((o, most * span), dtype=out.dtype)
+    if not head:
+        cols = np.empty((c, kh, kw, most, oh, width), dtype=out.dtype)
+        flat = cols.reshape(c, kh, kw, most, span)
+        if rows:
+            flat[..., run:] = 0  # the last output row's overhang, which no copy writes
+    for lo, hi in bounds:
+        b = hi - lo
+        per_row = patches[lo:hi].transpose(1, 2, 3, 0, 4, 5)  # (c, kh, kw, b, oh, ow)
+        if head:  # tensordot's operand: a view when the window covers the image
+            lowered = per_row.reshape(k, b)
+        else:
+            if rows:
+                np.copyto(flat[:, :, :, :b, :run], runs[:, :, :, lo:hi])
+            else:
+                np.copyto(cols[:, :, :, :b], per_row)
+            lowered = flat.reshape(k, most, span)[:, :b].reshape(k, b * span)
+        block = np.matmul(w2, lowered, out=res[:, : b * span])
+        out[lo:hi] = block.reshape(o, b, oh, width)[..., :ow].transpose(1, 0, 2, 3)
     return out
 
 

@@ -34,6 +34,33 @@ def naive_correlate2d(x, w, stride=1, pad=0):
     return out
 
 
+def tensordot_correlate2d(x, w, stride=1, pad=0, budget=1 << 24):
+    """Correlation lowered as one `np.tensordot` per batch block.
+
+    The batch splits into as few blocks as keep each block's
+    (n_b, c, kh, kw, oh, ow) patch view within `budget` bytes, sizes
+    differing by at most one; each block is one tensordot of the
+    filters with its patch view, written into its slice of the output.
+    """
+    n, c, h, w_in = x.shape
+    o, _, kh, kw = w.shape
+    padded = np.zeros((n, c, h + 2 * pad, w_in + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad : pad + h, pad : pad + w_in] = x
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w_in + 2 * pad - kw) // stride + 1
+    s0, s1, s2, s3 = padded.strides
+    patches = np.lib.stride_tricks.as_strided(
+        padded, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride)
+    )
+    most = max(1, budget // (c * kh * kw * oh * ow * x.itemsize))
+    parts = max(1, -(-n // most))
+    out = np.empty((n, o, oh, ow), dtype=np.result_type(w, x))
+    for k in range(parts):
+        lo, hi = k * n // parts, (k + 1) * n // parts
+        out[lo:hi] = np.tensordot(w, patches[lo:hi], axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3)
+    return out
+
+
 def strided_scatter_input_grad(grad_out, w, x_shape, stride=1, pad=0):
     """Input gradient of a correlation by the strided col2im scatter.
 

@@ -23,6 +23,7 @@ from reference import (
     naive_max_pool2d,
     naive_max_pool2d_backward,
     strided_scatter_input_grad,
+    tensordot_correlate2d,
     whole_matrix_filter_grad,
 )
 
@@ -145,6 +146,88 @@ def test_blocked_lowering_bounds_the_patch_matrix(rng):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 40e6, peak
+
+
+def preset_conv_layers(monkeypatch, preset, precision):
+    """(input shape, filter bank, geometry) of every conv-like layer of `preset` at 28 px."""
+    model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
+    calls = []
+
+    def record(x, w, geom=ConvGeometry()):
+        calls.append((x.shape[1:], w, geom))
+        return correlate2d(x, w, geom)
+
+    with monkeypatch.context() as m:
+        m.setattr(network, "correlate2d", record)
+        network.forward(model, np.zeros((1, 1, 28, 28)), mode="eval")
+    assert len(calls) == sum(s.kind in ("cycle", "isotonic", "decycle", "conv") for s in model.specs)
+    return calls
+
+
+def assert_lowering_matches_tensordot(x, w, geom):
+    want = tensordot_correlate2d(x, w, geom.stride, geom.pad)
+    got = correlate2d(x, w, geom)
+    assert_same_bits(got, want)
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("batch", [8, 64, 256])
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("preset", ["dren-z2cnn-shape", "z2cnn-shape", "bench-nin-shape", "dren-small", "cnn-small"])
+def test_lowering_matches_tensordot_on_preset_layers(monkeypatch, rng, preset, precision, batch):
+    # row runs on the stride-1 layers, tensordot's operand on the 1x1 heads
+    for shape, w, geom in preset_conv_layers(monkeypatch, preset, precision):
+        x = rng.standard_normal((batch,) + shape).astype(w.dtype)
+        assert_lowering_matches_tensordot(x, w, geom)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape,w_shape,stride,pad",
+    [
+        ((20, 14, 14), (20, 20, 3, 3), 1, 1),
+        ((12, 13, 11), (16, 12, 5, 3), 1, 2),
+        ((24, 17, 17), (16, 24, 3, 3), 2, 1),  # strided: per-row copies
+        ((20, 4, 4), (10, 20, 4, 4), 1, 0),  # whole-window 1x1 head: a view
+        ((20, 6, 6), (10, 20, 5, 5), 3, 0),  # partial-window 1x1 head: a copy
+    ],
+)
+def test_lowering_matches_tensordot_padded_strided_and_heads(rng, dtype, shape, w_shape, stride, pad):
+    w = rng.standard_normal(w_shape).astype(dtype)
+    for batch in (8, 64):
+        x = rng.standard_normal((batch,) + shape).astype(dtype)
+        assert_lowering_matches_tensordot(x, w, ConvGeometry(stride, pad))
+
+
+@pytest.mark.parametrize("view", [lambda x: x[..., ::-1, ::-1], lambda x: x.swapaxes(2, 3)])
+def test_lowering_matches_tensordot_on_views(rng, view):
+    # a half turn keeps each plane one flat run (negative strides); a
+    # transpose does not, and goes through per-row copies
+    x = view(rng.standard_normal((16, 20, 12, 12)))
+    w = rng.standard_normal((20, 20, 3, 3))
+    assert not x.flags.c_contiguous
+    assert_lowering_matches_tensordot(x, w, ConvGeometry())
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_lowering_reads_no_image_past_the_batch(rng, pad):
+    # each row run ends at its image's last entry; the overhang past the
+    # last output row is zeroed, never read from the next image
+    n = 16
+    big = rng.standard_normal((n + 4, 20, 10, 10))
+    big[n:] = np.nan
+    w = rng.standard_normal((8, 20, 3, 3))
+    out = correlate2d(big[:n], w, ConvGeometry(pad=pad))
+    assert not np.isnan(out).any()
+    assert_same_bits(out, tensordot_correlate2d(big[:n], w, pad=pad))
+
+
+def test_lowering_of_an_empty_batch(rng):
+    w = rng.standard_normal((8, 3, 3, 3))
+    for geom, size in ((ConvGeometry(), 7), (ConvGeometry(stride=2), 7), (ConvGeometry(), 3)):
+        out = correlate2d(np.zeros((0, 3, size, size)), w, geom)
+        oh = output_size(size, 3, geom.stride)
+        assert out.shape == (0, 8, oh, oh)
 
 
 def assert_backward_blocking_is_exact(monkeypatch, rng, shape, w, geom):
