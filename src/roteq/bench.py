@@ -94,16 +94,21 @@ def time_forward(
 ) -> TimingReport:
     """Wall-clock seconds per full-batch forward pass for one strategy.
 
-    The first (warmup) run is discarded. Both strategies do all their
-    rotation inside the timed pass: the filter strategy expands every
-    tied bank from its base, as each training and inference forward
-    does, and the map strategy rotates feature maps. Raises if the two
-    disagree beyond `GATE_TOLERANCE` before any timing starts.
+    Before timing, the other strategy runs once and then the timed one,
+    and the two outputs must agree within `GATE_TOLERANCE` or this
+    raises before any trial. That pass of the timed strategy is its
+    warm-up: the trials follow it directly, so each strategy runs one
+    untimed forward per call. Both strategies do all their rotation
+    inside the timed pass: the filter strategy expands every tied bank
+    from its base, as each training and inference forward does, and the
+    map strategy rotates feature maps.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if trials < 3:
         raise ValueError("need at least 3 trials")
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     if model_name not in BENCH_MODELS:
         raise ValueError(f"unknown bench model {model_name!r}; choose from {sorted(BENCH_MODELS)}")
     preset, size = BENCH_MODELS[model_name]
@@ -120,20 +125,20 @@ def time_forward(
                 h = network.KINDS[spec.kind].forward(model, i, h, False, None)[0]
         return h
 
-    fast = network.forward(model, x, mode="eval")[0]
-    slow = rotate_maps()
-    _, rel = relative_deviation(fast, slow.reshape(fast.shape))
+    def expand_filters():
+        return network.forward(model, x, mode="eval")[0]
+
+    run, other = (
+        (expand_filters, rotate_maps) if strategy == ROTATE_FILTERS else (rotate_maps, expand_filters)
+    )
+    reference = other()
+    out = run()  # the timed strategy runs last: this pass is its warm-up
+    _, rel = relative_deviation(out.reshape(batch, -1), reference.reshape(batch, -1))
     if rel > GATE_TOLERANCE:
         raise RuntimeError(
             f"strategy outputs diverge (rel {rel:.3e} > {GATE_TOLERANCE:g}); refusing to time"
         )
 
-    if strategy == ROTATE_FILTERS:
-        run = lambda: network.forward(model, x, mode="eval")
-    else:
-        run = rotate_maps
-
-    run()  # warmup, excluded
     seconds = []
     for _ in range(trials):
         t0 = time.perf_counter()

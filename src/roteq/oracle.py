@@ -79,8 +79,15 @@ def oracle_decycle(base: np.ndarray, x: np.ndarray, geom: ConvGeometry = ConvGeo
 
 
 def relative_deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(max abs diff, max diff scaled by the larger magnitude of the pair)."""
-    max_abs = float(np.max(np.abs(a - b))) if a.size else 0.0
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 0.0)
+    """(max abs diff, max diff scaled by the larger magnitude of the pair).
+
+    The arrays must have one shape; an empty pair deviates by (0.0, 0.0).
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
+    if not a.size:
+        return 0.0, 0.0
+    max_abs = float(np.max(np.abs(a - b)))
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return max_abs, (max_abs / scale if scale > 0 else 0.0)
 

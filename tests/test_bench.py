@@ -85,6 +85,9 @@ def test_time_forward_validation():
         time_forward("z2cnn-shape", ROTATE_FILTERS, trials=2)
     with pytest.raises(ValueError, match="bench model"):
         time_forward("resnet-1000", ROTATE_FILTERS, trials=3)
+    for batch in (0, -1):
+        with pytest.raises(ValueError, match=f"batch must be at least 1, got {batch}"):
+            time_forward("z2cnn-shape", ROTATE_FILTERS, batch=batch, trials=3)
 
 
 def test_compare_strategies_fills_ratios():
@@ -149,8 +152,30 @@ def test_tracer_bindings_resolve(monkeypatch):
     assert rotated == []
 
 
-def test_time_forward_refuses_to_time_diverging_strategies(monkeypatch):
+@pytest.mark.parametrize("strategy", [ROTATE_FILTERS, ROTATE_FEATURE_MAPS])
+def test_time_forward_refuses_to_time_diverging_strategies(monkeypatch, strategy):
     real = oracle.oracle_cycle
     monkeypatch.setattr(oracle, "oracle_cycle", lambda base, x, geom: real(base, x, geom) * 1.01)
     with pytest.raises(RuntimeError, match="refusing to time"):
-        time_forward("z2cnn-shape", ROTATE_FILTERS, batch=2, trials=3)
+        time_forward("z2cnn-shape", strategy, batch=2, trials=3)
+
+
+@pytest.mark.parametrize("strategy", [ROTATE_FILTERS, ROTATE_FEATURE_MAPS])
+def test_time_forward_runs_one_untimed_pass_per_strategy(monkeypatch, strategy):
+    # the gate's pass of the timed strategy is its warm-up: the timed walk
+    # runs once per trial plus once in the gate, the other walk only in the gate
+    walks = dict.fromkeys((ROTATE_FILTERS, ROTATE_FEATURE_MAPS), 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            walks[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    # bench-z2cnn-shape has one cycle layer, so one oracle_cycle call per map walk
+    monkeypatch.setattr(network, "forward", counted(ROTATE_FILTERS, network.forward))
+    monkeypatch.setattr(oracle, "oracle_cycle", counted(ROTATE_FEATURE_MAPS, oracle.oracle_cycle))
+    time_forward("z2cnn-shape", strategy, batch=2, trials=3)
+    other = ROTATE_FEATURE_MAPS if strategy == ROTATE_FILTERS else ROTATE_FILTERS
+    assert (walks[strategy], walks[other]) == (4, 1)

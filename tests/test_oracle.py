@@ -122,6 +122,17 @@ def test_relative_deviation_zero_tensors():
     assert relative_deviation(z, z) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)])
+def test_relative_deviation_of_an_empty_pair(shape):
+    assert relative_deviation(np.zeros(shape), np.zeros(shape)) == (0.0, 0.0)
+
+
+def test_relative_deviation_rejects_mismatched_shapes():
+    # equal values that would broadcast to a (2, 2) difference
+    with pytest.raises(ValueError, match=r"\(2,\) vs \(2, 1\)"):
+        relative_deviation(np.array([1.0, 2.0]), np.array([[1.0], [2.0]]))
+
+
 def roteq_imports(module) -> set:
     """Names of the roteq modules that `module`'s source imports from."""
     found = set()
