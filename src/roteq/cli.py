@@ -38,7 +38,7 @@ CHECKPOINT_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Run-config file problem; message carries the line number."""
+    """Run-config or data-split problem; a config file's message carries the line number."""
 
 
 class CheckpointError(ValueError):
@@ -409,21 +409,35 @@ def _read_train_splits(cfg: dict) -> tuple:
     return read_split(data_dir, "train"), read_split(data_dir, "val")
 
 
-def _check_logit_width(model: Model, size: int, *datasets) -> None:
-    """Reject a model whose logits cannot cover every label in `datasets`.
-
-    The width is that of an eval forward of one blank image, so it is
-    exactly what the loss will see.
+def _check_models_fit(models: list, splits: dict) -> None:
+    """Reject `splits` (name -> dataset) that do not share one square image
+    shape, and models that do not fit them: by `plan_layers`, by input
+    channels, or by fewer logits than the labels need. The logit width is
+    that of an eval forward of one blank image, exactly what the loss sees.
     """
-    classes = max(int(ds.labels.max()) + 1 for ds in datasets)
-    probe = np.zeros((1, model.in_channels, size, size), dtype=model.dtype)
-    width = network.forward(model, probe, mode="eval")[0].shape[1]
-    if width < classes:
-        last = len(model.specs) - 1
-        raise ModelSpecError(
-            f"layer {last} ({model.specs[last].kind}) gives {width} logits per image, "
-            f"but the labels need {classes} classes"
-        )
+    (first, ds), *rest = splits.items()
+    _, channels, h, w = ds.images.shape
+    for name, other in rest:
+        if other.images.shape[2:] != (h, w):
+            oh, ow = other.images.shape[2:]
+            raise ConfigError(f"the {name} images are {oh}x{ow}, but the {first} images are {h}x{w}")
+    if h != w:
+        raise ConfigError(f"the {' and '.join(splits)} images are {h}x{w}, but only square images are supported")
+    classes = max(int(ds.labels.max()) + 1 for ds in splits.values())
+    for model in models:
+        network.plan_layers(model.specs, model.in_channels, h)
+        if model.in_channels != channels:
+            raise ModelSpecError(
+                f"the model takes {model.in_channels} input channels, but the {first} images have {channels}"
+            )
+        probe = np.zeros((1, model.in_channels, h, w), dtype=model.dtype)
+        width = network.forward(model, probe, mode="eval")[0].shape[1]
+        if width < classes:
+            last = len(model.specs) - 1
+            raise ModelSpecError(
+                f"layer {last} ({model.specs[last].kind}) gives {width} logits per image, "
+                f"but the labels need {classes} classes"
+            )
 
 
 def cmd_train(args) -> int:
@@ -431,9 +445,8 @@ def cmd_train(args) -> int:
     specs = parse_layer_stack(cfg["layers"])
     train_ds, val_ds = _read_train_splits(cfg)
     print("effective config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))
-    size = train_ds.images.shape[2]
-    model = build_model(specs, in_channels=1, seed=cfg["seed"], precision=cfg["precision"], input_size=size)
-    _check_logit_width(model, size, train_ds, val_ds)
+    model = build_model(specs, in_channels=1, seed=cfg["seed"], precision=cfg["precision"])
+    _check_models_fit([model], {"train": train_ds, "val": val_ds})
     counts = model.parameter_counts()
     print(f"model: {len(specs)} layers, {model.num_parameters} parameters "
           + " ".join(f"L{i}:{n}" for i, n in sorted(counts.items())))
@@ -451,13 +464,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     test_ds = read_split(Path(args.data), "test")
+    _check_models_fit([model], {"test": test_ds})
     images = test_ds.images
-    network.plan_layers(model.specs, model.in_channels, images.shape[2])
-    if model.in_channels != images.shape[1]:
-        raise ModelSpecError(
-            f"the model takes {model.in_channels} input channels, but the test images have {images.shape[1]}"
-        )
-    _check_logit_width(model, images.shape[2], test_ds)
     if args.rotate % 4 != 0:
         images = tensor.rotate90(images, args.rotate)
     preds = network.predict(model, images)
@@ -539,14 +547,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep trains its own depth family; the config sets layers = {cfg['layers']!r}")
     train_ds, val_ds = _read_train_splits(cfg)
     if train_ds.images.shape[2] != 28:
-        print("sweep: the depth family expects 28x28 images", file=sys.stderr)
-        return 2
+        raise ConfigError("sweep: the depth family expects 28x28 images")
     models = [
-        build_model(sweep_stack(d), in_channels=1, seed=cfg["seed"], precision=cfg["precision"], input_size=28)
-        for d in depths
+        build_model(sweep_stack(d), in_channels=1, seed=cfg["seed"], precision=cfg["precision"]) for d in depths
     ]
-    for model in models:
-        _check_logit_width(model, 28, train_ds, val_ds)
+    _check_models_fit(models, {"train": train_ds, "val": val_ds})
     for n, (depth, model) in enumerate(zip(depths, models)):
         history = network.train(model, train_ds, val_ds, tc)
         if n == 0:  # the header waits for a row, so a run that fails prints no CSV
@@ -606,7 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--trials", type=POSITIVE, default=20)
+    p.add_argument(
+        "--trials", type=POSITIVE, default=20,
+        help="random draws of the randomized suites; the gradients suite sweeps every parameter once and ignores it",
+    )
     p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.set_defaults(fn=cmd_verify)
 

@@ -4,15 +4,20 @@ The forward pass lowers input patches to a column matrix and multiplies
 it by the (o, c*kh*kw) filter matrix, so both the tied-filter layers
 and the map-rotating reference path share one kernel. It lowers the
 batch in blocks: the output is allocated once, and each block of
-images is copied into one column buffer, multiplied into one result
+images is lowered to one column matrix, multiplied into one result
 buffer (`np.matmul` with `out=`) and written, transposed, into its
-slice of the output. Both buffers are allocated once per call, sized
-for the largest block. A block's patch columns stay within
-`_COLS_BYTES` (16 MiB), so the lowering is bounded whatever the batch
-size (Cho & Brand 2017, "MEC", on the lowering's memory overhead). On
-a 256x20x26x26 float32 input with 20 3x3 filters the whole-batch
-matrix is 106 MB and the call's traced peak was 118 MB; blocked, the
-peak is 30.3 MB. A batch whose columns fit the budget is one block.
+slice of the output. The result buffer is allocated once per call,
+sized for the largest block, and so is the column buffer that row runs
+(below) copy into; every other correlation multiplies `tensordot`'s
+own operand, built per block and released before the next block's. A
+block's column matrix stays within `_COLS_BYTES` (16 MiB): the budget
+counts the columns as allocated, the padded width W per output row for
+row runs and ow otherwise, so the lowering is bounded whatever the
+batch size (Cho & Brand 2017, "MEC", on the lowering's memory
+overhead). On a 256x20x26x26 float32 input with 20 3x3 filters the
+whole-batch matrix is 106 MB and the call's traced peak was 118 MB;
+blocked, the peak is 30.3 MB. A batch whose columns fit the budget is
+one block.
 
 Row runs (stride 1): row (channel, u, v) of a block's column matrix
 holds, per image, one contiguous run of the padded (H, W) plane read
@@ -32,7 +37,7 @@ the same filter row with the same c*kh*kw inputs in the same order,
 and only its column in the GEMM moves. OpenBLAS rounds an entry the
 same wherever its column lies on full column blocks (see the input
 gradient below): on every preset layer, in both precisions, at
-batches 8, 16, 32, 50, 64 and 256, the output matches the per-row
+batches 8, 16, 32, 50, 64 and 256, the output matches `tensordot`'s
 lowering bit for bit. At batches of 7 or fewer the GEMMs of the
 small layers (the 12-, 8- and 6-px layers of the z2cnn family, and at
 batch 1 the last 3x3 layer of dren-small and cnn-small) fall under
@@ -49,22 +54,23 @@ could hold an Inf whose product with a zero weight sets numpy's
 invalid-value flag, and reading them from the input instead would run
 into the next image or past the array.
 
-Why strided layers keep per-row copies: at stride s > 1 an output row
-reads every s-th entry of an input row, which no contiguous run holds.
-Those layers, and inputs whose (H, W) plane is not one flat run (a
-transposed view, say, with no padding to copy it), copy one run of ow
-entries per output row into the same buffer: the operand `tensordot`
-built, with the same layout.
-
-Why 1x1 outputs (the 4x4 decycle head) keep `tensordot`'s operand,
-`patches.transpose(1, 2, 3, 0, 4, 5).reshape(c*kh*kw, n)`: when the
-window covers the whole padded image, that reshape is a view and BLAS
-runs a transposed-operand GEMM. Copying the block to a contiguous
-matrix first changed that layer's output at batch 64 by up to 5.1e-7
-relative in float32 and 1.1e-15 in float64. A partial window's reshape
-is the same C-order copy `tensordot` made; a transposed view of an
-(n, c*kh*kw) copy instead changed a 6-px k5 stride-3 head by up to
-5.7e-7 in float32 and 9.6e-16 in float64.
+Why every other correlation multiplies `tensordot`'s operand,
+`patches.transpose(1, 2, 3, 0, 4, 5).reshape(c*kh*kw, n*oh*ow)`: row
+runs need stride 1, a (H, W) plane that is one flat run, and more than
+one output entry. At stride s > 1 an output row reads every s-th entry
+of an input row, which no contiguous run holds; row runs with element
+step s would give each output row W GEMM columns, about s times the ow
+kept, and made stride-2 calls 1.3-1.8x slower. For those layers, and
+for inputs whose plane is not one flat run (a transposed view, say,
+with no padding to copy it), the reshape is numpy's C-order copy,
+which is exactly the operand `tensordot` builds. For a 1x1 output (the
+4x4 decycle head) whose window covers the whole padded image, the
+reshape is a view and BLAS runs a transposed-operand GEMM. Copying
+that block to a contiguous matrix first changed the head's output at
+batch 64 by up to 5.1e-7 relative in float32 and 1.1e-15 in float64,
+and a transposed view of an (n, c*kh*kw) copy changed a 6-px k5
+stride-3 head by up to 5.7e-7 in float32 and 9.6e-16 in float64, so
+the operand stays `tensordot`'s wherever row runs do not apply.
 
 Why the blocks are near-equal: a lone small remainder block can fall
 under OpenBLAS's small-matrix GEMM threshold (about 1e6
@@ -241,35 +247,29 @@ def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(
     o, k, wp = w.shape[0], c * kh * kw, xp.shape[3]
     out = np.empty((n, o, oh, ow), dtype=np.result_type(w, xp))
     w2 = w.reshape(o, k).astype(out.dtype, copy=False)
-    # row runs (module docstring) need stride 1 and each (h, w) plane one
-    # flat run; `width` is the GEMM's column count per output row
-    head = oh == ow == 1
-    rows = geom.stride == 1 and xp.strides[2] == wp * xp.strides[3] and not head
+    # row runs (module docstring) need stride 1, each (h, w) plane one flat
+    # run and more than one output entry; `width` is the GEMM's column
+    # count per output row
+    rows = geom.stride == 1 and xp.strides[2] == wp * xp.strides[3] and oh * ow > 1
     width = wp if rows else ow
     run, span = (oh - 1) * wp + ow, oh * width
+    bounds = _block_bounds(n, k * span * out.itemsize)
+    most = max(hi - lo for lo, hi in bounds)
+    res = np.empty((o, most * span), dtype=out.dtype)
     if rows:  # (c, kh, kw, n, run): the run of row (channel, u, v) in each image
         s0, s1, s2, s3 = xp.strides
         runs = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, n, run), (s1, s2, s3, s0, s3), writeable=False)
-    bounds = _block_bounds(n, k * oh * ow * xp.itemsize)
-    most = max(hi - lo for lo, hi in bounds)
-    res = np.empty((o, most * span), dtype=out.dtype)
-    if not head:
-        cols = np.empty((c, kh, kw, most, oh, width), dtype=out.dtype)
-        flat = cols.reshape(c, kh, kw, most, span)
-        if rows:
-            flat[..., run:] = 0  # the last output row's overhang, which no copy writes
+        cols = np.empty((c, kh, kw, most, span), dtype=out.dtype)
+        cols[..., run:] = 0  # the last output row's overhang, which no copy writes
     for lo, hi in bounds:
         b = hi - lo
-        per_row = patches[lo:hi].transpose(1, 2, 3, 0, 4, 5)  # (c, kh, kw, b, oh, ow)
-        if head:  # tensordot's operand: a view when the window covers the image
-            lowered = per_row.reshape(k, b)
-        else:
-            if rows:
-                np.copyto(flat[:, :, :, :b, :run], runs[:, :, :, lo:hi])
-            else:
-                np.copyto(cols[:, :, :, :b], per_row)
-            lowered = flat.reshape(k, most, span)[:, :b].reshape(k, b * span)
+        if rows:
+            np.copyto(cols[:, :, :, :b, :run], runs[:, :, :, lo:hi])
+            lowered = cols.reshape(k, most, span)[:, :b].reshape(k, b * span)
+        else:  # tensordot's operand: a view when the window covers the image
+            lowered = patches[lo:hi].transpose(1, 2, 3, 0, 4, 5).reshape(k, b * span)
         block = np.matmul(w2, lowered, out=res[:, : b * span])
+        del lowered  # before the next block's operand is built
         out[lo:hi] = block.reshape(o, b, oh, width)[..., :ow].transpose(1, 0, 2, 3)
     return out
 

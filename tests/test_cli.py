@@ -806,6 +806,47 @@ def test_sweep_rejects_images_other_than_28_pixels(data_dir, capsys):
     assert captured.out == ""
 
 
+def write_splits(out, **sizes):
+    """Write each named split as 12 random glyph-valued images of size (h, w)."""
+    rng = np.random.default_rng(0)
+    for name, (h, w) in sizes.items():
+        images = rng.random((12, 1, h, w)).astype(np.float32)
+        cli.write_split(out, name, data.Dataset(images, np.arange(12) % 10))
+
+
+@pytest.mark.parametrize(
+    "argv,sizes,message",
+    [
+        (["train", "--layers", "conv:c10:k3,gap"], {"train": (12, 2), "val": (12, 2)},
+         "the train and val images are 12x2, but only square images are supported"),
+        (["train", "--layers", "@dren-small"], {"train": (28, 20), "val": (28, 20)},
+         "the train and val images are 28x20, but only square images are supported"),
+        (["train", "--layers", "@z2cnn-shape"], {"train": (28, 28), "val": (14, 14)},
+         "the val images are 14x14, but the train images are 28x28"),
+        (["sweep", "--depths", "1"], {"train": (28, 28), "val": (14, 14)},
+         "the val images are 14x14, but the train images are 28x28"),
+        (["sweep", "--depths", "1"], {"train": (28, 20), "val": (28, 20)},
+         "the train and val images are 28x20, but only square images are supported"),
+    ],
+    ids=["train-12x2", "train-28x20", "train-val-14", "sweep-val-14", "sweep-28x20"],
+)
+def test_training_rejects_split_shapes_before_it_starts(tmp_path, capsys, argv, sizes, message):
+    write_splits(tmp_path, **sizes)
+    assert cli.main(argv + ["--data-dir", str(tmp_path), "--epochs", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert "model:" not in out and "depth," not in out
+
+
+def test_eval_rejects_images_that_are_not_square(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    cli.save_checkpoint(build_model(preset_stack("dren-small")), ckpt)
+    write_splits(tmp_path, test=(28, 20))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path), "--rotate", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: the test images are 28x20, but only square images are supported\n" and out == ""
+
+
 def test_sweep_takes_no_layers_flag(data_dir_28, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--depths", "1", "--epochs", "1", "--data-dir", str(data_dir_28),

@@ -148,6 +148,46 @@ def test_blocked_lowering_bounds_the_patch_matrix(rng):
     assert peak < 40e6, peak
 
 
+@pytest.mark.parametrize(
+    "shape,w_shape,stride,pad",
+    [
+        # row runs: 14 columns per output row, not 12; a budget counting 12
+        # would fit all 161 images in one 18.6 MiB block
+        ((161, 20, 12, 12), (20, 20, 3, 3), 1, 1),
+        ((256, 24, 17, 17), (24, 24, 3, 3), 2, 1),  # tensordot's operand, a copy
+    ],
+)
+def test_no_forward_gemm_operand_exceeds_the_budget(monkeypatch, rng, shape, w_shape, stride, pad):
+    sizes = []
+
+    def spy(a, b, **kwargs):
+        sizes.append(b.nbytes)
+        return matmul(a, b, **kwargs)
+
+    matmul = np.matmul
+    x = rng.standard_normal(shape, dtype=np.float32)
+    w = rng.standard_normal(w_shape, dtype=np.float32)
+    with monkeypatch.context() as m:
+        m.setattr(np, "matmul", spy)
+        out = correlate2d(x, w, ConvGeometry(stride, pad))
+    assert len(sizes) > 1 and max(sizes) <= conv._COLS_BYTES, sizes
+    assert_same_bits(out, tensordot_correlate2d(x, w, stride, pad))
+
+
+def test_strided_lowering_holds_one_block_operand_at_a_time(rng):
+    # 4 blocks of 64 images; each block's (216, 64*16*16) float32 copy is
+    # 14.2 MB, so two alive at once would take the peak past 28 MB
+    x = rng.standard_normal((256, 24, 33, 33), dtype=np.float32)
+    w = rng.standard_normal((4, 24, 3, 3), dtype=np.float32)
+    operand = 24 * 3 * 3 * 64 * 16 * 16 * 4
+    tracemalloc.start()
+    out = correlate2d(x, w, ConvGeometry(stride=2))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(conv._block_bounds(256, operand // 64)) == 4
+    assert peak - out.nbytes <= 1.25 * operand, peak
+
+
 def preset_conv_layers(monkeypatch, preset, precision):
     """(input shape, filter bank, geometry) of every conv-like layer of `preset` at 28 px."""
     model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
