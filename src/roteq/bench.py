@@ -6,27 +6,44 @@ maps unchanged) versus rotating feature maps per forward pass (filters
 unchanged, maps 4x). The GEMM row models the patch-matrix lowering used
 by the correlation kernel, where every map element is copied k^2 times.
 
-The timing harness runs the same parameters through both strategies:
-the filter side is the eval-mode `network.forward` that training and
-inference use, the map side runs `oracle.oracle_<kind>` for every tied
-layer and the layer table's forward step for the others. It refuses to
-time anything until their outputs agree, so the measured ratio reflects
-strategy overhead and never a divergent computation.
+The timing harness runs the same parameters through both strategies,
+each as the eval-mode `network.forward` that training and inference
+use, walking its own layer table (`STRATEGIES`): the filter side walks
+`network.KINDS`, and the map side walks a copy whose tied kinds run
+`oracle.oracle_<kind>` instead. It refuses to time anything until their
+outputs agree, so the measured ratio reflects strategy overhead and
+never a divergent computation.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import network, oracle
 from .conv import ConvGeometry
-from .network import build_model, preset_stack
+from .network import KINDS, TIED_KINDS, build_model, preset_stack
 from .oracle import relative_deviation
+
+
+def _rotate_maps_forward(model, i, h, train, rng):
+    """A tied layer's forward step through `oracle.oracle_<kind>`, looked up
+    on every call so a patched oracle is the one run; its cache is the
+    filter step's (input, geometry)."""
+    spec = model.specs[i]
+    geom = ConvGeometry(spec.stride, spec.pad)
+    return getattr(oracle, f"oracle_{spec.kind}")(model.params[i]["base"], h, geom), (h, geom), None
+
 
 ROTATE_FILTERS = "rotate_filters"
 ROTATE_FEATURE_MAPS = "rotate_feature_maps"
-STRATEGIES = (ROTATE_FILTERS, ROTATE_FEATURE_MAPS)
+STRATEGIES = {  # strategy name -> the layer table its `network.forward` walks
+    ROTATE_FILTERS: KINDS,
+    ROTATE_FEATURE_MAPS: {
+        name: replace(entry, forward=_rotate_maps_forward) if name in TIED_KINDS else entry
+        for name, entry in KINDS.items()
+    },
+}
 
 BENCH_MODELS = {
     "z2cnn-shape": ("bench-z2cnn-shape", 28),
@@ -115,25 +132,12 @@ def time_forward(
     model = build_model(preset_stack(preset), in_channels=1, seed=seed, input_size=size)
     x = np.random.default_rng(seed + 1).random((batch, 1, size, size), dtype=np.float32)
 
-    def rotate_maps():
-        h = x
-        for i, spec in enumerate(model.specs):
-            if spec.kind in network.TIED_KINDS:
-                layer = getattr(oracle, f"oracle_{spec.kind}")
-                h = layer(model.params[i]["base"], h, ConvGeometry(spec.stride, spec.pad))
-            else:
-                h = network.KINDS[spec.kind].forward(model, i, h, False, None)[0]
-        return h
+    def walk(name):
+        return network.forward(model, x, mode="eval", kinds=STRATEGIES[name])[0]
 
-    def expand_filters():
-        return network.forward(model, x, mode="eval")[0]
-
-    run, other = (
-        (expand_filters, rotate_maps) if strategy == ROTATE_FILTERS else (rotate_maps, expand_filters)
-    )
-    reference = other()
-    out = run()  # the timed strategy runs last: this pass is its warm-up
-    _, rel = relative_deviation(out.reshape(batch, -1), reference.reshape(batch, -1))
+    reference = walk(next(name for name in STRATEGIES if name != strategy))
+    out = walk(strategy)  # the timed strategy runs last: this pass is its warm-up
+    _, rel = relative_deviation(out, reference)
     if rel > GATE_TOLERANCE:
         raise RuntimeError(
             f"strategy outputs diverge (rel {rel:.3e} > {GATE_TOLERANCE:g}); refusing to time"
@@ -142,7 +146,7 @@ def time_forward(
     seconds = []
     for _ in range(trials):
         t0 = time.perf_counter()
-        run()
+        walk(strategy)
         seconds.append(time.perf_counter() - t0)
     report = TimingReport(strategy, model_name, batch, trials, seconds)
     report.median = float(np.median(seconds))

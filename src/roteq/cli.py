@@ -7,7 +7,9 @@ File formats owned here:
   then per trainable layer the parameter arrays as u64 length +
   little-endian float32 values in a fixed per-kind order. Decoding an
   encoded model reproduces specs, parameters, and normalization state
-  bit-exactly; unknown versions are rejected.
+  bit-exactly; unknown versions are rejected. ``train --out`` refuses,
+  before training, a dropout rate that is not a whole number of
+  millionths, as the checkpoint would load it changed.
 * Run config: ``key = value`` lines, ``#`` comments; unknown keys are
   rejected with their line number. Its ``layers`` value is a stack in
   the layer grammar, which `network.parse_layer_stack` owns.
@@ -49,21 +51,40 @@ class CheckpointError(ValueError):
 # checkpoint format
 
 
+_LAYER_RECORD = "<BIIIII"  # kind code; width, kernel, stride, pad, dropout rate in whole millionths
+
+
+def _layer_record(spec: LayerSpec) -> tuple:
+    rate_ppm = int(round(spec.rate * 1_000_000))
+    return network.ALL_KINDS.index(spec.kind), spec.width, spec.kernel, spec.stride, spec.pad, rate_ppm
+
+
+def _record_spec(record: tuple) -> LayerSpec:
+    code, width, kernel, stride, pad, rate_ppm = record
+    if code >= len(network.ALL_KINDS):
+        raise CheckpointError(f"unknown layer kind code {code}")
+    kind = network.ALL_KINDS[code]
+    return LayerSpec(kind, width=width, kernel=kernel, stride=stride, pad=pad, rate=rate_ppm / 1_000_000)
+
+
+def _check_storable(specs: list) -> None:
+    """Raise ModelSpecError, naming the layer, if a checkpoint would store
+    any spec of `specs` changed; only a dropout rate can change, as it is
+    kept in whole millionths."""
+    for i, spec in enumerate(specs):
+        stored = _record_spec(_layer_record(spec))
+        if stored != spec:
+            raise ModelSpecError(
+                f"layer {i} ({spec.kind}): a checkpoint keeps rates in whole millionths, "
+                f"so rate {spec.rate} would load as {stored.rate}"
+            )
+
+
 def encode_checkpoint(model: Model) -> bytes:
     out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     out.append(struct.pack("<II", len(model.specs), model.in_channels))
     for spec in model.specs:
-        out.append(
-            struct.pack(
-                "<BIIIII",
-                network.ALL_KINDS.index(spec.kind),
-                spec.width,
-                spec.kernel,
-                spec.stride,
-                spec.pad,
-                int(round(spec.rate * 1_000_000)),
-            )
-        )
+        out.append(struct.pack(_LAYER_RECORD, *_layer_record(spec)))
     for i, spec in enumerate(model.specs):
         kind = network.KINDS[spec.kind]
         arrays = [model.params[i][n] for n in kind.params] + [model.state[i][n] for n in kind.state]
@@ -95,20 +116,8 @@ def _decode_checkpoint(raw: bytes) -> Model:
     off = 16
     specs = []
     for _ in range(n_layers):
-        code, width, kernel, stride, pad, rate_ppm = struct.unpack_from("<BIIIII", raw, off)
-        off += struct.calcsize("<BIIIII")
-        if code >= len(network.ALL_KINDS):
-            raise CheckpointError(f"unknown layer kind code {code}")
-        specs.append(
-            LayerSpec(
-                network.ALL_KINDS[code],
-                width=width,
-                kernel=kernel,
-                stride=stride,
-                pad=pad,
-                rate=rate_ppm / 1_000_000,
-            )
-        )
+        specs.append(_record_spec(struct.unpack_from(_LAYER_RECORD, raw, off)))
+        off += struct.calcsize(_LAYER_RECORD)
     shapes, _ = network.plan_layers(specs, in_channels)
     kinds = [network.KINDS[s.kind] for s in specs]
     # every array is a u64 length plus float32 values; check the total
@@ -447,6 +456,8 @@ def cmd_train(args) -> int:
     print("effective config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))
     model = build_model(specs, in_channels=1, seed=cfg["seed"], precision=cfg["precision"])
     _check_models_fit([model], {"train": train_ds, "val": val_ds})
+    if args.out:
+        _check_storable(model.specs)
     counts = model.parameter_counts()
     print(f"model: {len(specs)} layers, {model.num_parameters} parameters "
           + " ".join(f"L{i}:{n}" for i, n in sorted(counts.items())))

@@ -565,11 +565,14 @@ class ForwardCache:
     train: bool
 
 
-def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None):
+def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds: dict = KINDS):
     """Run the stack; returns (logits, cache). Logits are (n, features).
 
-    An eval-mode pass keeps no layer caches (its cache holds None per
-    layer), so each layer's input is freed as soon as the next runs.
+    Each layer runs the forward step of its kind's entry in `kinds`, a
+    table keyed like `KINDS` (the map-rotating one of `bench` swaps the
+    tied kinds' steps). An eval-mode pass keeps no layer caches (its
+    cache holds None per layer), so each layer's input is freed as soon
+    as the next runs.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -578,7 +581,7 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None):
     new_state = {}
     h = x.astype(model.dtype, copy=False)
     for i, spec in enumerate(model.specs):
-        h, cache, state = KINDS[spec.kind].forward(model, i, h, train, rng)
+        h, cache, state = kinds[spec.kind].forward(model, i, h, train, rng)
         caches.append(cache if train else None)
         del cache  # else it stays bound through the next layer's call
         if state is not None:

@@ -7,8 +7,10 @@ import pytest
 from roteq import eqlayers, network, oracle
 
 from roteq.bench import (
+    GATE_TOLERANCE,
     ROTATE_FEATURE_MAPS,
     ROTATE_FILTERS,
+    STRATEGIES,
     CostReport,
     LayerGeometry,
     TimingReport,
@@ -152,6 +154,28 @@ def test_tracer_bindings_resolve(monkeypatch):
     assert rotated == []
 
 
+@pytest.mark.parametrize("preset", ["dren-small", "dren-z2cnn-shape", "bench-z2cnn-shape", "bench-nin-shape"])
+def test_strategy_tables_agree_on_whole_stacks(rng, preset):
+    # eval logits of both tables on the tied presets, batch norm with random
+    # statistics and affine parameters so that it is no identity
+    for precision, limit in (("float64", 1e-12), ("float32", GATE_TOLERANCE)):
+        model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
+        dtype = np.dtype(precision)
+        for i, state in model.state.items():
+            shape = state["mean"].shape
+            state["mean"] = rng.standard_normal(shape).astype(dtype)
+            state["var"] = rng.uniform(0.5, 2.0, shape).astype(dtype)
+            model.params[i]["gamma"] = rng.uniform(0.5, 2.0, shape).astype(dtype)
+            model.params[i]["beta"] = rng.standard_normal(shape).astype(dtype)
+        x = rng.random((8, 1, 28, 28)).astype(dtype)
+        filters, maps = (
+            network.forward(model, x, mode="eval", kinds=STRATEGIES[name])[0]
+            for name in (ROTATE_FILTERS, ROTATE_FEATURE_MAPS)
+        )
+        assert filters.dtype == maps.dtype == dtype
+        assert oracle.relative_deviation(filters, maps)[1] <= limit, precision
+
+
 @pytest.mark.parametrize("strategy", [ROTATE_FILTERS, ROTATE_FEATURE_MAPS])
 def test_time_forward_refuses_to_time_diverging_strategies(monkeypatch, strategy):
     real = oracle.oracle_cycle
@@ -164,18 +188,15 @@ def test_time_forward_refuses_to_time_diverging_strategies(monkeypatch, strategy
 def test_time_forward_runs_one_untimed_pass_per_strategy(monkeypatch, strategy):
     # the gate's pass of the timed strategy is its warm-up: the timed walk
     # runs once per trial plus once in the gate, the other walk only in the gate
-    walks = dict.fromkeys((ROTATE_FILTERS, ROTATE_FEATURE_MAPS), 0)
+    walks = dict.fromkeys(STRATEGIES, 0)
+    real = network.forward
 
-    def counted(name, real):
-        def call(*args, **kwargs):
-            walks[name] += 1
-            return real(*args, **kwargs)
+    def counted(*args, kinds=network.KINDS, **kwargs):
+        (name,) = [name for name, table in STRATEGIES.items() if table is kinds]
+        walks[name] += 1
+        return real(*args, kinds=kinds, **kwargs)
 
-        return call
-
-    # bench-z2cnn-shape has one cycle layer, so one oracle_cycle call per map walk
-    monkeypatch.setattr(network, "forward", counted(ROTATE_FILTERS, network.forward))
-    monkeypatch.setattr(oracle, "oracle_cycle", counted(ROTATE_FEATURE_MAPS, oracle.oracle_cycle))
+    monkeypatch.setattr(network, "forward", counted)
     time_forward("z2cnn-shape", strategy, batch=2, trials=3)
     other = ROTATE_FEATURE_MAPS if strategy == ROTATE_FILTERS else ROTATE_FILTERS
     assert (walks[strategy], walks[other]) == (4, 1)

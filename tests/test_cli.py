@@ -20,6 +20,7 @@ from roteq.cli import (
     ConfigError,
     decode_checkpoint,
     encode_checkpoint,
+    load_checkpoint,
     parse_layer_stack,
     parse_run_config,
     sweep_stack,
@@ -445,6 +446,27 @@ def test_train_eval_round_trip(tmp_path, data_dir, capsys):
         line = capsys.readouterr().out.strip()
         errors.append(line.split()[0])
     assert len(set(errors)) == 1  # identical error for every quarter turn
+
+
+@pytest.mark.parametrize("rate,stored", [("0.9999996", "1.0"), ("0.1234567", "0.123457")])
+def test_train_out_refuses_a_rate_the_checkpoint_would_change(tmp_path, data_dir, capsys, rate, stored):
+    ckpt = tmp_path / "r.ckpt"
+    layers = f"cycle:g2:k3,dropout:r{rate},relu,decycle:c10:k3,gap"
+    argv = ["train", "--data-dir", str(data_dir), "--layers", layers, "--epochs", "1", "--out", str(ckpt)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"layer 1 (dropout): a checkpoint keeps rates in whole millionths, so rate {rate} would load as {stored}" in captured.err
+    assert "done:" not in captured.out and not ckpt.exists()
+
+
+def test_train_out_keeps_a_rate_of_whole_millionths(tmp_path, data_dir, capsys):
+    ckpt = tmp_path / "r.ckpt"
+    layers = "cycle:g2:k3,dropout:r0.999999,relu,decycle:c10:k3,gap"
+    argv = ["train", "--data-dir", str(data_dir), "--layers", layers, "--epochs", "1", "--out", str(ckpt)]
+    assert cli.main(argv) == 0
+    assert load_checkpoint(ckpt).specs[1] == LayerSpec("dropout", rate=0.999999)
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 0
+    capsys.readouterr()
 
 
 def test_train_metrics_deterministic(tmp_path, data_dir, capsys):

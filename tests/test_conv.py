@@ -79,11 +79,14 @@ def test_errors():
 
 
 def per_image_columns(shape, w, geom):
-    """Bytes of one (c, h, w) image's patch columns in correlate2d."""
+    """Bytes of one contiguous (c, h, w) image's patch columns in correlate2d:
+    row runs (stride 1, more than one output entry) span the padded width
+    per output row, every other lowering ow."""
     kh, kw = w.shape[2:]
     oh = output_size(shape[1], kh, geom.stride, geom.pad)
     ow = output_size(shape[2], kw, geom.stride, geom.pad)
-    return shape[0] * kh * kw * oh * ow * w.itemsize
+    width = shape[2] + 2 * geom.pad if geom.stride == 1 and oh * ow > 1 else ow
+    return shape[0] * kh * kw * oh * width * w.itemsize
 
 
 def assert_blocking_is_exact(monkeypatch, rng, shape, w, geom):
@@ -98,10 +101,16 @@ def assert_blocking_is_exact(monkeypatch, rng, shape, w, geom):
     budget, per_image = 1 << 21, per_image_columns(shape, w, geom)
     n = 3 * (budget // per_image) + 1
     x = rng.standard_normal((n,) + shape).astype(w.dtype)
+    gemms = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: gemms.append(1) or matmul(*args, **kwargs))
     monkeypatch.setattr(conv, "_COLS_BYTES", budget)
     chunked = correlate2d(x, w, geom)
+    assert len(gemms) == 4
     monkeypatch.setattr(conv, "_COLS_BYTES", n * per_image)
     whole = correlate2d(x, w, geom)
+    assert len(gemms) == 5
+    monkeypatch.setattr(np, "matmul", matmul)
     # one chunk is the unblocked lowering: one tensordot over the whole batch
     kh, kw = w.shape[2:]
     patches = conv._patches(conv._pad_spatial(x, geom.pad), kh, kw, geom.stride)

@@ -34,6 +34,7 @@ from roteq.network import (
     softmax_cross_entropy,
     train,
 )
+from roteq.oracle import relative_deviation
 from roteq.tensor import rotate90
 
 import reference
@@ -706,6 +707,45 @@ def test_evaluate_invariant_under_dataset_rotation():
         rotated = data.Dataset(rotate90(te.images, k), te.labels)
         assert evaluate(model, rotated) == base_err
         np.testing.assert_array_equal(predict(model, rotated.images), base_pred)
+
+
+def turned_gradient_gap(preset: str) -> float:
+    """Worst relative gap between each parameter gradient of a batch and of
+    the batch turned k quarter turns, k = 1..3: a float64 train-mode step on
+    the preset with its dropout removed, as dropout's masks are positional."""
+    text = PRESETS[preset].replace("dropout:r0.25,", "")
+    model = build_model(parse_layer_stack(text), precision="float64", input_size=28)
+    assert all(spec.kind != "dropout" for spec in model.specs)
+    x = np.random.default_rng(8).random((8, 1, 28, 28))
+    labels = np.arange(8)
+
+    def grads(batch):
+        logits, cache = forward(model, batch, mode="train")
+        return backward(model, cache, softmax_cross_entropy(logits, labels)[1])
+
+    upright = grads(x)
+    worst = 0.0
+    for k in range(1, 4):
+        turned = grads(rotate90(x, k))
+        for i, layer in upright.items():
+            for name, g in layer.items():
+                worst = max(worst, relative_deviation(turned[i][name], g)[1])
+    return worst
+
+
+TIED_PRESETS = [name for name in PRESETS if any(s.kind in network.TIED_KINDS for s in preset_stack(name))]
+
+
+@pytest.mark.parametrize("preset", TIED_PRESETS)
+def test_parameter_gradients_are_invariant_under_input_turns(preset):
+    # an invariant loss has the same gradient for R x as for x; train-mode
+    # group batch norm keeps this, as its statistics turn with the whole batch
+    assert turned_gradient_gap(preset) <= 1e-12
+
+
+def test_untied_gradients_change_under_input_turns():
+    # the identity tells tied stacks from untied ones
+    assert turned_gradient_gap("z2cnn-shape") > 1e-3
 
 
 def test_batchnorm_state_commits_during_training():
