@@ -455,7 +455,8 @@ def test_train_out_refuses_a_rate_the_checkpoint_would_change(tmp_path, data_dir
     argv = ["train", "--data-dir", str(data_dir), "--layers", layers, "--epochs", "1", "--out", str(ckpt)]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert f"layer 1 (dropout): a checkpoint keeps rates in whole millionths, so rate {rate} would load as {stored}" in captured.err
+    message = f"layer 1 (dropout): a checkpoint keeps rates in whole millionths, so rate {rate} would load as {stored}"
+    assert message in captured.err
     assert "done:" not in captured.out and not ckpt.exists()
 
 
