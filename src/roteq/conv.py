@@ -152,9 +152,13 @@ per kernel offset, folded into the output with `np.maximum`. Reducing
 the two inner axes of the 6-D patch view instead walks memory with
 short, widely strided inner loops; on a 256x20x26x26 float32 input
 with 2x2 windows that took 110.8 ms against 4.5 ms for the offset loop.
-The backward pass recomputes the maxima the same way and routes each
-window's gradient to its first row-major maximum with a running "taken"
-mask, so no k^2-sized copy or argmax index array is built.
+The backward pass takes the forward's pooled output instead of pooling
+again, and routes each window's gradient to its first row-major maximum
+of it (a NaN winning its window) with a running "taken" mask, so no
+k^2-sized copy or argmax index array is built. Keeping that output costs
+no memory in any preset, as the conv-like layer after each pool caches
+the same array as its input; after a layer that caches no input (relu,
+say), a pool holds |x|/k^2 more until its backward.
 """
 
 from dataclasses import dataclass
@@ -344,9 +348,8 @@ def _pool_windows(shape: tuple, kernel: int, stride: int):
             yield (Ellipsis, slice(u, u + oh * stride, stride), slice(v, v + ow * stride, stride))
 
 
-def _pool_max(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    # the backward pass calls this rather than max_pool2d, so a profiler
-    # that wraps max_pool2d counts one call per forward
+def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Windowed spatial maximum per channel; NaN wins its window."""
     windows = _pool_windows(x.shape, kernel, stride)
     out = x[next(windows)].copy()
     for win in windows:
@@ -354,18 +357,15 @@ def _pool_max(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return out
 
 
-def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Windowed spatial maximum per channel; NaN wins its window."""
-    return _pool_max(x, kernel, stride)
-
-
-def max_pool2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+def max_pool2d_backward(grad_out: np.ndarray, x: np.ndarray, out: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Route pooled gradients to the first (row-major) maximum of each window.
 
-    A NaN counts as its window's maximum, as it does for argmax. The
-    maxima are recomputed here, so the forward keeps no pooled output.
+    `out` is the forward's `max_pool2d(x, kernel, stride)`. A NaN counts
+    as its window's maximum, as it does for argmax.
     """
-    out = _pool_max(x, kernel, stride)
+    expected = (*x.shape[:2], output_size(x.shape[2], kernel, stride), output_size(x.shape[3], kernel, stride))
+    if grad_out.shape != expected or out.shape != expected:
+        raise ValueError(f"grad_out {grad_out.shape} and pooled output {out.shape} must both be {expected}")
     taken = np.zeros(out.shape, dtype=bool)
     grad_x = np.zeros_like(x)
     for win in _pool_windows(x.shape, kernel, stride):

@@ -213,12 +213,13 @@ def _dropout_backward(model, i, g, cache):
 
 def _max_pool_forward(model, i, h, train, rng):
     spec = model.specs[i]
-    return max_pool2d(h, spec.kernel, spec.stride), h, None
+    out = max_pool2d(h, spec.kernel, spec.stride)
+    return out, (h, out), None
 
 
-def _max_pool_backward(model, i, g, x):
+def _max_pool_backward(model, i, g, cache):
     spec = model.specs[i]
-    return max_pool2d_backward(g, x, spec.kernel, spec.stride), None
+    return max_pool2d_backward(g, *cache, spec.kernel, spec.stride), None
 
 
 def _group_pool_forward(mode, model, i, h, train, rng):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from roteq import bench as bench_mod
 from roteq import cli, data, network
 from roteq.cli import (
     CheckpointError,
@@ -470,6 +471,38 @@ def test_train_out_keeps_a_rate_of_whole_millionths(tmp_path, data_dir, capsys):
     capsys.readouterr()
 
 
+SMALL_TIED = "cycle:g2:k3,relu,decycle:c10:k3,gap"
+
+
+def test_train_out_refuses_a_float64_model(tmp_path, data_dir, capsys):
+    ckpt = tmp_path / "f64.ckpt"
+    argv = ["train", "--data-dir", str(data_dir), "--layers", SMALL_TIED, "--epochs", "1",
+            "--precision", "float64", "--out", str(ckpt)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "precision float64: a checkpoint keeps float32 values" in captured.err
+    assert "done:" not in captured.out and not ckpt.exists()
+
+
+def test_train_out_stores_a_float32_model(tmp_path, data_dir, capsys):
+    ckpt = tmp_path / "f32.ckpt"
+    argv = ["train", "--data-dir", str(data_dir), "--layers", SMALL_TIED, "--epochs", "1",
+            "--precision", "float32", "--out", str(ckpt)]
+    assert cli.main(argv) == 0
+    model = load_checkpoint(ckpt)
+    assert model.dtype == np.float32 and model.specs == parse_layer_stack(SMALL_TIED)
+    capsys.readouterr()
+
+
+def test_train_float64_without_out_trains(tmp_path, data_dir, capsys):
+    metrics = tmp_path / "metrics.csv"
+    argv = ["train", "--data-dir", str(data_dir), "--layers", SMALL_TIED, "--epochs", "1",
+            "--precision", "float64", "--metrics", str(metrics)]
+    assert cli.main(argv) == 0
+    assert "done: epoch=1" in capsys.readouterr().out
+    assert len(metrics.read_text().splitlines()) == 1
+
+
 def test_train_metrics_deterministic(tmp_path, data_dir, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -707,6 +740,7 @@ VERIFY_PROPERTIES = [  # (name, printed limit) of every property `verify --suite
     ("oracle/decycle_equivalence", "1.0e-12"),
     ("gradients/dren_small_finite_diff", "1.0e-04"),
     ("gradients/plain_cnn_finite_diff", "1.0e-04"),
+    ("gradients/turn_invariance", "1.0e-12"),
     ("stride/equivariant_when_rule_holds", "1.0e-12"),
     ("stride/violated_when_rule_fails", "1.0e-03"),
 ]
@@ -719,7 +753,15 @@ def test_verify_all_suites_report_every_property(capsys):
     assert [(m.group(1), m.group(2), m.group(3)) for m in rows] == [
         (name, limit, "PASS") for name, limit in VERIFY_PROPERTIES
     ]
-    assert lines[-1] == "11/11 properties passed"
+    assert lines[-1] == "12/12 properties passed"
+
+
+def test_verify_turn_invariance_fails_on_a_stack_that_is_not_invariant(monkeypatch, capsys):
+    # an untied 3x3 conv after the terminator breaks invariance
+    monkeypatch.setitem(network.PRESETS, "untied-tail", "cycle:g2:k3,relu,decycle:c4:k1,conv:c10:k3,gap")
+    assert cli.main(["verify", "--suite", "gradients"]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines() if "turn_invariance" in line)
+    assert line.endswith("FAIL")
 
 
 def test_verify_stride_suite(capsys):
@@ -749,6 +791,17 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     assert lines[0] == "strategy,model,batch,trials,median_s,mean_s,ratio"
     assert len(lines) == 3
     assert "faster" in capsys.readouterr().out
+
+
+def test_bench_summary_names_the_faster_strategy_and_the_reference_shape(monkeypatch, capsys):
+    # filters at 0.8x the maps' speed: the maps are the faster side
+    fast = bench_mod.TimingReport("rotate_filters", "nin-shape", 4, 3, median=0.5, ratio=0.8)
+    slow = bench_mod.TimingReport("rotate_feature_maps", "nin-shape", 4, 3, median=0.4, ratio=1.25)
+    monkeypatch.setattr(bench_mod, "compare_strategies", lambda *args: (fast, slow))
+    assert cli.main(["bench", "--model", "nin-shape", "--batch", "4", "--trials", "3"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("rotate-feature-maps is 1.25x faster than rotate-filters ")
+    assert "z2cnn-shape at batch 64" in summary
 
 
 def test_usage_error_exit_code():

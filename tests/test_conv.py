@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -542,7 +543,7 @@ def test_max_pool_commutes_with_rotation_when_rule_holds(rng):
 def test_max_pool_backward_routes_to_argmax(rng):
     x = rng.standard_normal((2, 2, 4, 4))
     g = rng.standard_normal((2, 2, 2, 2))
-    gx = max_pool2d_backward(g, x, 2, 2)
+    gx = max_pool2d_backward(g, x, max_pool2d(x, 2, 2), 2, 2)
     # every window's gradient lands on its maximum, everything else is zero
     for b in range(2):
         for c in range(2):
@@ -560,7 +561,16 @@ def test_max_pool_rejects_empty_windows_and_zero_stride():
     with pytest.raises(ValueError, match="positive"):
         max_pool2d(x, 0, 1)
     with pytest.raises(ValueError, match="positive"):
-        max_pool2d_backward(np.zeros((1, 1, 2, 2)), x, 2, 0)
+        max_pool2d_backward(np.zeros((1, 1, 2, 2)), x, np.zeros((1, 1, 2, 2)), 2, 0)
+
+
+@pytest.mark.parametrize("grad_shape,out_shape", [((2, 3, 1, 1), (2, 3, 2, 2)), ((2, 3, 2, 2), (2, 3, 1, 1))])
+def test_max_pool_backward_rejects_misshaped_gradient_or_output(grad_shape, out_shape):
+    # a (2, 3, 1, 1) array would broadcast over the (2, 3, 2, 2) windows
+    x = np.ones((2, 3, 4, 4))
+    message = re.escape(f"grad_out {grad_shape} and pooled output {out_shape} must both be (2, 3, 2, 2)")
+    with pytest.raises(ValueError, match=message):
+        max_pool2d_backward(np.ones(grad_shape), x, np.ones(out_shape), 2, 2)
 
 
 POOL_FILLS = ("normal", "relu", "ties", "nan", "inf")
@@ -620,5 +630,5 @@ def test_max_pool_matches_loop_reference_bit_for_bit(case):
     # can be compared bit for bit too
     g = (rng.integers(-8, 9, out.shape) / 4).astype(dtype)
     assert_same_bits(
-        max_pool2d_backward(g, x, kernel, stride), naive_max_pool2d_backward(g, x, kernel, stride)
+        max_pool2d_backward(g, x, out, kernel, stride), naive_max_pool2d_backward(g, x, kernel, stride)
     )

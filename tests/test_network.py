@@ -464,14 +464,27 @@ def test_backward_skips_the_layers_below_the_first_conv(rng, monkeypatch):
         LayerSpec("global_avg_pool"),
     ]
     model, cache, grad = backward_case(rng, stack, 14)
-    upper_pool_input = cache.layer_caches[4]
+    upper_pool_input = cache.layer_caches[4][0]
     want = full_backward_walk(model, cache, grad)  # before backward consumes the cache
     pooled = []
     real = network.max_pool2d_backward
-    monkeypatch.setattr(network, "max_pool2d_backward", lambda g, x, k, s: pooled.append(x) or real(g, x, k, s))
+    monkeypatch.setattr(network, "max_pool2d_backward", lambda g, x, o, k, s: pooled.append(x) or real(g, x, o, k, s))
     grads = backward(model, cache, grad)
     assert len(pooled) == 1 and pooled[0] is upper_pool_input  # the upper pool only
     assert_same_grads(grads, want)
+
+
+def test_train_step_pools_once_per_max_pool_layer(rng, monkeypatch):
+    # the backward routes from the forward's pooled output and pools nothing itself
+    pooled = []
+    real = network.max_pool2d
+    monkeypatch.setattr(network, "max_pool2d", lambda x, k, s: pooled.append(x) or real(x, k, s))
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    logits, cache = forward(model, rng.standard_normal((4, 1, 28, 28)), mode="train", rng=rng)
+    pools = [spec for spec in model.specs if spec.kind == "max_pool"]
+    assert len(pooled) == len(pools) == 1
+    backward(model, cache, softmax_cross_entropy(logits, np.arange(4))[1])
+    assert len(pooled) == len(pools)
 
 
 def test_eval_forward_keeps_no_layer_caches(rng):
