@@ -7,10 +7,11 @@ File formats owned here:
   then per trainable layer the parameter arrays as u64 length +
   little-endian float32 values in a fixed per-kind order. Decoding an
   encoded model reproduces specs, parameters, and normalization state
-  bit-exactly; unknown versions are rejected. ``train --out`` refuses,
-  before training, a dropout rate that is not a whole number of
-  millionths and a model that is not float32, as the checkpoint would
-  load either changed.
+  bit-exactly; unknown versions are rejected. Encoding refuses a model
+  the checkpoint would load changed or could not hold: one that is not
+  float32, a dropout rate that is not a whole number of millionths, or a
+  record field outside a u32. ``train --out`` checks the same before
+  training.
 * Run config: ``key = value`` lines, ``#`` comments; unknown keys are
   rejected with their line number. Its ``layers`` value is a stack in
   the layer grammar, which `network.parse_layer_stack` owns.
@@ -22,6 +23,8 @@ memory), 2 usage error (bad flags, config or layer stack).
 
 import argparse
 import math
+import numbers
+import os
 import struct
 import sys
 from dataclasses import dataclass, fields
@@ -69,15 +72,26 @@ def _record_spec(record: tuple) -> LayerSpec:
 
 
 def _check_storable(model: Model) -> None:
-    """Raise ModelSpecError if a checkpoint would store `model` changed:
-    a precision other than float32, or a dropout rate, kept in whole
-    millionths, that is not one (the message names the layer)."""
+    """Raise ModelSpecError if a checkpoint would store `model` changed or
+    not at all: a precision other than float32, a record field (width,
+    kernel, stride, pad, or the rate in millionths) that is not a whole
+    number in a u32's range, or a dropout rate, kept in whole millionths,
+    that is not one. The message names the layer and the field."""
     precision = np.dtype(model.dtype).name
     if precision != "float32":
         raise ModelSpecError(
             f"precision {precision}: a checkpoint keeps float32 values, so the model would load as float32"
         )
     for i, spec in enumerate(model.specs):
+        for name in ("width", "kernel", "stride", "pad", "rate"):
+            value = getattr(spec, name)
+            units = value * 1_000_000 if name == "rate" else value
+            whole = name == "rate" or isinstance(value, numbers.Integral)
+            if not (whole and 0 <= units <= 2**32 - 1):  # NaN fails the comparison
+                raise ModelSpecError(
+                    f"layer {i} ({spec.kind}): a checkpoint keeps {name} as a u32"
+                    f"{' in millionths' if name == 'rate' else ''}, which cannot hold {value!r}"
+                )
         stored = _record_spec(_layer_record(spec))
         if stored != spec:
             raise ModelSpecError(
@@ -87,6 +101,9 @@ def _check_storable(model: Model) -> None:
 
 
 def encode_checkpoint(model: Model) -> bytes:
+    """The checkpoint bytes of `model`; ModelSpecError if they would not
+    load as the same model (see `_check_storable`)."""
+    _check_storable(model)
     out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     out.append(struct.pack("<II", len(model.specs), model.in_channels))
     for spec in model.specs:
@@ -124,7 +141,7 @@ def _decode_checkpoint(raw: bytes) -> Model:
     for _ in range(n_layers):
         specs.append(_record_spec(struct.unpack_from(_LAYER_RECORD, raw, off)))
         off += struct.calcsize(_LAYER_RECORD)
-    shapes, _ = network.plan_layers(specs, in_channels)
+    shapes, _, _ = network.plan_layers(specs, in_channels)
     kinds = [network.KINDS[s.kind] for s in specs]
     # every array is a u64 length plus float32 values; check the total
     # before anything is allocated, so a corrupt header cannot demand more
@@ -456,8 +473,9 @@ def _read_train_splits(cfg: dict) -> tuple:
 def _check_models_fit(models: list, splits: dict) -> None:
     """Reject `splits` (name -> dataset) that do not share one square image
     shape, and models that do not fit them: by `plan_layers`, by input
-    channels, or by fewer logits than the labels need. The logit width is
-    that of an eval forward of one blank image, exactly what the loss sees.
+    channels, or by fewer logits than the labels need. The logit width comes
+    from the plan, as the last layer's channels times its output size
+    squared; no forward runs.
     """
     (first, ds), *rest = splits.items()
     _, channels, h, w = ds.images.shape
@@ -469,13 +487,12 @@ def _check_models_fit(models: list, splits: dict) -> None:
         raise ConfigError(f"the {' and '.join(splits)} images are {h}x{w}, but only square images are supported")
     classes = max(int(ds.labels.max()) + 1 for ds in splits.values())
     for model in models:
-        network.plan_layers(model.specs, model.in_channels, h)
+        _, out_channels, size = network.plan_layers(model.specs, model.in_channels, h)
         if model.in_channels != channels:
             raise ModelSpecError(
                 f"the model takes {model.in_channels} input channels, but the {first} images have {channels}"
             )
-        probe = np.zeros((1, model.in_channels, h, w), dtype=model.dtype)
-        width = network.forward(model, probe, mode="eval")[0].shape[1]
+        width = out_channels[-1] * size**2
         if width < classes:
             last = len(model.specs) - 1
             raise ModelSpecError(
@@ -484,8 +501,23 @@ def _check_models_fit(models: list, splits: dict) -> None:
             )
 
 
+def _check_writable(flag: str, path: str) -> None:
+    """ConfigError unless `path` can be written as a file: not a directory,
+    in an existing directory this process may write to."""
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigError(f"cannot write {flag} {path}: it is a directory")
+    if not target.parent.is_dir():
+        raise ConfigError(f"cannot write {flag} {path}: directory {target.parent} does not exist")
+    if not os.access(target.parent, os.W_OK):
+        raise ConfigError(f"cannot write {flag} {path}: directory {target.parent} is not writable")
+
+
 def cmd_train(args) -> int:
     cfg, tc = _train_setup(args)
+    for flag in ("out", "metrics"):
+        if getattr(args, flag):
+            _check_writable(f"--{flag}", getattr(args, flag))
     specs = parse_layer_stack(cfg["layers"])
     train_ds, val_ds = _read_train_splits(cfg)
     print("effective config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))

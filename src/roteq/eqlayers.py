@@ -165,11 +165,14 @@ def shared_bias_backward(grad_out: np.ndarray) -> np.ndarray:
 class GroupBatchNorm:
     """Batch normalization with statistics and affine parameters shared per group.
 
-    Statistics are computed jointly over batch, spatial positions and
-    the `group_size` channels of a group, so permuting channels within a
-    group leaves them unchanged; sharing the running statistics the same
-    way is what keeps eval mode equivariant. `group_size=4` is the tied
-    layout; `group_size=1` recovers ordinary per-channel batch norm.
+    The layout comes from the arrays: `groups` is the length of gamma,
+    and an input of c channels splits into groups of c // groups
+    consecutive channels; there is no group-size option. Statistics are
+    computed jointly over batch, spatial positions and the channels of a
+    group, so permuting channels within a group leaves them unchanged;
+    sharing the running statistics the same way is what keeps eval mode
+    equivariant. Groups of 4 are the tied layout; groups of 1 recover
+    ordinary per-channel batch norm.
 
     Train mode takes the mean once and keeps x - mean: its square is
     the variance's summand and, scaled by 1/sqrt(var+eps), it becomes
@@ -190,23 +193,17 @@ class GroupBatchNorm:
     eps = 1e-5  # added to the variance before the square root
     momentum = 0.1  # weight of the batch statistics in the running ones
 
-    def __init__(self, groups: int, group_size: int = 4):
+    def __init__(self, groups: int):
         self.groups = groups
-        self.group_size = group_size
-
-    def _check(self, x: np.ndarray) -> None:
-        if x.shape[1] != self.groups * self.group_size:
-            raise ValueError(
-                f"expected {self.groups * self.group_size} channels, got {x.shape[1]}"
-            )
 
     def forward(self, x, params, state, train: bool):
         """Returns (y, cache, new_state), cache None in eval mode; state is
         never mutated in place."""
-        self._check(x)
         n, c, h, w = x.shape
-        g, gs = self.groups, self.group_size
-        xg = x.reshape(n, g, gs, h, w)
+        g = self.groups
+        if c % g != 0:
+            raise ValueError(f"{c} channels do not split into {g} equal groups")
+        xg = x.reshape(n, g, c // g, h, w)
         if not train:
             mean, inv_std = state["mean"], 1.0 / np.sqrt(state["var"] + self.eps)
             a = params["gamma"] * inv_std

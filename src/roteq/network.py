@@ -165,15 +165,13 @@ def _bias_backward(model, i, g, cache):
 
 
 def _batchnorm_forward(model, i, h, train, rng):
-    groups = model.params[i]["gamma"].size
-    bn = GroupBatchNorm(groups, group_size=model.channels[i] // groups)
+    bn = GroupBatchNorm(model.params[i]["gamma"].size)
     y, cache, state = bn.forward(h, model.params[i], model.state[i], train)
-    return y, (bn, cache), state if train else None
+    return y, cache, state if train else None
 
 
 def _batchnorm_backward(model, i, g, cache):
-    bn, bn_cache = cache
-    return bn.backward(g, model.params[i], bn_cache)
+    return GroupBatchNorm(model.params[i]["gamma"].size).backward(g, model.params[i], cache)
 
 
 def _keep_mask(rng, shape, rate):
@@ -435,7 +433,8 @@ def preset_stack(name: str) -> list:
 
 
 def plan_layers(specs: list, in_channels: int, input_size: int | None = None) -> tuple:
-    """Check a layer stack; returns (per-layer array shape or None, per-layer output channels).
+    """Check a layer stack; returns (per-layer array shape or None, per-layer
+    output channels, output size).
 
     Tied-segment rules come from each kind's `permuted` pair: a kind with
     permuted output but not input opens the segment, before all other tied
@@ -447,8 +446,10 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
     pad >= 0, conv-like ones a width >= 1; max pooling takes no pad, and a
     dropout rate lies in [0, 1). Given `input_size`, every window must fit
     its input, and in a tied stack a stride that breaks the quarter-turn
-    condition warns, naming the layer. Nothing is allocated, so a stack read
-    from a file can be sized before it is built.
+    condition warns, naming the layer. The output size is the side of the
+    last layer's square maps (None without `input_size`), so a forward's
+    logit width is the last channel count times its square. Nothing is
+    allocated, so a stack read from a file can be sized before it is built.
     """
     if not specs:
         raise ModelSpecError("layer stack is empty")
@@ -511,7 +512,7 @@ def plan_layers(specs: list, in_channels: int, input_size: int | None = None) ->
 
     if permuted:
         raise ModelSpecError("tied stack never terminated: add a decycle or group pooling layer")
-    return shapes, channels
+    return shapes, channels, size
 
 
 def build_model(
@@ -530,7 +531,7 @@ def build_model(
     if precision not in PRECISIONS:
         raise ValueError(f"precision must be one of {', '.join(PRECISIONS)}, got {precision!r}")
     dtype = PRECISIONS[precision]
-    shapes, channels = plan_layers(specs, in_channels, input_size)
+    shapes, channels, _ = plan_layers(specs, in_channels, input_size)
     rng = np.random.default_rng(seed)
     model = Model(specs=list(specs), in_channels=in_channels, dtype=dtype, channels=channels)
     for i, (spec, shape) in enumerate(zip(specs, shapes)):

@@ -165,6 +165,26 @@ def naive_max_pool2d_backward(grad_out, x, kernel, stride):
     return grad_x
 
 
+def naive_group_pool_max_backward(grad_out, x):
+    """Each pixel's gradient onto the first of its group's four channels
+    holding the maximum (the first NaN, if any); zero everywhere else."""
+    n, c, h, w = x.shape
+    grad_x = np.zeros_like(x)
+    for b in range(n):
+        for g in range(c // 4):
+            for u in range(h):
+                for v in range(w):
+                    best = 4 * g
+                    for ch in range(4 * g, 4 * g + 4):
+                        if x[b, ch, u, v] != x[b, ch, u, v]:
+                            best = ch
+                            break
+                        if x[b, ch, u, v] > x[b, best, u, v]:
+                            best = ch
+                    grad_x[b, best, u, v] = grad_out[b, g, u, v]
+    return grad_x
+
+
 def _turn(w, times):
     """Each (out, in) kernel of a filter bank rotated `times` quarter turns ccw."""
     return np.ascontiguousarray(np.rot90(w, times % 4, axes=(2, 3)))

@@ -172,6 +172,43 @@ def test_checkpoint_with_fields_its_kinds_do_not_read_still_loads():
     assert encode_checkpoint(model) == bytes(raw)
 
 
+def test_encode_checkpoint_refuses_a_float64_model():
+    with pytest.raises(ModelSpecError, match="precision float64: a checkpoint keeps float32 values"):
+        encode_checkpoint(build_model(preset_stack("dren-small"), precision="float64"))
+
+
+def test_encode_checkpoint_refuses_a_rate_it_would_round():
+    model = build_model(parse_layer_stack("conv:c10:k3,dropout:r0.1234567,gap"))
+    with pytest.raises(ModelSpecError, match=r"layer 1 \(dropout\): .* rate 0.1234567 would load as 0.123457"):
+        encode_checkpoint(model)
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        (LayerSpec("relu", width=-1), "width"),
+        (LayerSpec("relu", width=2**32), "width"),
+        (LayerSpec("relu", kernel=2**32), "kernel"),
+        (LayerSpec("relu", kernel=1.5), "kernel"),
+        (LayerSpec("relu", stride=-1), "stride"),
+        (LayerSpec("relu", pad=-1), "pad"),
+        (LayerSpec("dropout", rate=math.nan), "rate"),
+        (LayerSpec("dropout", rate=math.inf), "rate"),
+        (LayerSpec("dropout", rate=-math.inf), "rate"),
+        (LayerSpec("dropout", rate=-0.5), "rate"),
+        (LayerSpec("dropout", rate=4295.0), "rate"),  # 4.295e9 millionths
+    ],
+)
+def test_encode_checkpoint_refuses_a_field_its_u32_cannot_hold(spec, field):
+    # relu reads no field, and dropout's rate is checked when built, so
+    # these specs are put in place after building
+    model = build_model(parse_layer_stack("conv:c10:k3,relu,gap"))
+    model.specs[1] = spec
+    message = rf"layer 1 \({spec.kind}\): a checkpoint keeps {field} as a u32.*cannot hold {re.escape(repr(getattr(spec, field)))}"
+    with pytest.raises(ModelSpecError, match=message):
+        encode_checkpoint(model)
+
+
 def test_eval_truncated_checkpoint_is_usage_error(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "cut.ckpt"
     ckpt.write_bytes(encode_checkpoint(full_featured_model())[:40])
@@ -192,7 +229,7 @@ def checkpoint_from_table(in_channels: int, records: list) -> bytes:
         return raw
     specs = [LayerSpec(network.ALL_KINDS[c], w, k, s, p, ppm / 1_000_000) for c, w, k, s, p, ppm in records]
     try:
-        shapes, _ = network.plan_layers(specs, in_channels)
+        shapes, _, _ = network.plan_layers(specs, in_channels)
     except ModelSpecError:
         return raw
     for spec, shape in zip(specs, shapes):
@@ -271,6 +308,17 @@ def test_eval_checks_the_model_input_channels_against_the_data(tmp_path, data_di
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 2
     out, err = capsys.readouterr()
     assert err == "error: the model takes 3 input channels, but the test images have 1\n" and out == ""
+
+
+@pytest.mark.parametrize("stack,width", [("conv:c3:k3,gap", 3), ("conv:c1:k3,maxpool:k2:s2,conv:c2:k12", 8)])
+def test_check_models_fit_takes_the_logit_width_from_the_plan(monkeypatch, stack, width):
+    model = build_model(parse_layer_stack(stack), input_size=28)
+    assert network.forward(model, np.zeros((1, 1, 28, 28)), mode="eval")[0].shape == (1, width)
+    monkeypatch.setattr(network, "forward", lambda *args, **kwargs: pytest.fail("a forward ran"))
+    images = np.zeros((1, 1, 28, 28))
+    cli._check_models_fit([model], {"train": data.Dataset(images, np.array([width - 1]))})
+    with pytest.raises(ModelSpecError, match=f"gives {width} logits per image, but the labels need {width + 1} classes"):
+        cli._check_models_fit([model], {"train": data.Dataset(images, np.array([width]))})
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +540,35 @@ def test_train_out_stores_a_float32_model(tmp_path, data_dir, capsys):
     model = load_checkpoint(ckpt)
     assert model.dtype == np.float32 and model.specs == parse_layer_stack(SMALL_TIED)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--metrics"])
+@pytest.mark.parametrize("where", ["missing parent", "directory", "read-only parent"])
+def test_train_refuses_an_unwritable_path_before_reading_data(tmp_path, data_dir, capsys, monkeypatch, flag, where):
+    target, reason = {
+        "missing parent": (tmp_path / "absent" / "file", f"directory {tmp_path / 'absent'} does not exist"),
+        "directory": (tmp_path, "it is a directory"),
+        "read-only parent": (tmp_path / "file", f"directory {tmp_path} is not writable"),
+    }[where]
+    if where == "read-only parent":  # faked: a process running as root may write anywhere
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "_read_train_splits", lambda cfg: pytest.fail("data was read"))
+    argv = ["train", "--data-dir", str(data_dir), "--layers", SMALL_TIED, "--epochs", "1", flag, str(target)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {flag} {target}: {reason}" in captured.err
+    assert captured.out == "" and sorted(tmp_path.iterdir()) == before
+
+
+def test_train_writes_both_files_at_writable_paths(tmp_path, data_dir, capsys):
+    out, metrics = tmp_path / "m.ckpt", tmp_path / "m.csv"
+    argv = ["train", "--data-dir", str(data_dir), "--layers", SMALL_TIED, "--epochs", "1",
+            "--out", str(out), "--metrics", str(metrics)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert load_checkpoint(out).specs == parse_layer_stack(SMALL_TIED)
+    assert len(metrics.read_text().splitlines()) == 1
 
 
 def test_train_float64_without_out_trains(tmp_path, data_dir, capsys):

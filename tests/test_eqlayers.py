@@ -14,6 +14,7 @@ from roteq.eqlayers import (
     expand_isotonic,
     global_spatial_avg_pool,
     group_cross_channel_pool,
+    group_cross_channel_pool_backward,
     shared_bias_add,
 )
 from roteq.network import KINDS
@@ -344,6 +345,29 @@ def test_group_pool_decycle_style_identity(rng, mode):
     assert max_rel(lhs, rhs) < 1e-15
 
 
+@seed(20261019)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    n=st.integers(1, 3),
+    groups=st.integers(1, 3),
+    h=st.integers(1, 4),
+    w=st.integers(1, 4),
+    dtype=st.sampled_from((np.float32, np.float64)),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_group_pool_backward_at_ties_and_nan_matches_loop_reference(n, groups, h, w, dtype, draw_seed):
+    # inputs drawn from six values, so groups often tie, hold +0 beside -0, or hold NaN
+    rng = np.random.default_rng(draw_seed)
+    x = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, np.nan], size=(n, 4 * groups, h, w)).astype(dtype)
+    go = rng.standard_normal((n, groups, h, w)).astype(dtype)
+    got = group_cross_channel_pool_backward(go, x, "max")
+    assert got.dtype == dtype and got.shape == x.shape
+    np.testing.assert_array_equal(got, reference.naive_group_pool_max_backward(go, x))
+    mean = group_cross_channel_pool_backward(go, x, "mean")
+    assert mean.dtype == dtype
+    np.testing.assert_array_equal(mean, np.repeat(go / 4, 4, axis=1))
+
+
 def test_global_pool_constant_and_invariance(rng):
     const = np.full((2, 3, 4, 4), 1.75)
     np.testing.assert_array_equal(global_spatial_avg_pool(const), np.full((2, 3, 1, 1), 1.75))
@@ -415,6 +439,20 @@ def test_batchnorm_permutation_and_rotation_equivariance(rng):
     np.testing.assert_array_equal(y_rot, R(y))
 
 
+def test_batchnorm_reads_its_group_size_off_its_input(rng):
+    bn = GroupBatchNorm(2)
+    params = {"gamma": np.array([2.0, 3.0]), "beta": np.array([0.5, -1.0])}
+    state = {"mean": np.zeros(2), "var": np.ones(2)}
+    for c in (2, 8):  # per-channel, then groups of 4
+        x = rng.standard_normal((3, c, 4, 4))
+        y, _, _ = bn.forward(x, params, state, train=False)
+        want = x * np.repeat(params["gamma"], c // 2)[:, None, None] / np.sqrt(1 + bn.eps)
+        assert max_rel(y, want + np.repeat(params["beta"], c // 2)[:, None, None]) <= 1e-15
+    for train in (True, False):
+        with pytest.raises(ValueError, match="7 channels do not split into 2 equal groups"):
+            bn.forward(rng.standard_normal((3, 7, 4, 4)), params, state, train)
+
+
 def test_batchnorm_running_stats_update(rng):
     bn = GroupBatchNorm(1)
     x = rng.standard_normal((8, 4, 3, 3))
@@ -475,7 +513,7 @@ def test_eval_batchnorm_allocates_only_its_output(rng):
 @example(n=64, groups=20, group_size=1, h=24, w=24, dtype=np.float64, draw_seed=2)  # z2cnn-shape, per channel
 def test_train_batchnorm_matches_two_pass_formula_bit_for_bit(n, groups, group_size, h, w, dtype, draw_seed):
     rng = np.random.default_rng(draw_seed)
-    bn = GroupBatchNorm(groups, group_size)
+    bn = GroupBatchNorm(groups)
     x = (rng.standard_normal((n, groups * group_size, h, w)) * 3.0 + 1.0).astype(dtype)
     params = {"gamma": rng.uniform(0.5, 2.0, groups).astype(dtype), "beta": rng.standard_normal(groups).astype(dtype)}
     state = {"mean": rng.standard_normal(groups).astype(dtype), "var": rng.uniform(0.5, 2.0, groups).astype(dtype)}
@@ -503,7 +541,7 @@ def test_train_batchnorm_matches_two_pass_formula_bit_for_bit(n, groups, group_s
 
 @pytest.mark.parametrize("group_size", [4, 1])
 def test_batchnorm_backward_matches_finite_differences(rng, group_size):
-    bn = GroupBatchNorm(8 // group_size, group_size)
+    bn = GroupBatchNorm(8 // group_size)
     x = rng.standard_normal((3, 8, 4, 4)) * 2.0 + 0.5
     params = {"gamma": rng.uniform(0.5, 2.0, bn.groups), "beta": rng.standard_normal(bn.groups)}
     state = {"mean": rng.standard_normal(bn.groups), "var": rng.uniform(0.5, 2.0, bn.groups)}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from roteq import data, network
+from roteq import cli, data, network
 from roteq.network import (
     KIND_ALIASES,
     KINDS,
@@ -34,7 +34,6 @@ from roteq.network import (
     softmax_cross_entropy,
     train,
 )
-from roteq.oracle import relative_deviation
 from roteq.tensor import rotate90
 
 import reference
@@ -588,7 +587,7 @@ def test_backward_frees_each_layer_cache_once_used(rng, monkeypatch):
     logits, cache = forward(model, rng.standard_normal((4, 1, 28, 28)), mode="train", rng=rng)
     _, grad = softmax_cross_entropy(logits, np.arange(4))
     l4_input = cache.layer_caches[4][0]
-    l7_xhat = weakref.ref(cache.layer_caches[7][1]["xhat"])  # L7's batch norm
+    l7_xhat = weakref.ref(cache.layer_caches[7]["xhat"])  # L7's batch norm
     freed = []
     real = network.correlate2d_backward
 
@@ -601,6 +600,15 @@ def test_backward_frees_each_layer_cache_once_used(rng, monkeypatch):
     backward(model, cache, grad)
     assert freed == [True]
     assert cache.layer_caches is None and cache.new_state
+
+
+def test_train_forward_caches_hold_arrays_not_layer_objects(rng):
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    _, cache = forward(model, rng.standard_normal((2, 1, 28, 28)), mode="train", rng=rng)
+    bn_caches = [c for spec, c in zip(model.specs, cache.layer_caches) if spec.kind == "group_batchnorm"]
+    assert len(bn_caches) == 6
+    assert all(set(c) == {"xhat", "inv_std"} for c in bn_caches)
+    assert all(isinstance(a, np.ndarray) for c in bn_caches for a in c.values())
 
 
 def test_backward_consumes_its_cache(rng):
@@ -723,27 +731,11 @@ def test_evaluate_invariant_under_dataset_rotation():
 
 
 def turned_gradient_gap(preset: str) -> float:
-    """Worst relative gap between each parameter gradient of a batch and of
-    the batch turned k quarter turns, k = 1..3: a float64 train-mode step on
-    the preset with its dropout removed, as dropout's masks are positional."""
-    text = PRESETS[preset].replace("dropout:r0.25,", "")
-    model = build_model(parse_layer_stack(text), precision="float64", input_size=28)
-    assert all(spec.kind != "dropout" for spec in model.specs)
+    """`verify`'s gradient-turn witness (`cli._turned_gradient_gap`) on a
+    preset: the worst relative gap between each parameter gradient of a
+    batch and of the batch turned k quarter turns, k = 1..3."""
     x = np.random.default_rng(8).random((8, 1, 28, 28))
-    labels = np.arange(8)
-
-    def grads(batch):
-        logits, cache = forward(model, batch, mode="train")
-        return backward(model, cache, softmax_cross_entropy(logits, labels)[1])
-
-    upright = grads(x)
-    worst = 0.0
-    for k in range(1, 4):
-        turned = grads(rotate90(x, k))
-        for i, layer in upright.items():
-            for name, g in layer.items():
-                worst = max(worst, relative_deviation(turned[i][name], g)[1])
-    return worst
+    return cli._turned_gradient_gap(preset_stack(preset), x, np.arange(8))
 
 
 TIED_PRESETS = [name for name in PRESETS if any(s.kind in network.TIED_KINDS for s in preset_stack(name))]
