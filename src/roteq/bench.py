@@ -9,10 +9,12 @@ by the correlation kernel, where every map element is copied k^2 times.
 The timing harness runs the same parameters through both strategies,
 each as the eval-mode `network.forward` that training and inference
 use, walking its own layer table (`STRATEGIES`): the filter side walks
-`network.KINDS`, and the map side walks a copy whose tied kinds run
-`oracle.oracle_<kind>` instead. It refuses to time anything until their
-outputs agree, so the measured ratio reflects strategy overhead and
-never a divergent computation.
+`network.KINDS`, so it runs the fused eval forward (each conv-like
+layer's ReLU and max pool finished per GEMM block, batch norm folded
+into the next layer), and the map side walks a copy whose tied kinds
+run `oracle.oracle_<kind>` instead, every step plain. It refuses to
+time anything until their outputs agree, so the measured ratio reflects
+strategy overhead and never a divergent computation.
 """
 
 import time

@@ -515,6 +515,10 @@ def _check_writable(flag: str, path: str) -> None:
 
 def cmd_train(args) -> int:
     cfg, tc = _train_setup(args)
+    if args.out and args.metrics and Path(args.out).resolve() == Path(args.metrics).resolve():
+        raise ConfigError(
+            f"--out {args.out} and --metrics {args.metrics} are one file; the checkpoint would overwrite the metrics"
+        )
     for flag in ("out", "metrics"):
         if getattr(args, flag):
             _check_writable(f"--{flag}", getattr(args, flag))

@@ -87,6 +87,31 @@ is returned to the OS and faulted in again on its next allocation.
 Pinning MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ removed the
 slowdown; 16 MiB removes it with no allocator setting.
 
+The epilogue: an `Epilogue` hands `correlate2d` a max pool, a bias of
+one value per output channel and a ReLU, which it finishes on each
+block's GEMM result before the write, while the block is still in
+cache. An eval-mode `network.forward` gives each conv-like layer the
+ReLU and max pool after it, and the bias of a batch norm folded into
+its filters, so no full-resolution map before a pool is stored and no
+pass over the whole output runs for them. A block pools first, with
+one `max_pool2d` call over its (o, b, oh, ow) view, then adds the bias
+and applies the ReLU in place over one contiguous array: the pooled
+block, or without a pool the whole GEMM result, whose dropped columns
+hold finite values wherever the input is (see the overhang below). On
+dren-z2cnn-shape at batch 256 (float32) the 26-px layer's 11.8 MB
+output before its pool gives way to its 2.9 MB pooled one, and the eval
+forward's traced peak went from 44.1 to 35.7 MB.
+
+Why pooling first is exact: rounding is monotone, so for a finite
+bias b, fl(max(x, y) + b) = max(fl(x + b), fl(y + b)), and max(., 0)
+commutes with a window's maximum as well; pool, bias, ReLU gives the
+value that bias, ReLU, pool gives, bit for bit. A NaN wins its window
+(`max_pool2d`) and stays NaN under the bias and the ReLU, in either
+order. The only equal values a maximum can tell apart are +0 and -0.
+The ReLU maps both to +0 (numpy's maximum(-0.0, 0) is +0), and so does
+adding a bias b != 0 map both to b, or b = +0 map both to +0; adding
+-0 changes no value at all, so either order keeps the same zero.
+
 The backward pass is two GEMMs over contiguous operands (unrolled
 convolution, Chellapilla et al. 2006). With the output gradient laid
 out as an (o, n*oh*ow) matrix, the filter gradient is that matrix
@@ -233,10 +258,38 @@ def _block_bounds(count: int, item_bytes: int) -> list:
     return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
-def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Epilogue:
+    """What `correlate2d` finishes on each block of its output before writing
+    it (module docstring): a max pool of `pool` = (kernel, stride) first,
+    then a `bias` of one value per output channel, then a ReLU."""
+
+    pool: tuple | None = None
+    bias: np.ndarray | None = None
+    relu: bool = False
+
+
+def _finish(block: np.ndarray, maps: np.ndarray, epilogue: Epilogue) -> np.ndarray:
+    """The (o, b, oh, ow) `maps` view of a GEMM result `block` (o, b*span)
+    after `epilogue`; the bias and ReLU run in place over one contiguous
+    array, the pooled maps or else the whole block."""
+    if epilogue.pool is not None:
+        maps = max_pool2d(maps, *epilogue.pool)
+        block = maps.reshape(maps.shape[0], -1)
+    if epilogue.bias is not None:
+        block += epilogue.bias.reshape(-1, 1)
+    if epilogue.relu:
+        np.maximum(block, 0, out=block)
+    return maps
+
+
+def correlate2d(
+    x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(), *, epilogue: Epilogue = Epilogue()
+) -> np.ndarray:
     """Valid cross-correlation of x (n,c,h,w) with filters w (o,c,kh,kw).
 
-    out[n,o,p,q] = sum_{c,u,v} w[o,c,u,v] * x_pad[n,c, p*stride+u, q*stride+v]
+    out[n,o,p,q] = sum_{c,u,v} w[o,c,u,v] * x_pad[n,c, p*stride+u, q*stride+v],
+    with `epilogue`'s steps applied to it; a pooled output is (n, o, ph, pw).
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"expected rank-4 input and filters, got {x.shape} and {w.shape}")
@@ -249,7 +302,10 @@ def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(
     patches = _patches(xp, kh, kw, geom.stride)
     n, c, _, _, oh, ow = patches.shape
     o, k, wp = w.shape[0], c * kh * kw, xp.shape[3]
-    out = np.empty((n, o, oh, ow), dtype=np.result_type(w, xp))
+    ph, pw = oh, ow
+    if epilogue.pool is not None:
+        ph, pw = output_size(oh, *epilogue.pool), output_size(ow, *epilogue.pool)
+    out = np.empty((n, o, ph, pw), dtype=np.result_type(w, xp))
     w2 = w.reshape(o, k).astype(out.dtype, copy=False)
     # row runs (module docstring) need stride 1, each (h, w) plane one flat
     # run and more than one output entry; `width` is the GEMM's column
@@ -274,7 +330,7 @@ def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(
             lowered = patches[lo:hi].transpose(1, 2, 3, 0, 4, 5).reshape(k, b * span)
         block = np.matmul(w2, lowered, out=res[:, : b * span])
         del lowered  # before the next block's operand is built
-        out[lo:hi] = block.reshape(o, b, oh, width)[..., :ow].transpose(1, 0, 2, 3)
+        out[lo:hi] = _finish(block, block.reshape(o, b, oh, width)[..., :ow], epilogue).transpose(1, 0, 2, 3)
     return out
 
 

@@ -112,16 +112,21 @@ def rotate_dataset_exact(ds: Dataset, seed: int) -> Dataset:
     return Dataset(out, ds.labels.copy())
 
 
-def _rotate_bilinear(img: np.ndarray, theta: float) -> np.ndarray:
-    """Rotate one (h, w) image counterclockwise about its center.
+def _rotate_bilinear(img: np.ndarray, theta) -> np.ndarray:
+    """Rotate (h, w) images counterclockwise about their center.
 
-    Sample coordinates within 1e-9 of the pixel grid snap onto it, so
-    quarter-turn angles reproduce the exact permutation path.
+    `img` is (..., h, w) and `theta` holds one angle per image, shaped
+    like `img`'s leading axes (a scalar for one image). Every image takes
+    the same elementwise arithmetic, so each image of a batch gets the
+    bytes a call on it alone gives. Sample coordinates within 1e-9 of the
+    pixel grid snap onto it, so quarter-turn angles reproduce the exact
+    permutation path; samples outside the image read zero.
     """
-    h, w = img.shape
+    h, w = img.shape[-2:]
     ci, cj = (h - 1) / 2.0, (w - 1) / 2.0
     jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     di, dj = ii - ci, jj - cj
+    theta = np.asarray(theta, dtype=np.float64)[..., None, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     src_i = ci + cos_t * di + sin_t * dj
     src_j = cj - sin_t * di + cos_t * dj
@@ -134,17 +139,14 @@ def _rotate_bilinear(img: np.ndarray, theta: float) -> np.ndarray:
     j0 = np.floor(src_j).astype(np.int64)
     fi = src_i - i0
     fj = src_j - j0
-
-    def sample(ia, ja):
-        inside = (ia >= 0) & (ia < h) & (ja >= 0) & (ja < w)
-        vals = np.zeros_like(src_i)
-        vals[inside] = img[ia[inside], ja[inside]]
-        return vals
-
-    v00 = sample(i0, j0)
-    v01 = sample(i0, j0 + 1)
-    v10 = sample(i0 + 1, j0)
-    v11 = sample(i0 + 1, j0 + 1)
+    # each image in a zero frame 2 pixels wide: with i0 and j0 clipped to
+    # [-2, h] and [-2, w], every neighbour outside the image reads a zero
+    framed = np.zeros((*img.shape[:-2], h + 4, w + 4))
+    framed[..., 2:-2, 2:-2] = img
+    images = np.arange(0, framed.size, (h + 4) * (w + 4)).reshape(*img.shape[:-2], 1, 1)
+    at = images + (np.clip(i0, -2, h) + 2) * (w + 4) + np.clip(j0, -2, w) + 2
+    flat = framed.ravel()
+    v00, v01, v10, v11 = (flat[at + step] for step in (0, 1, w + 4, w + 5))
     out = (
         v00 * (1 - fi) * (1 - fj)
         + v01 * (1 - fi) * fj
@@ -154,13 +156,21 @@ def _rotate_bilinear(img: np.ndarray, theta: float) -> np.ndarray:
     return out.astype(img.dtype)
 
 
+_ROTATE_BLOCK = 64  # images per `_rotate_bilinear` call of `rotate_dataset_arbitrary`
+
+
 def rotate_dataset_arbitrary(ds: Dataset, seed: int) -> Dataset:
-    """Rotate every image by an independent uniform angle in [0, 2*pi)."""
+    """Rotate every image by an independent uniform angle in [0, 2*pi).
+
+    The images go through `_rotate_bilinear` in blocks of `_ROTATE_BLOCK`,
+    which bounds its float64 temporaries whatever the dataset size.
+    """
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=len(ds))
     out = np.empty_like(ds.images)
-    for i in range(len(ds)):
-        out[i, 0] = _rotate_bilinear(ds.images[i, 0], angles[i])
+    for lo in range(0, len(ds), _ROTATE_BLOCK):
+        block = slice(lo, lo + _ROTATE_BLOCK)
+        out[block, 0] = _rotate_bilinear(ds.images[block, 0], angles[block])
     return Dataset(out, ds.labels.copy())
 
 

@@ -183,11 +183,20 @@ class GroupBatchNorm:
     bit, with fewer full-size temporaries.
 
     Eval mode folds the running statistics into one per-group scale and
-    shift, a = gamma/sqrt(var+eps) and b = beta - mean*a, so the output
-    is the only full-size array it allocates; no normalized copy is
-    built. Its rounding differs from the two-pass train formula (within
-    1e-12 relative in float64). It keeps no cache: `backward` follows
-    train-mode passes only.
+    shift (`affine`), a = gamma/sqrt(var+eps) and b = beta - mean*a, so
+    the output is the only full-size array it allocates; no normalized
+    copy is built. Its rounding differs from the two-pass train formula
+    (within 1e-12 relative in float64). It keeps no cache: `backward`
+    follows train-mode passes only.
+
+    An eval-mode `network.forward` runs this eval pass only as a
+    fallback. It folds the affine into the next conv-like layer instead,
+    scaling that layer's filters by a over their input channels and
+    giving it a per-output bias sum(w*b), when three things hold: that
+    layer has pad 0 (its zero padding is no b), only dropout and at most
+    one max pool lie between (no ReLU), and every a > 0 if a max pool
+    does, since only an increasing map commutes with a maximum. Any
+    other batch norm runs this pass.
     """
 
     eps = 1e-5  # added to the variance before the square root
@@ -195,6 +204,12 @@ class GroupBatchNorm:
 
     def __init__(self, groups: int):
         self.groups = groups
+
+    @classmethod
+    def affine(cls, params, state):
+        """Per-group (a, b) of the eval-mode map y = a*x + b."""
+        a = params["gamma"] * (1.0 / np.sqrt(state["var"] + cls.eps))
+        return a, params["beta"] - state["mean"] * a
 
     def forward(self, x, params, state, train: bool):
         """Returns (y, cache, new_state), cache None in eval mode; state is
@@ -205,10 +220,9 @@ class GroupBatchNorm:
             raise ValueError(f"{c} channels do not split into {g} equal groups")
         xg = x.reshape(n, g, c // g, h, w)
         if not train:
-            mean, inv_std = state["mean"], 1.0 / np.sqrt(state["var"] + self.eps)
-            a = params["gamma"] * inv_std
+            a, b = self.affine(params, state)
             y = xg * a.reshape(1, g, 1, 1, 1)
-            y += (params["beta"] - mean * a).reshape(1, g, 1, 1, 1)
+            y += b.reshape(1, g, 1, 1, 1)
             return y.reshape(n, c, h, w), None, state
         mean = xg.mean(axis=(0, 2, 3, 4), keepdims=True)
         xhat = xg - mean  # normalized in place once var is known

@@ -307,3 +307,40 @@ def segment_rule_violation(kinds):
         elif kind in ("decycle", "group_pool_max", "group_pool_mean"):
             zone = "post"
     return len(kinds) if zone == "dren" else None
+
+
+def per_image_rotate_dataset_arbitrary(images, seed):
+    """`data.rotate_dataset_arbitrary`'s images as one bilinear rotation per image, zero fill."""
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=len(images))
+    out = np.empty_like(images)
+    for k, theta in enumerate(angles):
+        img = images[k, 0]
+        h, w = img.shape
+        ci, cj = (h - 1) / 2.0, (w - 1) / 2.0
+        jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+        di, dj = ii - ci, jj - cj
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        src_i = ci + cos_t * di + sin_t * dj
+        src_j = cj - sin_t * di + cos_t * dj
+        for src in (src_i, src_j):
+            nearest = np.rint(src)
+            snap = np.abs(src - nearest) < 1e-9
+            src[snap] = nearest[snap]
+        i0 = np.floor(src_i).astype(np.int64)
+        j0 = np.floor(src_j).astype(np.int64)
+        fi, fj = src_i - i0, src_j - j0
+
+        def sample(ia, ja):
+            inside = (ia >= 0) & (ia < h) & (ja >= 0) & (ja < w)
+            vals = np.zeros_like(src_i)
+            vals[inside] = img[ia[inside], ja[inside]]
+            return vals
+
+        rotated = (
+            sample(i0, j0) * (1 - fi) * (1 - fj)
+            + sample(i0, j0 + 1) * (1 - fi) * fj
+            + sample(i0 + 1, j0) * fi * (1 - fj)
+            + sample(i0 + 1, j0 + 1) * fi * fj
+        )
+        out[k, 0] = rotated.astype(img.dtype)
+    return out

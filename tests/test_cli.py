@@ -561,6 +561,20 @@ def test_train_refuses_an_unwritable_path_before_reading_data(tmp_path, data_dir
     assert captured.out == "" and sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("metrics", ["same.bin", "./same.bin", "sub/../same.bin"])
+def test_train_refuses_one_file_for_out_and_metrics_before_reading_data(tmp_path, data_dir, capsys, monkeypatch, metrics):
+    # the checkpoint, written last, would overwrite the metrics CSV
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setattr(cli, "_read_train_splits", lambda cfg: pytest.fail("data was read"))
+    argv = ["train", "--data-dir", str(data_dir), "--layers", SMALL_TIED, "--epochs", "1",
+            "--out", "same.bin", "--metrics", metrics]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--out same.bin and --metrics {metrics} are one file" in captured.err
+    assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def test_train_writes_both_files_at_writable_paths(tmp_path, data_dir, capsys):
     out, metrics = tmp_path / "m.ckpt", tmp_path / "m.csv"
     argv = ["train", "--data-dir", str(data_dir), "--layers", SMALL_TIED, "--epochs", "1",

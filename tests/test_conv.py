@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from roteq import conv, network
 from roteq.conv import (
     ConvGeometry,
+    Epilogue,
     correlate2d,
     correlate2d_backward,
     max_pool2d,
@@ -128,9 +129,9 @@ def test_blocked_lowering_is_bit_identical_on_preset_layers(monkeypatch, rng, pr
     model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
     calls = []
 
-    def record(x, w, geom=ConvGeometry()):
+    def record(x, w, geom=ConvGeometry(), **epilogue):
         calls.append((x.shape[1:], w, geom))
-        return correlate2d(x, w, geom)
+        return correlate2d(x, w, geom, **epilogue)
 
     with monkeypatch.context() as m:
         m.setattr(network, "correlate2d", record)
@@ -139,6 +140,30 @@ def test_blocked_lowering_is_bit_identical_on_preset_layers(monkeypatch, rng, pr
     for shape, w, geom in calls:
         assert w.dtype == np.dtype(precision)
         assert_blocking_is_exact(monkeypatch, rng, shape, w, geom)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("geom", [ConvGeometry(), ConvGeometry(pad=1), ConvGeometry(stride=2)])
+def test_epilogue_gives_the_plain_steps_bytes(monkeypatch, rng, dtype, geom):
+    # pool first, then bias and ReLU, per block, is the plain bias, ReLU and
+    # pool over the whole output, bit for bit: NaN windows and all-zero
+    # windows (outputs of exactly +-bias or 0) included, over several blocks
+    x = rng.standard_normal((9, 3, 13, 13)).astype(dtype)
+    x[2, :, :6, :6] = 0
+    x[4, 1, 7, 8] = np.nan
+    w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    bias = rng.standard_normal(4).astype(dtype)
+    monkeypatch.setattr(conv, "_COLS_BYTES", 3 * 27 * 13 * 15 * x.itemsize)  # 3 or 4 images a block at stride 1
+    plain = correlate2d(x, w, geom)
+    for pool in (None, (2, 2), (3, 2)):
+        for b in (None, bias):
+            for relu in (False, True):
+                want = plain if b is None else plain + b.reshape(-1, 1, 1)
+                want = np.maximum(want, 0) if relu else want
+                want = want if pool is None else max_pool2d(want, *pool)
+                got = correlate2d(x, w, geom, epilogue=Epilogue(pool, b, relu))
+                assert np.isnan(got).any()
+                assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -203,9 +228,9 @@ def preset_conv_layers(monkeypatch, preset, precision):
     model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
     calls = []
 
-    def record(x, w, geom=ConvGeometry()):
+    def record(x, w, geom=ConvGeometry(), **epilogue):
         calls.append((x.shape[1:], w, geom))
-        return correlate2d(x, w, geom)
+        return correlate2d(x, w, geom, **epilogue)
 
     with monkeypatch.context() as m:
         m.setattr(network, "correlate2d", record)
@@ -328,9 +353,9 @@ def test_blocked_backward_is_bit_identical_on_preset_layers(monkeypatch, rng, pr
     model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
     calls = []
 
-    def record(x, w, geom=ConvGeometry()):
+    def record(x, w, geom=ConvGeometry(), **epilogue):
         calls.append((x.shape[1:], w, geom))
-        return correlate2d(x, w, geom)
+        return correlate2d(x, w, geom, **epilogue)
 
     with monkeypatch.context() as m:
         m.setattr(network, "correlate2d", record)

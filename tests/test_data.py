@@ -22,6 +22,8 @@ from roteq.data import (
 )
 from roteq.tensor import rotate90
 
+import reference
+
 
 def test_idx_image_decode_trivial():
     raw = struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(range(8))
@@ -216,6 +218,15 @@ def test_arbitrary_rotation_bounds_and_determinism():
     np.testing.assert_array_equal(a.images, b.images)
     assert a.images.min() >= 0.0 and a.images.max() <= 1.0
     np.testing.assert_array_equal(a.labels, ds.labels)
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_arbitrary_rotation_matches_one_image_at_a_time(seed):
+    # blocks of images give each image the bytes of its own rotation, zero fill
+    # and grid snapping included; 150 images leave a partial last block
+    ds = synth_glyphs(150, size=28, seed=seed)
+    got = rotate_dataset_arbitrary(ds, seed=seed + 1).images
+    assert got.tobytes() == reference.per_image_rotate_dataset_arbitrary(ds.images, seed + 1).tobytes()
 
 
 def test_split_is_disjoint_partition():

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from roteq import cli, data, network
+from roteq import cli, data, eqlayers, network
+from roteq.eqlayers import GroupBatchNorm
 from roteq.network import (
     KIND_ALIASES,
     KINDS,
@@ -34,6 +35,7 @@ from roteq.network import (
     softmax_cross_entropy,
     train,
 )
+from roteq.oracle import relative_deviation
 from roteq.tensor import rotate90
 
 import reference
@@ -527,24 +529,137 @@ def test_backward_rejects_an_eval_cache(rng):
         backward(model, cache, grad)
 
 
+def plain_eval_walk(model, x):
+    """Eval logits of every layer's own `KINDS` step in turn, each input freed
+    as the next layer runs: the walk with no epilogue and no batch-norm fold."""
+    h = x.astype(model.dtype, copy=False)
+    for i, spec in enumerate(model.specs):
+        h = network.KINDS[spec.kind].forward(model, i, h, False, None)[0]
+    return h.reshape(h.shape[0], -1)
+
+
 def test_eval_forward_peak_matches_a_cache_free_walk():
     # each layer's cache and input are freed before the next layer runs
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     x = np.random.default_rng(0).standard_normal((16, 1, 28, 28)).astype(np.float32)
     forward(model, x, mode="eval")  # expand the filter banks outside the measurement
 
-    def walk():
-        h = x
-        for i, spec in enumerate(model.specs):
-            h = network.KINDS[spec.kind].forward(model, i, h, False, None)[0]
-
     peaks = []
-    for run in (lambda: forward(model, x, mode="eval"), walk):
+    for run in (lambda: forward(model, x, mode="eval"), lambda: plain_eval_walk(model, x)):
         tracemalloc.start()
         run()
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] <= 1.02 * peaks[1], peaks
+
+
+def random_batchnorm(model, rng):
+    """Give every batch norm random statistics and affine parameters, gamma > 0."""
+    for i, state in model.state.items():
+        shape = state["mean"].shape
+        state["mean"] = rng.standard_normal(shape).astype(model.dtype)
+        state["var"] = rng.uniform(0.5, 2.0, shape).astype(model.dtype)
+        model.params[i]["gamma"] = rng.uniform(0.5, 2.0, shape).astype(model.dtype)
+        model.params[i]["beta"] = rng.standard_normal(shape).astype(model.dtype)
+    return model
+
+
+def counted_batchnorm_passes(monkeypatch):
+    """A list that gains one entry per `GroupBatchNorm.forward` call from now on."""
+    passes, real = [], GroupBatchNorm.forward
+    monkeypatch.setattr(GroupBatchNorm, "forward", lambda self, *args: passes.append(1) or real(self, *args))
+    return passes
+
+
+FOLD_LIMITS = {"float32": 1e-5, "float64": 1e-12}  # relative, fused logits against the plain walk
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_fused_eval_matches_the_plain_walk(rng, monkeypatch, preset, precision):
+    # every batch norm of the presets folds into the next conv-like layer, so
+    # none runs; a stack without batch norm gives the plain walk's bytes
+    model = random_batchnorm(build_model(preset_stack(preset), precision=precision, input_size=28), rng)
+    x = rng.random((8, 1, 28, 28))
+    passes = counted_batchnorm_passes(monkeypatch)
+    fused, _ = forward(model, x, mode="eval")
+    assert passes == []
+    want = plain_eval_walk(model, x)
+    assert fused.dtype == want.dtype == np.dtype(precision)
+    if model.state:
+        assert relative_deviation(fused, want)[1] <= FOLD_LIMITS[precision]
+    else:
+        assert fused.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize(
+    "stack,batchnorm",
+    [
+        ("@dren-z2cnn-shape", 7),  # a group's gamma < 0 before the max pool
+        ("conv:c8:k3,relu,bn,conv:c8:k3:p1,relu,conv:c10:k3,gap", 2),  # a padded conv next
+        ("conv:c8:k3,bn,relu,conv:c10:k3,gap", 1),  # a ReLU between
+        ("conv:c8:k3,relu,conv:c10:k3,relu,bn,gap", 4),  # no conv-like layer next
+    ],
+)
+def test_batchnorm_that_cannot_fold_runs_its_plain_pass(rng, monkeypatch, stack, batchnorm, precision):
+    model = random_batchnorm(build_model(parse_layer_stack(stack), precision=precision, input_size=28), rng)
+    if stack == "@dren-z2cnn-shape":
+        model.params[batchnorm]["gamma"][2] *= -1
+    x = rng.random((8, 1, 28, 28))
+    passes = counted_batchnorm_passes(monkeypatch)
+    fused, _ = forward(model, x, mode="eval")
+    assert len(passes) == 1  # the other batch norms fold
+    assert relative_deviation(fused, plain_eval_walk(model, x))[1] <= FOLD_LIMITS[precision]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("state", ["built", "random"])
+def test_folded_banks_stay_tied_and_bias_each_group_alike(rng, monkeypatch, state, precision):
+    # the folded bank is still a fixed point of its tying, bit for bit, and the
+    # four slots of each output group get one bias, so the eval model stays
+    # exactly equivariant; the built state's zero shifts b give biases of +-0 terms
+    model = build_model(preset_stack("dren-z2cnn-shape"), precision=precision, input_size=28)
+    if state == "random":
+        random_batchnorm(model, rng)
+    calls, real = [], network.correlate2d
+
+    def record(x, w, geom, *, epilogue):
+        calls.append((w, epilogue))
+        return real(x, w, geom, epilogue=epilogue)
+
+    monkeypatch.setattr(network, "correlate2d", record)
+    forward(model, rng.random((4, 1, 28, 28)), mode="eval")
+    convs = [i for i, spec in enumerate(model.specs) if spec.kind in network.TIED_KINDS]
+    assert len(calls) == len(convs)
+    folded = 0
+    for i, (w, epilogue) in zip(convs, calls):
+        kind = model.specs[i].kind
+        copies = w.ravel()[eqlayers._tying(kind, model.params[i]["base"].shape)[1]]
+        assert all(copy.tobytes() == copies[0].tobytes() for copy in copies[1:]), i
+        if epilogue.bias is None:
+            continue
+        folded += 1
+        assert w.dtype == epilogue.bias.dtype == np.dtype(precision)
+        if state == "random":
+            assert not np.array_equal(w, model.expanded_filter(i))
+        if kind != "decycle":
+            slots = epilogue.bias.reshape(-1, 4)
+            assert all(slots[:, j].tobytes() == slots[:, 0].tobytes() for j in range(1, 4)), i
+    assert folded == len(model.state)
+
+
+def test_eval_forward_at_batch_256_stores_no_map_before_its_pool():
+    # L4's 256x20x24x24 float32 output (11.8 MB) is pooled block by block
+    # before it is written; stored whole, the forward peaked at 44.1 MB
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    x = np.random.default_rng(0).random((256, 1, 28, 28), dtype=np.float32)
+    forward(model, x[:8], mode="eval")  # build the tying tables outside the measurement
+    tracemalloc.start()
+    forward(model, x, mode="eval")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 37e6, peak
 
 
 def dren_z2cnn_step_peak():
