@@ -3,21 +3,23 @@
 The forward pass lowers input patches to a column matrix and multiplies
 it by the (o, c*kh*kw) filter matrix, so both the tied-filter layers
 and the map-rotating reference path share one kernel. It lowers the
-batch in blocks: the output is allocated once, and each block of
-images is lowered to one column matrix, multiplied into one result
-buffer (`np.matmul` with `out=`) and written, transposed, into its
-slice of the output. The result buffer is allocated once per call,
-sized for the largest block, and so is the column buffer that row runs
-(below) copy into; every other correlation multiplies `tensordot`'s
-own operand, built per block and released before the next block's. A
-block's column matrix stays within `_COLS_BYTES` (16 MiB): the budget
-counts the columns as allocated, the padded width W per output row for
-row runs and ow otherwise, so the lowering is bounded whatever the
-batch size (Cho & Brand 2017, "MEC", on the lowering's memory
-overhead). On a 256x20x26x26 float32 input with 20 3x3 filters the
-whole-batch matrix is 106 MB and the call's traced peak was 118 MB;
-blocked, the peak is 30.3 MB. A batch whose columns fit the budget is
-one block.
+batch in cache-sized blocks: the output is allocated once, and each
+block of images is lowered to one column matrix, multiplied into one
+result buffer (`np.matmul` with `out=`) and written, transposed, into
+its slice of the output. A block's column matrix and GEMM result
+together stay within `_FORWARD_BYTES` (4 MiB); the budget counts the
+columns as allocated, the padded width W per output row for row runs
+and ow otherwise, so the lowering is bounded whatever the batch size
+(Cho & Brand 2017, "MEC", on the lowering's memory overhead; Goto &
+van de Geijn 2008 on sizing a GEMM's blocks for the cache). The column
+buffer that row runs (below) copy into and the result buffer come from
+a per-thread workspace that the next call reuses (see "Why 4 MiB"
+below); every other correlation multiplies `tensordot`'s own operand,
+built per block and released before the next block's. On a
+256x20x26x26 float32 input with 20 3x3 filters the whole-batch matrix
+is 106 MB and the call's traced peak was 118 MB; in 32 blocks of 8
+images the peak is 15.8 MB, the 4.0 MB workspace included. A batch
+whose block fits the budget is one block.
 
 Row runs (stride 1): row (channel, u, v) of a block's column matrix
 holds, per image, one contiguous run of the padded (H, W) plane read
@@ -34,12 +36,16 @@ OpenBLAS 0.3.31).
 
 Why kept entries are bit-identical: each is still the dot product of
 the same filter row with the same c*kh*kw inputs in the same order,
-and only its column in the GEMM moves. OpenBLAS rounds an entry the
-same wherever its column lies on full column blocks (see the input
-gradient below): on every preset layer, in both precisions, at
-batches 8, 16, 32, 50, 64 and 256, the output matches `tensordot`'s
-lowering bit for bit. At batches of 7 or fewer the GEMMs of the
-small layers (the 12-, 8- and 6-px layers of the z2cnn family, and at
+and only its column in the GEMM moves. OpenBLAS running on 2 or more
+threads rounds an entry the same wherever its column lies on full
+column blocks (see the input gradient below): with 2 and 4 BLAS
+threads, on every preset layer, in both precisions, at batches 8, 16,
+32, 50, 64 and 256, the output matches `tensordot`'s lowering bit for
+bit. On 1 BLAS thread it holds in float32 only: in float64, on the
+12-, 13-, 24- and 26-px layers of the presets at batches 64 and 256,
+tens to thousands of entries of a layer round differently, by up to
+6.5e-16 of its largest output. At batches of 7 or fewer the GEMMs of
+the small layers (the 12-, 8- and 6-px layers of the z2cnn family, and at
 batch 1 the last 3x3 layer of dren-small and cnn-small) fall under
 OpenBLAS's small-matrix kernel, where the wider matrix rounds
 differently: by up to 4.8e-7 relative in float32 and 6.5e-16 in
@@ -49,10 +55,10 @@ Why only the overhang is zeroed: the columns between output rows hold
 input values, finite wherever the input is, and their products land
 in dropped columns. The run of the last output row ends at its
 image's last entry, so the W - ow columns after it are never copied
-into. They are zeroed once per call: left as they were allocated, they
-could hold an Inf whose product with a zero weight sets numpy's
-invalid-value flag, and reading them from the input instead would run
-into the next image or past the array.
+into. They are zeroed once per call: left as an earlier call or the
+allocator left them, they could hold an Inf whose product with a zero
+weight sets numpy's invalid-value flag, and reading them from the
+input instead would run into the next image or past the array.
 
 Why every other correlation multiplies `tensordot`'s operand,
 `patches.transpose(1, 2, 3, 0, 4, 5).reshape(c*kh*kw, n*oh*ow)`: row
@@ -80,12 +86,36 @@ with sizes differing by at most one image, keeps every block at half
 the budget or more; on every preset layer, in both precisions, the
 output is then bit-identical to the unblocked call's.
 
-Why 16 MiB: a 4 MiB budget made the z2cnn-shape forward at batch 64
-21-26% slower. Once no large temporary is freed any more, glibc's
-dynamic mmap and trim thresholds stay low, so each 3.5 MB activation
-is returned to the OS and faulted in again on its next allocation.
-Pinning MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ removed the
-slowdown; 16 MiB removes it with no allocator setting.
+Why 4 MiB, in a reused workspace: a block's columns are written by
+the copy and read straight back by the GEMM, and at 4 MiB (the L2 of
+the 2-vCPU Xeon these figures come from is 2 x 2 MiB) they are still
+in cache when BLAS reads them; 16 MiB blocks streamed them back from
+memory. Small blocks alone are not enough. Allocated per call, they
+are the largest temporaries freed, so glibc's dynamic mmap and trim
+thresholds stay low, and each activation of a few MB is returned to the
+OS and faulted in again on its next allocation: a 4 MiB budget with
+per-call buffers made the z2cnn-shape forward at batch 64 21-26%
+slower (pinning MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_
+removed that). The workspace takes the allocator out of it:
+`_workspace_bytes` keeps one flat byte buffer per thread
+(`threading.local`), grown to the largest block the thread has needed
+and so never past `_FORWARD_BYTES`, and each call takes its column and
+result buffers from it instead of freeing them. A block whose one
+image alone exceeds the budget gets its own buffer, freed with the
+call. Outputs are fresh arrays, never views of the workspace, which
+the next call overwrites; each thread lowers into its own, so calls
+made at once give the bytes of calls made in turn. On dren-z2cnn-shape's
+batch-256 eval forward (float32, 2 vCPUs, OpenBLAS 0.3.31, interleaved
+runs, medians of 30) 16 MiB blocks in per-call buffers took 115-153 ms
+and 2,000-2,600 minor faults per forward; 4 MiB blocks with the
+workspace took 65-78 ms and none, against 79-91 ms at 2 MiB and
+65-98 ms at 8 MiB.
+
+Why the backward keeps 16 MiB (`_COLS_BYTES`) and per-call buffers: each
+of its column blocks meets the whole (o, n*oh*ow) output gradient in
+its GEMM, so smaller blocks stream that operand once more per block.
+At 4 MiB, `train-dren` ran 3-6% slower in 3 of 3 interleaved pairs,
+though its traced peak fell from 29.2 to 22.4 MB.
 
 The epilogue: an `Epilogue` hands `correlate2d` a max pool, a bias of
 one value per output channel and a ReLU, which it finishes on each
@@ -136,8 +166,8 @@ walked 30,720 strided runs of 24 elements per offset; a shift is one
 add over a single 865,280-element run, and the whole backward went
 from 20-23 to 16-19 ms (2 vCPUs, OpenBLAS 0.3.31).
 
-Both backward GEMMs stay within the forward's `_COLS_BYTES`, blocked
-by input channel with the forward's rule (as few blocks as the budget
+Both backward GEMMs stay within `_COLS_BYTES`, blocked by input
+channel with the forward's rule (as few blocks as the budget
 allows, sizes differing by at most one). The filter gradient copies
 one block's (cb*kh*kw, n*oh*ow) patch columns at a time and fills that
 block's columns of the gradient; col2im forms one block's (kw*cb, o)
@@ -186,6 +216,7 @@ the same array as its input; after a layer that caches no input (relu,
 say), a pool holds |x|/k^2 more until its backward.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,16 +277,34 @@ def _patches(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
-# Operand budget of one lowering GEMM, forward or backward; see the module docstring.
+# Budget of one forward block's patch columns and GEMM result, and of the
+# per-thread workspace that holds them; see the module docstring.
+_FORWARD_BYTES = 1 << 22
+# Operand budget of one backward GEMM; see the module docstring.
 _COLS_BYTES = 1 << 24
 
+_workspace = threading.local()
 
-def _block_bounds(count: int, item_bytes: int) -> list:
+
+def _block_bounds(count: int, item_bytes: int, budget: int | None = None) -> list:
     """(lo, hi) of as few blocks of `count` items, `item_bytes` each, as keep
-    every block within `_COLS_BYTES`; block sizes differ by at most one."""
-    most = max(1, _COLS_BYTES // item_bytes)
+    every block within `budget` (default `_COLS_BYTES`); block sizes differ
+    by at most one."""
+    most = max(1, (_COLS_BYTES if budget is None else budget) // item_bytes)
     parts = max(1, -(-count // most))
     return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
+
+
+def _workspace_bytes(nbytes: int) -> np.ndarray:
+    """`nbytes` uint8 scratch bytes from this thread's forward workspace,
+    grown to fit and kept for the thread's next call; a request past
+    `_FORWARD_BYTES` (one image over the budget) gets its own array."""
+    if nbytes > _FORWARD_BYTES:
+        return np.empty(nbytes, dtype=np.uint8)
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = _workspace.buf = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,13 +362,16 @@ def correlate2d(
     rows = geom.stride == 1 and xp.strides[2] == wp * xp.strides[3] and oh * ow > 1
     width = wp if rows else ow
     run, span = (oh - 1) * wp + ow, oh * width
-    bounds = _block_bounds(n, k * span * out.itemsize)
+    bounds = _block_bounds(n, (k + o) * span * out.itemsize, _FORWARD_BYTES)
     most = max(hi - lo for lo, hi in bounds)
-    res = np.empty((o, most * span), dtype=out.dtype)
+    # the workspace holds the row-run columns, if any, then the result
+    cols_bytes = k * most * span * out.itemsize if rows else 0
+    scratch = _workspace_bytes(cols_bytes + o * most * span * out.itemsize)
+    res = scratch[cols_bytes:].view(out.dtype).reshape(o, most * span)
     if rows:  # (c, kh, kw, n, run): the run of row (channel, u, v) in each image
         s0, s1, s2, s3 = xp.strides
         runs = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, n, run), (s1, s2, s3, s0, s3), writeable=False)
-        cols = np.empty((c, kh, kw, most, span), dtype=out.dtype)
+        cols = scratch[:cols_bytes].view(out.dtype).reshape(c, kh, kw, most, span)
         cols[..., run:] = 0  # the last output row's overhang, which no copy writes
     for lo, hi in bounds:
         b = hi - lo
@@ -405,7 +457,13 @@ def _pool_windows(shape: tuple, kernel: int, stride: int):
 
 
 def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Windowed spatial maximum per channel; NaN wins its window."""
+    """Windowed spatial maximum per channel; NaN wins its window.
+
+    A window whose maximum is zero and that holds both +0 and -0 returns
+    its last zero in row-major order: the offsets fold in that order, and
+    `np.maximum` returns its second operand when the two compare equal
+    (numpy 2.4, float32 and float64, on every array size tried).
+    """
     windows = _pool_windows(x.shape, kernel, stride)
     out = x[next(windows)].copy()
     for win in windows:

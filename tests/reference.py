@@ -2,8 +2,12 @@
 
 Everything here is written as plainly as possible (explicit loops,
 index formulas straight from the definitions) and never calls the
-library code it is used to check.
+library code it is used to check. `fresh_thread_peak` is the one
+measuring helper.
 """
+
+import threading
+import tracemalloc
 
 import numpy as np
 
@@ -344,3 +348,19 @@ def per_image_rotate_dataset_arbitrary(images, seed):
         )
         out[k, 0] = rotated.astype(img.dtype)
     return out
+
+
+def fresh_thread_peak(fn):
+    """(fn(), traced peak bytes of the call) with fn run in a new thread, whose
+    per-thread buffers (`conv`'s forward workspace) start empty and so count."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    tracemalloc.start()
+    try:
+        thread.start()
+        thread.join()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 1, "fn raised in its thread"
+    return result[0], peak

@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from roteq.conv import (
 from roteq.tensor import rotate90
 
 from reference import (
+    fresh_thread_peak,
     max_rel,
     naive_correlate2d,
     naive_max_pool2d,
@@ -80,36 +82,36 @@ def test_errors():
         ConvGeometry(pad=-1)
 
 
-def per_image_columns(shape, w, geom):
-    """Bytes of one contiguous (c, h, w) image's patch columns in correlate2d:
-    row runs (stride 1, more than one output entry) span the padded width
-    per output row, every other lowering ow."""
+def per_image_block_bytes(shape, w, geom):
+    """Bytes of one contiguous (c, h, w) image's patch columns and GEMM result
+    in correlate2d's forward block: row runs (stride 1, more than one output
+    entry) span the padded width per output row, every other lowering ow."""
     kh, kw = w.shape[2:]
     oh = output_size(shape[1], kh, geom.stride, geom.pad)
     ow = output_size(shape[2], kw, geom.stride, geom.pad)
     width = shape[2] + 2 * geom.pad if geom.stride == 1 and oh * ow > 1 else ow
-    return shape[0] * kh * kw * oh * width * w.itemsize
+    return (shape[0] * kh * kw + w.shape[0]) * oh * width * w.itemsize
 
 
 def assert_blocking_is_exact(monkeypatch, rng, shape, w, geom):
-    """Under a 2 MiB budget, a batch of 3 full chunks and one image runs
-    as 4 chunks of near-equal size, bit-identical to the one-chunk call.
+    """Under a 2 MiB forward budget, a batch of 3 full chunks and one image
+    runs as 4 chunks of near-equal size, bit-identical to the one-chunk call.
 
     The balance matters: a lone one-image chunk can be small enough
     that OpenBLAS routes its GEMM to a small-matrix kernel, which
     rounds differently. Balanced chunks of at least half the budget
     stay clear of it.
     """
-    budget, per_image = 1 << 21, per_image_columns(shape, w, geom)
+    budget, per_image = 1 << 21, per_image_block_bytes(shape, w, geom)
     n = 3 * (budget // per_image) + 1
     x = rng.standard_normal((n,) + shape).astype(w.dtype)
     gemms = []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: gemms.append(1) or matmul(*args, **kwargs))
-    monkeypatch.setattr(conv, "_COLS_BYTES", budget)
+    monkeypatch.setattr(conv, "_FORWARD_BYTES", budget)
     chunked = correlate2d(x, w, geom)
     assert len(gemms) == 4
-    monkeypatch.setattr(conv, "_COLS_BYTES", n * per_image)
+    monkeypatch.setattr(conv, "_FORWARD_BYTES", n * per_image)
     whole = correlate2d(x, w, geom)
     assert len(gemms) == 5
     monkeypatch.setattr(np, "matmul", matmul)
@@ -153,7 +155,7 @@ def test_epilogue_gives_the_plain_steps_bytes(monkeypatch, rng, dtype, geom):
     x[4, 1, 7, 8] = np.nan
     w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
     bias = rng.standard_normal(4).astype(dtype)
-    monkeypatch.setattr(conv, "_COLS_BYTES", 3 * 27 * 13 * 15 * x.itemsize)  # 3 or 4 images a block at stride 1
+    monkeypatch.setattr(conv, "_FORWARD_BYTES", 3 * (27 + 4) * 13 * 15 * x.itemsize)  # 3 or 4 images a block at stride 1
     plain = correlate2d(x, w, geom)
     for pool in (None, (2, 2), (3, 2)):
         for b in (None, bias):
@@ -173,13 +175,11 @@ def test_blocked_lowering_is_bit_identical_strided_and_padded(monkeypatch, rng, 
 
 
 def test_blocked_lowering_bounds_the_patch_matrix(rng):
-    # unblocked, the (180, 256*24*24) float32 patch matrix alone is 106 MB
+    # unblocked, the (180, 256*24*24) float32 patch matrix alone is 106 MB;
+    # the peak counts the workspace, which a fresh thread allocates
     x = rng.standard_normal((256, 20, 26, 26), dtype=np.float32)
     w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
-    tracemalloc.start()
-    correlate2d(x, w)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    _, peak = fresh_thread_peak(lambda: correlate2d(x, w))
     assert peak < 40e6, peak
 
 
@@ -187,40 +187,123 @@ def test_blocked_lowering_bounds_the_patch_matrix(rng):
     "shape,w_shape,stride,pad",
     [
         # row runs: 14 columns per output row, not 12; a budget counting 12
-        # would fit all 161 images in one 18.6 MiB block
+        # would fit 36 images a block, and 5 blocks of 32-33 images, 4.4 MB each
         ((161, 20, 12, 12), (20, 20, 3, 3), 1, 1),
         ((256, 24, 17, 17), (24, 24, 3, 3), 2, 1),  # tensordot's operand, a copy
     ],
 )
 def test_no_forward_gemm_operand_exceeds_the_budget(monkeypatch, rng, shape, w_shape, stride, pad):
+    # a block's patch columns and GEMM result together stay within the forward's budget
     sizes = []
 
-    def spy(a, b, **kwargs):
-        sizes.append(b.nbytes)
-        return matmul(a, b, **kwargs)
+    def spy(a, b, *, out):
+        sizes.append(b.nbytes + out.nbytes)
+        return matmul(a, b, out=out)
 
     matmul = np.matmul
     x = rng.standard_normal(shape, dtype=np.float32)
     w = rng.standard_normal(w_shape, dtype=np.float32)
+    geom = ConvGeometry(stride, pad)
     with monkeypatch.context() as m:
         m.setattr(np, "matmul", spy)
-        out = correlate2d(x, w, ConvGeometry(stride, pad))
-    assert len(sizes) > 1 and max(sizes) <= conv._COLS_BYTES, sizes
-    assert_same_bits(out, tensordot_correlate2d(x, w, stride, pad))
+        chunked = correlate2d(x, w, geom)
+        blocks = len(sizes)
+        m.setattr(conv, "_FORWARD_BYTES", 1 << 40)
+        whole = correlate2d(x, w, geom)
+    assert blocks > 1 and max(sizes[:blocks]) <= conv._FORWARD_BYTES, sizes
+    assert len(sizes) == blocks + 1  # the whole batch as one block
+    assert_same_bits(whole, tensordot_correlate2d(x, w, stride, pad))
+    assert_same_bits(chunked, whole)
 
 
 def test_strided_lowering_holds_one_block_operand_at_a_time(rng):
-    # 4 blocks of 64 images; each block's (216, 64*16*16) float32 copy is
-    # 14.2 MB, so two alive at once would take the peak past 28 MB
+    # 15 blocks of 17-18 images; each block's (216, 18*16*16) float32 copy
+    # is 4.0 MB, so two alive at once would take the peak past 8 MB
     x = rng.standard_normal((256, 24, 33, 33), dtype=np.float32)
     w = rng.standard_normal((4, 24, 3, 3), dtype=np.float32)
-    operand = 24 * 3 * 3 * 64 * 16 * 16 * 4
-    tracemalloc.start()
-    out = correlate2d(x, w, ConvGeometry(stride=2))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert len(conv._block_bounds(256, operand // 64)) == 4
+    per_image = 24 * 3 * 3 * 16 * 16 * 4
+    bounds = conv._block_bounds(256, per_image + 4 * 16 * 16 * 4, conv._FORWARD_BYTES)
+    operand = max(hi - lo for lo, hi in bounds) * per_image
+    out, peak = fresh_thread_peak(lambda: correlate2d(x, w, ConvGeometry(stride=2)))
+    assert len(bounds) == 15
     assert peak - out.nbytes <= 1.25 * operand, peak
+
+
+def test_forward_output_outlives_the_next_call(rng):
+    # the workspace is reused by the next call, of any shape and dtype, so
+    # no output may be a view of it
+    x = rng.standard_normal((64, 20, 26, 26), dtype=np.float32)
+    w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
+    first = correlate2d(x, w)
+    kept = first.copy()
+    correlate2d(rng.standard_normal((16, 20, 12, 12)), rng.standard_normal((20, 20, 3, 3)), ConvGeometry(pad=1))
+    assert_same_bits(first, kept)
+    assert not np.shares_memory(first, conv._workspace.buf)
+
+
+def test_forward_workspace_holds_one_block_and_is_reused(rng):
+    # dren-z2cnn-shape's 26-px layer at batch 256: 8 images a block, whose
+    # (180, 8*24*26) columns are 3.6 MB and (20, 8*24*26) result 0.4 MB;
+    # the whole batch's columns would be 115 MB
+    x = rng.standard_normal((256, 20, 26, 26), dtype=np.float32)
+    w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
+    held = []
+
+    def calls():
+        for _ in range(2):
+            correlate2d(x, w)
+            held.append(conv._workspace.buf)
+
+    thread = threading.Thread(target=calls)
+    thread.start()
+    thread.join()
+    assert held[0] is held[1]
+    assert 8 * 180 * 24 * 26 * 4 <= held[0].nbytes <= conv._FORWARD_BYTES, held[0].nbytes
+
+
+def test_an_image_past_the_budget_keeps_no_workspace(monkeypatch, rng):
+    # one image's 0.5 MB of columns and result exceed a 64 KiB budget: its
+    # block is one image, in buffers freed with the call
+    x = rng.standard_normal((3, 20, 26, 26), dtype=np.float32)
+    w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
+    monkeypatch.setattr(conv, "_FORWARD_BYTES", 1 << 16)
+    held = []
+
+    def call():
+        out = correlate2d(x, w)
+        held.append(getattr(conv._workspace, "buf", None))
+        return out
+
+    out, _ = fresh_thread_peak(call)
+    assert held == [None]
+    assert_same_bits(out, tensordot_correlate2d(x, w))
+
+
+def test_threads_calling_at_once_give_the_sequential_bytes(rng):
+    # each thread lowers into its own workspace; a shared one would let a
+    # thread's copy overwrite the other's columns while BLAS reads them
+    cases = [
+        (rng.standard_normal((32, 20, 26, 26), dtype=np.float32), rng.standard_normal((20, 20, 3, 3), dtype=np.float32)),
+        (rng.standard_normal((48, 20, 12, 12)), rng.standard_normal((20, 20, 3, 3))),
+    ]
+    want = [correlate2d(x, w) for x, w in cases]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def run(j):
+        start.wait()
+        for _ in range(8):
+            got[j].append(correlate2d(*cases[j]))
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for j in range(2):
+        assert len(got[j]) == 8
+        for out in got[j]:
+            assert_same_bits(out, want[j])
 
 
 def preset_conv_layers(monkeypatch, preset, precision):
