@@ -7,7 +7,7 @@ batch in cache-sized blocks: the output is allocated once, and each
 block of images is lowered to one column matrix, multiplied into one
 result buffer (`np.matmul` with `out=`) and written, transposed, into
 its slice of the output. A block's column matrix and GEMM result
-together stay within `_FORWARD_BYTES` (4 MiB); the budget counts the
+together stay within `_BLOCK_BYTES` (4 MiB); the budget counts the
 columns as allocated, the padded width W per output row for row runs
 and ow otherwise, so the lowering is bounded whatever the batch size
 (Cho & Brand 2017, "MEC", on the lowering's memory overhead; Goto &
@@ -15,7 +15,9 @@ van de Geijn 2008 on sizing a GEMM's blocks for the cache). The column
 buffer that row runs (below) copy into and the result buffer come from
 a per-thread workspace that the next call reuses (see "Why 4 MiB"
 below); every other correlation multiplies `tensordot`'s own operand,
-built per block and released before the next block's. On a
+built per block and released before the next block's. The backward
+pass walks the batch the same way, within the same budget and
+workspace, through the same lowering (`_Lowering`). On a
 256x20x26x26 float32 input with 20 3x3 filters the whole-batch matrix
 is 106 MB and the call's traced peak was 118 MB; in 32 blocks of 8
 images the peak is 15.8 MB, the 4.0 MB workspace included. A batch
@@ -99,8 +101,8 @@ slower (pinning MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_
 removed that). The workspace takes the allocator out of it:
 `_workspace_bytes` keeps one flat byte buffer per thread
 (`threading.local`), grown to the largest block the thread has needed
-and so never past `_FORWARD_BYTES`, and each call takes its column and
-result buffers from it instead of freeing them. A block whose one
+and so never past `_BLOCK_BYTES`, and each call of either pass takes
+its block buffers from it instead of freeing them. A block whose one
 image alone exceeds the budget gets its own buffer, freed with the
 call. Outputs are fresh arrays, never views of the workspace, which
 the next call overwrites; each thread lowers into its own, so calls
@@ -110,12 +112,6 @@ runs, medians of 30) 16 MiB blocks in per-call buffers took 115-153 ms
 and 2,000-2,600 minor faults per forward; 4 MiB blocks with the
 workspace took 65-78 ms and none, against 79-91 ms at 2 MiB and
 65-98 ms at 8 MiB.
-
-Why the backward keeps 16 MiB (`_COLS_BYTES`) and per-call buffers: each
-of its column blocks meets the whole (o, n*oh*ow) output gradient in
-its GEMM, so smaller blocks stream that operand once more per block.
-At 4 MiB, `train-dren` ran 3-6% slower in 3 of 3 interleaved pairs,
-though its traced peak fell from 29.2 to 22.4 MB.
 
 The epilogue: an `Epilogue` hands `correlate2d` a max pool, a bias of
 one value per output channel and a ReLU, which it finishes on each
@@ -142,18 +138,63 @@ The ReLU maps both to +0 (numpy's maximum(-0.0, 0) is +0), and so does
 adding a bias b != 0 map both to b, or b = +0 map both to +0; adding
 -0 changes no value at all, so either order keeps the same zero.
 
-The backward pass is two GEMMs over contiguous operands (unrolled
-convolution, Chellapilla et al. 2006). With the output gradient laid
-out as an (o, n*oh*ow) matrix, the filter gradient is that matrix
-times the transposed patch columns. The input gradient is the filter
-bank times it, scattered back over the patch windows (col2im) as flat
-shifts, the row-shift idea of MEC. The output gradient is first spread
-over the padded input's (H, W) grid: entry (p, q) goes to (p*s, q*s)
-for stride s, every other position is zero. In the accumulator's flat
-(c, n, H, W) order, kernel offset (u, v) moves every entry u*W + v
+The backward pass is two GEMMs per block of images (unrolled
+convolution, Chellapilla et al. 2006), both halves walking the batch in
+near-equal blocks within `_BLOCK_BYTES` and taking every block buffer
+from the thread's workspace. Besides its two gradients a call allocates
+only the padded input (for pad > 0, as the forward does) and arrays the
+size of the filter bank.
+
+The filter gradient: a block's columns are the forward's own lowering,
+row runs where the forward takes them and otherwise the values of
+`tensordot`'s operand, copied into the workspace. The block's output
+gradient is laid out on the same columns, entry (p, q) of an image at
+column p*width + q, with zeros in the W - ow overhang, whose columns
+belong to no output entry. The block's partial gradient is that
+(o, b*span) matrix times the transposed (c*kh*kw, b*span) columns, and
+the partial products are added into the gradient in block order. A
+block counts (c*kh*kw + o)*span entries per image, as the forward's
+does. The overhang's columns multiply input values by zeros: for finite
+inputs they add signed zeros only (a non-finite input there would add a
+NaN, where the forward only drops it).
+
+Why the filter gradient's bits differ from one GEMM's: each entry is a
+sum over all n*oh*ow output positions. Blocked by batch, it is a sum of
+one partial sum per block, and the padding below changes where BLAS
+cuts the reduction, so it rounds otherwise than the one GEMM over the
+whole batch did. It is no less accurate. Against a float64 product, the
+float32 gradient of every conv-like layer of dren-z2cnn-shape,
+z2cnn-shape, bench-nin-shape and dren-small at batches 8, 64 and 256
+deviated by up to 5.9e-7 of its largest entry, the one GEMM by up to
+7.4e-7. In float64 the blocked gradient stayed within 1.3e-15 of the
+one GEMM's, whose own error against a long-double product was 2.4e-16
+to 9.9e-16 on dren-z2cnn-shape's layers (batch 16).
+
+Why the reduction grain: OpenBLAS cuts a GEMM's reduction into panels,
+and its one-thread and threaded drivers split the last two panels
+differently unless the reduction's length is a multiple of 32 or fits
+one panel. Over lengths 16-16000 in steps of 4 (M 10, 20 and 40, N 180
+and 360), products matched at 1 and 2 threads at every multiple of 32
+in both precisions, and differed at most other lengths from 452
+(float32) and 388 (float64) up (OpenBLAS 0.3.31, SkylakeX kernels).
+So each block's b*span columns are padded with zero columns, in the
+columns and in the laid-out gradient alike, up to a multiple of
+`_REDUCTION_GRAIN` (32), and the block budget keeps room for them.
+Without the padding, dren-small's batch-32 train step (its 22-px layer
+in blocks of 10 and 11 images, 4,400 and 4,840 columns) ended in other
+parameter bits at 1 and 2 threads. The one GEMM agreed there only
+because the tested batches (32 and 64 images) made its n*oh*ow columns
+a multiple of 32.
+
+The input gradient (col2im) is the filter bank times the output
+gradient, scattered back over the patch windows as flat shifts, the
+row-shift idea of MEC. A block's output gradient is first spread over
+the padded input's (H, W) grid: entry (p, q) goes to (p*s, q*s) for
+stride s, every other position is zero. In the accumulator's flat
+(c, b, H, W) order, kernel offset (u, v) moves every entry u*W + v
 places on, so its whole scatter is one contiguous add of a GEMM row
 block. Each kernel row u is one GEMM of the filters' (kw*c, o) slice
-with the spread gradient, written into one preallocated buffer; the
+with the spread gradient, written into one workspace buffer; the
 accumulator's (kh-1)*W + kw - 1 spare entries take the last shifts'
 overhang. A shift carries zeros across row, image and channel borders
 but never a gradient entry, which lands at (p*s + u, q*s + v), inside
@@ -161,46 +202,49 @@ its own image. For finite filters a zero contributes +0 or -0, the
 accumulator starts at +0 and so never holds -0, and adding a signed
 zero leaves any other value as it was; each entry gets the same terms
 in the same order as from a strided scatter of the unspread gradient.
-On a 64x20x26x26 float32 input with 20 3x3 filters that scatter
-walked 30,720 strided runs of 24 elements per offset; a shift is one
-add over a single 865,280-element run, and the whole backward went
-from 20-23 to 16-19 ms (2 vCPUs, OpenBLAS 0.3.31).
+The block is then written, transposed and unpadded, into the input
+gradient. A block counts (kw*c + o + c)*H*W entries per image and the
+spare entries once; the spread buffer is zeroed once per call, as every
+block writes the same positions of it. On a 64x20x26x26 float32 input
+with 20 3x3 filters the strided scatter walked 30,720 strided runs of
+24 elements per offset; a shift over the whole batch is one add over a
+single 865,280-element run, and the whole backward went from 20-23 to
+16-19 ms (2 vCPUs, OpenBLAS 0.3.31).
 
-Both backward GEMMs stay within `_COLS_BYTES`, blocked by input
-channel with the forward's rule (as few blocks as the budget
-allows, sizes differing by at most one). The filter gradient copies
-one block's (cb*kh*kw, n*oh*ow) patch columns at a time and fills that
-block's columns of the gradient; col2im forms one block's (kw*cb, o)
-products at a time, and their shifted adds land in the block's own
-contiguous (cb, n, H, W) run of the accumulator. What a block's last
-shifts carry past its last channel is zeros only, by the border
-argument above, so the adds it makes into the next block's run change
-nothing and their order does not matter. A channel block splits only
-the output columns of each GEMM: every gradient entry is still one dot
-product over all n*oh*ow (or all o) terms. Blocking by batch would
-split the filter gradient's n*oh*ow reduction into partial sums and
-change its rounding, so the batch is never blocked here. A layer whose
-operands fit the budget runs as one block, exactly the unblocked GEMMs.
-On dren-z2cnn-shape's 20->20 3x3 layer at 26x26 (float32) the
-backward's traced peak went from 29.5 to 17.3 MB at batch 64 and from
-118.0 to 42.3 MB at batch 256, and a batch-64 train step of that preset
-from 52.2 to 40.1 MB. Its time did not move: 18-21 ms at batch 64
-either way, in interleaved runs (2 vCPUs, OpenBLAS 0.3.31). The filter gradient and the
-input gradient are bit-identical to the one-block call's on every
-preset layer under a 2 MiB budget; budgets far below 1 MiB leave
-blocks of a channel or two, whose GEMMs go to OpenBLAS's small-matrix
-and gemv kernels and round differently, as in the forward.
-
-The input gradient is bit-identical to that scatter's wherever BLAS
-rounds a GEMM entry the same whatever its column's position. OpenBLAS
-does so on full 8-column blocks, so at a batch that is a multiple of
-8 (every preset layer, every benchmark batch) the results match. A
-trailing partial block rounds its own way in some shapes, and a
-one-column product goes to gemv; the spread moves entries into and out
-of those, and there the two differ by an ulp or so. Every sum runs in
-a fixed order, so repeated runs are bitwise reproducible. Below the
+Why blocking keeps the input gradient's bits: each of its entries is a
+sum over output channels and kernel offsets only, none over images, so
+a batch block moves GEMM columns and splits no sum. The input gradient
+is bit-identical to the strided scatter's wherever BLAS rounds a GEMM
+entry the same whatever its column's position. OpenBLAS does so on
+full 8-column blocks, so at a batch that is a multiple of 8 (every
+preset layer, every benchmark batch) the results match. A trailing
+partial block rounds its own way in some shapes, and a one-column
+product goes to gemv; the spread moves entries into and out of those,
+and there the two differ by an ulp or so. On every conv-like layer of
+the four presets above the blocked input gradient is the bits of the
+whole-batch one, in float32 at batches 8, 64 and 256 and in float64 at
+8 and 64, at 1 and 2 BLAS threads. Under a 2 MiB budget on 1 thread,
+float64, bench-nin-shape's 11-px 1x1 layer at batch 64 (blocks of 21
+and 22 images) rounded 290 of its 247,808 entries otherwise, by up to
+1.8e-15 absolute, as the forward's one-thread float64 GEMMs do. Every sum runs
+in a fixed order, so repeated runs are bitwise reproducible. Below the
 lowest trainable layer no input gradient is needed, and
-`input_grad=False` skips the col2im stage.
+`input_grad=False` skips the col2im half.
+
+What the blocks bought, on dren-z2cnn-shape's 20->20 3x3 layer at 26x26
+(float32; 2 vCPUs, OpenBLAS 0.3.31; peaks traced in a fresh thread, so
+the workspace counts): the backward's peak went from 17.3 to 7.5 MB at
+batch 64 and from 42.3 to 17.9 MB at batch 256, where it is now the
+13.8 MB input gradient, the 4.1 MB workspace and a few small arrays.
+The 17.3 and 42.3 MB were per-call buffers blocked by input channel
+within 16 MiB, each block's GEMM meeting the whole (o, n*oh*ow) output
+gradient (29.5 and 118.0 MB unblocked). The call's median time went
+from 25 to 19-20 ms at batch 64 and from 169-176 to 74-79 ms at batch
+256, in alternating runs. A batch-64
+momentum-SGD step of the preset, after one warm step, peaks at 22.0 MB
+against 29.0 MB; the peak is now in a batch-norm backward, over the
+forward caches, and the workspace stays at the 4.1 MB the forward
+already needed.
 
 Max pooling is k^2 elementwise maxima: one (n, c, oh, ow) strided view
 per kernel offset, folded into the output with `np.maximum`. Reducing
@@ -277,34 +321,85 @@ def _patches(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
-# Budget of one forward block's patch columns and GEMM result, and of the
-# per-thread workspace that holds them; see the module docstring.
-_FORWARD_BYTES = 1 << 22
-# Operand budget of one backward GEMM; see the module docstring.
-_COLS_BYTES = 1 << 24
+# Budget of one block's buffers, in either pass, and of the per-thread
+# workspace that holds them; see the module docstring.
+_BLOCK_BYTES = 1 << 22
+# The filter gradient's GEMMs reduce over a multiple of this many columns,
+# so their rounding does not depend on the BLAS thread count; see the
+# module docstring.
+_REDUCTION_GRAIN = 32
 
 _workspace = threading.local()
 
 
-def _block_bounds(count: int, item_bytes: int, budget: int | None = None) -> list:
+def _block_bounds(count: int, item_bytes: int, spare_bytes: int = 0) -> list:
     """(lo, hi) of as few blocks of `count` items, `item_bytes` each, as keep
-    every block within `budget` (default `_COLS_BYTES`); block sizes differ
-    by at most one."""
-    most = max(1, (_COLS_BYTES if budget is None else budget) // item_bytes)
+    every block and its `spare_bytes` within `_BLOCK_BYTES`; block sizes
+    differ by at most one."""
+    most = max(1, (_BLOCK_BYTES - spare_bytes) // item_bytes)
     parts = max(1, -(-count // most))
     return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
 def _workspace_bytes(nbytes: int) -> np.ndarray:
-    """`nbytes` uint8 scratch bytes from this thread's forward workspace,
-    grown to fit and kept for the thread's next call; a request past
-    `_FORWARD_BYTES` (one image over the budget) gets its own array."""
-    if nbytes > _FORWARD_BYTES:
+    """`nbytes` uint8 scratch bytes from this thread's workspace, grown to fit
+    and kept for the thread's next call; a request past `_BLOCK_BYTES` (one
+    image over the budget) gets its own array."""
+    if nbytes > _BLOCK_BYTES:
         return np.empty(nbytes, dtype=np.uint8)
     buf = getattr(_workspace, "buf", None)
     if buf is None or buf.nbytes < nbytes:
         buf = _workspace.buf = np.empty(nbytes, dtype=np.uint8)
     return buf[:nbytes]
+
+
+class _Lowering:
+    """The forward's lowering of a padded input `xp` (module docstring): per
+    block of images, a (k, b*span) column matrix, k = c*kh*kw, each output
+    row taking `width` columns, the padded width W for row runs, else ow."""
+
+    def __init__(self, xp: np.ndarray, kh: int, kw: int, stride: int):
+        self.patches = _patches(xp, kh, kw, stride)
+        n, c, _, _, oh, ow = self.patches.shape
+        wp = xp.shape[3]
+        # row runs need stride 1, each (h, w) plane one flat run and more
+        # than one output entry
+        self.rows = stride == 1 and xp.strides[2] == wp * xp.strides[3] and oh * ow > 1
+        self.width = wp if self.rows else ow
+        self.k, self.span, self.run = c * kh * kw, oh * self.width, (oh - 1) * wp + ow
+        if self.rows:  # (c, kh, kw, n, run): the run of row (channel, u, v) in each image
+            s0, s1, s2, s3 = xp.strides
+            self.runs = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, n, self.run), (s1, s2, s3, s0, s3), writeable=False)
+
+    def buffers(self, o: int, most: int, dtype, *, cols: bool = True, grain: int = 1) -> tuple:
+        """A (k, L) column buffer (None without `cols`) and an (o, L) buffer
+        after it, both from this thread's workspace; L is `most` images'
+        columns rounded up to `grain`. The overhang of each image's last
+        output row, which no row-run copy writes, is zeroed."""
+        width = -(-most * self.span // grain) * grain
+        item = np.dtype(dtype).itemsize
+        cols_bytes = self.k * width * item if cols else 0
+        scratch = _workspace_bytes(cols_bytes + o * width * item)
+        second = scratch[cols_bytes:].view(dtype).reshape(o, width)
+        if not cols:
+            return None, second
+        buf = scratch[:cols_bytes].view(dtype).reshape(self.k, width)
+        if self.rows:
+            buf[:, : most * self.span].reshape(self.k, most, self.span)[:, :, self.run :] = 0
+        return buf, second
+
+    def block(self, cols: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+        """Block lo:hi's (k, b*span) column matrix, copied into `cols`; without
+        `cols` (only where row runs do not apply), tensordot's own operand."""
+        b, patches = hi - lo, self.patches[lo:hi].transpose(1, 2, 3, 0, 4, 5)
+        if cols is None:  # a view when the window covers the image
+            return patches.reshape(self.k, b * self.span)
+        lowered = cols[:, : b * self.span]
+        if self.rows:
+            np.copyto(lowered.reshape(*patches.shape[:4], self.span)[..., : self.run], self.runs[:, :, :, lo:hi])
+        else:
+            np.copyto(lowered.reshape(patches.shape), patches)
+        return lowered
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,6 +427,17 @@ def _finish(block: np.ndarray, maps: np.ndarray, epilogue: Epilogue) -> np.ndarr
     return maps
 
 
+def _check_operands(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> tuple:
+    """(oh, ow) of correlating x (n,c,h,w) with filters w (o,c,kh,kw), once
+    both ranks, the channel counts and the window are checked."""
+    if x.ndim != 4 or w.ndim != 4:
+        raise ValueError(f"expected rank-4 input and filters, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ValueError(f"input has {x.shape[1]} channels but filters expect {w.shape[1]}")
+    oh = output_size(x.shape[2], w.shape[2], geom.stride, geom.pad)
+    return oh, output_size(x.shape[3], w.shape[3], geom.stride, geom.pad)
+
+
 def correlate2d(
     x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(), *, epilogue: Epilogue = Epilogue()
 ) -> np.ndarray:
@@ -340,49 +446,24 @@ def correlate2d(
     out[n,o,p,q] = sum_{c,u,v} w[o,c,u,v] * x_pad[n,c, p*stride+u, q*stride+v],
     with `epilogue`'s steps applied to it; a pooled output is (n, o, ph, pw).
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ValueError(f"expected rank-4 input and filters, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"input has {x.shape[1]} channels but filters expect {w.shape[1]}")
-    kh, kw = w.shape[2], w.shape[3]
-    output_size(x.shape[2], kh, geom.stride, geom.pad)
-    output_size(x.shape[3], kw, geom.stride, geom.pad)
+    oh, ow = _check_operands(x, w, geom)
     xp = _pad_spatial(x, geom.pad)
-    patches = _patches(xp, kh, kw, geom.stride)
-    n, c, _, _, oh, ow = patches.shape
-    o, k, wp = w.shape[0], c * kh * kw, xp.shape[3]
+    low = _Lowering(xp, w.shape[2], w.shape[3], geom.stride)
+    n, o, k, span = x.shape[0], w.shape[0], low.k, low.span
     ph, pw = oh, ow
     if epilogue.pool is not None:
         ph, pw = output_size(oh, *epilogue.pool), output_size(ow, *epilogue.pool)
     out = np.empty((n, o, ph, pw), dtype=np.result_type(w, xp))
     w2 = w.reshape(o, k).astype(out.dtype, copy=False)
-    # row runs (module docstring) need stride 1, each (h, w) plane one flat
-    # run and more than one output entry; `width` is the GEMM's column
-    # count per output row
-    rows = geom.stride == 1 and xp.strides[2] == wp * xp.strides[3] and oh * ow > 1
-    width = wp if rows else ow
-    run, span = (oh - 1) * wp + ow, oh * width
-    bounds = _block_bounds(n, (k + o) * span * out.itemsize, _FORWARD_BYTES)
-    most = max(hi - lo for lo, hi in bounds)
+    bounds = _block_bounds(n, (k + o) * span * out.itemsize)
     # the workspace holds the row-run columns, if any, then the result
-    cols_bytes = k * most * span * out.itemsize if rows else 0
-    scratch = _workspace_bytes(cols_bytes + o * most * span * out.itemsize)
-    res = scratch[cols_bytes:].view(out.dtype).reshape(o, most * span)
-    if rows:  # (c, kh, kw, n, run): the run of row (channel, u, v) in each image
-        s0, s1, s2, s3 = xp.strides
-        runs = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, n, run), (s1, s2, s3, s0, s3), writeable=False)
-        cols = scratch[:cols_bytes].view(out.dtype).reshape(c, kh, kw, most, span)
-        cols[..., run:] = 0  # the last output row's overhang, which no copy writes
+    cols, res = low.buffers(o, max(hi - lo for lo, hi in bounds), out.dtype, cols=low.rows)
     for lo, hi in bounds:
         b = hi - lo
-        if rows:
-            np.copyto(cols[:, :, :, :b, :run], runs[:, :, :, lo:hi])
-            lowered = cols.reshape(k, most, span)[:, :b].reshape(k, b * span)
-        else:  # tensordot's operand: a view when the window covers the image
-            lowered = patches[lo:hi].transpose(1, 2, 3, 0, 4, 5).reshape(k, b * span)
+        lowered = low.block(cols, lo, hi)
         block = np.matmul(w2, lowered, out=res[:, : b * span])
         del lowered  # before the next block's operand is built
-        out[lo:hi] = _finish(block, block.reshape(o, b, oh, width)[..., :ow], epilogue).transpose(1, 0, 2, 3)
+        out[lo:hi] = _finish(block, block.reshape(o, b, oh, low.width)[..., :ow], epilogue).transpose(1, 0, 2, 3)
     return out
 
 
@@ -399,52 +480,69 @@ def correlate2d_backward(
     With `input_grad=False` the input gradient is not formed and is
     returned as None.
     """
-    kh, kw = w.shape[2], w.shape[3]
-    oh = output_size(x.shape[2], kh, geom.stride, geom.pad)
-    ow = output_size(x.shape[3], kw, geom.stride, geom.pad)
+    oh, ow = _check_operands(x, w, geom)
     expected = (x.shape[0], w.shape[0], oh, ow)
     if grad_out.shape != expected:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output {expected}")
-
-    o, c = w.shape[0], w.shape[1]
-    n, s, pad = x.shape[0], geom.stride, geom.pad
+    (n, c), (o, _, kh, kw), s, pad = x.shape[:2], w.shape, geom.stride, geom.pad
+    dtype = np.result_type(grad_out, x, w)
+    item = dtype.itemsize
     xp = _pad_spatial(x, pad)
-    # both GEMM operands contiguous: g2 is (o, n*oh*ow), a block's cols (cb*kh*kw, n*oh*ow)
-    g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(o, n * oh * ow)
-    patches = _patches(xp, kh, kw, s).transpose(1, 2, 3, 0, 4, 5)
-    grad_w = np.empty((o, c * kh * kw), dtype=np.result_type(g2, xp))
-    for lo, hi in _block_bounds(c, kh * kw * n * oh * ow * xp.itemsize):
-        cols = np.ascontiguousarray(patches[lo:hi]).reshape((hi - lo) * kh * kw, n * oh * ow)
-        grad_w[:, lo * kh * kw : hi * kh * kw] = g2 @ cols.T
-        del cols  # before the next block's copy, so only one block is ever alive
-    grad_w = grad_w.reshape(o, c, kh, kw)
+
+    # filter gradient: each block's columns, as the forward lowers them,
+    # against its output gradient laid out on the same columns, zero in the
+    # overhang and in the padding up to the grain; partial products summed
+    # in block order
+    low, grain = _Lowering(xp, kh, kw, s), _REDUCTION_GRAIN
+    k, span = low.k, low.span
+    bounds = _block_bounds(n, (k + o) * span * item, (k + o) * (grain - 1) * item)
+    most = max(hi - lo for lo, hi in bounds)
+    cols, gcols = low.buffers(o, most, dtype, grain=grain)
+    laid = gcols[:, : most * span].reshape(o, most, oh, low.width)
+    laid[..., ow:] = 0
+    grad_w, partial = np.empty((o, k), dtype=dtype), np.empty((o, k), dtype=dtype)
+    for lo, hi in bounds:
+        b = hi - lo
+        end = -(-b * span // grain) * grain
+        low.block(cols, lo, hi)
+        laid[:, :b, :, :ow] = grad_out[lo:hi].transpose(1, 0, 2, 3)
+        cols[:, b * span : end] = 0
+        gcols[:, b * span : end] = 0
+        np.matmul(gcols[:, :end], cols[:, :end].T, out=partial if lo else grad_w)
+        if lo:
+            grad_w += partial
+    grad_w = grad_w.reshape(w.shape)
+    del cols, gcols, laid  # so a workspace that col2im grows is freed, not kept by these views
     if not input_grad:
         return None, grad_w
 
-    # col2im as flat shifts (module docstring): the gradient dilated by
-    # the stride and padded to the input's (H, W), each channel's batch
-    # one flat run, then one contiguous add per kernel offset
+    # col2im as flat shifts (module docstring), one block of images at a
+    # time: the block's gradient dilated by the stride and padded to the
+    # input's (H, W), then one contiguous add per kernel offset
     hp, wp = xp.shape[2:]
-    run = n * hp * wp  # one channel's flat run in acc
-    gd = np.zeros((o, n, hp, wp), dtype=g2.dtype)
-    gd[:, :, : (oh - 1) * s + 1 : s, : (ow - 1) * s + 1 : s] = g2.reshape(o, n, oh, ow)
-    gd = gd.reshape(o, run)
-    del g2
-    acc = np.zeros(c * run + (kh - 1) * wp + kw - 1, dtype=xp.dtype)
-    blocks = _block_bounds(c, kw * run * gd.itemsize)
-    rows = np.empty((kw * max(hi - lo for lo, hi in blocks), run), dtype=np.result_type(w, gd))
-    for lo, hi in blocks:
-        size = (hi - lo) * run
-        wt = np.ascontiguousarray(w[:, lo:hi].transpose(2, 3, 1, 0))  # (kh, kw, cb, o)
+    plane, tail = hp * wp, (kh - 1) * wp + kw - 1  # tail: the last shifts' overhang
+    bounds = _block_bounds(n, (o + c + kw * c) * plane * item, tail * item)
+    most = max(hi - lo for lo, hi in bounds)
+    scratch = _workspace_bytes(((o + c + kw * c) * most * plane + tail) * item).view(dtype)
+    gd = scratch[: o * most * plane].reshape(o, most * plane)
+    gd[...] = 0  # the spread below writes the same entries in every block
+    spread = gd.reshape(o, most, hp, wp)[:, :, : (oh - 1) * s + 1 : s, : (ow - 1) * s + 1 : s]
+    acc_all, prod_all = np.split(scratch[o * most * plane :], [c * most * plane + tail])
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype).reshape(kh, kw * c, o)
+    grad_x = np.empty((n, c) + x.shape[2:], dtype=dtype)
+    for lo, hi in bounds:
+        b = hi - lo
+        size = c * b * plane
+        spread[:, :b] = grad_out[lo:hi].transpose(1, 0, 2, 3)
+        acc = acc_all[: size + tail]
+        acc[...] = 0
+        prod = prod_all[: kw * size].reshape(kw * c, b * plane)
         for u in range(kh):
-            prod = np.matmul(wt[u].reshape(kw * (hi - lo), o), gd, out=rows[: kw * (hi - lo)])
-            prod = prod.reshape(kw, size)
-            for v in range(kw):
-                shift = lo * run + u * wp + v
-                acc[shift : shift + size] += prod[v]
-    del rows, prod, gd  # before the transposed copy, so they never coexist with it
-    grad_xp = acc[: c * run].reshape(c, n, hp, wp)[:, :, pad : hp - pad, pad : wp - pad]
-    return np.ascontiguousarray(grad_xp.transpose(1, 0, 2, 3)), grad_w
+            np.matmul(wt[u], gd[:, : b * plane], out=prod)
+            for v, row in enumerate(prod.reshape(kw, size)):
+                acc[u * wp + v : u * wp + v + size] += row
+        grad_x[lo:hi] = acc[:size].reshape(c, b, hp, wp)[:, :, pad : hp - pad, pad : wp - pad].transpose(1, 0, 2, 3)
+    return grad_x, grad_w
 
 
 def _pool_windows(shape: tuple, kernel: int, stride: int):

@@ -1,6 +1,5 @@
 import re
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,10 +107,10 @@ def assert_blocking_is_exact(monkeypatch, rng, shape, w, geom):
     gemms = []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: gemms.append(1) or matmul(*args, **kwargs))
-    monkeypatch.setattr(conv, "_FORWARD_BYTES", budget)
+    monkeypatch.setattr(conv, "_BLOCK_BYTES", budget)
     chunked = correlate2d(x, w, geom)
     assert len(gemms) == 4
-    monkeypatch.setattr(conv, "_FORWARD_BYTES", n * per_image)
+    monkeypatch.setattr(conv, "_BLOCK_BYTES", n * per_image)
     whole = correlate2d(x, w, geom)
     assert len(gemms) == 5
     monkeypatch.setattr(np, "matmul", matmul)
@@ -155,7 +154,7 @@ def test_epilogue_gives_the_plain_steps_bytes(monkeypatch, rng, dtype, geom):
     x[4, 1, 7, 8] = np.nan
     w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
     bias = rng.standard_normal(4).astype(dtype)
-    monkeypatch.setattr(conv, "_FORWARD_BYTES", 3 * (27 + 4) * 13 * 15 * x.itemsize)  # 3 or 4 images a block at stride 1
+    monkeypatch.setattr(conv, "_BLOCK_BYTES", 3 * (27 + 4) * 13 * 15 * x.itemsize)  # 3 or 4 images a block at stride 1
     plain = correlate2d(x, w, geom)
     for pool in (None, (2, 2), (3, 2)):
         for b in (None, bias):
@@ -208,9 +207,9 @@ def test_no_forward_gemm_operand_exceeds_the_budget(monkeypatch, rng, shape, w_s
         m.setattr(np, "matmul", spy)
         chunked = correlate2d(x, w, geom)
         blocks = len(sizes)
-        m.setattr(conv, "_FORWARD_BYTES", 1 << 40)
+        m.setattr(conv, "_BLOCK_BYTES", 1 << 40)
         whole = correlate2d(x, w, geom)
-    assert blocks > 1 and max(sizes[:blocks]) <= conv._FORWARD_BYTES, sizes
+    assert blocks > 1 and max(sizes[:blocks]) <= conv._BLOCK_BYTES, sizes
     assert len(sizes) == blocks + 1  # the whole batch as one block
     assert_same_bits(whole, tensordot_correlate2d(x, w, stride, pad))
     assert_same_bits(chunked, whole)
@@ -222,7 +221,7 @@ def test_strided_lowering_holds_one_block_operand_at_a_time(rng):
     x = rng.standard_normal((256, 24, 33, 33), dtype=np.float32)
     w = rng.standard_normal((4, 24, 3, 3), dtype=np.float32)
     per_image = 24 * 3 * 3 * 16 * 16 * 4
-    bounds = conv._block_bounds(256, per_image + 4 * 16 * 16 * 4, conv._FORWARD_BYTES)
+    bounds = conv._block_bounds(256, per_image + 4 * 16 * 16 * 4)
     operand = max(hi - lo for lo, hi in bounds) * per_image
     out, peak = fresh_thread_peak(lambda: correlate2d(x, w, ConvGeometry(stride=2)))
     assert len(bounds) == 15
@@ -258,7 +257,7 @@ def test_forward_workspace_holds_one_block_and_is_reused(rng):
     thread.start()
     thread.join()
     assert held[0] is held[1]
-    assert 8 * 180 * 24 * 26 * 4 <= held[0].nbytes <= conv._FORWARD_BYTES, held[0].nbytes
+    assert 8 * 180 * 24 * 26 * 4 <= held[0].nbytes <= conv._BLOCK_BYTES, held[0].nbytes
 
 
 def test_an_image_past_the_budget_keeps_no_workspace(monkeypatch, rng):
@@ -266,7 +265,7 @@ def test_an_image_past_the_budget_keeps_no_workspace(monkeypatch, rng):
     # block is one image, in buffers freed with the call
     x = rng.standard_normal((3, 20, 26, 26), dtype=np.float32)
     w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
-    monkeypatch.setattr(conv, "_FORWARD_BYTES", 1 << 16)
+    monkeypatch.setattr(conv, "_BLOCK_BYTES", 1 << 16)
     held = []
 
     def call():
@@ -388,45 +387,61 @@ def test_lowering_of_an_empty_batch(rng):
         assert out.shape == (0, 8, oh, oh)
 
 
-def assert_backward_blocking_is_exact(monkeypatch, rng, shape, w, geom):
-    """Under a 2 MiB budget, a batch-64 backward runs both GEMM stages in
-    channel blocks wherever their operands exceed the budget, and its
-    gradients are bit-identical to the one-block call's, whose filter
-    gradient is the whole-matrix GEMM. Returns the filter-gradient
-    stage's block count.
+# Largest deviation of a blocked filter gradient from a float64 whole-matrix
+# GEMM, relative to its largest entry: no looser than the one-GEMM call's own
+# (see assert_backward_blocking_is_exact)
+FILTER_GRAD_BOUND = {np.dtype(np.float32): 6.5e-7, np.dtype(np.float64): 2e-15}
 
-    Budgets below 1 MiB cut blocks to a channel or two, where OpenBLAS's
+
+def assert_backward_blocking_is_exact(monkeypatch, rng, shape, w, geom):
+    """Under a 2 MiB budget, a batch-64 backward runs both halves in batch
+    blocks wherever a block's buffers exceed the budget. Its input gradient
+    is bit-identical to the one-block call's. Its filter gradient sums the
+    blocks' partial products in block order, which rounds otherwise than
+    one GEMM: it stays within `FILTER_GRAD_BOUND` of a float64 whole-matrix
+    GEMM, and so does the one-block call's. Returns the filter-gradient
+    half's block count.
+
+    The bounds: in float32 one GEMM over the whole batch deviated from
+    float64 by up to 7.4e-7 on these layers at batches 8-256. In float64 the reference is that one GEMM itself,
+    whose own error against a long-double product was 2.4e-16-9.9e-16 on
+    dren-z2cnn-shape's layers; the blocked sums came within 1.3e-15 of it.
+
+    Budgets below 1 MiB cut blocks to an image or two, where OpenBLAS's
     small-matrix and gemv kernels round differently, so none is used.
     """
     budget, n = 1 << 21, 64
     x = rng.standard_normal((n,) + shape).astype(w.dtype)
     g = rng.standard_normal(correlate2d(x, w, geom).shape).astype(w.dtype)
-    stages = []  # (count, item bytes, block count) of each _block_bounds call
+    stages = []  # (count, item bytes, spare bytes, block count) of each _block_bounds call
 
-    def spy(count, item_bytes):
-        bounds = block_bounds(count, item_bytes)
-        stages.append((count, item_bytes, len(bounds)))
+    def spy(count, item_bytes, spare_bytes=0):
+        bounds = block_bounds(count, item_bytes, spare_bytes)
+        stages.append((count, item_bytes, spare_bytes, len(bounds)))
         return bounds
 
     block_bounds = conv._block_bounds
     with monkeypatch.context() as m:
-        m.setattr(conv, "_COLS_BYTES", budget)
+        m.setattr(conv, "_BLOCK_BYTES", budget)
         m.setattr(conv, "_block_bounds", spy)
         gx, gw = correlate2d_backward(g, x, w, geom)
         none, gw_only = correlate2d_backward(g, x, w, geom, input_grad=False)
-    assert [count for count, _, _ in stages] == [w.shape[1]] * 3
-    for count, item_bytes, blocks in stages:
-        assert (blocks > 1) == (count > 1 and count * item_bytes > budget), (count, item_bytes)
+    assert [count for count, *_ in stages] == [n] * 3
+    for count, item_bytes, spare_bytes, blocks in stages:
+        assert (blocks > 1) == (count * item_bytes + spare_bytes > budget), (count, item_bytes, spare_bytes)
     with monkeypatch.context() as m:
-        m.setattr(conv, "_COLS_BYTES", 1 << 40)
+        m.setattr(conv, "_BLOCK_BYTES", 1 << 40)
+        m.setattr(conv._workspace, "buf", None, raising=False)  # so the whole-batch buffer is dropped after
         gx_whole, gw_whole = correlate2d_backward(g, x, w, geom)
-    assert_same_bits(gw_whole, whole_matrix_filter_grad(g, x, w, geom.stride, geom.pad))
-    assert_same_bits(gw, gw_whole)
+    want = whole_matrix_filter_grad(*(a.astype(np.float64) for a in (g, x, w)), geom.stride, geom.pad)
+    bound = FILTER_GRAD_BOUND[w.dtype]
+    assert max_rel(gw, want) <= bound, max_rel(gw, want)
+    assert max_rel(gw_whole, want) <= bound, max_rel(gw_whole, want)
     assert_same_bits(gx, gx_whole)
     assert none is None
-    assert_same_bits(gw_only, gw_whole)
+    assert_same_bits(gw_only, gw)
     assert gx.flags.c_contiguous and gw.flags.c_contiguous
-    return stages[0][2]
+    return stages[0][3]
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -445,7 +460,7 @@ def test_blocked_backward_is_bit_identical_on_preset_layers(monkeypatch, rng, pr
         network.forward(model, np.zeros((1, 1, 28, 28)), mode="eval")
     assert len(calls) == sum(s.kind in ("cycle", "isotonic", "decycle", "conv") for s in model.specs)
     blocks = [assert_backward_blocking_is_exact(monkeypatch, rng, shape, w, geom) for shape, w, geom in calls]
-    # every 26-px layer (L4, bench-nin-shape's 1x1 layers) splits its columns
+    # every 26-px layer (L4, bench-nin-shape's 1x1 layers) splits its batch
     wide = [i for i, (shape, _, _) in enumerate(calls) if shape[1] == 26]
     assert wide and all(blocks[i] > 1 for i in wide), blocks
 
@@ -458,15 +473,85 @@ def test_blocked_backward_is_bit_identical_strided_and_padded(monkeypatch, rng, 
 
 def test_blocked_backward_bounds_its_operands(rng):
     # dren-z2cnn-shape's L4 at batch 256: unblocked, the float32 patch
-    # matrix alone is 106 MB and the call's traced peak 118 MB
+    # matrix alone is 106 MB and the call's traced peak 118 MB; blocked by
+    # input channel in 16 MiB per-call buffers, 42.3 MB. In 4 MiB batch
+    # blocks the peak, 17.9 MB, is the 13.8 MB input gradient, the
+    # workspace (a fresh thread allocates it, 4.1 MB) and small arrays
     x = rng.standard_normal((256, 20, 26, 26), dtype=np.float32)
     w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
     g = rng.standard_normal((256, 20, 24, 24), dtype=np.float32)
-    tracemalloc.start()
-    correlate2d_backward(g, x, w)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak <= 50e6, peak
+    (gx, _), peak = fresh_thread_peak(lambda: correlate2d_backward(g, x, w))
+    assert peak <= gx.nbytes + conv._BLOCK_BYTES + 1e6, peak
+
+
+def test_backward_output_outlives_the_next_call(rng):
+    # both gradients are fresh arrays, never views of the workspace that
+    # the next call, of either pass, overwrites
+    x = rng.standard_normal((64, 20, 26, 26), dtype=np.float32)
+    w = rng.standard_normal((20, 20, 3, 3), dtype=np.float32)
+    g = rng.standard_normal((64, 20, 24, 24), dtype=np.float32)
+    grads = correlate2d_backward(g, x, w)
+    kept = [a.copy() for a in grads]
+    x2 = rng.standard_normal((16, 20, 12, 12))
+    correlate2d_backward(rng.standard_normal((16, 20, 12, 12)), x2, rng.standard_normal((20, 20, 3, 3)), ConvGeometry(pad=1))
+    correlate2d(x, w)
+    for got, want in zip(grads, kept):
+        assert_same_bits(got, want)
+        assert not np.shares_memory(got, conv._workspace.buf)
+
+
+def test_threads_running_both_passes_at_once_give_the_sequential_bytes(rng):
+    # each thread's forward and backward take their blocks from its own
+    # workspace; a shared one would let one thread's copies overwrite the
+    # other's columns, laid-out gradient or accumulator while BLAS reads them
+    cases = [
+        (rng.standard_normal((32, 20, 26, 26), dtype=np.float32), rng.standard_normal((20, 20, 3, 3), dtype=np.float32), ConvGeometry()),
+        (rng.standard_normal((48, 20, 12, 12)), rng.standard_normal((20, 20, 3, 3)), ConvGeometry(pad=1)),
+    ]
+    cases = [(x, w, geom, rng.standard_normal(correlate2d(x, w, geom).shape).astype(x.dtype)) for x, w, geom in cases]
+
+    def both_passes(x, w, geom, g):
+        return (correlate2d(x, w, geom), *correlate2d_backward(g, x, w, geom))
+
+    want = [both_passes(*case) for case in cases]
+    got, workspaces = [[], []], [None, None]
+    start = threading.Barrier(2)
+
+    def run(j):
+        start.wait()
+        for _ in range(4):
+            got[j].append(both_passes(*cases[j]))
+        workspaces[j] = conv._workspace.buf
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert workspaces[0] is not workspaces[1]
+    for j in range(2):
+        assert len(got[j]) == 4
+        for outs in got[j]:
+            for out, ref in zip(outs, want[j]):
+                assert_same_bits(out, ref)
+                assert not any(np.shares_memory(out, buf) for buf in workspaces)
+
+
+@pytest.mark.parametrize(
+    "x_shape,w_shape,message",
+    [
+        ((2, 3, 5, 5), (4, 2, 3, 3), "input has 3 channels but filters expect 2"),
+        ((2, 3, 5, 5, 1), (4, 3, 3, 3), "expected rank-4 input and filters"),
+    ],
+)
+def test_backward_rejects_the_operands_the_forward_rejects(x_shape, w_shape, message):
+    for call in (
+        lambda: correlate2d(np.zeros(x_shape), np.zeros(w_shape)),
+        lambda: correlate2d_backward(np.zeros((2, 4, 3, 3)), np.zeros(x_shape), np.zeros(w_shape)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_backward_zero_grad(rng):

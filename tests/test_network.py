@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from roteq import cli, data, eqlayers, network
+from roteq import cli, conv, data, eqlayers, network
 from roteq.eqlayers import GroupBatchNorm
 from roteq.network import (
     KIND_ALIASES,
@@ -693,11 +694,31 @@ def test_train_step_peak_stays_within_the_lowering_budget():
 
 
 def test_train_step_peak_holds_no_spent_layer_cache():
-    # the peak sits in L4's backward; the caches of layers 5-25, about
-    # 10.9 MB, are freed by then, as nothing reads them again. Measured in
-    # the calling thread: the 4.1 MB workspace a fresh thread adds is no cache
+    # each layer's cache is freed once its backward has run, as nothing
+    # reads it again; kept to the end of the step, the caches of layers
+    # 5-25 alone held about 10.9 MB. Measured in the calling thread: the
+    # 4.1 MB workspace a fresh thread adds is no cache
     peak = dren_z2cnn_step_peak(fresh_thread=False)
     assert peak <= 31e6, peak
+
+
+def test_warm_train_step_peak_and_workspace_stay_within_the_block_budget():
+    # both passes lower in 4 MiB batch blocks in the thread's workspace,
+    # which the warm step allocates: the peak sits in L7's batch-norm
+    # backward, over about 19.8 MB of forward caches (29.2 MB while the
+    # backward built 16 MiB per-call operands)
+    held = []
+
+    def steps():
+        held.append((dren_z2cnn_step_peak(fresh_thread=False), conv._workspace.buf.nbytes))
+
+    thread = threading.Thread(target=steps)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    [(peak, workspace)] = held
+    assert peak <= 24e6, peak
+    assert workspace <= conv._BLOCK_BYTES, workspace
 
 
 def test_backward_frees_each_layer_cache_once_used(rng, monkeypatch):
@@ -806,6 +827,43 @@ def test_training_is_bit_identical_across_blas_thread_counts():
             text=True,
             timeout=300,
             check=True,
+        )
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+_Z2CNN_TRAIN_DIGEST = """
+import hashlib
+import numpy as np
+from roteq import data, network
+
+ds = data.synth_glyphs(224, size=28, seed=3)
+tr, va, _ = data.split(ds, 192, 16, 16, seed=4)
+model = network.build_model(network.preset_stack("dren-z2cnn-shape"), in_channels=1, seed=5)
+network.train(model, tr, va, network.TrainConfig(lr=0.05, epochs=1, batch_size=64, seed=6))
+digest = hashlib.sha256()
+for i in sorted(model.params):
+    for name in sorted(model.params[i]):
+        digest.update(np.ascontiguousarray(model.params[i][name]).tobytes())
+for i in sorted(model.state):
+    for name in sorted(model.state[i]):
+        digest.update(np.ascontiguousarray(model.state[i][name]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_z2cnn_training_is_bit_identical_across_blas_thread_counts():
+    # three batch-64 steps, every filter gradient summed over 4 MiB batch
+    # blocks (L4's: 8 blocks of 8 images); each block's reduction is a
+    # multiple of 32 columns, which OpenBLAS rounds alike at 1 and 2 threads
+    src = str(Path(network.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", _Z2CNN_TRAIN_DIGEST], env=env, capture_output=True, text=True, timeout=300, check=True
         )
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64
