@@ -189,14 +189,9 @@ class GroupBatchNorm:
     (within 1e-12 relative in float64). It keeps no cache: `backward`
     follows train-mode passes only.
 
-    An eval-mode `network.forward` runs this eval pass only as a
-    fallback. It folds the affine into the next conv-like layer instead,
-    scaling that layer's filters by a over their input channels and
-    giving it a per-output bias sum(w*b), when three things hold: that
-    layer has pad 0 (its zero padding is no b), only dropout and at most
-    one max pool lie between (no ReLU), and every a > 0 if a max pool
-    does, since only an increasing map commutes with a maximum. Any
-    other batch norm runs this pass.
+    An eval-mode `network.forward` runs this eval pass only for a batch
+    norm it cannot fold into the next layer's filters; its docstring
+    says when it can.
     """
 
     eps = 1e-5  # added to the variance before the square root

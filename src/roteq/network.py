@@ -568,15 +568,13 @@ class ForwardCache:
     train: bool
 
 
-def _epilogue(model: Model, i: int) -> tuple:
-    """(pool, relu, fold, end) of conv-like layer i in a fused eval walk.
+def _epilogue(model: Model, i: int, kinds: dict) -> tuple:
+    """(pool, relu, fold, end) of layer i, whose step in `kinds` is the
+    filter step, by `forward`'s fusion rule.
 
-    Layers i + 1 to `end` - 1 are its epilogue: dropouts and at most one
-    ReLU, one max pool and one batch norm, with no ReLU after the batch
-    norm. `pool` is the pool's (kernel, stride) or None, and `fold` the
-    batch norm's (a, b) per channel for the conv-like layer at `end`, or
-    None. A batch norm that `GroupBatchNorm`'s conditions do not let fold
-    ends the epilogue before it instead.
+    `pool` is the max pool's (kernel, stride) or None, `fold` the batch
+    norm's (a, b) per channel for the layer at `end`, or None, and `end`
+    the first layer after the epilogue.
     """
     specs = model.specs
     seen = {}  # kind -> index of the epilogue's one layer of that kind
@@ -591,8 +589,8 @@ def _epilogue(model: Model, i: int) -> tuple:
     fold, bn, pool = None, seen.get("group_batchnorm"), seen.get("max_pool")
     if bn is not None:
         a, b = GroupBatchNorm.affine(model.params[bn], model.state[bn])
-        conv_next = end < len(specs) and KINDS[specs[end].kind].expand is not None and specs[end].pad == 0
-        if conv_next and (pool is None or pool < bn or np.all(a > 0)):
+        filter_next = end < len(specs) and kinds[specs[end].kind].forward is _filter_forward and specs[end].pad == 0
+        if filter_next and (pool is None or pool < bn or np.all(a > 0)):
             group = model.channels[bn] // a.size
             fold = np.repeat(a, group), np.repeat(b, group)
         else:
@@ -613,20 +611,20 @@ def _fold_batchnorm(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     return w * a[:, None, None], ordered.sum(axis=1)
 
 
-def _fused_eval(model: Model, h: np.ndarray) -> np.ndarray:
-    """The eval walk of `KINDS` that finishes each filter step's epilogue per GEMM block."""
-    fold = None  # (a, b) of the batch norm folded into the next conv-like layer
+def _fused_eval(model: Model, h: np.ndarray, kinds: dict) -> np.ndarray:
+    """`forward`'s eval walk of the `kinds` table."""
+    fold = None  # (a, b) of the batch norm folded into the next filter step
     i = 0
     while i < len(model.specs):
         spec = model.specs[i]
-        if KINDS[spec.kind].expand is None:
-            h = KINDS[spec.kind].forward(model, i, h, False, None)[0]
+        if kinds[spec.kind].forward is not _filter_forward:
+            h = kinds[spec.kind].forward(model, i, h, False, None)[0]
             i += 1
             continue
         w, bias = model.expanded_filter(i), None
         if fold is not None:
             w, bias = _fold_batchnorm(w, *fold)
-        pool, relu, fold, end = _epilogue(model, i)
+        pool, relu, fold, end = _epilogue(model, i, kinds)
         h = correlate2d(h, w, ConvGeometry(spec.stride, spec.pad), epilogue=Epilogue(pool, bias, relu))
         i = end
     return h
@@ -641,20 +639,25 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     cache holds None per layer), so each layer's input is freed as soon
     as the next runs.
 
-    An eval-mode pass over `KINDS` itself fuses. Each conv-like layer
-    hands `correlate2d` an epilogue (`conv.Epilogue`): the steps after it
-    that can be finished per GEMM block, namely eval dropout (the
-    identity), one ReLU and one max pool, so no full-resolution map
-    before a pool is stored. A group batch norm among them is folded
-    into the next conv-like layer when `GroupBatchNorm`'s conditions
-    hold: that layer's bank, gathered by `Model.expanded_filter`, is
-    scaled by a over its input channels, and its output gains the bias
-    sum(w*b), bit-equal over the four slots of each tied group. A batch
-    norm that cannot fold ends the epilogue before it, and every layer
-    outside an epilogue runs its plain step. The logits differ from the
-    plain walk's by the fold's rounding only (up to about 2e-6 relative in
-    float32 and 3e-15 in float64), and not at all on a stack without
-    batch norm. Train mode and every other table walk the plain steps.
+    An eval-mode pass fuses. Each layer whose step in `kinds` is the
+    filter step (`correlate2d` on `Model.expanded_filter`) hands
+    `correlate2d` an epilogue (`conv.Epilogue`): the layers after it
+    that can be finished per GEMM block, namely dropouts (the identity
+    in eval) and at most one ReLU, one max pool and one group batch
+    norm, with no ReLU after the batch norm, so no full-resolution map
+    before a pool is stored. The batch norm's affine a, b
+    (`GroupBatchNorm.affine`) is folded into the layer after the
+    epilogue, whose bank is scaled by a over its input channels and
+    whose output gains the bias sum(w*b), bit-equal over the four slots
+    of each tied group. It folds only if that layer runs the filter step
+    with pad 0 (its zero padding is no b) and, when the max pool follows
+    the batch norm, every a > 0, since only an increasing map commutes
+    with a maximum. A batch norm that cannot fold ends the epilogue
+    before it and runs its own eval pass. Every other layer, such as a
+    step that rotates feature maps, runs its plain step. The logits
+    differ from the plain walk's by the fold's rounding only (up to
+    about 2e-6 relative in float32 and 3e-15 in float64), and not at all
+    where no batch norm folds. Train mode walks the plain steps.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -662,13 +665,12 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     caches = []
     new_state = {}
     h = x.astype(model.dtype, copy=False)
-    if not train and kinds is KINDS:
-        h, caches = _fused_eval(model, h), [None] * len(model.specs)
+    if not train:
+        h, caches = _fused_eval(model, h, kinds), [None] * len(model.specs)
     else:
         for i, spec in enumerate(model.specs):
             h, cache, state = kinds[spec.kind].forward(model, i, h, train, rng)
-            caches.append(cache if train else None)
-            del cache  # else it stays bound through the next layer's call
+            caches.append(cache)
             if state is not None:
                 new_state[i] = state
     n = h.shape[0]

@@ -19,6 +19,7 @@ from roteq.bench import (
     report_csv,
     time_forward,
 )
+from test_network import TIED_PRESETS, plain_eval_walk, random_batchnorm
 
 
 def test_memory_model_worked_example():
@@ -160,13 +161,8 @@ def test_strategy_tables_agree_on_whole_stacks(rng, preset):
     # statistics and affine parameters so that it is no identity
     for precision, limit in (("float64", 1e-12), ("float32", GATE_TOLERANCE)):
         model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
+        random_batchnorm(model, rng)
         dtype = np.dtype(precision)
-        for i, state in model.state.items():
-            shape = state["mean"].shape
-            state["mean"] = rng.standard_normal(shape).astype(dtype)
-            state["var"] = rng.uniform(0.5, 2.0, shape).astype(dtype)
-            model.params[i]["gamma"] = rng.uniform(0.5, 2.0, shape).astype(dtype)
-            model.params[i]["beta"] = rng.standard_normal(shape).astype(dtype)
         x = rng.random((8, 1, 28, 28)).astype(dtype)
         filters, maps = (
             network.forward(model, x, mode="eval", kinds=STRATEGIES[name])[0]
@@ -174,6 +170,20 @@ def test_strategy_tables_agree_on_whole_stacks(rng, preset):
         )
         assert filters.dtype == maps.dtype == dtype
         assert oracle.relative_deviation(filters, maps)[1] <= limit, precision
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("preset", TIED_PRESETS)
+def test_map_walk_gives_its_plain_walks_bytes(rng, preset, precision):
+    # only a filter step takes an epilogue or a folded batch norm, and every
+    # tied layer of the map table runs a map step instead, so on the tied
+    # presets no batch norm folds
+    maps = STRATEGIES[ROTATE_FEATURE_MAPS]
+    model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
+    random_batchnorm(model, rng)
+    x = rng.random((8, 1, 28, 28))
+    walked, _ = network.forward(model, x, mode="eval", kinds=maps)
+    assert walked.tobytes() == plain_eval_walk(model, x, maps).tobytes()
 
 
 @pytest.mark.parametrize("strategy", [ROTATE_FILTERS, ROTATE_FEATURE_MAPS])

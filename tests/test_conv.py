@@ -108,6 +108,7 @@ def assert_blocking_is_exact(monkeypatch, rng, shape, w, geom):
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: gemms.append(1) or matmul(*args, **kwargs))
     monkeypatch.setattr(conv, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(conv._workspace, "buf", None, raising=False)  # so the whole-batch buffer is dropped after
     chunked = correlate2d(x, w, geom)
     assert len(gemms) == 4
     monkeypatch.setattr(conv, "_BLOCK_BYTES", n * per_image)
@@ -208,6 +209,7 @@ def test_no_forward_gemm_operand_exceeds_the_budget(monkeypatch, rng, shape, w_s
         chunked = correlate2d(x, w, geom)
         blocks = len(sizes)
         m.setattr(conv, "_BLOCK_BYTES", 1 << 40)
+        m.setattr(conv._workspace, "buf", None, raising=False)  # so the whole-batch buffer is dropped after
         whole = correlate2d(x, w, geom)
     assert blocks > 1 and max(sizes[:blocks]) <= conv._BLOCK_BYTES, sizes
     assert len(sizes) == blocks + 1  # the whole batch as one block

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from roteq import cli, conv, data, eqlayers, network
+from roteq import bench, cli, conv, data, eqlayers, network
 from roteq.eqlayers import GroupBatchNorm
 from roteq.network import (
     KIND_ALIASES,
@@ -530,12 +530,12 @@ def test_backward_rejects_an_eval_cache(rng):
         backward(model, cache, grad)
 
 
-def plain_eval_walk(model, x):
-    """Eval logits of every layer's own `KINDS` step in turn, each input freed
+def plain_eval_walk(model, x, kinds=KINDS):
+    """Eval logits of every layer's own step in `kinds` in turn, each input freed
     as the next layer runs: the walk with no epilogue and no batch-norm fold."""
     h = x.astype(model.dtype, copy=False)
     for i, spec in enumerate(model.specs):
-        h = network.KINDS[spec.kind].forward(model, i, h, False, None)[0]
+        h = kinds[spec.kind].forward(model, i, h, False, None)[0]
     return h.reshape(h.shape[0], -1)
 
 
@@ -591,6 +591,31 @@ def test_fused_eval_matches_the_plain_walk(rng, monkeypatch, preset, precision):
         assert relative_deviation(fused, want)[1] <= FOLD_LIMITS[precision]
     else:
         assert fused.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("preset", ["dren-z2cnn-shape", "z2cnn-shape"])
+def test_a_copy_of_kinds_gives_the_kinds_bytes(rng, preset, precision):
+    # the eval walk reads the steps of the table it is given, whatever its identity
+    model = random_batchnorm(build_model(preset_stack(preset), precision=precision, input_size=28), rng)
+    x = rng.random((8, 1, 28, 28))
+    want, _ = forward(model, x, mode="eval")
+    copied, _ = forward(model, x, mode="eval", kinds=dict(KINDS))
+    assert copied.tobytes() == want.tobytes()
+
+
+def test_batchnorm_before_a_map_step_runs_its_plain_pass(rng, monkeypatch):
+    # a batch norm folds only into a next layer that runs the filter step: the
+    # map step ignores a folded bank and bias. With isotonic on map steps, each
+    # batch norm follows one or precedes one, so none of the six folds
+    kinds = {**KINDS, "isotonic": dataclasses.replace(KINDS["isotonic"], forward=bench._rotate_maps_forward)}
+    model = build_model(preset_stack("dren-z2cnn-shape"), precision="float64", input_size=28)
+    random_batchnorm(model, rng)
+    x = rng.random((8, 1, 28, 28))
+    passes = counted_batchnorm_passes(monkeypatch)
+    walked, _ = forward(model, x, mode="eval", kinds=kinds)
+    assert len(passes) == len(model.state) == 6
+    assert relative_deviation(walked, plain_eval_walk(model, x, kinds))[1] <= FOLD_LIMITS["float64"]
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
