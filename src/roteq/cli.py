@@ -313,9 +313,7 @@ def _end_to_end_deviation(rng) -> float:
         state["var"] = rng.uniform(0.5, 2.0, state["var"].shape)
     x = rng.standard_normal((2, 1, size, size))
 
-    def f(inp):
-        logits, cache = network.forward(model, inp, mode="eval")
-        return logits.reshape(cache.logits_shape)
+    f = lambda inp: network.forward(model, inp, mode="eval")[0].reshape(2, 5, size - 2, size - 2)
 
     return relative_deviation(f(tensor.rotate90(x)), tensor.rotate90(f(x)))[1]
 

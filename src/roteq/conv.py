@@ -34,7 +34,14 @@ and the write into the output drops them. On that 26-px layer at batch
 256, a copy of 180*256 runs of 622 floats replaces one of 180*256*24
 runs of 24: the copy alone went from 13.7-15.3 to 7.8-8.5 ms, and the
 whole call, with its buffers reused, from 44-48 to 25-26 ms (2 vCPUs,
-OpenBLAS 0.3.31).
+OpenBLAS 0.3.31). Row runs were measured against their removal on the
+same machine: copying `tensordot`'s operand into the workspace instead
+keeps the eval logits' bytes, but dren-z2cnn-shape's 12-px 20->20 layer
+took 5.6-5.7 ms against 5.0-5.1 ms with row runs at batch 256 in
+float32 (the 26-px layer about even, 29-31 against 29-33 ms), and the
+`infer-dren` benchmark's img/s was lower in 6 of 6 alternating 12 s
+pairs (medians 4299 against 4489). They stay: they pay on the short
+rows of the 12-, 10- and 8-px layers.
 
 Why kept entries are bit-identical: each is still the dot product of
 the same filter row with the same c*kh*kw inputs in the same order,
@@ -113,20 +120,20 @@ and 2,000-2,600 minor faults per forward; 4 MiB blocks with the
 workspace took 65-78 ms and none, against 79-91 ms at 2 MiB and
 65-98 ms at 8 MiB.
 
-The epilogue: an `Epilogue` hands `correlate2d` a max pool, a bias of
-one value per output channel and a ReLU, which it finishes on each
-block's GEMM result before the write, while the block is still in
-cache. An eval-mode `network.forward` gives each conv-like layer the
-ReLU and max pool after it, and the bias of a batch norm folded into
-its filters, so no full-resolution map before a pool is stored and no
-pass over the whole output runs for them. A block pools first, with
-one `max_pool2d` call over its (o, b, oh, ow) view, then adds the bias
-and applies the ReLU in place over one contiguous array: the pooled
-block, or without a pool the whole GEMM result, whose dropped columns
-hold finite values wherever the input is (see the overhang below). On
-dren-z2cnn-shape at batch 256 (float32) the 26-px layer's 11.8 MB
-output before its pool gives way to its 2.9 MB pooled one, and the eval
-forward's traced peak went from 44.1 to 35.7 MB.
+The epilogue: `correlate2d`'s keywords `pool` (a max pool's kernel and
+stride), `bias` (one value per output channel) and `relu` name steps it
+finishes on each block's GEMM result before the write, while the block
+is still in cache. An eval-mode `network.forward` gives each conv-like
+layer the ReLU and max pool after it, and the bias of a batch norm
+folded into its filters, so no full-resolution map before a pool is
+stored and no pass over the whole output runs for them. A block pools
+first, with one `max_pool2d` call over its (o, b, oh, ow) view, then
+adds the bias and applies the ReLU in place over one contiguous array:
+the pooled block, or without a pool the whole GEMM result, whose dropped
+columns hold finite values wherever the input is (see the overhang
+below). On dren-z2cnn-shape at batch 256 (float32) the 26-px layer's
+11.8 MB output before its pool gives way to its 2.9 MB pooled one, and
+the eval forward's traced peak went from 44.1 to 35.7 MB.
 
 Why pooling first is exact: rounding is monotone, so for a finite
 bias b, fl(max(x, y) + b) = max(fl(x + b), fl(y + b)), and max(., 0)
@@ -402,27 +409,16 @@ class _Lowering:
         return lowered
 
 
-@dataclass(frozen=True, eq=False)
-class Epilogue:
-    """What `correlate2d` finishes on each block of its output before writing
-    it (module docstring): a max pool of `pool` = (kernel, stride) first,
-    then a `bias` of one value per output channel, then a ReLU."""
-
-    pool: tuple | None = None
-    bias: np.ndarray | None = None
-    relu: bool = False
-
-
-def _finish(block: np.ndarray, maps: np.ndarray, epilogue: Epilogue) -> np.ndarray:
+def _finish(block: np.ndarray, maps: np.ndarray, pool, bias, relu: bool) -> np.ndarray:
     """The (o, b, oh, ow) `maps` view of a GEMM result `block` (o, b*span)
-    after `epilogue`; the bias and ReLU run in place over one contiguous
-    array, the pooled maps or else the whole block."""
-    if epilogue.pool is not None:
-        maps = max_pool2d(maps, *epilogue.pool)
+    after `correlate2d`'s epilogue; the bias and ReLU run in place over one
+    contiguous array, the pooled maps or else the whole block."""
+    if pool is not None:
+        maps = max_pool2d(maps, *pool)
         block = maps.reshape(maps.shape[0], -1)
-    if epilogue.bias is not None:
-        block += epilogue.bias.reshape(-1, 1)
-    if epilogue.relu:
+    if bias is not None:
+        block += bias.reshape(-1, 1)
+    if relu:
         np.maximum(block, 0, out=block)
     return maps
 
@@ -439,20 +435,22 @@ def _check_operands(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> tuple:
 
 
 def correlate2d(
-    x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(), *, epilogue: Epilogue = Epilogue()
+    x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(), *, pool=None, bias=None, relu=False
 ) -> np.ndarray:
     """Valid cross-correlation of x (n,c,h,w) with filters w (o,c,kh,kw).
 
     out[n,o,p,q] = sum_{c,u,v} w[o,c,u,v] * x_pad[n,c, p*stride+u, q*stride+v],
-    with `epilogue`'s steps applied to it; a pooled output is (n, o, ph, pw).
+    then the epilogue (module docstring): a max pool of `pool` = (kernel,
+    stride), a `bias` of one value per output channel, a ReLU if `relu`. A
+    pooled output is (n, o, ph, pw).
     """
     oh, ow = _check_operands(x, w, geom)
     xp = _pad_spatial(x, geom.pad)
     low = _Lowering(xp, w.shape[2], w.shape[3], geom.stride)
     n, o, k, span = x.shape[0], w.shape[0], low.k, low.span
     ph, pw = oh, ow
-    if epilogue.pool is not None:
-        ph, pw = output_size(oh, *epilogue.pool), output_size(ow, *epilogue.pool)
+    if pool is not None:
+        ph, pw = output_size(oh, *pool), output_size(ow, *pool)
     out = np.empty((n, o, ph, pw), dtype=np.result_type(w, xp))
     w2 = w.reshape(o, k).astype(out.dtype, copy=False)
     bounds = _block_bounds(n, (k + o) * span * out.itemsize)
@@ -463,7 +461,7 @@ def correlate2d(
         lowered = low.block(cols, lo, hi)
         block = np.matmul(w2, lowered, out=res[:, : b * span])
         del lowered  # before the next block's operand is built
-        out[lo:hi] = _finish(block, block.reshape(o, b, oh, low.width)[..., :ow], epilogue).transpose(1, 0, 2, 3)
+        out[lo:hi] = _finish(block, block.reshape(o, b, oh, low.width)[..., :ow], pool, bias, relu).transpose(1, 0, 2, 3)
     return out
 
 

@@ -165,14 +165,16 @@ def shared_bias_backward(grad_out: np.ndarray) -> np.ndarray:
 class GroupBatchNorm:
     """Batch normalization with statistics and affine parameters shared per group.
 
-    The layout comes from the arrays: `groups` is the length of gamma,
-    and an input of c channels splits into groups of c // groups
-    consecutive channels; there is no group-size option. Statistics are
-    computed jointly over batch, spatial positions and the channels of a
-    group, so permuting channels within a group leaves them unchanged;
-    sharing the running statistics the same way is what keeps eval mode
-    equivariant. Groups of 4 are the tied layout; groups of 1 recover
-    ordinary per-channel batch norm.
+    There is no instance: the layout comes from the arrays. The group
+    count is the length of gamma, and an input of c channels splits into
+    groups of c // groups consecutive channels; there is no group-size
+    option. Call `forward` and `backward` through the class: a profiler
+    that patches and restores them leaves plain functions there. Statistics
+    are computed jointly over batch, spatial positions and the channels
+    of a group, so permuting channels within a group leaves them
+    unchanged; sharing the running statistics the same way is what keeps
+    eval mode equivariant. Groups of 4 are the tied layout; groups of 1
+    recover ordinary per-channel batch norm.
 
     Train mode takes the mean once and keeps x - mean: its square is
     the variance's summand and, scaled by 1/sqrt(var+eps), it becomes
@@ -186,8 +188,8 @@ class GroupBatchNorm:
     shift (`affine`), a = gamma/sqrt(var+eps) and b = beta - mean*a, so
     the output is the only full-size array it allocates; no normalized
     copy is built. Its rounding differs from the two-pass train formula
-    (within 1e-12 relative in float64). It keeps no cache: `backward`
-    follows train-mode passes only.
+    (within 1e-12 relative in float64). It keeps no cache and returns no
+    new state: `backward` follows train-mode passes only.
 
     An eval-mode `network.forward` runs this eval pass only for a batch
     norm it cannot fold into the next layer's filters; its docstring
@@ -197,48 +199,47 @@ class GroupBatchNorm:
     eps = 1e-5  # added to the variance before the square root
     momentum = 0.1  # weight of the batch statistics in the running ones
 
-    def __init__(self, groups: int):
-        self.groups = groups
-
     @classmethod
     def affine(cls, params, state):
         """Per-group (a, b) of the eval-mode map y = a*x + b."""
         a = params["gamma"] * (1.0 / np.sqrt(state["var"] + cls.eps))
         return a, params["beta"] - state["mean"] * a
 
-    def forward(self, x, params, state, train: bool):
-        """Returns (y, cache, new_state), cache None in eval mode; state is
-        never mutated in place."""
+    @staticmethod
+    def forward(x, params, state, train: bool):
+        """Returns (y, cache, new_state), cache and new_state None in eval
+        mode; state is never mutated in place."""
         n, c, h, w = x.shape
-        g = self.groups
+        g = params["gamma"].size
         if c % g != 0:
             raise ValueError(f"{c} channels do not split into {g} equal groups")
         xg = x.reshape(n, g, c // g, h, w)
         if not train:
-            a, b = self.affine(params, state)
+            a, b = GroupBatchNorm.affine(params, state)
             y = xg * a.reshape(1, g, 1, 1, 1)
             y += b.reshape(1, g, 1, 1, 1)
-            return y.reshape(n, c, h, w), None, state
+            return y.reshape(n, c, h, w), None, None
         mean = xg.mean(axis=(0, 2, 3, 4), keepdims=True)
         xhat = xg - mean  # normalized in place once var is known
         y = np.multiply(xhat, xhat)
         var = y.mean(axis=(0, 2, 3, 4))  # the sum and divide np.var makes
         mean = mean.reshape(g)
-        m = self.momentum
+        m = GroupBatchNorm.momentum
         new_state = {
             "mean": (1 - m) * state["mean"] + m * mean,
             "var": (1 - m) * state["var"] + m * var,
         }
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + GroupBatchNorm.eps)
         xhat *= inv_std.reshape(1, g, 1, 1, 1)
         np.multiply(params["gamma"].reshape(1, g, 1, 1, 1), xhat, out=y)
         y += params["beta"].reshape(1, g, 1, 1, 1)
         cache = {"xhat": xhat, "inv_std": inv_std}
         return y.reshape(n, c, h, w), cache, new_state
 
-    def backward(self, grad_out, params, cache):
+    @staticmethod
+    def backward(grad_out, params, cache):
         """Returns (grad_x, grad_params) from the cache of a train-mode forward."""
-        go = grad_out.reshape(grad_out.shape[0], self.groups, -1)
+        go = grad_out.reshape(grad_out.shape[0], params["gamma"].size, -1)
         xhat = cache["xhat"].reshape(go.shape)
         grad_beta = go.sum(axis=(0, 2))
         t = go * xhat  # reused below for xhat * grad_gamma / m

@@ -25,7 +25,6 @@ import numpy as np
 
 from .conv import (
     ConvGeometry,
-    Epilogue,
     correlate2d,
     correlate2d_backward,
     max_pool2d,
@@ -166,13 +165,11 @@ def _bias_backward(model, i, g, cache):
 
 
 def _batchnorm_forward(model, i, h, train, rng):
-    bn = GroupBatchNorm(model.params[i]["gamma"].size)
-    y, cache, state = bn.forward(h, model.params[i], model.state[i], train)
-    return y, cache, state if train else None
+    return GroupBatchNorm.forward(h, model.params[i], model.state[i], train)
 
 
 def _batchnorm_backward(model, i, g, cache):
-    return GroupBatchNorm(model.params[i]["gamma"].size).backward(g, model.params[i], cache)
+    return GroupBatchNorm.backward(g, model.params[i], cache)
 
 
 def _keep_mask(rng, shape, rate):
@@ -554,7 +551,8 @@ def build_model(
 
 @dataclass
 class ForwardCache:
-    """What a train-mode `forward` keeps for `backward`, one entry per layer.
+    """What a train-mode `forward` keeps for `backward`, one entry per layer;
+    an eval-mode `forward` keeps none and returns None in its place.
 
     `backward` consumes it: it takes the list (leaving `layer_caches`
     None) and frees each entry as soon as that layer's step returns. A
@@ -565,7 +563,6 @@ class ForwardCache:
     layer_caches: list
     new_state: dict
     logits_shape: tuple
-    train: bool
 
 
 def _epilogue(model: Model, i: int, kinds: dict) -> tuple:
@@ -625,7 +622,7 @@ def _fused_eval(model: Model, h: np.ndarray, kinds: dict) -> np.ndarray:
         if fold is not None:
             w, bias = _fold_batchnorm(w, *fold)
         pool, relu, fold, end = _epilogue(model, i, kinds)
-        h = correlate2d(h, w, ConvGeometry(spec.stride, spec.pad), epilogue=Epilogue(pool, bias, relu))
+        h = correlate2d(h, w, ConvGeometry(spec.stride, spec.pad), pool=pool, bias=bias, relu=relu)
         i = end
     return h
 
@@ -635,13 +632,13 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
 
     Each layer runs the forward step of its kind's entry in `kinds`, a
     table keyed like `KINDS` (the map-rotating one of `bench` swaps the
-    tied kinds' steps). An eval-mode pass keeps no layer caches (its
-    cache holds None per layer), so each layer's input is freed as soon
+    tied kinds' steps). An eval-mode pass keeps no layer caches and
+    returns None for its cache, so each layer's input is freed as soon
     as the next runs.
 
     An eval-mode pass fuses. Each layer whose step in `kinds` is the
     filter step (`correlate2d` on `Model.expanded_filter`) hands
-    `correlate2d` an epilogue (`conv.Epilogue`): the layers after it
+    `correlate2d` an epilogue (see `conv`): the layers after it
     that can be finished per GEMM block, namely dropouts (the identity
     in eval) and at most one ReLU, one max pool and one group batch
     norm, with no ReLU after the batch norm, so no full-resolution map
@@ -661,21 +658,18 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
+    h = x.astype(model.dtype, copy=False)
+    if mode == "eval":
+        h = _fused_eval(model, h, kinds)
+        return h.reshape(h.shape[0], -1), None
     caches = []
     new_state = {}
-    h = x.astype(model.dtype, copy=False)
-    if not train:
-        h, caches = _fused_eval(model, h, kinds), [None] * len(model.specs)
-    else:
-        for i, spec in enumerate(model.specs):
-            h, cache, state = kinds[spec.kind].forward(model, i, h, train, rng)
-            caches.append(cache)
-            if state is not None:
-                new_state[i] = state
-    n = h.shape[0]
-    cache = ForwardCache(caches, new_state, h.shape, train)
-    return h.reshape(n, -1), cache
+    for i, spec in enumerate(model.specs):
+        h, cache, state = kinds[spec.kind].forward(model, i, h, True, rng)
+        caches.append(cache)
+        if state is not None:
+            new_state[i] = state
+    return h.reshape(h.shape[0], -1), ForwardCache(caches, new_state, h.shape)
 
 
 def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict:
@@ -687,8 +681,8 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
     each layer's entry is dropped as the walk passes it, so the walk's
     peak holds only the caches of the layers still below it.
     """
-    if not cache.train:
-        raise ValueError("backward needs the cache of a train-mode forward; this one is from mode='eval'")
+    if cache is None:
+        raise ValueError("backward needs the cache of a train-mode forward; an eval-mode one returns None")
     if cache.layer_caches is None:
         raise ValueError("this forward cache was already consumed by a backward pass; run forward again")
     caches, cache.layer_caches = cache.layer_caches, None  # consumed even if a step raises

@@ -119,7 +119,7 @@ def _end_to_end_trial(rng, dtype):
     ]
     pd = rng.standard_normal((4, g, 1, 1)).astype(dtype)
     bias = rng.standard_normal(g).astype(dtype)
-    bn = GroupBatchNorm(g)
+    bn = GroupBatchNorm
     bn_p = {
         "gamma": rng.standard_normal(g).astype(dtype),
         "beta": rng.standard_normal(g).astype(dtype),

@@ -155,6 +155,37 @@ def test_tracer_bindings_resolve(monkeypatch):
     assert rotated == []
 
 
+def test_tracer_times_every_batchnorm_step(rng):
+    # the tracer patches GroupBatchNorm's static methods on the class and
+    # restores them as the plain functions it read; calls through the class
+    # are timed, and run the same after the restore. The last batch norm
+    # cannot fold into a filter step, so the eval forward runs its own pass
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    stack = "cycle:g2:k3,relu,bn,isotonic:g2:k1,relu,bn,decycle:c10:k1,bn,gap"
+    model = network.build_model(network.parse_layer_stack(stack), precision="float64")
+    random_batchnorm(model, rng)
+    x = rng.random((4, 1, 9, 9))
+
+    def step_bytes():
+        logits, cache = network.forward(model, x, mode="train")
+        grads = network.backward(model, cache, np.ones_like(logits))
+        arrays = [logits, network.forward(model, x, mode="eval")[0]]
+        arrays += [a for layer in (*grads.values(), *cache.new_state.values()) for a in layer.values()]
+        return [a.tobytes() for a in arrays]
+
+    before = step_bytes()
+    t = tracer.Tracer()
+    with t.installed():
+        logits, cache = network.forward(model, x, mode="train")
+        network.backward(model, cache, np.ones_like(logits))
+    assert t.calls["eqlayers.GroupBatchNorm.forward"] == len(model.state) == 3
+    assert t.calls["eqlayers.GroupBatchNorm.backward"] == len(model.state)
+    assert step_bytes() == before
+
+
 @pytest.mark.parametrize("preset", ["dren-small", "dren-z2cnn-shape", "bench-z2cnn-shape", "bench-nin-shape"])
 def test_strategy_tables_agree_on_whole_stacks(rng, preset):
     # eval logits of both tables on the tied presets, batch norm with random

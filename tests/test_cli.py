@@ -15,7 +15,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from roteq import bench as bench_mod
-from roteq import cli, data, network
+from roteq import cli, data, network, oracle
 from roteq.cli import (
     CheckpointError,
     ConfigError,
@@ -853,6 +853,41 @@ def test_verify_turn_invariance_fails_on_a_stack_that_is_not_invariant(monkeypat
     assert cli.main(["verify", "--suite", "gradients"]) == 1
     line = next(line for line in capsys.readouterr().out.splitlines() if "turn_invariance" in line)
     assert line.endswith("FAIL")
+
+
+def verify_verdicts(capsys, suite) -> dict:
+    """{property: PASS or FAIL} of `verify --suite suite`, which must exit 1."""
+    assert cli.main(["verify", "--suite", suite, "--trials", "3"]) == 1
+    return {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()[:-1]}
+
+
+def test_verify_reports_a_broken_tying(monkeypatch, capsys):
+    # the KINDS lambdas look expand_isotonic up by name, so both suites
+    # measure this bank, whose output slot 0 no longer equals its turned twins
+    real = network.expand_isotonic
+
+    def untied(base):
+        bank = real(base)
+        bank.reshape(-1, 4, *bank.shape[1:])[:, 0] *= 1.01
+        return bank
+
+    monkeypatch.setattr(network, "expand_isotonic", untied)
+    for suite in ("layers", "oracle"):
+        verdicts = verify_verdicts(capsys, suite)
+        for kind in network.TIED_KINDS:
+            name = f"{suite}/{kind}_{'identity' if suite == 'layers' else 'equivalence'}"
+            assert verdicts[name] == ("FAIL" if kind == "isotonic" else "PASS"), name
+
+
+def test_verify_reports_a_broken_oracle(monkeypatch, capsys):
+    # suite_oracle looks each oracle up at call time, so the patched one is measured
+    real = oracle.oracle_decycle
+    monkeypatch.setattr(oracle, "oracle_decycle", lambda base, x, *args: real(base, x, *args) * 1.01)
+    assert verify_verdicts(capsys, "oracle") == {
+        "oracle/cycle_equivalence": "PASS",
+        "oracle/isotonic_equivalence": "PASS",
+        "oracle/decycle_equivalence": "FAIL",
+    }
 
 
 def test_verify_stride_suite(capsys):

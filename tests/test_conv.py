@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from roteq import conv, network
 from roteq.conv import (
     ConvGeometry,
-    Epilogue,
     correlate2d,
     correlate2d_backward,
     max_pool2d,
@@ -163,7 +162,7 @@ def test_epilogue_gives_the_plain_steps_bytes(monkeypatch, rng, dtype, geom):
                 want = plain if b is None else plain + b.reshape(-1, 1, 1)
                 want = np.maximum(want, 0) if relu else want
                 want = want if pool is None else max_pool2d(want, *pool)
-                got = correlate2d(x, w, geom, epilogue=Epilogue(pool, b, relu))
+                got = correlate2d(x, w, geom, pool=pool, bias=b, relu=relu)
                 assert np.isnan(got).any()
                 assert_same_bits(got, want)
 

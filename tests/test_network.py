@@ -493,7 +493,7 @@ def test_eval_forward_keeps_no_layer_caches(rng):
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     x = rng.standard_normal((2, 1, 28, 28))
     _, cache = forward(model, x, mode="eval")
-    assert cache.layer_caches == [None] * len(model.specs)
+    assert cache is None
     _, cache = forward(model, x, mode="train", rng=rng)
     assert all(c is not None for c in cache.layer_caches)
 
@@ -568,7 +568,7 @@ def random_batchnorm(model, rng):
 def counted_batchnorm_passes(monkeypatch):
     """A list that gains one entry per `GroupBatchNorm.forward` call from now on."""
     passes, real = [], GroupBatchNorm.forward
-    monkeypatch.setattr(GroupBatchNorm, "forward", lambda self, *args: passes.append(1) or real(self, *args))
+    monkeypatch.setattr(GroupBatchNorm, "forward", lambda *args: passes.append(1) or real(*args))
     return passes
 
 
@@ -650,27 +650,27 @@ def test_folded_banks_stay_tied_and_bias_each_group_alike(rng, monkeypatch, stat
         random_batchnorm(model, rng)
     calls, real = [], network.correlate2d
 
-    def record(x, w, geom, *, epilogue):
-        calls.append((w, epilogue))
-        return real(x, w, geom, epilogue=epilogue)
+    def record(x, w, geom, *, pool, bias, relu):
+        calls.append((w, bias))
+        return real(x, w, geom, pool=pool, bias=bias, relu=relu)
 
     monkeypatch.setattr(network, "correlate2d", record)
     forward(model, rng.random((4, 1, 28, 28)), mode="eval")
     convs = [i for i, spec in enumerate(model.specs) if spec.kind in network.TIED_KINDS]
     assert len(calls) == len(convs)
     folded = 0
-    for i, (w, epilogue) in zip(convs, calls):
+    for i, (w, bias) in zip(convs, calls):
         kind = model.specs[i].kind
         copies = w.ravel()[eqlayers._tying(kind, model.params[i]["base"].shape)[1]]
         assert all(copy.tobytes() == copies[0].tobytes() for copy in copies[1:]), i
-        if epilogue.bias is None:
+        if bias is None:
             continue
         folded += 1
-        assert w.dtype == epilogue.bias.dtype == np.dtype(precision)
+        assert w.dtype == bias.dtype == np.dtype(precision)
         if state == "random":
             assert not np.array_equal(w, model.expanded_filter(i))
         if kind != "decycle":
-            slots = epilogue.bias.reshape(-1, 4)
+            slots = bias.reshape(-1, 4)
             assert all(slots[:, j].tobytes() == slots[:, 0].tobytes() for j in range(1, 4)), i
     assert folded == len(model.state)
 
