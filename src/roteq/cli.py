@@ -10,8 +10,10 @@ File formats owned here:
   bit-exactly; unknown versions are rejected. Encoding refuses a model
   the checkpoint would load changed or could not hold: one that is not
   float32, a dropout rate that is not a whole number of millionths, or a
-  record field outside a u32. ``train --out`` checks the same before
-  training.
+  record field outside a u32. Both directions refuse a parameter or
+  state array holding a non-finite value, and a negative running
+  variance, which would turn the eval logits into NaN. ``train --out``
+  checks the same before training.
 * Run config: ``key = value`` lines, ``#`` comments; unknown keys are
   rejected with their line number. Its ``layers`` value is a stack in
   the layer grammar, which `network.parse_layer_stack` owns.
@@ -71,12 +73,30 @@ def _record_spec(record: tuple) -> LayerSpec:
     return LayerSpec(kind, width=width, kernel=kernel, stride=stride, pad=pad, rate=rate_ppm / 1_000_000)
 
 
+def _stored_arrays(model: Model, i: int) -> list:
+    """(name, array) of each array a checkpoint stores for layer i, in its order."""
+    kind = network.KINDS[model.specs[i].kind]
+    return [(n, model.params[i][n]) for n in kind.params] + [(n, model.state[i][n]) for n in kind.state]
+
+
+def _check_values(model: Model, error: type) -> None:
+    """Raise `error`, naming the layer and the array, for a stored array
+    holding a non-finite value or a running variance holding a negative one."""
+    for i, spec in enumerate(model.specs):
+        for name, a in _stored_arrays(model, i):
+            if not np.isfinite(a).all():
+                raise error(f"layer {i} ({spec.kind}): {name} holds a non-finite value")
+            if name == "var" and (a < 0).any():
+                raise error(f"layer {i} ({spec.kind}): running variance {name} holds a negative value")
+
+
 def _check_storable(model: Model) -> None:
     """Raise ModelSpecError if a checkpoint would store `model` changed or
     not at all: a precision other than float32, a record field (width,
     kernel, stride, pad, or the rate in millionths) that is not a whole
-    number in a u32's range, or a dropout rate, kept in whole millionths,
-    that is not one. The message names the layer and the field."""
+    number in a u32's range, a dropout rate, kept in whole millionths,
+    that is not one, or a value `_check_values` refuses. The message
+    names the layer and the field or array."""
     precision = np.dtype(model.dtype).name
     if precision != "float32":
         raise ModelSpecError(
@@ -98,6 +118,7 @@ def _check_storable(model: Model) -> None:
                 f"layer {i} ({spec.kind}): a checkpoint keeps rates in whole millionths, "
                 f"so rate {spec.rate} would load as {stored.rate}"
             )
+    _check_values(model, ModelSpecError)
 
 
 def encode_checkpoint(model: Model) -> bytes:
@@ -108,10 +129,8 @@ def encode_checkpoint(model: Model) -> bytes:
     out.append(struct.pack("<II", len(model.specs), model.in_channels))
     for spec in model.specs:
         out.append(struct.pack(_LAYER_RECORD, *_layer_record(spec)))
-    for i, spec in enumerate(model.specs):
-        kind = network.KINDS[spec.kind]
-        arrays = [model.params[i][n] for n in kind.params] + [model.state[i][n] for n in kind.state]
-        for a in arrays:
+    for i in range(len(model.specs)):
+        for _, a in _stored_arrays(model, i):
             flat = np.ascontiguousarray(a, dtype="<f4")
             out.append(struct.pack("<Q", flat.size))
             out.append(flat.tobytes())
@@ -159,23 +178,14 @@ def _decode_checkpoint(raw: bytes) -> Model:
     if declared < remaining:
         raise CheckpointError(f"{remaining - declared} trailing bytes after parameters")
     model = build_model(specs, in_channels=in_channels, seed=0, precision="float32")
-
-    def read_array(shape):
-        nonlocal off
-        (size,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        expected = math.prod(shape)
-        if size != expected:
-            raise CheckpointError(f"parameter blob holds {size} values, expected {expected}")
-        a = np.frombuffer(raw, dtype="<f4", count=size, offset=off).reshape(shape)
-        off += 4 * size
-        return a.copy()
-
-    for i, (kind, shape) in enumerate(zip(kinds, shapes)):
-        for n in kind.params:
-            model.params[i][n] = read_array(shape)
-        for n in kind.state:
-            model.state[i][n] = read_array(shape)
+    for i in range(n_layers):
+        for _, a in _stored_arrays(model, i):  # the model's own arrays, filled in place
+            (size,) = struct.unpack_from("<Q", raw, off)
+            if size != a.size:
+                raise CheckpointError(f"parameter blob holds {size} values, expected {a.size}")
+            a[...] = np.frombuffer(raw, dtype="<f4", count=size, offset=off + 8).reshape(a.shape)
+            off += 8 + 4 * size
+    _check_values(model, CheckpointError)
     return model
 
 

@@ -121,29 +121,43 @@ workspace took 65-78 ms and none, against 79-91 ms at 2 MiB and
 65-98 ms at 8 MiB.
 
 The epilogue: `correlate2d`'s keywords `pool` (a max pool's kernel and
-stride), `bias` (one value per output channel) and `relu` name steps it
-finishes on each block's GEMM result before the write, while the block
-is still in cache. An eval-mode `network.forward` gives each conv-like
-layer the ReLU and max pool after it, and the bias of a batch norm
-folded into its filters, so no full-resolution map before a pool is
-stored and no pass over the whole output runs for them. A block pools
-first, with one `max_pool2d` call over its (o, b, oh, ow) view, then
-adds the bias and applies the ReLU in place over one contiguous array:
-the pooled block, or without a pool the whole GEMM result, whose dropped
-columns hold finite values wherever the input is (see the overhang
-below). On dren-z2cnn-shape at batch 256 (float32) the 26-px layer's
-11.8 MB output before its pool gives way to its 2.9 MB pooled one, and
-the eval forward's traced peak went from 44.1 to 35.7 MB.
+stride), `relu` and `affine` (a scale a and a shift b per output
+channel) name steps it finishes on each block's GEMM result before the
+write, while the block is still in cache. An eval-mode `network.forward`
+gives each conv-like layer the ReLU, the max pool and the group batch
+norm after it, whose eval map is the affine y = a*x + b, so no
+full-resolution map before a pool is stored and no pass over the whole
+output runs for them. A block pools first, with one `max_pool2d` call
+over its (o, b, oh, ow) view, then applies the ReLU and then multiplies
+by a and adds b, in place over one contiguous array: the pooled block,
+or without a pool the whole GEMM result, whose dropped columns hold
+finite values wherever the input is (see the overhang below). The ReLU
+and the affine are the plain steps' own elementwise operations in their
+order (`np.maximum(x, 0)`, then x*a, then + b, as the batch norm's eval
+pass runs them), so they give the plain steps' bytes. On
+dren-z2cnn-shape at batch 256 (float32) the 26-px layer's 11.8 MB
+output before its pool gives way to its 2.9 MB pooled one, and the eval
+forward's traced peak went from 44.1 to 35.7 MB.
 
-Why pooling first is exact: rounding is monotone, so for a finite
-bias b, fl(max(x, y) + b) = max(fl(x + b), fl(y + b)), and max(., 0)
-commutes with a window's maximum as well; pool, bias, ReLU gives the
-value that bias, ReLU, pool gives, bit for bit. A NaN wins its window
-(`max_pool2d`) and stays NaN under the bias and the ReLU, in either
-order. The only equal values a maximum can tell apart are +0 and -0.
-The ReLU maps both to +0 (numpy's maximum(-0.0, 0) is +0), and so does
-adding a bias b != 0 map both to b, or b = +0 map both to +0; adding
--0 changes no value at all, so either order keeps the same zero.
+Why pooling first is exact: a non-decreasing map f commutes with a
+window's maximum, max(f(x), f(y)) = f(max(x, y)) in value. Rounding is
+monotone, so max(., 0), x -> fl(a*x) for a > 0 and x -> fl(x + b) all
+are, and pool, ReLU, affine gives the value of the stack's order. A
+negative a turns the window's maximum into its minimum, so a batch norm
+before the pool needs every a > 0. A NaN wins its window (`max_pool2d`)
+and stays NaN under each step. The only equal values a maximum can tell
+apart are +0 and -0, and the window's last zero wins (`max_pool2d`):
+- the ReLU maps both to +0 (numpy's maximum(-0.0, 0) is +0), so after it
+  the affine sees no -0;
+- x*a (a > 0) keeps a zero's sign, and may underflow a tiny x to a zero
+  of its sign;
+- adding b != 0 maps both zeros to b (an exact cancellation gives +0),
+  and b = +0 maps both to +0;
+- adding b = -0 keeps each zero's sign, so a window whose zeros come
+  from an underflow in one order and not in the other could end in -0
+  one way and +0 the other. Where a batch norm before the pool has a
+  b = -0 and no ReLU before it, `network.forward` ends the epilogue
+  before the pool, which runs its own step.
 
 The backward pass is two GEMMs per block of images (unrolled
 convolution, Chellapilla et al. 2006), both halves walking the batch in
@@ -409,17 +423,18 @@ class _Lowering:
         return lowered
 
 
-def _finish(block: np.ndarray, maps: np.ndarray, pool, bias, relu: bool) -> np.ndarray:
+def _finish(block: np.ndarray, maps: np.ndarray, pool, relu: bool, affine) -> np.ndarray:
     """The (o, b, oh, ow) `maps` view of a GEMM result `block` (o, b*span)
-    after `correlate2d`'s epilogue; the bias and ReLU run in place over one
-    contiguous array, the pooled maps or else the whole block."""
+    after `correlate2d`'s epilogue; the ReLU and affine run in place over
+    one contiguous array, the pooled maps or else the whole block."""
     if pool is not None:
         maps = max_pool2d(maps, *pool)
         block = maps.reshape(maps.shape[0], -1)
-    if bias is not None:
-        block += bias.reshape(-1, 1)
     if relu:
         np.maximum(block, 0, out=block)
+    if affine is not None:
+        block *= affine[0].reshape(-1, 1)
+        block += affine[1].reshape(-1, 1)
     return maps
 
 
@@ -435,14 +450,14 @@ def _check_operands(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> tuple:
 
 
 def correlate2d(
-    x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(), *, pool=None, bias=None, relu=False
+    x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(), *, pool=None, relu=False, affine=None
 ) -> np.ndarray:
     """Valid cross-correlation of x (n,c,h,w) with filters w (o,c,kh,kw).
 
     out[n,o,p,q] = sum_{c,u,v} w[o,c,u,v] * x_pad[n,c, p*stride+u, q*stride+v],
     then the epilogue (module docstring): a max pool of `pool` = (kernel,
-    stride), a `bias` of one value per output channel, a ReLU if `relu`. A
-    pooled output is (n, o, ph, pw).
+    stride), a ReLU if `relu`, and `affine` = (a, b), one value each per
+    output channel, as y = a*x + b. A pooled output is (n, o, ph, pw).
     """
     oh, ow = _check_operands(x, w, geom)
     xp = _pad_spatial(x, geom.pad)
@@ -461,7 +476,7 @@ def correlate2d(
         lowered = low.block(cols, lo, hi)
         block = np.matmul(w2, lowered, out=res[:, : b * span])
         del lowered  # before the next block's operand is built
-        out[lo:hi] = _finish(block, block.reshape(o, b, oh, low.width)[..., :ow], pool, bias, relu).transpose(1, 0, 2, 3)
+        out[lo:hi] = _finish(block, block.reshape(o, b, oh, low.width)[..., :ow], pool, relu, affine).transpose(1, 0, 2, 3)
     return out
 
 

@@ -135,7 +135,7 @@ def group_cross_channel_pool_backward(grad_out: np.ndarray, x: np.ndarray, mode:
         grad = np.broadcast_to(grad_out[:, :, None] / 4, grouped.shape).astype(x.dtype)
     else:
         raise ValueError(f"unknown pooling mode {mode!r}")
-    return grad.reshape(n, c, h, w).copy()
+    return grad.reshape(n, c, h, w)
 
 
 def global_spatial_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -191,9 +191,10 @@ class GroupBatchNorm:
     (within 1e-12 relative in float64). It keeps no cache and returns no
     new state: `backward` follows train-mode passes only.
 
-    An eval-mode `network.forward` runs this eval pass only for a batch
-    norm it cannot fold into the next layer's filters; its docstring
-    says when it can.
+    An eval-mode `network.forward` runs this pass only for a batch norm
+    outside a conv-like layer's epilogue; in one, the epilogue applies
+    the same affine, repeated over each group's channels, with the same
+    two elementwise steps (its docstring says when).
     """
 
     eps = 1e-5  # added to the variance before the square root

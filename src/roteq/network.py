@@ -565,13 +565,13 @@ class ForwardCache:
     logits_shape: tuple
 
 
-def _epilogue(model: Model, i: int, kinds: dict) -> tuple:
-    """(pool, relu, fold, end) of layer i, whose step in `kinds` is the
-    filter step, by `forward`'s fusion rule.
+def _epilogue(model: Model, i: int) -> tuple:
+    """(pool, relu, affine, end) of filter-step layer i by `forward`'s
+    fusion rule.
 
-    `pool` is the max pool's (kernel, stride) or None, `fold` the batch
-    norm's (a, b) per channel for the layer at `end`, or None, and `end`
-    the first layer after the epilogue.
+    `pool` is the max pool's (kernel, stride) or None, `affine` the batch
+    norm's (a, b) per channel or None, and `end` the first layer after
+    the epilogue.
     """
     specs = model.specs
     seen = {}  # kind -> index of the epilogue's one layer of that kind
@@ -583,46 +583,28 @@ def _epilogue(model: Model, i: int, kinds: dict) -> tuple:
         if kind != "dropout":
             seen[kind] = end
         end += 1
-    fold, bn, pool = None, seen.get("group_batchnorm"), seen.get("max_pool")
+    affine, bn, pool = None, seen.get("group_batchnorm"), seen.get("max_pool")
     if bn is not None:
         a, b = GroupBatchNorm.affine(model.params[bn], model.state[bn])
-        filter_next = end < len(specs) and kinds[specs[end].kind].forward is _filter_forward and specs[end].pad == 0
-        if filter_next and (pool is None or pool < bn or np.all(a > 0)):
-            group = model.channels[bn] // a.size
-            fold = np.repeat(a, group), np.repeat(b, group)
-        else:
-            end = bn
+        pool_first = np.all(a > 0) and ("relu" in seen or not np.any(np.signbit(b) & (b == 0)))
+        if pool is not None and bn < pool and not pool_first:
+            end = pool
+        affine = tuple(np.repeat(v, model.channels[bn] // a.size) for v in (a, b))
     pool = (specs[pool].kernel, specs[pool].stride) if pool is not None and pool < end else None
-    return pool, "relu" in seen, fold, end
-
-
-def _fold_batchnorm(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(w scaled by a over its input channels, the per-output bias sum(w*b)).
-
-    Each output's terms are summed in the order of their bit patterns,
-    so outputs whose terms are one multiset, the four slots of a tied
-    group, get bit-equal biases.
-    """
-    terms = (w * b[:, None, None]).reshape(w.shape[0], -1)
-    ordered = np.sort(terms.view(f"i{terms.itemsize}"), axis=1).view(terms.dtype)
-    return w * a[:, None, None], ordered.sum(axis=1)
+    return pool, "relu" in seen, affine, end
 
 
 def _fused_eval(model: Model, h: np.ndarray, kinds: dict) -> np.ndarray:
     """`forward`'s eval walk of the `kinds` table."""
-    fold = None  # (a, b) of the batch norm folded into the next filter step
     i = 0
     while i < len(model.specs):
         spec = model.specs[i]
-        if kinds[spec.kind].forward is not _filter_forward:
-            h = kinds[spec.kind].forward(model, i, h, False, None)[0]
-            i += 1
-            continue
-        w, bias = model.expanded_filter(i), None
-        if fold is not None:
-            w, bias = _fold_batchnorm(w, *fold)
-        pool, relu, fold, end = _epilogue(model, i, kinds)
-        h = correlate2d(h, w, ConvGeometry(spec.stride, spec.pad), pool=pool, bias=bias, relu=relu)
+        if kinds[spec.kind].forward is _filter_forward:
+            pool, relu, affine, end = _epilogue(model, i)
+            geom = ConvGeometry(spec.stride, spec.pad)
+            h = correlate2d(h, model.expanded_filter(i), geom, pool=pool, relu=relu, affine=affine)
+        else:
+            h, end = kinds[spec.kind].forward(model, i, h, False, None)[0], i + 1
         i = end
     return h
 
@@ -638,23 +620,19 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
 
     An eval-mode pass fuses. Each layer whose step in `kinds` is the
     filter step (`correlate2d` on `Model.expanded_filter`) hands
-    `correlate2d` an epilogue (see `conv`): the layers after it
-    that can be finished per GEMM block, namely dropouts (the identity
-    in eval) and at most one ReLU, one max pool and one group batch
-    norm, with no ReLU after the batch norm, so no full-resolution map
-    before a pool is stored. The batch norm's affine a, b
-    (`GroupBatchNorm.affine`) is folded into the layer after the
-    epilogue, whose bank is scaled by a over its input channels and
-    whose output gains the bias sum(w*b), bit-equal over the four slots
-    of each tied group. It folds only if that layer runs the filter step
-    with pad 0 (its zero padding is no b) and, when the max pool follows
-    the batch norm, every a > 0, since only an increasing map commutes
-    with a maximum. A batch norm that cannot fold ends the epilogue
-    before it and runs its own eval pass. Every other layer, such as a
-    step that rotates feature maps, runs its plain step. The logits
-    differ from the plain walk's by the fold's rounding only (up to
-    about 2e-6 relative in float32 and 3e-15 in float64), and not at all
-    where no batch norm folds. Train mode walks the plain steps.
+    `correlate2d` an epilogue (see `conv`): the layers after it that can
+    be finished per GEMM block, namely dropouts (the identity in eval)
+    and at most one ReLU, one max pool and one group batch norm, with no
+    ReLU after the batch norm, so no full-resolution map before a pool is
+    stored. The batch norm runs as its eval affine a*x + b
+    (`GroupBatchNorm.affine`, one value per group, repeated over the
+    group's channels) after the pool and the ReLU. Pooling first is exact
+    when the pool comes before the batch norm, or when every a > 0 and,
+    unless a ReLU comes before the batch norm, no b is -0; otherwise the
+    epilogue ends before the pool, which runs its own step. Every other
+    layer, such as a step that rotates feature maps, runs its plain step.
+    The logits are the plain walk's bytes. Train mode walks the plain
+    steps.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")

@@ -158,8 +158,7 @@ def test_tracer_bindings_resolve(monkeypatch):
 def test_tracer_times_every_batchnorm_step(rng):
     # the tracer patches GroupBatchNorm's static methods on the class and
     # restores them as the plain functions it read; calls through the class
-    # are timed, and run the same after the restore. The last batch norm
-    # cannot fold into a filter step, so the eval forward runs its own pass
+    # are timed, and run the same after the restore
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -206,9 +205,8 @@ def test_strategy_tables_agree_on_whole_stacks(rng, preset):
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("preset", TIED_PRESETS)
 def test_map_walk_gives_its_plain_walks_bytes(rng, preset, precision):
-    # only a filter step takes an epilogue or a folded batch norm, and every
-    # tied layer of the map table runs a map step instead, so on the tied
-    # presets no batch norm folds
+    # only a filter step takes an epilogue, and every tied layer of the map
+    # table runs a map step instead; the walk gives the plain walk's bytes
     maps = STRATEGIES[ROTATE_FEATURE_MAPS]
     model = network.build_model(network.preset_stack(preset), precision=precision, input_size=28)
     random_batchnorm(model, rng)

@@ -209,6 +209,49 @@ def test_encode_checkpoint_refuses_a_field_its_u32_cannot_hold(spec, field):
         encode_checkpoint(model)
 
 
+CORRUPTIONS = [  # (layer, store, array, value, message) of a full_featured_model value no model holds
+    (3, "state", "var", -1.0, r"layer 3 \(group_batchnorm\): running variance var holds a negative value"),
+    (0, "params", "base", math.nan, r"layer 0 \(cycle\): base holds a non-finite value"),
+    (3, "params", "gamma", math.inf, r"layer 3 \(group_batchnorm\): gamma holds a non-finite value"),
+    (3, "state", "mean", -math.inf, r"layer 3 \(group_batchnorm\): mean holds a non-finite value"),
+]
+
+
+def corrupt_checkpoint(layer, store, name, value) -> bytes:
+    """full_featured_model's checkpoint with the first entry of one array
+    set to `value`, written past `encode_checkpoint`, which refuses it."""
+    model = full_featured_model()
+    getattr(model, store)[layer][name].flat[0] = 1234.5
+    marker = struct.pack("<f", 1234.5)
+    raw = encode_checkpoint(model)
+    assert raw.count(marker) == 1
+    return raw.replace(marker, struct.pack("<f", value))
+
+
+@pytest.mark.parametrize("layer,store,name,value,message", CORRUPTIONS)
+def test_encode_checkpoint_refuses_a_value_no_model_holds(layer, store, name, value, message):
+    model = full_featured_model()
+    getattr(model, store)[layer][name].flat[0] = value
+    with pytest.raises(ModelSpecError, match=message):
+        encode_checkpoint(model)
+
+
+@pytest.mark.parametrize("layer,store,name,value,message", CORRUPTIONS)
+def test_decode_checkpoint_refuses_a_value_no_model_holds(layer, store, name, value, message):
+    with pytest.raises(CheckpointError, match=message):
+        decode_checkpoint(corrupt_checkpoint(layer, store, name, value))
+
+
+@pytest.mark.parametrize("layer,store,name,value,message", CORRUPTIONS[:2])
+def test_eval_corrupt_checkpoint_is_usage_error(tmp_path, data_dir, capsys, layer, store, name, value, message):
+    # evaluated, a running variance of -1 gives NaN logits after a sqrt
+    # warning, and a NaN parameter gives them silently
+    ckpt = tmp_path / "corrupt.ckpt"
+    ckpt.write_bytes(corrupt_checkpoint(layer, store, name, value))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
 def test_eval_truncated_checkpoint_is_usage_error(tmp_path, data_dir, capsys):
     ckpt = tmp_path / "cut.ckpt"
     ckpt.write_bytes(encode_checkpoint(full_featured_model())[:40])
