@@ -345,9 +345,17 @@ def suite_gradients(trials: int, seed: int) -> list:
     stacks = {
         "dren_small": "cycle:g5:k3," + "isotonic:g5:k3," * 2 + "decycle:c10:k3,gap",
         "plain_cnn": "conv:c12:k3," * 2 + "conv:c10:k3,gap",
+        # batch norms before a max pool, a padded conv-like layer, a group
+        # pool and a conv: the inputs `network.backward` rebuilds
+        "batchnorm_inputs": "cycle:g2:k3,relu,bn,maxpool:k2:s2,bn,isotonic:g2:k3:p1,relu,bn,gpmax,bn,conv:c10:k3,gap",
     }
     for name, stack in stacks.items():
         model = build_model(parse_layer_stack(stack), in_channels=1, seed=seed, precision="float64")
+        for i, state in model.state.items():  # random, so each eval affine is far from the train-mode map
+            state["mean"] = rng.standard_normal(state["mean"].shape)
+            state["var"] = rng.uniform(0.5, 2.0, state["var"].shape)
+            model.params[i]["gamma"] = rng.uniform(0.5, 2.0, state["var"].shape)
+            model.params[i]["beta"] = rng.standard_normal(state["var"].shape)
         x = rng.random((2, 1, 10, 10))
         labels = rng.integers(0, 10, size=2)
         err = network.finite_diff_check(model, x, labels)

@@ -262,10 +262,12 @@ within 16 MiB, each block's GEMM meeting the whole (o, n*oh*ow) output
 gradient (29.5 and 118.0 MB unblocked). The call's median time went
 from 25 to 19-20 ms at batch 64 and from 169-176 to 74-79 ms at batch
 256, in alternating runs. A batch-64
-momentum-SGD step of the preset, after one warm step, peaks at 22.0 MB
-against 29.0 MB; the peak is now in a batch-norm backward, over the
-forward caches, and the workspace stays at the 4.1 MB the forward
-already needed.
+momentum-SGD step of the preset, after one warm step, peaked at 22.0 MB
+against 29.0 MB, in a batch-norm backward over 19.7 MB of forward
+caches. Since the train walk keeps no batch norm's output and packs its
+ReLU and dropout masks 8 per byte (`network.forward`), the caches hold
+8.9 MB and the step peaks at 15.7 MB, still in that backward; the
+workspace stays at the 4.1 MB the forward already needed.
 
 Max pooling is k^2 elementwise maxima: one (n, c, oh, ow) strided view
 per kernel offset, folded into the output with `np.maximum`. Reducing

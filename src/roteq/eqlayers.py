@@ -178,11 +178,15 @@ class GroupBatchNorm:
 
     Train mode takes the mean once and keeps x - mean: its square is
     the variance's summand and, scaled by 1/sqrt(var+eps), it becomes
-    the normalized input, which the cache keeps; the output is written
-    over the squares. The backward pass reuses one buffer for
-    go*xhat and xhat*(grad_gamma/m) and subtracts and scales in place.
-    Every value is the one the plain two-pass formula gives, bit for
-    bit, with fewer full-size temporaries.
+    the normalized input xhat, which the cache keeps with inv_std; the
+    output gamma*xhat + beta (`output`) is written over the squares. No
+    cache keeps that output: a train-mode `network.forward` drops it
+    from the next layer's cache, and `network.backward` rebuilds it from
+    xhat with `output`, the same two operations, so it has the same bits.
+    The backward pass reuses one buffer for go*xhat and
+    xhat*(grad_gamma/m) and subtracts and scales in place. Every value
+    is the one the plain two-pass formula gives, bit for bit, with fewer
+    full-size temporaries.
 
     Eval mode folds the running statistics into one per-group scale and
     shift (`affine`), a = gamma/sqrt(var+eps) and b = beta - mean*a, so
@@ -232,10 +236,19 @@ class GroupBatchNorm:
         }
         inv_std = 1.0 / np.sqrt(var + GroupBatchNorm.eps)
         xhat *= inv_std.reshape(1, g, 1, 1, 1)
-        np.multiply(params["gamma"].reshape(1, g, 1, 1, 1), xhat, out=y)
-        y += params["beta"].reshape(1, g, 1, 1, 1)
         cache = {"xhat": xhat, "inv_std": inv_std}
-        return y.reshape(n, c, h, w), cache, new_state
+        return GroupBatchNorm.output(xhat, params, out=y), cache, new_state
+
+    @staticmethod
+    def output(xhat, params, out=None):
+        """The train-mode output gamma*xhat + beta as (n, c, h, w), from the
+        normalized input (n, groups, c // groups, h, w), written into `out`
+        if given. `forward` writes it over its squares; `network.backward`
+        calls it again to rebuild the output that no cache keeps."""
+        n, g, size, h, w = xhat.shape
+        y = np.multiply(params["gamma"].reshape(1, g, 1, 1, 1), xhat, out=out)
+        y += params["beta"].reshape(1, g, 1, 1, 1)
+        return y.reshape(n, g * size, h, w)
 
     @staticmethod
     def backward(grad_out, params, cache):

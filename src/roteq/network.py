@@ -131,7 +131,8 @@ class Model:
 # layer steps: forward(model, i, h, train, rng) -> (output, cache, new state
 # or None); backward(model, i, grad, cache) -> (input grad, {name: grad} or None).
 # A conv-like step's backward also takes input_grad=False, and then
-# returns None for the input grad.
+# returns None for the input grad. A step whose backward reads its input
+# keeps it as cache[0] of a tuple (see `forward` for when it is None).
 
 
 def _filter_forward(model, i, h, train, rng):
@@ -148,12 +149,22 @@ def _filter_backward(model, i, g, cache, input_grad=True):
     return g, {name: kind.collapse(grad_w)}
 
 
+def _unpack(bits, shape):
+    """The boolean mask of `shape` that `np.packbits` packed 8 entries per byte."""
+    return np.unpackbits(bits, count=math.prod(shape)).view(bool).reshape(shape)
+
+
+def _shape_of(h):
+    """A stand-in for `h` that keeps only its shape and dtype: one zero, broadcast."""
+    return np.broadcast_to(np.zeros((), h.dtype), h.shape)
+
+
 def _relu_forward(model, i, h, train, rng):
-    return np.maximum(h, 0), (h > 0) if train else None, None
+    return np.maximum(h, 0), np.packbits(h > 0) if train else None, None
 
 
-def _relu_backward(model, i, g, mask):
-    return g * mask, None
+def _relu_backward(model, i, g, bits):
+    return g * _unpack(bits, g.shape), None
 
 
 def _bias_forward(model, i, h, train, rng):
@@ -197,12 +208,12 @@ def _dropout_forward(model, i, h, train, rng):
     scale = np.asarray(1.0 / (1.0 - rate), dtype=model.dtype)
     out = np.multiply(h, keep)
     out *= scale
-    return out, (keep, scale), None
+    return out, (np.packbits(keep), scale), None
 
 
 def _dropout_backward(model, i, g, cache):
-    keep, scale = cache
-    out = np.multiply(g, keep)
+    bits, scale = cache
+    out = np.multiply(g, _unpack(bits, g.shape))
     out *= scale
     return out, None
 
@@ -219,15 +230,15 @@ def _max_pool_backward(model, i, g, cache):
 
 
 def _group_pool_forward(mode, model, i, h, train, rng):
-    return group_cross_channel_pool(h, mode), h, None
+    return group_cross_channel_pool(h, mode), (h if mode == "max" else _shape_of(h),), None
 
 
-def _group_pool_backward(mode, model, i, g, x):
-    return group_cross_channel_pool_backward(g, x, mode), None
+def _group_pool_backward(mode, model, i, g, cache):
+    return group_cross_channel_pool_backward(g, cache[0], mode), None
 
 
 def _global_pool_forward(model, i, h, train, rng):
-    return global_spatial_avg_pool(h), h, None
+    return global_spatial_avg_pool(h), _shape_of(h), None
 
 
 def _global_pool_backward(model, i, g, x):
@@ -554,10 +565,11 @@ class ForwardCache:
     """What a train-mode `forward` keeps for `backward`, one entry per layer;
     an eval-mode `forward` keeps none and returns None in its place.
 
-    `backward` consumes it: it takes the list (leaving `layer_caches`
-    None) and frees each entry as soon as that layer's step returns. A
-    second `backward` on the same cache raises ValueError; `new_state`
-    stays readable.
+    No entry holds a batch norm's output or a mask of a byte per entry
+    (`forward` says what each keeps instead). `backward` consumes it: it
+    takes the list (leaving `layer_caches` None) and frees each entry as
+    soon as that layer's step returns. A second `backward` on the same
+    cache raises ValueError; `new_state` stays readable.
     """
 
     layer_caches: list
@@ -631,8 +643,18 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     unless a ReLU comes before the batch norm, no b is -0; otherwise the
     epilogue ends before the pool, which runs its own step. Every other
     layer, such as a step that rotates feature maps, runs its plain step.
-    The logits are the plain walk's bytes. Train mode walks the plain
-    steps.
+    The logits are the plain walk's bytes.
+
+    Train mode walks the plain steps and keeps each activation once. A
+    step whose backward reads its input (the conv-like kinds, `max_pool`,
+    `group_pool_max`) keeps it as `cache[0]`; where that input is the
+    array a group batch norm returned, the walk stores None there
+    instead, and `backward` rebuilds it from the batch norm's cached xhat
+    right before that layer's step, with the forward's own operations
+    (`GroupBatchNorm.output`), so the step sees the same bytes. ReLU and
+    dropout steps keep their masks packed 8 entries per byte, and
+    `global_avg_pool` and `group_pool_mean` keep only their input's shape
+    and dtype.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -643,7 +665,10 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     caches = []
     new_state = {}
     for i, spec in enumerate(model.specs):
-        h, cache, state = kinds[spec.kind].forward(model, i, h, True, rng)
+        y, cache, state = kinds[spec.kind].forward(model, i, h, True, rng)
+        if i and model.specs[i - 1].kind == "group_batchnorm" and isinstance(cache, tuple) and cache[0] is h:
+            cache = (None, *cache[1:])  # `backward` rebuilds it from the batch norm's xhat
+        h = y
         caches.append(cache)
         if state is not None:
             new_state[i] = state
@@ -657,7 +682,10 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
     parameters, so no gradient is passed further down, and a conv-like
     layer there forms no input gradient at all. The cache is consumed:
     each layer's entry is dropped as the walk passes it, so the walk's
-    peak holds only the caches of the layers still below it.
+    peak holds only the caches of the layers still below it. An input
+    that `forward` left out, a batch norm's output, is rebuilt from the
+    batch norm's xhat right before the step that reads it and freed with
+    that step's entry.
     """
     if cache is None:
         raise ValueError("backward needs the cache of a train-mode forward; an eval-mode one returns None")
@@ -671,6 +699,8 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
         kind = KINDS[model.specs[i].kind]
         bottom = {"input_grad": False} if i == lowest and kind.expand is not None else {}
         layer_cache, caches[i] = caches[i], None
+        if isinstance(layer_cache, tuple) and layer_cache[0] is None:  # the input was batch norm i - 1's output
+            layer_cache = (GroupBatchNorm.output(caches[i - 1]["xhat"], model.params[i - 1]), *layer_cache[1:])
         g, layer_grads = kind.backward(model, i, g, layer_cache, **bottom)
         if layer_grads is not None:
             grads[i] = layer_grads

@@ -2,7 +2,9 @@
 
 Everything here is written as plainly as possible (explicit loops,
 index formulas straight from the definitions) and never calls the
-library code it is used to check. `fresh_thread_peak` is the one
+library code it is used to check. `plain_train_walk` checks the train
+walk's caching, not the layers: it runs the library's own layer
+functions and keeps everything. `fresh_thread_peak` is the one
 measuring helper.
 """
 
@@ -10,6 +12,8 @@ import threading
 import tracemalloc
 
 import numpy as np
+
+from roteq import conv, eqlayers, network
 
 
 def naive_correlate2d(x, w, stride=1, pad=0):
@@ -348,6 +352,72 @@ def per_image_rotate_dataset_arbitrary(images, seed):
         )
         out[k, 0] = rotated.astype(img.dtype)
     return out
+
+
+def plain_train_walk(model, x, rng=None):
+    """A train-mode forward that keeps every layer's input and its boolean
+    ReLU or dropout mask unpacked: (output, [(input, kept) per layer], new
+    state), the output unflattened. It calls the library's layer functions
+    (correlation, batch norm, pooling) in the order the layer steps do and
+    draws dropout masks from `rng` as `network._keep_mask` does, but keeps
+    the batch norms' outputs and never rebuilds one."""
+    h = x.astype(model.dtype, copy=False)
+    kept, new_state = [], {}
+    for i, spec in enumerate(model.specs):
+        kind, x_in, extra = spec.kind, h, None
+        if network.KINDS[kind].expand is not None:
+            h = conv.correlate2d(h, model.expanded_filter(i), conv.ConvGeometry(spec.stride, spec.pad))
+        elif kind == "relu":
+            extra = h > 0
+            h = np.maximum(h, 0)
+        elif kind == "dropout":  # one 32-bit word per entry, kept at or above rate * 2**32
+            words = rng.bit_generator.random_raw((h.size + 1) // 2).view(np.uint32)[: h.size]
+            extra = (words >= np.uint32(min(round(spec.rate * 2**32), 2**32 - 1))).reshape(h.shape)
+            h = np.multiply(h, extra)
+            h *= np.asarray(1.0 / (1.0 - spec.rate), dtype=model.dtype)
+        elif kind == "group_batchnorm":
+            h, extra, new_state[i] = eqlayers.GroupBatchNorm.forward(h, model.params[i], model.state[i], True)
+        elif kind == "max_pool":
+            h = extra = conv.max_pool2d(h, spec.kernel, spec.stride)
+        elif kind == "shared_bias":
+            h = eqlayers.shared_bias_add(h, model.params[i]["bias"])
+        elif kind in ("group_pool_max", "group_pool_mean"):
+            h = eqlayers.group_cross_channel_pool(h, kind.rsplit("_", 1)[1])
+        else:
+            assert kind == "global_avg_pool", kind
+            h = eqlayers.global_spatial_avg_pool(h)
+        kept.append((x_in, extra))
+    return h, kept, new_state
+
+
+def plain_train_backward(model, kept, grad_out):
+    """{layer: {name: grad}} of `plain_train_walk`'s step for the output
+    gradient `grad_out`, every layer's backward run down to the bottom."""
+    grads = {}
+    g = grad_out
+    for i in range(len(model.specs) - 1, -1, -1):
+        spec, (x_in, extra) = model.specs[i], kept[i]
+        entry = network.KINDS[spec.kind]
+        if entry.expand is not None:
+            geom = conv.ConvGeometry(spec.stride, spec.pad)
+            g, grad_w = conv.correlate2d_backward(g, x_in, model.expanded_filter(i), geom)
+            grads[i] = {entry.params[0]: entry.collapse(grad_w)}
+        elif spec.kind == "relu":
+            g = g * extra
+        elif spec.kind == "dropout":
+            g = np.multiply(g, extra)
+            g *= np.asarray(1.0 / (1.0 - spec.rate), dtype=model.dtype)
+        elif spec.kind == "group_batchnorm":
+            g, grads[i] = eqlayers.GroupBatchNorm.backward(g, model.params[i], extra)
+        elif spec.kind == "max_pool":
+            g = conv.max_pool2d_backward(g, x_in, extra, spec.kernel, spec.stride)
+        elif spec.kind == "shared_bias":
+            grads[i] = {"bias": eqlayers.shared_bias_backward(g)}
+        elif spec.kind in ("group_pool_max", "group_pool_mean"):
+            g = eqlayers.group_cross_channel_pool_backward(g, x_in, spec.kind.rsplit("_", 1)[1])
+        else:
+            g = eqlayers.global_spatial_avg_pool_backward(g, x_in)
+    return grads
 
 
 def fresh_thread_peak(fn):

@@ -874,6 +874,7 @@ VERIFY_PROPERTIES = [  # (name, printed limit) of every property `verify --suite
     ("oracle/decycle_equivalence", "1.0e-12"),
     ("gradients/dren_small_finite_diff", "1.0e-04"),
     ("gradients/plain_cnn_finite_diff", "1.0e-04"),
+    ("gradients/batchnorm_inputs_finite_diff", "1.0e-04"),
     ("gradients/turn_invariance", "1.0e-12"),
     ("stride/equivariant_when_rule_holds", "1.0e-12"),
     ("stride/violated_when_rule_fails", "1.0e-03"),
@@ -887,7 +888,7 @@ def test_verify_all_suites_report_every_property(capsys):
     assert [(m.group(1), m.group(2), m.group(3)) for m in rows] == [
         (name, limit, "PASS") for name, limit in VERIFY_PROPERTIES
     ]
-    assert lines[-1] == "12/12 properties passed"
+    assert lines[-1] == "13/13 properties passed"
 
 
 def test_verify_turn_invariance_fails_on_a_stack_that_is_not_invariant(monkeypatch, capsys):

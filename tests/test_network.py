@@ -464,15 +464,44 @@ def test_backward_skips_the_layers_below_the_first_conv(rng, monkeypatch):
         LayerSpec("conv", width=4, kernel=1),
         LayerSpec("global_avg_pool"),
     ]
-    model, cache, grad = backward_case(rng, stack, 14)
-    upper_pool_input = cache.layer_caches[4][0]
-    want = full_backward_walk(model, cache, grad)  # before backward consumes the cache
+    model = build_model(stack, precision="float64", input_size=14)
+    x = rng.standard_normal((3, 1, 14, 14))
+    logits, cache = forward(model, x, mode="train")
+    _, grad = softmax_cross_entropy(logits, np.array([0, 1, 2]))
+    out, kept, _ = reference.plain_train_walk(model, x)
+    assert cache.layer_caches[4][0] is None  # the batch norm's output, rebuilt by backward
     pooled = []
     real = network.max_pool2d_backward
     monkeypatch.setattr(network, "max_pool2d_backward", lambda g, x, o, k, s: pooled.append(x) or real(g, x, o, k, s))
     grads = backward(model, cache, grad)
-    assert len(pooled) == 1 and pooled[0] is upper_pool_input  # the upper pool only
-    assert_same_grads(grads, want)
+    assert len(pooled) == 1 and pooled[0].tobytes() == kept[4][0].tobytes()  # the upper pool only
+    assert_same_grads(grads, reference.plain_train_backward(model, kept, grad.reshape(out.shape)))
+
+
+REBUILD_STACKS = {  # a batch norm before each kind whose backward reads its input
+    "bn-padded-maxpool-gap": "cycle:g2:k3,relu,dropout:r0.25,bn,isotonic:g2:k3:p1,relu,bn,maxpool:k2:s2,"
+    "decycle:c10:k1,bn,gap",
+    "bn-gpmax": "cycle:g2:k3,relu,bn,gpmax,bn,conv:c10:k3:p1,gap",
+    "bn-gpmean": "cycle:g2:k3,bias,bn,isotonic:g2:k3,bn,gpmean,conv:c10:k1,bn,bn,gap",
+}
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("stack", ["dren-z2cnn-shape", "z2cnn-shape", "bench-nin-shape", *REBUILD_STACKS])
+def test_backward_gives_the_bytes_of_a_walk_that_keeps_every_input(stack, precision):
+    # the train walk keeps no batch norm's output and packs its masks; its
+    # logits, gradients and new state are the bytes of a walk that keeps them
+    preset = stack in PRESETS
+    specs = preset_stack(stack) if preset else parse_layer_stack(REBUILD_STACKS[stack])
+    size = 28 if preset else 12
+    model = random_batchnorm(build_model(specs, precision=precision, input_size=size), np.random.default_rng(3))
+    x = np.random.default_rng(4).random((16, 1, size, size))
+    logits, cache = forward(model, x, mode="train", rng=np.random.default_rng(5))
+    _, grad = softmax_cross_entropy(logits, np.arange(16) % 10)
+    out, kept, new_state = reference.plain_train_walk(model, x, np.random.default_rng(5))
+    assert logits.tobytes() == out.tobytes()
+    assert_same_grads(backward(model, cache, grad), reference.plain_train_backward(model, kept, grad.reshape(out.shape)))
+    assert_same_grads(cache.new_state, new_state)
 
 
 def test_train_step_pools_once_per_max_pool_layer(rng, monkeypatch):
@@ -738,25 +767,30 @@ def dren_z2cnn_step_peak(fresh_thread=True):
 
 
 def test_train_step_peak_stays_within_the_lowering_budget():
-    # L4's whole patch matrix alone would be 26.5 MB
+    # L4's whole patch matrix alone would be 26.5 MB; the step peaks at
+    # 19.8 MB with the fresh thread's 4.1 MB workspace (26.5 MB while the
+    # forward caches kept each batch norm's output and a byte per mask entry)
     peak = dren_z2cnn_step_peak()
-    assert peak <= 42e6, peak
+    assert peak <= 21e6, peak
 
 
 def test_train_step_peak_holds_no_spent_layer_cache():
     # each layer's cache is freed once its backward has run, as nothing
     # reads it again; kept to the end of the step, the caches of layers
     # 5-25 alone held about 10.9 MB. Measured in the calling thread: the
-    # 4.1 MB workspace a fresh thread adds is no cache
+    # 4.1 MB workspace a fresh thread adds is no cache. The step peaks at
+    # 15.7 MB
     peak = dren_z2cnn_step_peak(fresh_thread=False)
-    assert peak <= 31e6, peak
+    assert peak <= 16.5e6, peak
 
 
 def test_warm_train_step_peak_and_workspace_stay_within_the_block_budget():
     # both passes lower in 4 MiB batch blocks in the thread's workspace,
-    # which the warm step allocates: the peak sits in L7's batch-norm
-    # backward, over about 19.8 MB of forward caches (29.2 MB while the
-    # backward built 16 MiB per-call operands)
+    # which the warm step allocates: the peak, 15.7 MB, sits in L7's
+    # batch-norm backward, over about 8.9 MB of forward caches (22.0 MB
+    # over 19.7 MB of caches that kept each batch norm's output and a byte
+    # per mask entry; 29.2 MB while the backward built 16 MiB per-call
+    # operands)
     held = []
 
     def steps():
@@ -767,7 +801,7 @@ def test_warm_train_step_peak_and_workspace_stay_within_the_block_budget():
     thread.join(timeout=120)
     assert not thread.is_alive()
     [(peak, workspace)] = held
-    assert peak <= 24e6, peak
+    assert peak <= 16.5e6, peak
     assert workspace <= conv._BLOCK_BYTES, workspace
 
 
@@ -775,19 +809,17 @@ def test_backward_frees_each_layer_cache_once_used(rng, monkeypatch):
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     logits, cache = forward(model, rng.standard_normal((4, 1, 28, 28)), mode="train", rng=rng)
     _, grad = softmax_cross_entropy(logits, np.arange(4))
-    l4_input = cache.layer_caches[4][0]
     l7_xhat = weakref.ref(cache.layer_caches[7]["xhat"])  # L7's batch norm
     freed = []
     real = network.correlate2d_backward
 
     def recording(g, x, w, geom, **kwargs):
-        if x is l4_input:
-            freed.append(l7_xhat() is None)
+        freed.append(l7_xhat() is None)
         return real(g, x, w, geom, **kwargs)
 
     monkeypatch.setattr(network, "correlate2d_backward", recording)
     backward(model, cache, grad)
-    assert freed == [True]
+    assert freed == [False] * 5 + [True] * 2  # L25, L21, L17, L13 and L9 above it, then L4 and L0
     assert cache.layer_caches is None and cache.new_state
 
 
@@ -798,6 +830,41 @@ def test_train_forward_caches_hold_arrays_not_layer_objects(rng):
     assert len(bn_caches) == 6
     assert all(set(c) == {"xhat", "inv_std"} for c in bn_caches)
     assert all(isinstance(a, np.ndarray) for c in bn_caches for a in c.values())
+
+
+def cached_arrays(entry):
+    """The arrays a layer's cache entry holds."""
+    if isinstance(entry, np.ndarray):
+        return [entry]
+    items = entry.values() if isinstance(entry, dict) else entry if isinstance(entry, tuple) else ()
+    return [a for item in items for a in cached_arrays(item)]
+
+
+def test_train_forward_cache_holds_no_batchnorm_output(monkeypatch):
+    # each batch norm's output is rebuilt in backward from its xhat, masks
+    # are packed 8 per byte, and gap keeps only its input's shape: 19.73 MB
+    # of distinct arrays when the next layer kept the output and masks took
+    # a byte an entry
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    x = np.random.default_rng(0).random((64, 1, 28, 28), dtype=np.float32)
+    outputs, real = [], GroupBatchNorm.forward
+
+    def recording(*args):
+        result = real(*args)
+        outputs.append(result[0])
+        return result
+
+    monkeypatch.setattr(GroupBatchNorm, "forward", recording)
+    _, cache = forward(model, x, mode="train", rng=np.random.default_rng(1))
+    arrays = [a for entry in cache.layer_caches for a in cached_arrays(entry)]
+    assert len(outputs) == 6
+    assert not any(np.shares_memory(a, y) for a in arrays for y in outputs)
+    bases = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        bases[id(a)] = a.nbytes
+    assert sum(bases.values()) <= 9.0e6, sum(bases.values())
 
 
 def test_backward_consumes_its_cache(rng):
@@ -813,10 +880,11 @@ def test_eval_relu_forms_no_mask(rng):
     model = build_model([LayerSpec("relu")], precision="float64")
     x = rng.standard_normal((2, 1, 5, 5))
     y_eval, cache, _ = KINDS["relu"].forward(model, 0, x, False, None)
-    y_train, mask, _ = KINDS["relu"].forward(model, 0, x, True, None)
+    y_train, bits, _ = KINDS["relu"].forward(model, 0, x, True, None)
     assert cache is None
     assert y_eval.tobytes() == y_train.tobytes()
-    assert mask.tobytes() == (x > 0).tobytes()
+    assert bits.dtype == np.uint8 and bits.size == math.ceil(x.size / 8)  # 8 mask entries per byte
+    assert np.unpackbits(bits, count=x.size).view(bool).reshape(x.shape).tobytes() == (x > 0).tobytes()
 
 
 # ---------------------------------------------------------------------------
