@@ -120,44 +120,35 @@ and 2,000-2,600 minor faults per forward; 4 MiB blocks with the
 workspace took 65-78 ms and none, against 79-91 ms at 2 MiB and
 65-98 ms at 8 MiB.
 
-The epilogue: `correlate2d`'s keywords `pool` (a max pool's kernel and
-stride), `relu` and `affine` (a scale a and a shift b per output
-channel) name steps it finishes on each block's GEMM result before the
+The epilogue: `correlate2d`'s keyword `epilogue` is a tuple of steps,
+each a ReLU, a max pool or an affine (a scale a and a shift b per output
+channel), that it runs in order on each block's GEMM result before the
 write, while the block is still in cache. An eval-mode `network.forward`
-gives each conv-like layer the ReLU, the max pool and the group batch
-norm after it, whose eval map is the affine y = a*x + b, so no
-full-resolution map before a pool is stored and no pass over the whole
-output runs for them. A block pools first, with one `max_pool2d` call
-over its (o, b, oh, ow) view, then applies the ReLU and then multiplies
-by a and adds b, in place over one contiguous array: the pooled block,
-or without a pool the whole GEMM result, whose dropped columns hold
-finite values wherever the input is (see the overhang below). The ReLU
-and the affine are the plain steps' own elementwise operations in their
-order (`np.maximum(x, 0)`, then x*a, then + b, as the batch norm's eval
-pass runs them), so they give the plain steps' bytes. On
-dren-z2cnn-shape at batch 256 (float32) the 26-px layer's 11.8 MB
+hands each conv-like layer the ReLUs, max pools and group batch norms
+after it, each batch norm as its eval map y = a*x + b (its docstring says
+in what order), so no full-resolution map before a pool is stored and no
+pass over the whole output runs for them. A pool is one `max_pool2d` call
+over the block's (o, b, oh, ow) view; a ReLU or an affine runs in place
+over one contiguous array: the last pool's output, or before any pool the
+whole GEMM result, whose dropped columns hold finite values wherever the
+input is (see the overhang below). They are the plain steps' own
+elementwise operations (`np.maximum(x, 0)`, then x*a and + b, as the
+batch norm's eval pass runs them), so each gives the plain step's bytes.
+On dren-z2cnn-shape at batch 256 (float32) the 26-px layer's 11.8 MB
 output before its pool gives way to its 2.9 MB pooled one, and the eval
 forward's traced peak went from 44.1 to 35.7 MB.
 
-Why pooling first is exact: a non-decreasing map f commutes with a
-window's maximum, max(f(x), f(y)) = f(max(x, y)) in value. Rounding is
-monotone, so max(., 0), x -> fl(a*x) for a > 0 and x -> fl(x + b) all
-are, and pool, ReLU, affine gives the value of the stack's order. A
-negative a turns the window's maximum into its minimum, so a batch norm
-before the pool needs every a > 0. A NaN wins its window (`max_pool2d`)
-and stays NaN under each step. The only equal values a maximum can tell
-apart are +0 and -0, and the window's last zero wins (`max_pool2d`):
-- the ReLU maps both to +0 (numpy's maximum(-0.0, 0) is +0), so after it
-  the affine sees no -0;
-- x*a (a > 0) keeps a zero's sign, and may underflow a tiny x to a zero
-  of its sign;
-- adding b != 0 maps both zeros to b (an exact cancellation gives +0),
-  and b = +0 maps both to +0;
-- adding b = -0 keeps each zero's sign, so a window whose zeros come
-  from an underflow in one order and not in the other could end in -0
-  one way and +0 the other. Where a batch norm before the pool has a
-  b = -0 and no ReLU before it, `network.forward` ends the epilogue
-  before the pool, which runs its own step.
+Why a pool may run ahead of ReLUs and affines: a non-decreasing map f
+commutes with a window's maximum, max(f(x), f(y)) = f(max(x, y)) in
+value. Rounding is monotone, so max(., 0) and x -> fl(fl(a*x) + b) for a
+finite a > 0 and a finite b are non-decreasing, and neither makes a NaN
+of a number; a NaN wins its window (`max_pool2d`) and stays NaN under
+each. The only equal values a maximum can tell apart are +0 and -0, and
+each step maps both to the same bits and returns no -0 (numpy's
+maximum(-0.0, 0) is +0, and `GroupBatchNorm.affine` gives no b = -0), so
+pooling first gives the bytes of the stack's order. An a <= 0 turns a
+window's maximum into its minimum, and an infinite a or b can make a NaN
+of a zero or an infinity, so no pool moves ahead of such an affine.
 
 The backward pass is two GEMMs per block of images (unrolled
 convolution, Chellapilla et al. 2006), both halves walking the batch in
@@ -425,18 +416,19 @@ class _Lowering:
         return lowered
 
 
-def _finish(block: np.ndarray, maps: np.ndarray, pool, relu: bool, affine) -> np.ndarray:
+def _finish(block: np.ndarray, maps: np.ndarray, epilogue: tuple) -> np.ndarray:
     """The (o, b, oh, ow) `maps` view of a GEMM result `block` (o, b*span)
-    after `correlate2d`'s epilogue; the ReLU and affine run in place over
-    one contiguous array, the pooled maps or else the whole block."""
-    if pool is not None:
-        maps = max_pool2d(maps, *pool)
-        block = maps.reshape(maps.shape[0], -1)
-    if relu:
-        np.maximum(block, 0, out=block)
-    if affine is not None:
-        block *= affine[0].reshape(-1, 1)
-        block += affine[1].reshape(-1, 1)
+    after `correlate2d`'s epilogue; a ReLU or affine runs in place over one
+    contiguous array, the last pool's output or else the whole block."""
+    for step, *args in epilogue:
+        if step == "max_pool":
+            maps = max_pool2d(maps, *args)
+            block = maps.reshape(maps.shape[0], -1)
+        elif step == "relu":
+            np.maximum(block, 0, out=block)
+        else:
+            block *= args[0].reshape(-1, 1)
+            block += args[1].reshape(-1, 1)
     return maps
 
 
@@ -451,23 +443,25 @@ def _check_operands(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> tuple:
     return oh, output_size(x.shape[3], w.shape[3], geom.stride, geom.pad)
 
 
-def correlate2d(
-    x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(), *, pool=None, relu=False, affine=None
-) -> np.ndarray:
+def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(), *, epilogue: tuple = ()) -> np.ndarray:
     """Valid cross-correlation of x (n,c,h,w) with filters w (o,c,kh,kw).
 
     out[n,o,p,q] = sum_{c,u,v} w[o,c,u,v] * x_pad[n,c, p*stride+u, q*stride+v],
-    then the epilogue (module docstring): a max pool of `pool` = (kernel,
-    stride), a ReLU if `relu`, and `affine` = (a, b), one value each per
-    output channel, as y = a*x + b. A pooled output is (n, o, ph, pw).
+    then the `epilogue`'s steps in order (module docstring): ("relu",),
+    ("max_pool", kernel, stride) and ("affine", a, b), a and b one value
+    each per output channel, as y = a*x + b. The output size follows each
+    pool.
     """
     oh, ow = _check_operands(x, w, geom)
     xp = _pad_spatial(x, geom.pad)
     low = _Lowering(xp, w.shape[2], w.shape[3], geom.stride)
     n, o, k, span = x.shape[0], w.shape[0], low.k, low.span
     ph, pw = oh, ow
-    if pool is not None:
-        ph, pw = output_size(oh, *pool), output_size(ow, *pool)
+    for step, *args in epilogue:
+        if step == "max_pool":
+            ph, pw = output_size(ph, *args), output_size(pw, *args)
+        elif step not in ("relu", "affine"):
+            raise ValueError(f"unknown epilogue step {step!r}")
     out = np.empty((n, o, ph, pw), dtype=np.result_type(w, xp))
     w2 = w.reshape(o, k).astype(out.dtype, copy=False)
     bounds = _block_bounds(n, (k + o) * span * out.itemsize)
@@ -478,7 +472,7 @@ def correlate2d(
         lowered = low.block(cols, lo, hi)
         block = np.matmul(w2, lowered, out=res[:, : b * span])
         del lowered  # before the next block's operand is built
-        out[lo:hi] = _finish(block, block.reshape(o, b, oh, low.width)[..., :ow], pool, relu, affine).transpose(1, 0, 2, 3)
+        out[lo:hi] = _finish(block, block.reshape(o, b, oh, low.width)[..., :ow], epilogue).transpose(1, 0, 2, 3)
     return out
 
 
@@ -588,7 +582,10 @@ def max_pool2d_backward(grad_out: np.ndarray, x: np.ndarray, out: np.ndarray, ke
     """Route pooled gradients to the first (row-major) maximum of each window.
 
     `out` is the forward's `max_pool2d(x, kernel, stride)`. A NaN counts
-    as its window's maximum, as it does for argmax.
+    as its window's maximum, as it does for argmax. A turned input puts
+    another of a window's tied maxima first, so the gradient is
+    turn-invariant only away from positive ties (ties at zero under a
+    ReLU get a zero gradient either way).
     """
     expected = (*x.shape[:2], output_size(x.shape[2], kernel, stride), output_size(x.shape[3], kernel, stride))
     if grad_out.shape != expected or out.shape != expected:

@@ -189,16 +189,19 @@ class GroupBatchNorm:
     full-size temporaries.
 
     Eval mode folds the running statistics into one per-group scale and
-    shift (`affine`), a = gamma/sqrt(var+eps) and b = beta - mean*a, so
-    the output is the only full-size array it allocates; no normalized
-    copy is built. Its rounding differs from the two-pass train formula
-    (within 1e-12 relative in float64). It keeps no cache and returns no
-    new state: `backward` follows train-mode passes only.
+    shift (`affine`), a = gamma/sqrt(var+eps) and b = beta - mean*a + 0,
+    so the output is the only full-size array it allocates; no normalized
+    copy is built. The + 0 turns a shift of -0 into +0 and changes no
+    other value, so the map returns no -0. Its rounding differs from the
+    two-pass train formula (within 1e-12 relative in float64). It keeps
+    no cache and returns no new state: `backward` follows train-mode
+    passes only.
 
     An eval-mode `network.forward` runs this pass only for a batch norm
-    outside a conv-like layer's epilogue; in one, the epilogue applies
-    the same affine, repeated over each group's channels, with the same
-    two elementwise steps (its docstring says when).
+    outside the run of layers after a conv-like layer; in one, that
+    layer's epilogue applies the same affine, repeated over each group's
+    channels, with the same two elementwise steps (`network.forward`
+    states the rule).
     """
 
     eps = 1e-5  # added to the variance before the square root
@@ -206,9 +209,9 @@ class GroupBatchNorm:
 
     @classmethod
     def affine(cls, params, state):
-        """Per-group (a, b) of the eval-mode map y = a*x + b."""
+        """Per-group (a, b) of the eval-mode map y = a*x + b; no b is -0."""
         a = params["gamma"] * (1.0 / np.sqrt(state["var"] + cls.eps))
-        return a, params["beta"] - state["mean"] * a
+        return a, params["beta"] - state["mean"] * a + 0.0
 
     @staticmethod
     def forward(x, params, state, train: bool):

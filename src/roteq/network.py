@@ -578,32 +578,24 @@ class ForwardCache:
 
 
 def _epilogue(model: Model, i: int) -> tuple:
-    """(pool, relu, affine, end) of filter-step layer i by `forward`'s
-    fusion rule.
-
-    `pool` is the max pool's (kernel, stride) or None, `affine` the batch
-    norm's (a, b) per channel or None, and `end` the first layer after
-    the epilogue.
-    """
-    specs = model.specs
-    seen = {}  # kind -> index of the epilogue's one layer of that kind
+    """(`correlate2d`'s epilogue steps, first layer after the run) of
+    filter-step layer i by `forward`'s fusion rule."""
+    steps, floor = [], 0  # floor: where the next max pool goes, after the last pool or impassable batch norm
     end = i + 1
-    while end < len(specs) and specs[end].kind in ("dropout", "relu", "max_pool", "group_batchnorm"):
-        kind = specs[end].kind
-        if kind in seen or kind == "relu" and "group_batchnorm" in seen:
-            break
-        if kind != "dropout":
-            seen[kind] = end
+    while end < len(model.specs) and model.specs[end].kind in ("dropout", "relu", "group_batchnorm", "max_pool"):
+        spec = model.specs[end]
+        if spec.kind == "relu":
+            steps.append(("relu",))
+        elif spec.kind == "group_batchnorm":
+            a, b = GroupBatchNorm.affine(model.params[end], model.state[end])
+            steps.append(("affine", *(np.repeat(v, model.channels[end] // a.size) for v in (a, b))))
+            if not np.all((a > 0) & (a < np.inf) & np.isfinite(b)):
+                floor = len(steps)
+        elif spec.kind == "max_pool":
+            steps.insert(floor, ("max_pool", spec.kernel, spec.stride))
+            floor += 1
         end += 1
-    affine, bn, pool = None, seen.get("group_batchnorm"), seen.get("max_pool")
-    if bn is not None:
-        a, b = GroupBatchNorm.affine(model.params[bn], model.state[bn])
-        pool_first = np.all(a > 0) and ("relu" in seen or not np.any(np.signbit(b) & (b == 0)))
-        if pool is not None and bn < pool and not pool_first:
-            end = pool
-        affine = tuple(np.repeat(v, model.channels[bn] // a.size) for v in (a, b))
-    pool = (specs[pool].kernel, specs[pool].stride) if pool is not None and pool < end else None
-    return pool, "relu" in seen, affine, end
+    return tuple(steps), end
 
 
 def _fused_eval(model: Model, h: np.ndarray, kinds: dict) -> np.ndarray:
@@ -612,9 +604,8 @@ def _fused_eval(model: Model, h: np.ndarray, kinds: dict) -> np.ndarray:
     while i < len(model.specs):
         spec = model.specs[i]
         if kinds[spec.kind].forward is _filter_forward:
-            pool, relu, affine, end = _epilogue(model, i)
-            geom = ConvGeometry(spec.stride, spec.pad)
-            h = correlate2d(h, model.expanded_filter(i), geom, pool=pool, relu=relu, affine=affine)
+            epilogue, end = _epilogue(model, i)
+            h = correlate2d(h, model.expanded_filter(i), ConvGeometry(spec.stride, spec.pad), epilogue=epilogue)
         else:
             h, end = kinds[spec.kind].forward(model, i, h, False, None)[0], i + 1
         i = end
@@ -631,19 +622,19 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     as the next runs.
 
     An eval-mode pass fuses. Each layer whose step in `kinds` is the
-    filter step (`correlate2d` on `Model.expanded_filter`) hands
-    `correlate2d` an epilogue (see `conv`): the layers after it that can
-    be finished per GEMM block, namely dropouts (the identity in eval)
-    and at most one ReLU, one max pool and one group batch norm, with no
-    ReLU after the batch norm, so no full-resolution map before a pool is
-    stored. The batch norm runs as its eval affine a*x + b
-    (`GroupBatchNorm.affine`, one value per group, repeated over the
-    group's channels) after the pool and the ReLU. Pooling first is exact
-    when the pool comes before the batch norm, or when every a > 0 and,
-    unless a ReLU comes before the batch norm, no b is -0; otherwise the
-    epilogue ends before the pool, which runs its own step. Every other
-    layer, such as a step that rotates feature maps, runs its plain step.
-    The logits are the plain walk's bytes.
+    filter step (`correlate2d` on `Model.expanded_filter`) finishes, per
+    GEMM block, the whole run of dropout, ReLU, group batch norm and max
+    pool layers after it, in any number and order: its epilogue (see
+    `conv`). Dropouts are the identity in eval, and a batch norm runs as
+    its eval affine a*x + b (`GroupBatchNorm.affine`, one value per
+    group, repeated over the group's channels). The steps run in stack
+    order with one exception: each max pool moves ahead of the ReLUs and
+    batch norms before it, back to the previous pool, but passes a batch
+    norm only when every a > 0 and every a and b is finite. So no
+    full-resolution map before a pool is stored, and the logits are the
+    plain walk's bytes (`conv` says why moving a pool is exact). Every
+    other layer, such as a step that rotates feature maps, runs its
+    plain step.
 
     Train mode walks the plain steps and keeps each activation once. A
     step whose backward reads its input (the conv-like kinds, `max_pool`,

@@ -3,9 +3,10 @@
 Everything here is written as plainly as possible (explicit loops,
 index formulas straight from the definitions) and never calls the
 library code it is used to check. `plain_train_walk` checks the train
-walk's caching, not the layers: it runs the library's own layer
-functions and keeps everything. `fresh_thread_peak` is the one
-measuring helper.
+walk's caching and `plain_eval_walk` the eval walk's fusion, not the
+layers: they run the library's own layer steps, one at a time.
+`random_batchnorm` and `TIED_PRESETS` set up the models they are run
+on. `fresh_thread_peak` is the one measuring helper.
 """
 
 import threading
@@ -352,6 +353,29 @@ def per_image_rotate_dataset_arbitrary(images, seed):
         )
         out[k, 0] = rotated.astype(img.dtype)
     return out
+
+
+TIED_PRESETS = [name for name in network.PRESETS if any(s.kind in network.TIED_KINDS for s in network.preset_stack(name))]
+
+
+def random_batchnorm(model, rng):
+    """Give every batch norm random statistics and affine parameters, gamma > 0."""
+    for i, state in model.state.items():
+        shape = state["mean"].shape
+        state["mean"] = rng.standard_normal(shape).astype(model.dtype)
+        state["var"] = rng.uniform(0.5, 2.0, shape).astype(model.dtype)
+        model.params[i]["gamma"] = rng.uniform(0.5, 2.0, shape).astype(model.dtype)
+        model.params[i]["beta"] = rng.standard_normal(shape).astype(model.dtype)
+    return model
+
+
+def plain_eval_walk(model, x, kinds=network.KINDS):
+    """Eval logits of every layer's own step in `kinds` in turn, each input freed
+    as the next layer runs: the walk with no epilogue."""
+    h = x.astype(model.dtype, copy=False)
+    for i, spec in enumerate(model.specs):
+        h = kinds[spec.kind].forward(model, i, h, False, None)[0]
+    return h.reshape(h.shape[0], -1)
 
 
 def plain_train_walk(model, x, rng=None):

@@ -19,7 +19,7 @@ from roteq.bench import (
     report_csv,
     time_forward,
 )
-from test_network import TIED_PRESETS, plain_eval_walk, random_batchnorm
+from reference import TIED_PRESETS, plain_eval_walk, random_batchnorm
 
 
 def test_memory_model_worked_example():
@@ -158,12 +158,13 @@ def test_tracer_bindings_resolve(monkeypatch):
 def test_tracer_times_every_batchnorm_step(rng):
     # the tracer patches GroupBatchNorm's static methods on the class and
     # restores them as the plain functions it read; calls through the class
-    # are timed, and run the same after the restore
+    # are timed, and run the same after the restore. The batch norm after
+    # gap follows no filter step, so the eval forward runs its pass
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    stack = "cycle:g2:k3,relu,bn,isotonic:g2:k1,relu,bn,decycle:c10:k1,bn,gap"
+    stack = "cycle:g2:k3,relu,bn,isotonic:g2:k1,relu,bn,decycle:c10:k1,bn,gap,bn"
     model = network.build_model(network.parse_layer_stack(stack), precision="float64")
     random_batchnorm(model, rng)
     x = rng.random((4, 1, 9, 9))
@@ -180,7 +181,9 @@ def test_tracer_times_every_batchnorm_step(rng):
     with t.installed():
         logits, cache = network.forward(model, x, mode="train")
         network.backward(model, cache, np.ones_like(logits))
-    assert t.calls["eqlayers.GroupBatchNorm.forward"] == len(model.state) == 3
+        assert t.calls["eqlayers.GroupBatchNorm.forward"] == len(model.state) == 4
+        network.forward(model, x, mode="eval")
+    assert t.calls["eqlayers.GroupBatchNorm.forward"] == len(model.state) + 1
     assert t.calls["eqlayers.GroupBatchNorm.backward"] == len(model.state)
     assert step_bytes() == before
 

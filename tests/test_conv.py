@@ -143,57 +143,66 @@ def test_blocked_lowering_is_bit_identical_on_preset_layers(monkeypatch, rng, pr
         assert_blocking_is_exact(monkeypatch, rng, shape, w, geom)
 
 
-def plain_steps(h, pool, relu, affine, pool_last):
-    """The plain ReLU, batch-norm eval affine (as `GroupBatchNorm.forward`
-    runs it) and max pool over a whole output, the pool first or last."""
-    if pool is not None and not pool_last:
-        h = max_pool2d(h, *pool)
-    if relu:
-        h = np.maximum(h, 0)
-    if affine is not None:
-        h = h * affine[0].reshape(-1, 1, 1)
-        h += affine[1].reshape(-1, 1, 1)
-    return max_pool2d(h, *pool) if pool is not None and pool_last else h
+def plain_steps(h, epilogue):
+    """`correlate2d`'s epilogue steps in order, each over a whole output as
+    the plain ReLU, max pool and batch-norm eval affine (as
+    `GroupBatchNorm.forward` runs it) do."""
+    for step, *args in epilogue:
+        if step == "max_pool":
+            h = max_pool2d(h, *args)
+        elif step == "relu":
+            h = np.maximum(h, 0)
+        else:
+            h = h * args[0].reshape(-1, 1, 1)
+            h += args[1].reshape(-1, 1, 1)
+    return h
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("geom", [ConvGeometry(), ConvGeometry(pad=1), ConvGeometry(stride=2)])
 def test_epilogue_gives_the_plain_steps_bytes(monkeypatch, rng, dtype, geom):
-    # pool first, then ReLU and affine, per block, is the plain steps over the
-    # whole output, bit for bit: NaN windows, all-zero windows and signed
-    # zeros included, over several blocks. The pool may also come last in
-    # the plain steps when every a > 0 and, without a ReLU, no b is -0
+    # the epilogue's steps per block, in their order, are the plain steps over
+    # the whole output, bit for bit: NaN windows, all-zero windows and signed
+    # zeros included, over several blocks, with no pool, one or two. Pools
+    # moved ahead of ReLUs and of affines with a > 0 and no b = -0 give the
+    # same bytes
     x = rng.standard_normal((9, 3, 13, 13)).astype(dtype)
     x[2, :, :6, :6] = 0
     x[4, 1, 7, 8] = np.nan
     w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
     positive = rng.uniform(0.5, 2.0, 4).astype(dtype), rng.standard_normal(4).astype(dtype)
     positive[1][0] = 0.0
-    minus_zero = positive[0], np.array([0.3, -0.0, 0.0, -0.2], dtype=dtype)
     negative = np.array([-1.5, 0.7, -0.0, -2.0], dtype=dtype), np.array([-0.0, 0.3, 0.0, -0.2], dtype=dtype)
     monkeypatch.setattr(conv, "_BLOCK_BYTES", 3 * (27 + 4) * 13 * 15 * x.itemsize)  # 3 or 4 images a block at stride 1
     plain = correlate2d(x, w, geom)
     zero_signs = set()
-    for pool in (None, (2, 2), (3, 2)):
-        for affine in (None, positive, minus_zero, negative):
-            for relu in (False, True):
-                got = correlate2d(x, w, geom, pool=pool, relu=relu, affine=affine)
+    for pools in ((), (("max_pool", 2, 2),), (("max_pool", 3, 2), ("max_pool", 2, 1))):
+        for affine in (positive, negative):
+            relu, scale = ("relu",), ("affine", *affine)
+            for rest in ((), (relu,), (scale,), (relu, scale), (scale, relu), (relu, scale, relu, scale)):
+                got = correlate2d(x, w, geom, epilogue=pools + rest)
                 assert np.isnan(got).any()
-                assert_same_bits(got, plain_steps(plain, pool, relu, affine, pool_last=False))
-                if affine is None or affine is positive or affine is minus_zero and relu:
-                    assert_same_bits(got, plain_steps(plain, pool, relu, affine, pool_last=True))
+                assert got.shape == plain_steps(plain, pools).shape
+                assert_same_bits(got, plain_steps(plain, pools + rest))
+                if affine is positive:
+                    assert_same_bits(got, plain_steps(plain, rest + pools))
                 zero_signs.update(np.signbit(got[got == 0]))
     assert zero_signs == {False, True}
+
+
+def test_epilogue_rejects_an_unknown_step(rng):
+    with pytest.raises(ValueError, match="unknown epilogue step 'gap'"):
+        correlate2d(rng.standard_normal((1, 1, 4, 4)), np.ones((1, 1, 3, 3)), epilogue=(("gap",),))
 
 
 def test_a_minus_zero_shift_does_not_commute_with_the_pool():
     # a*x underflows a tiny x to a zero of its sign, and adding b = -0 keeps
     # it: the window's last zero is -0 when the affine runs first, while the
-    # pool first keeps the largest x, whose zero is +0. So a batch norm with
-    # a b = -0 and no ReLU before it cannot take its pool first
+    # pool first keeps the largest x, whose zero is +0. So
+    # `GroupBatchNorm.affine` adds +0 to its b, which turns -0 into +0
     x = np.array([1e-40, -1.0, -1.0, -1e-40], dtype=np.float32).reshape(1, 1, 2, 2)
-    affine = np.array([1e-10], dtype=np.float32), np.array([-0.0], dtype=np.float32)
-    last, first = (plain_steps(x, (2, 2), False, affine, pool_last) for pool_last in (True, False))
+    pool, affine = ("max_pool", 2, 2), ("affine", np.array([1e-10], dtype=np.float32), np.array([-0.0], dtype=np.float32))
+    last, first = plain_steps(x, (affine, pool)), plain_steps(x, (pool, affine))
     assert last == first == 0
     assert np.signbit(last) and not np.signbit(first)
 

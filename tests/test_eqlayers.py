@@ -487,6 +487,22 @@ def test_eval_batchnorm_is_one_scale_and_shift(rng, dtype, tol):
     assert max_rel(y, (gamma * xhat + beta).reshape(x.shape)) <= tol
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_batchnorm_shift_is_never_minus_zero(dtype):
+    # beta - mean*a is -0 for beta = -0 and mean*a = +0; adding +0 makes that
+    # +0 and leaves every other shift's bytes, so the eval map returns no -0
+    bn = eqlayers.GroupBatchNorm
+    params = {"gamma": np.array([1.0, -1.0, 2.0, 0.5], dtype=dtype), "beta": np.array([-0.0, -0.0, 0.0, 0.3], dtype=dtype)}
+    state = {"mean": np.array([0.0, 0.0, -0.0, 1.5], dtype=dtype), "var": np.ones(4, dtype=dtype)}
+    a, b = bn.affine(params, state)
+    want = params["beta"] - state["mean"] * a
+    assert np.signbit(want).tolist() == [True, False, False, True]
+    assert b.dtype == dtype and b.tolist() == want.tolist() and not np.signbit(b[:3]).any()
+    assert b[3].tobytes() == want[3].tobytes()
+    y, _, _ = bn.forward(np.array([-0.0, 0.0, -0.0, 0.0], dtype=dtype).reshape(1, 4, 1, 1), params, state, train=False)
+    assert not np.signbit(y[:, :3]).any()
+
+
 def test_eval_batchnorm_allocates_only_its_output(rng):
     bn, _, params, state = eval_batchnorm_case(rng, np.float32)
     x = rng.standard_normal((64, 20, 26, 26), dtype=np.float32)  # a dren-z2cnn-shape activation

@@ -494,7 +494,7 @@ def test_backward_gives_the_bytes_of_a_walk_that_keeps_every_input(stack, precis
     preset = stack in PRESETS
     specs = preset_stack(stack) if preset else parse_layer_stack(REBUILD_STACKS[stack])
     size = 28 if preset else 12
-    model = random_batchnorm(build_model(specs, precision=precision, input_size=size), np.random.default_rng(3))
+    model = reference.random_batchnorm(build_model(specs, precision=precision, input_size=size), np.random.default_rng(3))
     x = np.random.default_rng(4).random((16, 1, size, size))
     logits, cache = forward(model, x, mode="train", rng=np.random.default_rng(5))
     _, grad = softmax_cross_entropy(logits, np.arange(16) % 10)
@@ -558,15 +558,6 @@ def test_backward_rejects_an_eval_cache(rng):
         backward(model, cache, grad)
 
 
-def plain_eval_walk(model, x, kinds=KINDS):
-    """Eval logits of every layer's own step in `kinds` in turn, each input freed
-    as the next layer runs: the walk with no epilogue and no batch-norm fold."""
-    h = x.astype(model.dtype, copy=False)
-    for i, spec in enumerate(model.specs):
-        h = kinds[spec.kind].forward(model, i, h, False, None)[0]
-    return h.reshape(h.shape[0], -1)
-
-
 def test_eval_forward_peak_matches_a_cache_free_walk():
     # each layer's cache and input are freed before the next layer runs
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
@@ -574,23 +565,12 @@ def test_eval_forward_peak_matches_a_cache_free_walk():
     forward(model, x, mode="eval")  # expand the filter banks outside the measurement
 
     peaks = []
-    for run in (lambda: forward(model, x, mode="eval"), lambda: plain_eval_walk(model, x)):
+    for run in (lambda: forward(model, x, mode="eval"), lambda: reference.plain_eval_walk(model, x)):
         tracemalloc.start()
         run()
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] <= 1.02 * peaks[1], peaks
-
-
-def random_batchnorm(model, rng):
-    """Give every batch norm random statistics and affine parameters, gamma > 0."""
-    for i, state in model.state.items():
-        shape = state["mean"].shape
-        state["mean"] = rng.standard_normal(shape).astype(model.dtype)
-        state["var"] = rng.uniform(0.5, 2.0, shape).astype(model.dtype)
-        model.params[i]["gamma"] = rng.uniform(0.5, 2.0, shape).astype(model.dtype)
-        model.params[i]["beta"] = rng.standard_normal(shape).astype(model.dtype)
-    return model
 
 
 def counted_batchnorm_passes(monkeypatch):
@@ -613,11 +593,11 @@ def test_fused_eval_matches_the_plain_walk(rng, monkeypatch, preset, precision):
     # every batch norm of the presets is finished in the epilogue of the
     # filter step before it, so none runs its own pass, and the logits are
     # the plain walk's bytes at every batch size
-    model = random_batchnorm(build_model(preset_stack(preset), precision=precision, input_size=28), rng)
+    model = reference.random_batchnorm(build_model(preset_stack(preset), precision=precision, input_size=28), rng)
     passes = counted_batchnorm_passes(monkeypatch)
     for batch in (8, 64, 256):
         x = rng.random((batch, 1, 28, 28))
-        want = plain_eval_walk(model, x)
+        want = reference.plain_eval_walk(model, x)
         passes.clear()
         fused, _ = forward(model, x, mode="eval")
         assert passes == []
@@ -629,7 +609,7 @@ def test_fused_eval_matches_the_plain_walk(rng, monkeypatch, preset, precision):
 @pytest.mark.parametrize("preset", ["dren-z2cnn-shape", "z2cnn-shape"])
 def test_a_copy_of_kinds_gives_the_kinds_bytes(rng, preset, precision):
     # the eval walk reads the steps of the table it is given, whatever its identity
-    model = random_batchnorm(build_model(preset_stack(preset), precision=precision, input_size=28), rng)
+    model = reference.random_batchnorm(build_model(preset_stack(preset), precision=precision, input_size=28), rng)
     x = rng.random((8, 1, 28, 28))
     want, _ = forward(model, x, mode="eval")
     copied, _ = forward(model, x, mode="eval", kinds=dict(KINDS))
@@ -642,12 +622,12 @@ def test_batchnorm_before_a_map_step_runs_its_plain_pass(rng, monkeypatch):
     # five that follow an isotonic layer run their own passes
     kinds = {**KINDS, "isotonic": dataclasses.replace(KINDS["isotonic"], forward=bench._rotate_maps_forward)}
     model = build_model(preset_stack("dren-z2cnn-shape"), precision="float64", input_size=28)
-    random_batchnorm(model, rng)
+    reference.random_batchnorm(model, rng)
     x = rng.random((8, 1, 28, 28))
     passes = counted_batchnorm_passes(monkeypatch)
     walked, _ = forward(model, x, mode="eval", kinds=kinds)
     assert len(passes) == len(model.state) - 1 == 5
-    assert walked.tobytes() == plain_eval_walk(model, x, kinds).tobytes()
+    assert walked.tobytes() == reference.plain_eval_walk(model, x, kinds).tobytes()
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -661,35 +641,33 @@ def test_batchnorm_before_a_map_step_runs_its_plain_pass(rng, monkeypatch):
     ],
 )
 def test_batchnorm_that_cannot_fold_runs_its_plain_pass(rng, monkeypatch, stack, batchnorm, precision):
-    # a batch norm before a padded layer, before gap or after a ReLU is
-    # finished in the epilogue of the filter step before it (a ReLU after it
-    # ends that epilogue), and the walk gives the plain walk's bytes. A
-    # gamma < 0 before the max pool ends the epilogue before the pool, which
-    # runs its own step
-    model = random_batchnorm(build_model(parse_layer_stack(stack), precision=precision, input_size=28), rng)
+    # a batch norm before a padded layer, before gap, before a ReLU or after
+    # one is finished in the epilogue of the filter step before it, and the
+    # walk gives the plain walk's bytes. A gamma < 0 keeps the max pool after
+    # the batch norm, and the pool runs in the epilogue too
+    model = reference.random_batchnorm(build_model(parse_layer_stack(stack), precision=precision, input_size=28), rng)
     if stack == "@dren-z2cnn-shape":
         model.params[batchnorm]["gamma"][2] *= -1
     x = rng.random((8, 1, 28, 28))
     passes, pools = counted_batchnorm_passes(monkeypatch), counted_pool_steps(monkeypatch)
     fused, _ = forward(model, x, mode="eval")
-    assert passes == []
-    assert len(pools) == (stack == "@dren-z2cnn-shape")
-    assert fused.tobytes() == plain_eval_walk(model, x).tobytes()
+    assert (passes, pools) == ([], [])
+    assert fused.tobytes() == reference.plain_eval_walk(model, x).tobytes()
 
 
 @pytest.mark.parametrize(
-    "stack,beta,pool_steps",
+    "stack,beta",
     [
-        ("conv:c8:k3,bn,maxpool:k2:s2,conv:c10:k3,gap", -0.0, 1),
-        ("conv:c8:k3,bn,maxpool:k2:s2,conv:c10:k3,gap", 0.0, 0),
-        ("conv:c8:k3,relu,bn,maxpool:k2:s2,conv:c10:k3,gap", -0.0, 0),
-        ("conv:c8:k3,maxpool:k2:s2,bn,conv:c10:k3,gap", -0.0, 0),
+        ("conv:c8:k3,bn,maxpool:k2:s2,conv:c10:k3,gap", -0.0),
+        ("conv:c8:k3,bn,maxpool:k2:s2,conv:c10:k3,gap", 0.0),
+        ("conv:c8:k3,relu,bn,maxpool:k2:s2,conv:c10:k3,gap", -0.0),
+        ("conv:c8:k3,maxpool:k2:s2,bn,conv:c10:k3,gap", -0.0),
     ],
 )
-def test_a_minus_zero_shift_without_a_relu_ends_the_epilogue_before_the_pool(rng, monkeypatch, stack, beta, pool_steps):
-    # b = beta - mean*a is -0 for beta = -0 and mean 0; with no ReLU before
-    # the batch norm and the pool after it, pooling first is not exact (see
-    # conv), so the pool runs its own step. The batch norm stays in the epilogue
+def test_a_minus_zero_beta_moves_no_pool_out_of_the_epilogue(rng, monkeypatch, stack, beta):
+    # b = beta - mean*a + 0 is +0 for beta = -0 and mean 0, so the pool moves
+    # ahead of the batch norm with or without a ReLU before it (see conv), and
+    # neither runs its own step
     model = build_model(parse_layer_stack(stack), precision="float32", input_size=14)
     bn = next(i for i, spec in enumerate(model.specs) if spec.kind == "group_batchnorm")
     model.params[bn]["gamma"] = rng.uniform(0.5, 2.0, 8).astype(np.float32)
@@ -697,8 +675,85 @@ def test_a_minus_zero_shift_without_a_relu_ends_the_epilogue_before_the_pool(rng
     x = rng.standard_normal((8, 1, 14, 14))
     passes, pools = counted_batchnorm_passes(monkeypatch), counted_pool_steps(monkeypatch)
     fused, _ = forward(model, x, mode="eval")
-    assert (passes, len(pools)) == ([], pool_steps)
-    assert fused.tobytes() == plain_eval_walk(model, x).tobytes()
+    assert (passes, pools) == ([], [])
+    assert fused.tobytes() == reference.plain_eval_walk(model, x).tobytes()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_a_pool_does_not_move_ahead_of_an_infinite_affine(rng, monkeypatch, precision):
+    # a = gamma/sqrt(var + eps) = inf and b = beta - mean*a = inf in one
+    # channel: a*x is NaN where the ReLU left a zero and inf elsewhere, so a
+    # window's maximum taken first does not give the affine's maximum. The
+    # pool stays after the batch norm, inside the epilogue
+    model = build_model(parse_layer_stack("conv:c4:k3,relu,bn,maxpool:k2:s2"), 3, precision=precision, input_size=10)
+    model.params[2]["gamma"][1] = np.inf
+    model.state[2]["mean"][1] = -1.0
+    x = rng.standard_normal((8, 3, 10, 10))
+    with np.errstate(invalid="ignore"):
+        want = reference.plain_eval_walk(model, x)
+        pools = counted_pool_steps(monkeypatch)
+        fused, _ = forward(model, x, mode="eval")
+    assert pools == []
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    assert fused.tobytes() == want.tobytes()
+
+
+def counting_table(calls, names=("relu", "group_batchnorm", "max_pool")):
+    """`KINDS` with the forward steps of `names` appending their kind to `calls`."""
+
+    def counted(name):
+        step = KINDS[name].forward
+        return dataclasses.replace(KINDS[name], forward=lambda *args: calls.append(name) or step(*args))
+
+    return {**KINDS, **{name: counted(name) for name in names}}
+
+
+EPILOGUE_RUN = ("dropout:r0.5", "relu", "bn", "maxpool:k2:s2", "maxpool:k2:s1")
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    head=st.sampled_from(["conv:c6:k3", "cycle:g2:k3"]),
+    run=st.lists(st.sampled_from(EPILOGUE_RUN), min_size=1, max_size=6),
+    side=st.integers(1, 2),
+    precision=st.sampled_from(["float32", "float64"]),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+@example(head="conv:c6:k3", run=["bn", "maxpool:k2:s2"], side=2, precision="float32", draw_seed=0)
+@example(head="cycle:g2:k3", run=["relu", "bn", "relu", "maxpool:k2:s2", "bn", "maxpool:k2:s1"], side=1,
+         precision="float64", draw_seed=1)
+def test_any_run_after_a_filter_step_fuses_to_the_plain_walks_bytes(head, run, side, precision, draw_seed):
+    # any run of dropouts, ReLUs, batch norms and pools after a filter step is
+    # its epilogue: no ReLU, batch norm or pool runs its own step, and the
+    # logits are the plain walk's bytes. Half the batch norms have gammas of
+    # both signs, some gammas are so small that a*x underflows to a signed
+    # zero, and some batch norms have beta = -0 and mean 0; the images come
+    # at scales 1 to 1e-3, and their top rows are zero
+    size = side  # of the last pool's output; each pool's window fits its input exactly
+    for spec in reversed(parse_layer_stack(",".join(run))):
+        if spec.kind == "max_pool":
+            size = (size - 1) * spec.stride + spec.kernel
+    tail = "gpmax" if head.startswith("cycle") else "conv:c3:k1"
+    model = build_model(parse_layer_stack(",".join([head, *run, tail])), precision=precision, input_size=size + 2)
+    rng = np.random.default_rng(draw_seed)
+    for i, state in model.state.items():
+        shape = state["mean"].shape
+        gamma = rng.uniform(0.5, 2.0, shape) * np.where(rng.random(shape) < rng.choice([0.0, 0.5]), -1.0, 1.0)
+        if rng.random() < 0.3:  # a*x underflows to a zero of x's sign for |x| < 1/2
+            gamma *= np.finfo(precision).smallest_subnormal
+        minus_zero = rng.random() < 0.5
+        state["mean"] = np.zeros(shape) if minus_zero else rng.standard_normal(shape)
+        state["var"] = rng.uniform(0.5, 2.0, shape)
+        model.params[i] = {"gamma": gamma, "beta": np.full(shape, -0.0) if minus_zero else rng.standard_normal(shape)}
+        for arrays in (state, model.params[i]):
+            arrays.update({k: v.astype(precision) for k, v in arrays.items()})
+    x = rng.standard_normal((3, 1, size + 2, size + 2)) * 10.0 ** -rng.integers(0, 4, (3, 1, 1, 1))
+    x[:, :, : size // 2 + 1] = 0
+    calls = []
+    fused, _ = forward(model, x, mode="eval", kinds=counting_table(calls))
+    assert calls == []
+    assert fused.tobytes() == reference.plain_eval_walk(model, x).tobytes()
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -706,24 +761,28 @@ def test_a_minus_zero_shift_without_a_relu_ends_the_epilogue_before_the_pool(rng
 def test_epilogue_takes_the_bank_and_one_affine_per_group(rng, monkeypatch, state, precision):
     # each filter step multiplies by its own expanded bank, unscaled, and each
     # batch norm's a and b are alike over the four slots of a tied group, so
-    # the eval model stays exactly equivariant
+    # the eval model stays exactly equivariant. The max pool runs first in its
+    # epilogue, on the GEMM result, and the decycle head has none
     model = build_model(preset_stack("dren-z2cnn-shape"), precision=precision, input_size=28)
     if state == "random":
-        random_batchnorm(model, rng)
+        reference.random_batchnorm(model, rng)
     calls, real = [], network.correlate2d
 
-    def record(x, w, geom, *, pool, relu, affine):
-        calls.append((w, affine))
-        return real(x, w, geom, pool=pool, relu=relu, affine=affine)
+    def record(x, w, geom, *, epilogue):
+        calls.append((w, [step[1:] for step in epilogue if step[0] == "affine"]))
+        order.append([step[0] for step in epilogue])
+        return real(x, w, geom, epilogue=epilogue)
 
+    order = []
     monkeypatch.setattr(network, "correlate2d", record)
     forward(model, rng.random((4, 1, 28, 28)), mode="eval")
     convs = [i for i, spec in enumerate(model.specs) if spec.kind in network.TIED_KINDS]
     assert len(calls) == len(convs)
-    assert sum(affine is not None for _, affine in calls) == len(model.state)
-    for i, (w, affine) in zip(convs, calls):
+    assert order == [["relu", "affine"], ["max_pool", "relu", "affine"], *[["relu", "affine"]] * 4, []]
+    assert sum(len(affines) for _, affines in calls) == len(model.state)
+    for i, (w, affines) in zip(convs, calls):
         assert w.tobytes() == model.expanded_filter(i).tobytes(), i
-        for values in affine or ():
+        for values in (v for affine in affines for v in affine):
             assert values.dtype == np.dtype(precision)
             slots = values.reshape(-1, 4)
             assert all(slots[:, j].tobytes() == slots[:, 0].tobytes() for j in range(1, 4)), i
@@ -1032,10 +1091,9 @@ def turned_gradient_gap(preset: str) -> float:
     return cli._turned_gradient_gap(preset_stack(preset), x, np.arange(8))
 
 
-TIED_PRESETS = [name for name in PRESETS if any(s.kind in network.TIED_KINDS for s in preset_stack(name))]
 
 
-@pytest.mark.parametrize("preset", TIED_PRESETS)
+@pytest.mark.parametrize("preset", reference.TIED_PRESETS)
 def test_parameter_gradients_are_invariant_under_input_turns(preset):
     # an invariant loss has the same gradient for R x as for x; train-mode
     # group batch norm keeps this, as its statistics turn with the whole batch
