@@ -698,14 +698,14 @@ def test_a_pool_does_not_move_ahead_of_an_infinite_affine(rng, monkeypatch, prec
     assert fused.tobytes() == want.tobytes()
 
 
-def counting_table(calls, names=("relu", "group_batchnorm", "max_pool")):
-    """`KINDS` with the forward steps of `names` appending their kind to `calls`."""
+def counting_table(calls):
+    """`KINDS` with the ReLU, batch-norm and max-pool steps appending their kind to `calls`."""
 
     def counted(name):
         step = KINDS[name].forward
         return dataclasses.replace(KINDS[name], forward=lambda *args: calls.append(name) or step(*args))
 
-    return {**KINDS, **{name: counted(name) for name in names}}
+    return {**KINDS, **{name: counted(name) for name in ("relu", "group_batchnorm", "max_pool")}}
 
 
 EPILOGUE_RUN = ("dropout:r0.5", "relu", "bn", "maxpool:k2:s2", "maxpool:k2:s1")
@@ -743,11 +743,10 @@ def test_any_run_after_a_filter_step_fuses_to_the_plain_walks_bytes(head, run, s
         if rng.random() < 0.3:  # a*x underflows to a zero of x's sign for |x| < 1/2
             gamma *= np.finfo(precision).smallest_subnormal
         minus_zero = rng.random() < 0.5
-        state["mean"] = np.zeros(shape) if minus_zero else rng.standard_normal(shape)
-        state["var"] = rng.uniform(0.5, 2.0, shape)
-        model.params[i] = {"gamma": gamma, "beta": np.full(shape, -0.0) if minus_zero else rng.standard_normal(shape)}
-        for arrays in (state, model.params[i]):
-            arrays.update({k: v.astype(precision) for k, v in arrays.items()})
+        mean = np.zeros(shape) if minus_zero else rng.standard_normal(shape)
+        state.update(mean=mean.astype(precision), var=rng.uniform(0.5, 2.0, shape).astype(precision))
+        beta = np.full(shape, -0.0) if minus_zero else rng.standard_normal(shape)
+        model.params[i].update(gamma=gamma.astype(precision), beta=beta.astype(precision))
     x = rng.standard_normal((3, 1, size + 2, size + 2)) * 10.0 ** -rng.integers(0, 4, (3, 1, 1, 1))
     x[:, :, : size // 2 + 1] = 0
     calls = []
