@@ -612,6 +612,9 @@ def _fused_eval(model: Model, h: np.ndarray, kinds: dict) -> np.ndarray:
     return h
 
 
+_EVAL_CHUNK = 128  # most images per chunk of an eval-mode `forward`
+
+
 def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds: dict = KINDS):
     """Run the stack; returns (logits, cache). Logits are (n, features).
 
@@ -620,6 +623,15 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     tied kinds' steps). An eval-mode pass keeps no layer caches and
     returns None for its cache, so each layer's input is freed as soon
     as the next runs.
+
+    An eval-mode pass runs the whole stack on one chunk of images at a
+    time: as few near-equal chunks (sizes differing by at most one) as
+    keep each at 128 images or fewer, each cast to the model's dtype on
+    its own, its flat logits written into one (n, features) array. So
+    the largest activation held is one chunk's, whatever the batch, and
+    each image's logits are the bytes of a one-call walk over its chunk
+    (`predict` says when that differs from a walk over the whole batch).
+    A batch of no images gives (0, features) logits.
 
     An eval-mode pass fuses. Each layer whose step in `kinds` is the
     filter step (`correlate2d` on `Model.expanded_filter`) finishes, per
@@ -649,10 +661,19 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    h = x.astype(model.dtype, copy=False)
+    n = x.shape[0]
     if mode == "eval":
-        h = _fused_eval(model, h, kinds)
-        return h.reshape(h.shape[0], -1), None
+        parts = max(1, -(-n // _EVAL_CHUNK))
+        for k in range(parts):
+            lo, hi = k * n // parts, (k + 1) * n // parts
+            h = _fused_eval(model, x[lo:hi].astype(model.dtype, copy=False), kinds)
+            if k == 0:
+                logits = np.empty((n, math.prod(h.shape[1:])), h.dtype)
+            logits[lo:hi] = h.reshape(hi - lo, logits.shape[1])
+        return logits, None
+    if n == 0:
+        raise ValueError("a train-mode forward needs at least one image; got a batch of 0")
+    h = x.astype(model.dtype, copy=False)
     caches = []
     new_state = {}
     for i, spec in enumerate(model.specs):
@@ -734,7 +755,13 @@ def predict(model: Model, images: np.ndarray) -> np.ndarray:
     fewer) to a kernel that rounds differently, so a batch of a few
     images, like the last partial batch here, can give logits up to
     ~4.2e-7 relative away from the same images inside a full batch.
-    That can flip a prediction only where the top two logits tie to
+    A partial batch of 129 to 255 images runs as two chunks, at least
+    one under 128 images (`forward`), and below 128 images the
+    1x1-output heads (the 10x320 GEMMs of the z2cnn shapes) meet that
+    kernel too: at 200 images, two chunks of 100 gave logits up to
+    8.3e-7 (float32) and 1.6e-15 (float64) of the largest logit away
+    from one walk over all 200.
+    Either can flip a prediction only where the top two logits tie to
     round-off.
     """
     out = []

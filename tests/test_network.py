@@ -605,6 +605,54 @@ def test_fused_eval_matches_the_plain_walk(rng, monkeypatch, preset, precision):
         assert fused.tobytes() == want.tobytes(), batch
 
 
+@pytest.mark.parametrize("batch", [1, 127, 128, 129, 200, 256, 300])
+def test_eval_forward_runs_as_few_near_equal_chunks_of_at_most_128_images(rng, monkeypatch, batch):
+    model = build_model(preset_stack("dren-small"), input_size=12)
+    sizes, real = [], network.correlate2d
+    monkeypatch.setattr(network, "correlate2d", lambda x, *args, **kw: sizes.append(len(x)) or real(x, *args, **kw))
+    logits, _ = forward(model, rng.random((batch, 1, 12, 12)), mode="eval")
+    steps = sum(KINDS[spec.kind].expand is not None for spec in model.specs)
+    chunks = sizes[::steps]
+    assert sizes == [size for size in chunks for _ in range(steps)]  # each chunk walks the whole stack
+    assert sum(chunks) == batch == len(logits)
+    assert len(chunks) == math.ceil(batch / 128)
+    assert max(chunks) <= 128 and max(chunks) - min(chunks) <= 1, chunks
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("strategy", list(bench.STRATEGIES))
+def test_each_chunk_gives_the_plain_walk_of_its_images(rng, strategy, precision):
+    # batch 200 runs as two chunks of 100, each the bytes of a one-call walk
+    # over its own images, under either strategy's table
+    model = build_model(preset_stack("dren-z2cnn-shape"), precision=precision, input_size=28)
+    reference.random_batchnorm(model, rng)
+    kinds = bench.STRATEGIES[strategy]
+    x = rng.random((200, 1, 28, 28))
+    want = np.concatenate([reference.plain_eval_walk(model, x[lo : lo + 100], kinds) for lo in (0, 100)])
+    chunked, _ = forward(model, x, mode="eval", kinds=kinds)
+    assert chunked.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("preset", ["dren-z2cnn-shape", "bench-nin-shape", "cnn-small"])
+def test_eval_forward_of_no_images_gives_empty_logits(preset, precision):
+    # the logit width is the last channel count times the square of the last size
+    model = build_model(preset_stack(preset), precision=precision, input_size=28)
+    _, channels, size = network.plan_layers(model.specs, 1, 28)
+    for strategy in bench.STRATEGIES.values():
+        logits, cache = forward(model, np.zeros((0, 1, 28, 28)), mode="eval", kinds=strategy)
+        assert cache is None
+        assert logits.shape == (0, channels[-1] * size**2) and logits.dtype == np.dtype(precision)
+
+
+def test_train_forward_of_no_images_raises_before_any_batch_statistics():
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" first
+        with pytest.raises(ValueError, match="at least one image"):
+            forward(model, np.zeros((0, 1, 28, 28)), mode="train", rng=np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("preset", ["dren-z2cnn-shape", "z2cnn-shape"])
 def test_a_copy_of_kinds_gives_the_kinds_bytes(rng, preset, precision):
@@ -788,14 +836,30 @@ def test_epilogue_takes_the_bank_and_one_affine_per_group(rng, monkeypatch, stat
 
 
 def test_eval_forward_at_batch_256_stores_no_map_before_its_pool():
-    # L4's 256x20x24x24 float32 output (11.8 MB) is pooled block by block
-    # before it is written; stored whole, the forward peaked at 44.1 MB.
-    # The fresh thread's peak counts the conv workspace.
+    # L4's 20x24x24 float32 output is pooled block by block before it is
+    # written; stored whole at batch 256 (11.8 MB), the forward peaked at
+    # 44.1 MB. Two chunks of 128 images peak at 16.0 MB (24.4 MB as one
+    # call). The fresh thread's peak counts the conv workspace.
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     x = np.random.default_rng(0).random((256, 1, 28, 28), dtype=np.float32)
     forward(model, x[:8], mode="eval")  # build the tying tables outside the measurement
     _, peak = reference.fresh_thread_peak(lambda: forward(model, x, mode="eval"))
-    assert peak <= 37e6, peak
+    assert peak <= 17.5e6, peak
+
+
+def test_warm_eval_forward_at_batch_256_holds_one_chunk():
+    # with the workspace allocated, the peak sits in one 128-image chunk,
+    # where L0's 20x26x26 output (6.9 MB) lives beside L4's pooled output:
+    # 8.6 MB (16.9 MB as one call, which held L0's output for all 256
+    # images, 13.8 MB)
+    model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
+    x = np.random.default_rng(0).random((256, 1, 28, 28), dtype=np.float32)
+    forward(model, x, mode="eval")  # warm the workspace and the tying tables
+    tracemalloc.start()
+    forward(model, x, mode="eval")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 9.0e6, peak
 
 
 def dren_z2cnn_step_peak(fresh_thread=True):
