@@ -155,7 +155,11 @@ convolution, Chellapilla et al. 2006), both halves walking the batch in
 near-equal blocks within `_BLOCK_BYTES` and taking every block buffer
 from the thread's workspace. Besides its two gradients a call allocates
 only the padded input (for pad > 0, as the forward does) and arrays the
-size of the filter bank.
+size of the filter bank. The filter half reads the input and finishes
+before col2im writes its first block, so a caller done with the input
+passes it as `out` and the input gradient is written over it, allocating
+nothing the input's size (`network.backward` does, above the lowest
+trainable layer).
 
 The filter gradient: a block's columns are the forward's own lowering,
 row runs where the forward takes them and otherwise the values of
@@ -257,7 +261,11 @@ momentum-SGD step of the preset, after one warm step, peaked at 22.0 MB
 against 29.0 MB, in a batch-norm backward over 19.7 MB of forward
 caches. Since the train walk keeps no batch norm's output and packs its
 ReLU and dropout masks 8 per byte (`network.forward`), the caches hold
-8.9 MB and the step peaks at 15.7 MB, still in that backward; the
+8.9 MB and the step peaked at 15.7 MB, still in that backward. With each
+max pool keeping a routing index instead of its input (below), and the
+batch norm and conv backward writing their input gradients over their
+spent xhat and input, the caches hold 9.1 MB and the step peaks at
+12.8 MB, in L7's batch-norm backward, with L7's forward at 12.7 MB; the
 workspace stays at the 4.1 MB the forward already needed.
 
 Max pooling is k^2 elementwise maxima: one (n, c, oh, ow) strided view
@@ -265,13 +273,23 @@ per kernel offset, folded into the output with `np.maximum`. Reducing
 the two inner axes of the 6-D patch view instead walks memory with
 short, widely strided inner loops; on a 256x20x26x26 float32 input
 with 2x2 windows that took 110.8 ms against 4.5 ms for the offset loop.
-The backward pass takes the forward's pooled output instead of pooling
-again, and routes each window's gradient to its first row-major maximum
-of it (a NaN winning its window) with a running "taken" mask, so no
-k^2-sized copy or argmax index array is built. Keeping that output costs
-no memory in any preset, as the conv-like layer after each pool caches
-the same array as its input; after a layer that caches no input (relu,
-say), a pool holds |x|/k^2 more until its backward.
+
+A train-mode pool keeps no input for its backward, only where each
+window's maximum came from: the pooling "switches" of Zeiler & Fergus
+(2013). `return_index` forms them during the same folds. Before
+folding offset j >= 1 into the running maximum, the entries that view j
+beats strictly take j as their index, so each window's index is its
+last strict improvement: the row-major offset of its first maximum, as
++0 and -0 compare equal. A NaN compares false with everything, so only
+when the pooled output holds one is the index formed again, by the
+"first hit" rule: per offset, the entries equal to the output or NaN
+and not yet taken. The index has the output's shape in the smallest
+unsigned dtype that holds k^2 - 1 (uint8 up to k = 16). The backward
+adds grad_out * (index == j) into zeros per offset, the same adds, in
+the same order, as routing from the input, so the same bytes, signed
+zeros included. On dren-z2cnn-shape at batch 64 the index is 0.18 MB
+where the pool's input, a batch norm's output the backward rebuilt from
+its xhat, was 2.9 MB.
 """
 
 import threading
@@ -483,11 +501,15 @@ def correlate2d_backward(
     geom: ConvGeometry = ConvGeometry(),
     *,
     input_grad: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Adjoints of correlate2d: gradients w.r.t. the input and the filters.
 
     With `input_grad=False` the input gradient is not formed and is
-    returned as None.
+    returned as None. Given `out`, an array of x's shape and of the
+    gradients' dtype, the input gradient is written into it; `out` may be
+    x itself, as the filter gradient has read all of x before the first
+    write.
     """
     oh, ow = _check_operands(x, w, geom)
     expected = (x.shape[0], w.shape[0], oh, ow)
@@ -495,6 +517,8 @@ def correlate2d_backward(
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output {expected}")
     (n, c), (o, _, kh, kw), s, pad = x.shape[:2], w.shape, geom.stride, geom.pad
     dtype = np.result_type(grad_out, x, w)
+    if out is not None and (out.shape != x.shape or out.dtype != dtype):
+        raise ValueError(f"out {out.shape} {out.dtype} does not match the input gradient {x.shape} {dtype}")
     item = dtype.itemsize
     xp = _pad_spatial(x, pad)
 
@@ -538,7 +562,7 @@ def correlate2d_backward(
     spread = gd.reshape(o, most, hp, wp)[:, :, : (oh - 1) * s + 1 : s, : (ow - 1) * s + 1 : s]
     acc_all, prod_all = np.split(scratch[o * most * plane :], [c * most * plane + tail])
     wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype).reshape(kh, kw * c, o)
-    grad_x = np.empty((n, c) + x.shape[2:], dtype=dtype)
+    grad_x = np.empty((n, c) + x.shape[2:], dtype=dtype) if out is None else out
     for lo, hi in bounds:
         b = hi - lo
         size = c * b * plane
@@ -563,40 +587,69 @@ def _pool_windows(shape: tuple, kernel: int, stride: int):
             yield (Ellipsis, slice(u, u + oh * stride, stride), slice(v, v + ow * stride, stride))
 
 
-def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+def _index_dtype(kernel: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every offset 0..kernel^2 - 1 of a window."""
+    return np.min_scalar_type(kernel * kernel - 1)
+
+
+def max_pool2d(x: np.ndarray, kernel: int, stride: int, *, return_index: bool = False):
     """Windowed spatial maximum per channel; NaN wins its window.
 
     A window whose maximum is zero and that holds both +0 and -0 returns
     its last zero in row-major order: the offsets fold in that order, and
     `np.maximum` returns its second operand when the two compare equal
     (numpy 2.4, float32 and float64, on every array size tried).
+
+    With `return_index` it returns (output, index): the row-major offset
+    u*kernel + v of each window's first maximum (its first NaN, if any),
+    in `_index_dtype(kernel)`, which `max_pool2d_backward` routes by.
     """
     windows = _pool_windows(x.shape, kernel, stride)
     out = x[next(windows)].copy()
-    for win in windows:
-        np.maximum(out, x[win], out=out)
-    return out
+    if not return_index:
+        for win in windows:
+            np.maximum(out, x[win], out=out)
+        return out
+    # a window's last strict improvement is its first maximum, NaN aside
+    offset = _index_dtype(kernel).type
+    index = np.zeros(out.shape, offset)
+    gt, step = np.empty(out.shape, bool), np.empty(out.shape, offset)
+    for j, win in enumerate(windows, start=1):
+        view = x[win]
+        np.greater(view, out, out=gt)
+        np.maximum(index, np.multiply(gt, offset(j), out=step), out=index)
+        np.maximum(out, view, out=out)
+    if np.isnan(out).any():  # a NaN compares false: route by each window's one first hit instead
+        index[...] = 0
+        taken = np.zeros(out.shape, dtype=bool)
+        for j, win in enumerate(_pool_windows(x.shape, kernel, stride)):
+            view = x[win]
+            hit = view == out
+            hit |= np.isnan(view)
+            hit &= ~taken
+            taken |= hit
+            index += np.multiply(hit, offset(j), out=step)
+    return out, index
 
 
-def max_pool2d_backward(grad_out: np.ndarray, x: np.ndarray, out: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+def max_pool2d_backward(grad_out: np.ndarray, index: np.ndarray, shape: tuple, kernel: int, stride: int) -> np.ndarray:
     """Route pooled gradients to the first (row-major) maximum of each window.
 
-    `out` is the forward's `max_pool2d(x, kernel, stride)`. A NaN counts
-    as its window's maximum, as it does for argmax. A turned input puts
-    another of a window's tied maxima first, so the gradient is
-    turn-invariant only away from positive ties (ties at zero under a
-    ReLU get a zero gradient either way).
+    `index` is the one `max_pool2d(x, kernel, stride, return_index=True)`
+    returned, and `shape` is x's. A NaN counts as its window's maximum, as
+    it does for argmax. A turned input puts another of a window's tied
+    maxima first, so the gradient is turn-invariant only away from
+    positive ties (ties at zero under a ReLU get a zero gradient either
+    way).
     """
-    expected = (*x.shape[:2], output_size(x.shape[2], kernel, stride), output_size(x.shape[3], kernel, stride))
-    if grad_out.shape != expected or out.shape != expected:
-        raise ValueError(f"grad_out {grad_out.shape} and pooled output {out.shape} must both be {expected}")
-    taken = np.zeros(out.shape, dtype=bool)
-    grad_x = np.zeros_like(x)
-    for win in _pool_windows(x.shape, kernel, stride):
-        view = x[win]
-        hit = view == out
-        hit |= np.isnan(view)
-        hit &= ~taken
-        taken |= hit
-        grad_x[win] += grad_out * hit
+    expected = (*shape[:2], output_size(shape[2], kernel, stride), output_size(shape[3], kernel, stride))
+    if grad_out.shape != expected or index.shape != expected:
+        raise ValueError(f"grad_out {grad_out.shape} and index {index.shape} must both be {expected}")
+    if index.dtype.kind != "u" or np.iinfo(index.dtype).max < kernel * kernel - 1:
+        raise ValueError(f"an index of dtype {index.dtype} cannot hold the offsets 0..{kernel * kernel - 1}")
+    if index.size and index.max() >= kernel * kernel:
+        raise ValueError(f"index holds offset {index.max()}, past the {kernel}x{kernel} window")
+    grad_x = np.zeros(shape, dtype=grad_out.dtype)
+    for j, win in enumerate(_pool_windows(shape, kernel, stride)):
+        grad_x[win] += grad_out * (index == j)
     return grad_x

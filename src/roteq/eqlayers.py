@@ -112,30 +112,39 @@ def collapse_decycle_grad(grad_w: np.ndarray) -> np.ndarray:
     return _collapse("decycle", grad_w, (c_out, four_g // 4, k, k))
 
 
-def group_cross_channel_pool(x: np.ndarray, mode: str = "max") -> np.ndarray:
-    """Per pixel, reduce the 4 cyclic channels of each group to one channel."""
+def group_cross_channel_pool(x: np.ndarray, mode: str = "max", *, return_index: bool = False):
+    """Per pixel, reduce the 4 cyclic channels of each group to one channel.
+
+    With `return_index` (max mode) it returns (output, index): per output
+    entry, the uint8 slot 0..3 of its group's first maximum (its first
+    NaN, if any), which `group_cross_channel_pool_backward` routes by.
+    """
     n, c, h, w = x.shape
     grouped = x.reshape(n, group_count(c), 4, h, w)
     if mode == "max":
-        return grouped.max(axis=2)
+        out = grouped.max(axis=2)
+        return (out, grouped.argmax(axis=2).astype(np.uint8)) if return_index else out
     if mode == "mean":
         return grouped.mean(axis=2)
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
-def group_cross_channel_pool_backward(grad_out: np.ndarray, x: np.ndarray, mode: str = "max") -> np.ndarray:
-    n, c, h, w = x.shape
-    grouped = x.reshape(n, group_count(c), 4, h, w)
+def group_cross_channel_pool_backward(grad_out: np.ndarray, mode: str = "max", index=None) -> np.ndarray:
+    """Gradient w.r.t. the (n, 4*g, h, w) input of a pool whose output
+    gradient is (n, g, h, w): in max mode each entry goes to the slot
+    `index` names (the forward's), in mean mode a quarter to each slot."""
+    n, g, h, w = grad_out.shape
     if mode == "max":
-        winner = grouped.argmax(axis=2)
-        grad = np.zeros_like(grouped)
+        if getattr(index, "shape", None) != grad_out.shape:
+            raise ValueError(f"max mode routes by the forward's index, of shape {grad_out.shape}")
+        grad = np.zeros((n, g, 4, h, w), dtype=grad_out.dtype)
         for i in range(4):
-            grad[:, :, i] = grad_out * (winner == i)
+            grad[:, :, i] = grad_out * (index == i)
     elif mode == "mean":
-        grad = np.broadcast_to(grad_out[:, :, None] / 4, grouped.shape).astype(x.dtype)
+        grad = np.repeat(grad_out[:, :, None] / 4, 4, axis=2)
     else:
         raise ValueError(f"unknown pooling mode {mode!r}")
-    return grad.reshape(n, c, h, w)
+    return grad.reshape(n, 4 * g, h, w)
 
 
 def global_spatial_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -183,10 +192,13 @@ class GroupBatchNorm:
     cache keeps that output: a train-mode `network.forward` drops it
     from the next layer's cache, and `network.backward` rebuilds it from
     xhat with `output`, the same two operations, so it has the same bits.
-    The backward pass reuses one buffer for go*xhat and
-    xhat*(grad_gamma/m) and subtracts and scales in place. Every value
-    is the one the plain two-pass formula gives, bit for bit, with fewer
-    full-size temporaries.
+    The backward pass writes over the cache it is given, which is spent
+    once it runs (the in-place backward of Rota Bulo et al. 2017): one
+    buffer takes go*xhat, then go - grad_beta/m, while xhat is scaled by
+    grad_gamma/m in place, and the input gradient, their difference
+    times gamma*inv_std, is written over xhat. Every value is the one the
+    plain two-pass formula gives, bit for bit, with one full-size
+    temporary.
 
     Eval mode folds the running statistics into one per-group scale and
     shift (`affine`), a = gamma/sqrt(var+eps) and b = beta - mean*a + 0,
@@ -255,18 +267,19 @@ class GroupBatchNorm:
 
     @staticmethod
     def backward(grad_out, params, cache):
-        """Returns (grad_x, grad_params) from the cache of a train-mode forward."""
+        """Returns (grad_x, grad_params) from the cache of a train-mode
+        forward; grad_x is written over the cache's xhat, which is spent."""
         go = grad_out.reshape(grad_out.shape[0], params["gamma"].size, -1)
         xhat = cache["xhat"].reshape(go.shape)
         grad_beta = go.sum(axis=(0, 2))
-        t = go * xhat  # reused below for xhat * grad_gamma / m
+        t = go * xhat  # reused below for go - grad_beta / m
         grad_gamma = t.sum(axis=(0, 2))
         m = go.shape[0] * go.shape[2]
-        np.multiply(xhat, (grad_gamma / m)[:, None], out=t)
-        grad_xg = go - (grad_beta / m)[:, None]
-        grad_xg -= t
-        grad_xg *= (params["gamma"] * cache["inv_std"])[:, None]
-        return grad_xg.reshape(grad_out.shape), {"gamma": grad_gamma, "beta": grad_beta}
+        np.subtract(go, (grad_beta / m)[:, None], out=t)
+        xhat *= (grad_gamma / m)[:, None]
+        np.subtract(t, xhat, out=xhat)
+        xhat *= (params["gamma"] * cache["inv_std"])[:, None]
+        return xhat.reshape(grad_out.shape), {"gamma": grad_gamma, "beta": grad_beta}
 
 
 __all__ = [

@@ -131,8 +131,7 @@ class Model:
 # layer steps: forward(model, i, h, train, rng) -> (output, cache, new state
 # or None); backward(model, i, grad, cache) -> (input grad, {name: grad} or None).
 # A conv-like step's backward also takes input_grad=False, and then
-# returns None for the input grad. A step whose backward reads its input
-# keeps it as cache[0] of a tuple (see `forward` for when it is None).
+# returns None for the input grad. `forward` says what each step keeps.
 
 
 def _filter_forward(model, i, h, train, rng):
@@ -142,8 +141,9 @@ def _filter_forward(model, i, h, train, rng):
 
 
 def _filter_backward(model, i, g, cache, input_grad=True):
-    x, geom = cache
-    g, grad_w = correlate2d_backward(g, x, model.expanded_filter(i), geom, input_grad=input_grad)
+    x, geom = cache  # spent once the filter gradient is formed, so the input gradient goes over it
+    out = x if input_grad else None
+    g, grad_w = correlate2d_backward(g, x, model.expanded_filter(i), geom, input_grad=input_grad, out=out)
     kind = KINDS[model.specs[i].kind]
     name = kind.params[0]
     return g, {name: kind.collapse(grad_w)}
@@ -220,8 +220,10 @@ def _dropout_backward(model, i, g, cache):
 
 def _max_pool_forward(model, i, h, train, rng):
     spec = model.specs[i]
-    out = max_pool2d(h, spec.kernel, spec.stride)
-    return out, (h, out), None
+    if not train:
+        return max_pool2d(h, spec.kernel, spec.stride), None, None
+    out, index = max_pool2d(h, spec.kernel, spec.stride, return_index=True)
+    return out, (index, h.shape), None
 
 
 def _max_pool_backward(model, i, g, cache):
@@ -230,11 +232,13 @@ def _max_pool_backward(model, i, g, cache):
 
 
 def _group_pool_forward(mode, model, i, h, train, rng):
-    return group_cross_channel_pool(h, mode), (h if mode == "max" else _shape_of(h),), None
+    if mode == "max" and train:
+        return *group_cross_channel_pool(h, mode, return_index=True), None
+    return group_cross_channel_pool(h, mode), None, None
 
 
-def _group_pool_backward(mode, model, i, g, cache):
-    return group_cross_channel_pool_backward(g, cache[0], mode), None
+def _group_pool_backward(mode, model, i, g, index):
+    return group_cross_channel_pool_backward(g, mode, index), None
 
 
 def _global_pool_forward(model, i, h, train, rng):
@@ -565,11 +569,13 @@ class ForwardCache:
     """What a train-mode `forward` keeps for `backward`, one entry per layer;
     an eval-mode `forward` keeps none and returns None in its place.
 
-    No entry holds a batch norm's output or a mask of a byte per entry
-    (`forward` says what each keeps instead). `backward` consumes it: it
-    takes the list (leaving `layer_caches` None) and frees each entry as
-    soon as that layer's step returns. A second `backward` on the same
-    cache raises ValueError; `new_state` stays readable.
+    No entry holds a batch norm's output, a max pool's input or a mask of
+    a byte per entry (`forward` says what each keeps instead), and no two
+    entries share memory. `backward` consumes it: it takes the list
+    (leaving `layer_caches` None), writes some input gradients over the
+    entries they came from, and frees each entry as soon as that layer's
+    step returns. A second `backward` on the same cache raises
+    ValueError; `new_state` stays readable.
     """
 
     layer_caches: list
@@ -649,15 +655,21 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     plain step.
 
     Train mode walks the plain steps and keeps each activation once. A
-    step whose backward reads its input (the conv-like kinds, `max_pool`,
-    `group_pool_max`) keeps it as `cache[0]`; where that input is the
+    step whose backward reads its input (the conv-like kinds and the map
+    table's tied steps) keeps it as `cache[0]`; where that input is the
     array a group batch norm returned, the walk stores None there
     instead, and `backward` rebuilds it from the batch norm's cached xhat
     right before that layer's step, with the forward's own operations
-    (`GroupBatchNorm.output`), so the step sees the same bytes. ReLU and
-    dropout steps keep their masks packed 8 entries per byte, and
-    `global_avg_pool` and `group_pool_mean` keep only their input's shape
-    and dtype.
+    (`GroupBatchNorm.output`), so the step sees the same bytes. A max
+    pool keeps, instead of its input, the offset of each window's first
+    maximum in the smallest unsigned dtype that holds k^2 - 1 (uint8 up
+    to k = 16; `conv.max_pool2d`) and the input's shape, and
+    `group_pool_max` the uint8 slot of each group's first maximum. ReLU
+    and dropout steps keep their masks packed 8 entries per byte,
+    `global_avg_pool` keeps only its input's shape and dtype, and
+    `group_pool_mean` keeps nothing. No two entries share memory, and
+    none shares the caller's images unless it is the lowest trainable
+    layer's, which `backward` never writes.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -697,7 +709,10 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
     peak holds only the caches of the layers still below it. An input
     that `forward` left out, a batch norm's output, is rebuilt from the
     batch norm's xhat right before the step that reads it and freed with
-    that step's entry.
+    that step's entry. Two steps write their input gradient over their
+    own spent entry instead of a new array: a conv-like layer over its
+    input, once its filter gradient is formed, and a batch norm over its
+    xhat. `grad_logits` and the caller's images are never written.
     """
     if cache is None:
         raise ValueError("backward needs the cache of a train-mode forward; an eval-mode one returns None")

@@ -148,7 +148,10 @@ def _first_max(img, top, left, kernel):
 
 
 def naive_max_pool2d(x, kernel, stride):
-    """Window maxima by explicit loops over every output position."""
+    """Window maxima by explicit loops over every output position. A NaN
+    wins its window; otherwise a later entry equal to the running maximum
+    replaces it, so a window whose maximum is zero returns its last zero
+    in row-major order, +0 or -0 (`conv.max_pool2d`'s rule)."""
     n, c, h, w = x.shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
@@ -157,7 +160,12 @@ def naive_max_pool2d(x, kernel, stride):
         for ch in range(c):
             for p in range(oh):
                 for q in range(ow):
-                    out[b, ch, p, q] = x[b, ch][_first_max(x[b, ch], p * stride, q * stride, kernel)]
+                    window = x[b, ch, p * stride : p * stride + kernel, q * stride : q * stride + kernel].ravel()
+                    best = window[0]
+                    for value in window[1:]:
+                        if best == best and (value != value or value >= best):
+                            best = value
+                    out[b, ch, p, q] = best
     return out
 
 
@@ -402,11 +410,13 @@ def plain_train_walk(model, x, rng=None):
         elif kind == "group_batchnorm":
             h, extra, new_state[i] = eqlayers.GroupBatchNorm.forward(h, model.params[i], model.state[i], True)
         elif kind == "max_pool":
-            h = extra = conv.max_pool2d(h, spec.kernel, spec.stride)
+            h, extra = conv.max_pool2d(h, spec.kernel, spec.stride, return_index=True)
         elif kind == "shared_bias":
             h = eqlayers.shared_bias_add(h, model.params[i]["bias"])
-        elif kind in ("group_pool_max", "group_pool_mean"):
-            h = eqlayers.group_cross_channel_pool(h, kind.rsplit("_", 1)[1])
+        elif kind == "group_pool_max":
+            h, extra = eqlayers.group_cross_channel_pool(h, "max", return_index=True)
+        elif kind == "group_pool_mean":
+            h = eqlayers.group_cross_channel_pool(h, "mean")
         else:
             assert kind == "global_avg_pool", kind
             h = eqlayers.global_spatial_avg_pool(h)
@@ -434,11 +444,11 @@ def plain_train_backward(model, kept, grad_out):
         elif spec.kind == "group_batchnorm":
             g, grads[i] = eqlayers.GroupBatchNorm.backward(g, model.params[i], extra)
         elif spec.kind == "max_pool":
-            g = conv.max_pool2d_backward(g, x_in, extra, spec.kernel, spec.stride)
+            g = conv.max_pool2d_backward(g, extra, x_in.shape, spec.kernel, spec.stride)
         elif spec.kind == "shared_bias":
             grads[i] = {"bias": eqlayers.shared_bias_backward(g)}
         elif spec.kind in ("group_pool_max", "group_pool_mean"):
-            g = eqlayers.group_cross_channel_pool_backward(g, x_in, spec.kind.rsplit("_", 1)[1])
+            g = eqlayers.group_cross_channel_pool_backward(g, spec.kind.rsplit("_", 1)[1], extra)
         else:
             g = eqlayers.global_spatial_avg_pool_backward(g, x_in)
     return grads

@@ -777,7 +777,7 @@ def test_max_pool_commutes_with_rotation_when_rule_holds(rng):
 def test_max_pool_backward_routes_to_argmax(rng):
     x = rng.standard_normal((2, 2, 4, 4))
     g = rng.standard_normal((2, 2, 2, 2))
-    gx = max_pool2d_backward(g, x, max_pool2d(x, 2, 2), 2, 2)
+    gx = max_pool2d_backward(g, max_pool2d(x, 2, 2, return_index=True)[1], x.shape, 2, 2)
     # every window's gradient lands on its maximum, everything else is zero
     for b in range(2):
         for c in range(2):
@@ -795,26 +795,53 @@ def test_max_pool_rejects_empty_windows_and_zero_stride():
     with pytest.raises(ValueError, match="positive"):
         max_pool2d(x, 0, 1)
     with pytest.raises(ValueError, match="positive"):
-        max_pool2d_backward(np.zeros((1, 1, 2, 2)), x, np.zeros((1, 1, 2, 2)), 2, 0)
+        max_pool2d_backward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2), np.uint8), x.shape, 2, 0)
 
 
 @pytest.mark.parametrize("grad_shape,out_shape", [((2, 3, 1, 1), (2, 3, 2, 2)), ((2, 3, 2, 2), (2, 3, 1, 1))])
 def test_max_pool_backward_rejects_misshaped_gradient_or_output(grad_shape, out_shape):
     # a (2, 3, 1, 1) array would broadcast over the (2, 3, 2, 2) windows
-    x = np.ones((2, 3, 4, 4))
-    message = re.escape(f"grad_out {grad_shape} and pooled output {out_shape} must both be (2, 3, 2, 2)")
+    message = re.escape(f"grad_out {grad_shape} and index {out_shape} must both be (2, 3, 2, 2)")
     with pytest.raises(ValueError, match=message):
-        max_pool2d_backward(np.ones(grad_shape), x, np.ones(out_shape), 2, 2)
+        max_pool2d_backward(np.ones(grad_shape), np.zeros(out_shape, np.uint8), (2, 3, 4, 4), 2, 2)
 
 
-POOL_FILLS = ("normal", "relu", "ties", "nan", "inf")
+@pytest.mark.parametrize(
+    "kernel,dtype", [(2, np.int8), (2, np.float32), (2, bool), (17, np.uint8), (300, np.uint16)]
+)
+def test_max_pool_backward_rejects_an_index_dtype_that_cannot_hold_every_offset(kernel, dtype):
+    # offsets run to kernel^2 - 1: 288 at k = 17 and 89,999 at k = 300
+    index = np.zeros((1, 1, 1, 1), dtype)
+    with pytest.raises(ValueError, match="cannot hold the offsets"):
+        max_pool2d_backward(np.ones((1, 1, 1, 1)), index, (1, 1, kernel, kernel), kernel, 1)
+
+
+@pytest.mark.parametrize("kernel,offset,dtype", [(2, 4, np.uint8), (3, 255, np.uint8), (17, 289, np.uint16)])
+def test_max_pool_backward_rejects_an_offset_past_the_window(kernel, offset, dtype):
+    index = np.zeros((1, 2, 2, 2), dtype)
+    index[0, 1, 1, 0] = offset
+    with pytest.raises(ValueError, match=f"offset {offset}, past the {kernel}x{kernel} window"):
+        max_pool2d_backward(np.ones(index.shape), index, (1, 2, kernel + 1, kernel + 1), kernel, 1)
+
+
+# values a pooling input is drawn from: quantized, so windows tie, and
+# holding +0 beside -0, NaN and the infinities
+POOL_VALUES = {
+    "ties": (-1.0, -0.5, 0.0, 0.5, 1.0),
+    "zeros": (-0.0, 0.0, -1.0),
+    "nan": (-1.0, -0.0, 0.0, 1.0, np.nan),
+    "inf": (-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf),
+    "all": (-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan),
+}
 
 
 @st.composite
 def pool_cases(draw):
-    """(x shape, kernel, stride, dtype, fill, numpy seed) for a pooling check."""
+    """(x shape, kernel, stride, dtype, values, numpy seed) for a pooling
+    check: strides up to the kernel, so windows overlap, tile, or leave
+    the last rows and columns uncovered."""
     kernel = draw(st.integers(1, 4))
-    stride = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, kernel))
     shape = (
         draw(st.integers(1, 2)),
         draw(st.integers(1, 3)),
@@ -822,22 +849,7 @@ def pool_cases(draw):
         kernel + draw(st.integers(0, 7)),
     )
     dtype = draw(st.sampled_from((np.float32, np.float64)))
-    return shape, kernel, stride, dtype, draw(st.sampled_from(POOL_FILLS)), draw(st.integers(0, 2**32 - 1))
-
-
-def pool_input(rng, shape, dtype, fill):
-    """Pooling input; `relu` and `ties` give tied maxima, `nan`/`inf` non-finite entries."""
-    if fill == "ties":
-        return rng.integers(-2, 3, shape).astype(dtype)
-    x = rng.standard_normal(shape)
-    if fill == "relu":
-        x = np.maximum(x, 0)
-    elif fill == "nan":
-        x[rng.random(shape) < 0.2] = np.nan
-    elif fill == "inf":
-        x[rng.random(shape) < 0.4] = -np.inf
-        x[rng.random(shape) < 0.1] = np.inf
-    return x.astype(dtype)
+    return shape, kernel, stride, dtype, draw(st.sampled_from(tuple(POOL_VALUES))), draw(st.integers(0, 2**32 - 1))
 
 
 def assert_same_bits(got, want):
@@ -847,22 +859,26 @@ def assert_same_bits(got, want):
 
 
 @seed(20240817)
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=120, deadline=None, database=None)
 @given(case=pool_cases())
-@example(case=((2, 3, 8, 8), 3, 1, np.float32, "relu", 1))  # overlapping windows
+@example(case=((2, 3, 8, 8), 3, 1, np.float32, "zeros", 1))  # overlapping windows
 @example(case=((1, 2, 9, 7), 3, 2, np.float64, "nan", 2))  # overlapping, stride 2
 @example(case=((2, 2, 27, 27), 2, 2, np.float32, "inf", 3))  # odd size: last row/column unused
 @example(case=((2, 2, 27, 27), 2, 2, np.float64, "ties", 4))
+@example(case=((1, 2, 20, 19), 17, 1, np.float32, "all", 5))  # 289 offsets: a uint16 index
+@example(case=((2, 1, 21, 18), 17, 3, np.float64, "ties", 6))
 def test_max_pool_matches_loop_reference_bit_for_bit(case):
-    shape, kernel, stride, dtype, fill, draw_seed = case
+    shape, kernel, stride, dtype, values, draw_seed = case
     rng = np.random.default_rng(draw_seed)
-    x = pool_input(rng, shape, dtype, fill)
+    x = rng.choice(POOL_VALUES[values], size=shape).astype(dtype)
     out = max_pool2d(x, kernel, stride)
-    assert_same_bits(out, naive_max_pool2d(x, kernel, stride))
     assert out.flags.c_contiguous
+    assert_same_bits(out, naive_max_pool2d(x, kernel, stride))
+    routed, index = max_pool2d(x, kernel, stride, return_index=True)
+    assert_same_bits(routed, out)
+    assert index.dtype == (np.uint16 if kernel > 16 else np.uint8) and index.shape == out.shape
     # dyadic gradients sum exactly in any order, so overlapping windows
     # can be compared bit for bit too
     g = (rng.integers(-8, 9, out.shape) / 4).astype(dtype)
-    assert_same_bits(
-        max_pool2d_backward(g, x, out, kernel, stride), naive_max_pool2d_backward(g, x, kernel, stride)
-    )
+    g[rng.random(out.shape) < 0.1] = -0.0
+    assert_same_bits(max_pool2d_backward(g, index, x.shape, kernel, stride), naive_max_pool2d_backward(g, x, kernel, stride))

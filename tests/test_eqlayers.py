@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -360,12 +361,22 @@ def test_group_pool_backward_at_ties_and_nan_matches_loop_reference(n, groups, h
     rng = np.random.default_rng(draw_seed)
     x = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, np.nan], size=(n, 4 * groups, h, w)).astype(dtype)
     go = rng.standard_normal((n, groups, h, w)).astype(dtype)
-    got = group_cross_channel_pool_backward(go, x, "max")
+    out, index = group_cross_channel_pool(x, "max", return_index=True)
+    assert out.tobytes() == group_cross_channel_pool(x, "max").tobytes()
+    assert index.dtype == np.uint8 and index.shape == go.shape
+    got = group_cross_channel_pool_backward(go, "max", index)
     assert got.dtype == dtype and got.shape == x.shape
     np.testing.assert_array_equal(got, reference.naive_group_pool_max_backward(go, x))
-    mean = group_cross_channel_pool_backward(go, x, "mean")
+    mean = group_cross_channel_pool_backward(go, "mean")
     assert mean.dtype == dtype
     np.testing.assert_array_equal(mean, np.repeat(go / 4, 4, axis=1))
+
+
+def test_group_pool_max_backward_needs_the_forward_index():
+    go = np.ones((1, 2, 3, 3))
+    for index in (None, np.zeros((1, 2, 3, 1), np.uint8)):
+        with pytest.raises(ValueError, match=re.escape("the forward's index, of shape (1, 2, 3, 3)")):
+            group_cross_channel_pool_backward(go, "max", index)
 
 
 def test_global_pool_constant_and_invariance(rng):
@@ -535,9 +546,11 @@ def test_train_batchnorm_matches_two_pass_formula_bit_for_bit(n, groups, group_s
     state = {"mean": rng.standard_normal(groups).astype(dtype), "var": rng.uniform(0.5, 2.0, groups).astype(dtype)}
     go = rng.standard_normal(x.shape).astype(dtype)
     go[rng.random(x.shape) < 0.2] = -0.0
-    before = x.tobytes()
+    before, go_before = x.tobytes(), go.tobytes()
     y, cache, new_state = bn.forward(x, params, state, train=True)
+    xhat = cache["xhat"].copy()  # the backward writes its input gradient over it
     gx, gp = bn.backward(go, params, cache)
+    assert np.shares_memory(gx, cache["xhat"]) and go.tobytes() == go_before
     want_y, want_xhat, want_inv_std, mean, var = reference.two_pass_batchnorm_train(
         x, params["gamma"], params["beta"], groups, bn.eps
     )
@@ -546,7 +559,7 @@ def test_train_batchnorm_matches_two_pass_formula_bit_for_bit(n, groups, group_s
     )
     m = bn.momentum
     want_state = {"mean": (1 - m) * state["mean"] + m * mean, "var": (1 - m) * state["var"] + m * var}
-    pairs = [(y, want_y), (cache["xhat"], want_xhat), (cache["inv_std"], want_inv_std), (gx, want_gx)]
+    pairs = [(y, want_y), (xhat, want_xhat), (cache["inv_std"], want_inv_std), (gx, want_gx)]
     pairs += [(gp["gamma"], want_gamma), (gp["beta"], want_beta)]
     pairs += [(new_state[k], want_state[k]) for k in ("mean", "var")]
     for got, want in pairs:

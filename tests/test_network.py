@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -411,11 +412,12 @@ def test_dropout_mask_follows_the_seed():
 
 
 def full_backward_walk(model, cache, grad_logits):
-    """Parameter gradients from every layer's backward step, the bottom layer included."""
+    """Parameter gradients from every layer's backward step, the bottom layer
+    included, each step run on a copy of its entry, which it may write over."""
     grads = {}
     g = grad_logits.reshape(cache.logits_shape)
     for i in range(len(model.specs) - 1, -1, -1):
-        g, layer_grads = KINDS[model.specs[i].kind].backward(model, i, g, cache.layer_caches[i])
+        g, layer_grads = KINDS[model.specs[i].kind].backward(model, i, g, copy.deepcopy(cache.layer_caches[i]))
         if layer_grads is not None:
             grads[i] = layer_grads
     return grads
@@ -469,12 +471,17 @@ def test_backward_skips_the_layers_below_the_first_conv(rng, monkeypatch):
     logits, cache = forward(model, x, mode="train")
     _, grad = softmax_cross_entropy(logits, np.array([0, 1, 2]))
     out, kept, _ = reference.plain_train_walk(model, x)
-    assert cache.layer_caches[4][0] is None  # the batch norm's output, rebuilt by backward
+    # each pool keeps its routing index and its input's shape, no float array
+    for i in (0, 4):
+        index, shape = cache.layer_caches[i]
+        assert index.dtype == np.uint8 and shape == kept[i][0].shape
+        assert [a.dtype.kind for a in cached_arrays(cache.layer_caches[i])] == ["u"]
     pooled = []
     real = network.max_pool2d_backward
-    monkeypatch.setattr(network, "max_pool2d_backward", lambda g, x, o, k, s: pooled.append(x) or real(g, x, o, k, s))
+    monkeypatch.setattr(network, "max_pool2d_backward", lambda g, *args: pooled.append(args) or real(g, *args))
     grads = backward(model, cache, grad)
-    assert len(pooled) == 1 and pooled[0].tobytes() == kept[4][0].tobytes()  # the upper pool only
+    [(index, shape, kernel, stride)] = pooled  # the upper pool only
+    assert index.tobytes() == kept[4][1].tobytes() and shape == kept[4][0].shape and (kernel, stride) == (2, 2)
     assert_same_grads(grads, reference.plain_train_backward(model, kept, grad.reshape(out.shape)))
 
 
@@ -508,7 +515,7 @@ def test_train_step_pools_once_per_max_pool_layer(rng, monkeypatch):
     # the backward routes from the forward's pooled output and pools nothing itself
     pooled = []
     real = network.max_pool2d
-    monkeypatch.setattr(network, "max_pool2d", lambda x, k, s: pooled.append(x) or real(x, k, s))
+    monkeypatch.setattr(network, "max_pool2d", lambda x, *args, **kw: pooled.append(x) or real(x, *args, **kw))
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     logits, cache = forward(model, rng.standard_normal((4, 1, 28, 28)), mode="train", rng=rng)
     pools = [spec for spec in model.specs if spec.kind == "max_pool"]
@@ -890,10 +897,12 @@ def dren_z2cnn_step_peak(fresh_thread=True):
 
 def test_train_step_peak_stays_within_the_lowering_budget():
     # L4's whole patch matrix alone would be 26.5 MB; the step peaks at
-    # 19.8 MB with the fresh thread's 4.1 MB workspace (26.5 MB while the
-    # forward caches kept each batch norm's output and a byte per mask entry)
+    # 17.2 MB with the fresh thread's 4.1 MB workspace (19.8 MB before the
+    # backward wrote its gradients over spent cache entries, 26.5 MB while
+    # the forward caches kept each batch norm's output and a byte per mask
+    # entry)
     peak = dren_z2cnn_step_peak()
-    assert peak <= 21e6, peak
+    assert peak <= 18.4e6, peak
 
 
 def test_train_step_peak_holds_no_spent_layer_cache():
@@ -901,18 +910,20 @@ def test_train_step_peak_holds_no_spent_layer_cache():
     # reads it again; kept to the end of the step, the caches of layers
     # 5-25 alone held about 10.9 MB. Measured in the calling thread: the
     # 4.1 MB workspace a fresh thread adds is no cache. The step peaks at
-    # 15.7 MB
+    # 12.8 MB
     peak = dren_z2cnn_step_peak(fresh_thread=False)
-    assert peak <= 16.5e6, peak
+    assert peak <= 13.55e6, peak
 
 
 def test_warm_train_step_peak_and_workspace_stay_within_the_block_budget():
     # both passes lower in 4 MiB batch blocks in the thread's workspace,
-    # which the warm step allocates: the peak, 15.7 MB, sits in L7's
-    # batch-norm backward, over about 8.9 MB of forward caches (22.0 MB
-    # over 19.7 MB of caches that kept each batch norm's output and a byte
-    # per mask entry; 29.2 MB while the backward built 16 MiB per-call
-    # operands)
+    # which the warm step allocates: the peak, 12.8 MB, sits in L7's
+    # batch-norm backward, over about 9.1 MB of forward caches, with L7's
+    # forward at 12.7 MB next (15.7 MB while each backward step wrote its
+    # input gradient into a new array and a max pool routed from its
+    # rebuilt input; 22.0 MB over 19.7 MB of caches that kept each batch
+    # norm's output and a byte per mask entry; 29.2 MB while the backward
+    # built 16 MiB per-call operands)
     held = []
 
     def steps():
@@ -923,7 +934,7 @@ def test_warm_train_step_peak_and_workspace_stay_within_the_block_budget():
     thread.join(timeout=120)
     assert not thread.is_alive()
     [(peak, workspace)] = held
-    assert peak <= 16.5e6, peak
+    assert peak <= 13.55e6, peak
     assert workspace <= conv._BLOCK_BYTES, workspace
 
 
@@ -964,9 +975,10 @@ def cached_arrays(entry):
 
 def test_train_forward_cache_holds_no_batchnorm_output(monkeypatch):
     # each batch norm's output is rebuilt in backward from its xhat, masks
-    # are packed 8 per byte, and gap keeps only its input's shape: 19.73 MB
-    # of distinct arrays when the next layer kept the output and masks took
-    # a byte an entry
+    # are packed 8 per byte, and gap keeps only its input's shape: 9.11 MB
+    # of distinct arrays, 0.18 MB of them the max pool's uint8 routing
+    # index (19.73 MB when the next layer kept the output and masks took
+    # a byte an entry)
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     x = np.random.default_rng(0).random((64, 1, 28, 28), dtype=np.float32)
     outputs, real = [], GroupBatchNorm.forward
@@ -986,7 +998,59 @@ def test_train_forward_cache_holds_no_batchnorm_output(monkeypatch):
         while a.base is not None:
             a = a.base
         bases[id(a)] = a.nbytes
-    assert sum(bases.values()) <= 9.0e6, sum(bases.values())
+    assert sum(bases.values()) <= 9.2e6, sum(bases.values())
+
+
+OWNERSHIP_STACKS = {
+    "dren-z2cnn-shape": (preset_stack("dren-z2cnn-shape"), 28),
+    "pools-then-gap-bn": (
+        parse_layer_stack("cycle:g2:k3,relu,bn,maxpool:k3:s1,isotonic:g2:k3,relu,bn,gpmax,conv:c10:k3,gap,bn"),
+        12,
+    ),
+}
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("stack", list(OWNERSHIP_STACKS))
+def test_backward_writes_gradients_only_over_spent_cache_entries(monkeypatch, stack, precision):
+    # no two train caches share memory, so a conv-like layer writes its
+    # input gradient over its spent input and a batch norm over its spent
+    # xhat; the caller's images (the lowest layer's input) and grad_logits
+    # are never written
+    specs, size = OWNERSHIP_STACKS[stack]
+    model = reference.random_batchnorm(build_model(specs, precision=precision, input_size=size), np.random.default_rng(3))
+    x = np.random.default_rng(4).random((8, 1, size, size)).astype(model.dtype)
+    logits, cache = forward(model, x, mode="train", rng=np.random.default_rng(5))
+    _, grad = softmax_cross_entropy(logits, np.arange(8) % 10)
+    entries = [cached_arrays(entry) for entry in cache.layer_caches]
+    assert any(a is x for a in entries[0])  # the images themselves, not a copy
+    for i, arrays in enumerate(entries):
+        for later in entries[i + 1 :]:
+            assert not any(np.shares_memory(a, b) for a in arrays for b in later), i
+    images, grad_bytes = x.tobytes(), grad.tobytes()
+    convs, norms = [], []
+    real_conv, real_norm = network.correlate2d_backward, GroupBatchNorm.backward
+
+    def conv_spy(g, x_in, w, geom, **kwargs):
+        result = real_conv(g, x_in, w, geom, **kwargs)
+        convs.append((result[0], x_in))
+        return result
+
+    def norm_spy(g, params, layer_cache):
+        xhat = layer_cache["xhat"]
+        result = real_norm(g, params, layer_cache)
+        norms.append((result[0], xhat))
+        return result
+
+    monkeypatch.setattr(network, "correlate2d_backward", conv_spy)
+    monkeypatch.setattr(GroupBatchNorm, "backward", norm_spy)
+    backward(model, cache, grad)
+    assert x.tobytes() == images and grad.tobytes() == grad_bytes
+    assert len(norms) == sum(spec.kind == "group_batchnorm" for spec in model.specs)
+    assert all(np.shares_memory(gx, xhat) for gx, xhat in norms)
+    *upper, (bottom, bottom_input) = convs
+    assert bottom is None and bottom_input is x
+    assert upper and all(np.shares_memory(gx, x_in) for gx, x_in in upper)
 
 
 def test_backward_consumes_its_cache(rng):
