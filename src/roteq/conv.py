@@ -509,7 +509,9 @@ def correlate2d_backward(
     returned as None. Given `out`, an array of x's shape and of the
     gradients' dtype, the input gradient is written into it; `out` may be
     x itself, as the filter gradient has read all of x before the first
-    write.
+    write. Writing over x is the caller's choice, not the default (unlike
+    `GroupBatchNorm.backward`, whose xhat only its own forward made): x
+    may be an array its caller reads again, or of another dtype.
     """
     oh, ow = _check_operands(x, w, geom)
     expected = (x.shape[0], w.shape[0], oh, ow)

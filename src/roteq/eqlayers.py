@@ -115,9 +115,9 @@ def collapse_decycle_grad(grad_w: np.ndarray) -> np.ndarray:
 def group_cross_channel_pool(x: np.ndarray, mode: str = "max", *, return_index: bool = False):
     """Per pixel, reduce the 4 cyclic channels of each group to one channel.
 
-    With `return_index` (max mode) it returns (output, index): per output
-    entry, the uint8 slot 0..3 of its group's first maximum (its first
-    NaN, if any), which `group_cross_channel_pool_backward` routes by.
+    With `return_index` (max mode only) it returns (output, index): per
+    output entry, the uint8 slot 0..3 of its group's first maximum (its
+    first NaN, if any), which `group_cross_channel_pool_backward` routes by.
     """
     n, c, h, w = x.shape
     grouped = x.reshape(n, group_count(c), 4, h, w)
@@ -125,14 +125,17 @@ def group_cross_channel_pool(x: np.ndarray, mode: str = "max", *, return_index: 
         out = grouped.max(axis=2)
         return (out, grouped.argmax(axis=2).astype(np.uint8)) if return_index else out
     if mode == "mean":
+        if return_index:
+            raise ValueError("mean mode keeps no index")
         return grouped.mean(axis=2)
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
-def group_cross_channel_pool_backward(grad_out: np.ndarray, mode: str = "max", index=None) -> np.ndarray:
+def group_cross_channel_pool_backward(grad_out: np.ndarray, index: np.ndarray | None, mode: str) -> np.ndarray:
     """Gradient w.r.t. the (n, 4*g, h, w) input of a pool whose output
     gradient is (n, g, h, w): in max mode each entry goes to the slot
-    `index` names (the forward's), in mean mode a quarter to each slot."""
+    `index` names (the forward's), in mean mode, where index is None, a
+    quarter to each slot."""
     n, g, h, w = grad_out.shape
     if mode == "max":
         if getattr(index, "shape", None) != grad_out.shape:

@@ -238,7 +238,7 @@ def _group_pool_forward(mode, model, i, h, train, rng):
 
 
 def _group_pool_backward(mode, model, i, g, index):
-    return group_cross_channel_pool_backward(g, mode, index), None
+    return group_cross_channel_pool_backward(g, index, mode), None
 
 
 def _global_pool_forward(model, i, h, train, rng):

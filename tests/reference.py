@@ -448,7 +448,7 @@ def plain_train_backward(model, kept, grad_out):
         elif spec.kind == "shared_bias":
             grads[i] = {"bias": eqlayers.shared_bias_backward(g)}
         elif spec.kind in ("group_pool_max", "group_pool_mean"):
-            g = eqlayers.group_cross_channel_pool_backward(g, spec.kind.rsplit("_", 1)[1], extra)
+            g = eqlayers.group_cross_channel_pool_backward(g, extra, spec.kind.rsplit("_", 1)[1])
         else:
             g = eqlayers.global_spatial_avg_pool_backward(g, x_in)
     return grads

@@ -838,10 +838,11 @@ POOL_VALUES = {
 @st.composite
 def pool_cases(draw):
     """(x shape, kernel, stride, dtype, values, numpy seed) for a pooling
-    check: strides up to the kernel, so windows overlap, tile, or leave
-    the last rows and columns uncovered."""
+    check: strides up to two past the kernel, so windows overlap, tile,
+    leave gaps between them, or leave the last rows and columns
+    uncovered."""
     kernel = draw(st.integers(1, 4))
-    stride = draw(st.integers(1, kernel))
+    stride = draw(st.integers(1, kernel + 2))
     shape = (
         draw(st.integers(1, 2)),
         draw(st.integers(1, 3)),
@@ -865,6 +866,8 @@ def assert_same_bits(got, want):
 @example(case=((1, 2, 9, 7), 3, 2, np.float64, "nan", 2))  # overlapping, stride 2
 @example(case=((2, 2, 27, 27), 2, 2, np.float32, "inf", 3))  # odd size: last row/column unused
 @example(case=((2, 2, 27, 27), 2, 2, np.float64, "ties", 4))
+@example(case=((2, 3, 11, 9), 2, 3, np.float32, "all", 7))  # gaps between windows
+@example(case=((1, 2, 7, 8), 1, 2, np.float64, "zeros", 8))
 @example(case=((1, 2, 20, 19), 17, 1, np.float32, "all", 5))  # 289 offsets: a uint16 index
 @example(case=((2, 1, 21, 18), 17, 3, np.float64, "ties", 6))
 def test_max_pool_matches_loop_reference_bit_for_bit(case):

@@ -322,6 +322,8 @@ def test_group_pool_values():
     assert group_cross_channel_pool(x, "max").ravel()[0] == 4.0
     with pytest.raises(ValueError):
         group_cross_channel_pool(x, "median")
+    with pytest.raises(ValueError, match="mean mode keeps no index"):
+        group_cross_channel_pool(x, "mean", return_index=True)
 
 
 def test_group_pool_permutation_invariant(rng):
@@ -364,10 +366,10 @@ def test_group_pool_backward_at_ties_and_nan_matches_loop_reference(n, groups, h
     out, index = group_cross_channel_pool(x, "max", return_index=True)
     assert out.tobytes() == group_cross_channel_pool(x, "max").tobytes()
     assert index.dtype == np.uint8 and index.shape == go.shape
-    got = group_cross_channel_pool_backward(go, "max", index)
+    got = group_cross_channel_pool_backward(go, index, "max")
     assert got.dtype == dtype and got.shape == x.shape
     np.testing.assert_array_equal(got, reference.naive_group_pool_max_backward(go, x))
-    mean = group_cross_channel_pool_backward(go, "mean")
+    mean = group_cross_channel_pool_backward(go, None, "mean")
     assert mean.dtype == dtype
     np.testing.assert_array_equal(mean, np.repeat(go / 4, 4, axis=1))
 
@@ -376,7 +378,7 @@ def test_group_pool_max_backward_needs_the_forward_index():
     go = np.ones((1, 2, 3, 3))
     for index in (None, np.zeros((1, 2, 3, 1), np.uint8)):
         with pytest.raises(ValueError, match=re.escape("the forward's index, of shape (1, 2, 3, 3)")):
-            group_cross_channel_pool_backward(go, "max", index)
+            group_cross_channel_pool_backward(go, index, "max")
 
 
 def test_global_pool_constant_and_invariance(rng):

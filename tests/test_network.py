@@ -512,7 +512,7 @@ def test_backward_gives_the_bytes_of_a_walk_that_keeps_every_input(stack, precis
 
 
 def test_train_step_pools_once_per_max_pool_layer(rng, monkeypatch):
-    # the backward routes from the forward's pooled output and pools nothing itself
+    # the backward routes by the forward's index and pools nothing itself
     pooled = []
     real = network.max_pool2d
     monkeypatch.setattr(network, "max_pool2d", lambda x, *args, **kw: pooled.append(x) or real(x, *args, **kw))
@@ -975,10 +975,10 @@ def cached_arrays(entry):
 
 def test_train_forward_cache_holds_no_batchnorm_output(monkeypatch):
     # each batch norm's output is rebuilt in backward from its xhat, masks
-    # are packed 8 per byte, and gap keeps only its input's shape: 9.11 MB
-    # of distinct arrays, 0.18 MB of them the max pool's uint8 routing
-    # index (19.73 MB when the next layer kept the output and masks took
-    # a byte an entry)
+    # are packed 8 per byte, and gap keeps only its input's shape: 8.92 MB
+    # of distinct arrays besides the max pool's routing index (19.73 MB
+    # when the next layer kept the output and masks took a byte an entry);
+    # the index holds one unsigned byte per pooled entry
     model = build_model(preset_stack("dren-z2cnn-shape"), input_size=28)
     x = np.random.default_rng(0).random((64, 1, 28, 28), dtype=np.float32)
     outputs, real = [], GroupBatchNorm.forward
@@ -990,15 +990,20 @@ def test_train_forward_cache_holds_no_batchnorm_output(monkeypatch):
 
     monkeypatch.setattr(GroupBatchNorm, "forward", recording)
     _, cache = forward(model, x, mode="train", rng=np.random.default_rng(1))
+    (pool,) = [i for i, spec in enumerate(model.specs) if spec.kind == "max_pool"]
+    index, shape = cache.layer_caches[pool]
+    spec = model.specs[pool]
+    pooled = [(side - spec.kernel) // spec.stride + 1 for side in shape[2:]]
+    assert index.dtype == np.uint8 and index.shape == (*shape[:2], *pooled)
     arrays = [a for entry in cache.layer_caches for a in cached_arrays(entry)]
     assert len(outputs) == 6
     assert not any(np.shares_memory(a, y) for a in arrays for y in outputs)
     bases = {}
-    for a in arrays:
+    for a in (a for a in arrays if a is not index):
         while a.base is not None:
             a = a.base
         bases[id(a)] = a.nbytes
-    assert sum(bases.values()) <= 9.2e6, sum(bases.values())
+    assert sum(bases.values()) <= 9.0e6, sum(bases.values())
 
 
 OWNERSHIP_STACKS = {
