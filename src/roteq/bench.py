@@ -27,7 +27,7 @@ from .network import KINDS, TIED_KINDS, build_model, preset_stack
 from .oracle import relative_deviation
 
 
-def _rotate_maps_forward(model, i, h, train, rng):
+def _rotate_maps_forward(model, i, h, train, rng, spent=False):
     """A tied layer's forward step through `oracle.oracle_<kind>`, looked up
     on every call so a patched oracle is the one run; its cache is the
     filter step's (input, geometry)."""

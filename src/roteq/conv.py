@@ -109,9 +109,13 @@ removed that). The workspace takes the allocator out of it:
 `_workspace_bytes` keeps one flat byte buffer per thread
 (`threading.local`), grown to the largest block the thread has needed
 and so never past `_BLOCK_BYTES`, and each call of either pass takes
-its block buffers from it instead of freeing them. A block whose one
-image alone exceeds the budget gets its own buffer, freed with the
-call. Outputs are fresh arrays, never views of the workspace, which
+its block buffers from it instead of freeing them. The thread drops its
+old buffer before it allocates a larger one, so the two are not held
+together unless a caller still holds a view of the old one: a batch-64
+train step of dren-z2cnn-shape in a fresh thread peaked at 17.2 MB in
+L13's forward, where the buffer grew, and peaks at 15.1 MB without the
+old buffer. A block whose one image alone exceeds the budget gets its
+own buffer, freed with the call. Outputs are fresh arrays, never views of the workspace, which
 the next call overwrites; each thread lowers into its own, so calls
 made at once give the bytes of calls made in turn. On dren-z2cnn-shape's
 batch-256 eval forward (float32, 2 vCPUs, OpenBLAS 0.3.31, interleaved
@@ -264,9 +268,15 @@ ReLU and dropout masks 8 per byte (`network.forward`), the caches hold
 8.9 MB and the step peaked at 15.7 MB, still in that backward. With each
 max pool keeping a routing index instead of its input (below), and the
 batch norm and conv backward writing their input gradients over their
-spent xhat and input, the caches hold 9.1 MB and the step peaks at
-12.8 MB, in L7's batch-norm backward, with L7's forward at 12.7 MB; the
-workspace stays at the 4.1 MB the forward already needed.
+spent xhat and input, the caches hold 9.1 MB and the step peaked at
+12.8 MB, in L7's batch-norm backward, with L7's forward at 12.7 MB.
+With the train walk's ReLU, dropout and batch-norm steps also writing
+over spent activations (`network.forward`), the batch-norm backward
+and the pool's routing forming their temporaries a chunk of images at a
+time (`tensor.batch_chunks`, 256 KiB), the step peaks at 11.0 MB, in
+L8's max-pool backward, with L8's forward at 10.9 MB and L4's conv
+backward at 10.2 MB next; at batch 256 it peaks at 43.1 MB (50.9 MB
+before). The workspace stays at the 4.1 MB the forward already needed.
 
 Max pooling is k^2 elementwise maxima: one (n, c, oh, ow) strided view
 per kernel offset, folded into the output with `np.maximum`. Reducing
@@ -287,15 +297,23 @@ and not yet taken. The index has the output's shape in the smallest
 unsigned dtype that holds k^2 - 1 (uint8 up to k = 16). The backward
 adds grad_out * (index == j) into zeros per offset, the same adds, in
 the same order, as routing from the input, so the same bytes, signed
-zeros included. On dren-z2cnn-shape at batch 64 the index is 0.18 MB
-where the pool's input, a batch norm's output the backward rebuilt from
-its xhat, was 2.9 MB.
+zeros included. Both routines form their per-offset temporaries (the
+comparison and its offset, or the mask and the routed product) one
+chunk of images at a time, within `tensor.CHUNK_BYTES`, and the forward
+looks for a NaN through each chunk's minimum, which is NaN if any
+entry is; forming them for the whole batch took 0.37 MB forward and
+0.92 MB backward on dren-z2cnn-shape's L8 at batch 64. On
+dren-z2cnn-shape at batch 64 the index is 0.18 MB where the pool's
+input, a batch norm's output the backward rebuilt from its xhat, was
+2.9 MB.
 """
 
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import batch_chunks
 
 
 @dataclass(frozen=True)
@@ -368,9 +386,7 @@ def _block_bounds(count: int, item_bytes: int, spare_bytes: int = 0) -> list:
     """(lo, hi) of as few blocks of `count` items, `item_bytes` each, as keep
     every block and its `spare_bytes` within `_BLOCK_BYTES`; block sizes
     differ by at most one."""
-    most = max(1, (_BLOCK_BYTES - spare_bytes) // item_bytes)
-    parts = max(1, -(-count // most))
-    return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
+    return batch_chunks(count, item_bytes, _BLOCK_BYTES - spare_bytes)
 
 
 def _workspace_bytes(nbytes: int) -> np.ndarray:
@@ -381,6 +397,7 @@ def _workspace_bytes(nbytes: int) -> np.ndarray:
         return np.empty(nbytes, dtype=np.uint8)
     buf = getattr(_workspace, "buf", None)
     if buf is None or buf.nbytes < nbytes:
+        _workspace.buf = buf = None  # freed before the larger one is allocated
         buf = _workspace.buf = np.empty(nbytes, dtype=np.uint8)
     return buf[:nbytes]
 
@@ -612,25 +629,30 @@ def max_pool2d(x: np.ndarray, kernel: int, stride: int, *, return_index: bool = 
         for win in windows:
             np.maximum(out, x[win], out=out)
         return out
+    windows = list(_pool_windows(x.shape, kernel, stride))  # walked once per chunk
     # a window's last strict improvement is its first maximum, NaN aside
     offset = _index_dtype(kernel).type
     index = np.zeros(out.shape, offset)
-    gt, step = np.empty(out.shape, bool), np.empty(out.shape, offset)
-    for j, win in enumerate(windows, start=1):
-        view = x[win]
-        np.greater(view, out, out=gt)
-        np.maximum(index, np.multiply(gt, offset(j), out=step), out=index)
-        np.maximum(out, view, out=out)
-    if np.isnan(out).any():  # a NaN compares false: route by each window's one first hit instead
-        index[...] = 0
-        taken = np.zeros(out.shape, dtype=bool)
-        for j, win in enumerate(_pool_windows(x.shape, kernel, stride)):
-            view = x[win]
-            hit = view == out
-            hit |= np.isnan(view)
-            hit &= ~taken
-            taken |= hit
-            index += np.multiply(hit, offset(j), out=step)
+    bounds = batch_chunks(out.shape[0], (1 + index.itemsize) * out[:1].size)  # gt and step
+    gt = np.empty((max(hi - lo for lo, hi in bounds), *out.shape[1:]), bool)
+    step = np.empty(gt.shape, offset)
+    for lo, hi in bounds:
+        pooled, routes, b = out[lo:hi], index[lo:hi], hi - lo
+        for j, win in enumerate(windows[1:], start=1):
+            view = x[lo:hi][win]
+            np.greater(view, pooled, out=gt[:b])
+            np.maximum(routes, np.multiply(gt[:b], offset(j), out=step[:b]), out=routes)
+            np.maximum(pooled, view, out=pooled)
+        if pooled.size and np.isnan(pooled.min()):  # a NaN compares false: route by each window's one first hit
+            routes[...] = 0
+            taken = np.zeros(pooled.shape, dtype=bool)
+            for j, win in enumerate(windows):
+                view = x[lo:hi][win]
+                hit = view == pooled
+                hit |= np.isnan(view)
+                hit &= ~taken
+                taken |= hit
+                routes += np.multiply(hit, offset(j), out=step[:b])
     return out, index
 
 
@@ -652,6 +674,13 @@ def max_pool2d_backward(grad_out: np.ndarray, index: np.ndarray, shape: tuple, k
     if index.size and index.max() >= kernel * kernel:
         raise ValueError(f"index holds offset {index.max()}, past the {kernel}x{kernel} window")
     grad_x = np.zeros(shape, dtype=grad_out.dtype)
-    for j, win in enumerate(_pool_windows(shape, kernel, stride)):
-        grad_x[win] += grad_out * (index == j)
+    windows = list(_pool_windows(shape, kernel, stride))
+    bounds = batch_chunks(shape[0], (grad_out.itemsize + 1) * grad_out[:1].size)  # product and mask
+    hit = np.empty((max(hi - lo for lo, hi in bounds), *expected[1:]), bool)
+    routed = np.empty(hit.shape, grad_out.dtype)
+    for lo, hi in bounds:
+        b = hi - lo
+        for j, win in enumerate(windows):
+            np.equal(index[lo:hi], j, out=hit[:b])
+            grad_x[lo:hi][win] += np.multiply(grad_out[lo:hi], hit[:b], out=routed[:b])
     return grad_x

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .tensor import group_count, rotate90
+from .tensor import batch_chunks, group_count, rotate90
 
 
 @functools.cache
@@ -191,17 +191,26 @@ class GroupBatchNorm:
     Train mode takes the mean once and keeps x - mean: its square is
     the variance's summand and, scaled by 1/sqrt(var+eps), it becomes
     the normalized input xhat, which the cache keeps with inv_std; the
-    output gamma*xhat + beta (`output`) is written over the squares. No
-    cache keeps that output: a train-mode `network.forward` drops it
-    from the next layer's cache, and `network.backward` rebuilds it from
-    xhat with `output`, the same two operations, so it has the same bits.
+    output gamma*xhat + beta (`output`) is written over the squares.
+    Given `out`, x - mean is written there, and a train-mode
+    `network.forward` passes the spent input itself, so the pass
+    allocates its output and no other full-size array. No cache keeps
+    that output: a train-mode `network.forward` drops it from the next
+    layer's cache, and `network.backward` rebuilds it from xhat with
+    `output`, the same two operations, so it has the same bits.
     The backward pass writes over the cache it is given, which is spent
-    once it runs (the in-place backward of Rota Bulo et al. 2017): one
-    buffer takes go*xhat, then go - grad_beta/m, while xhat is scaled by
-    grad_gamma/m in place, and the input gradient, their difference
-    times gamma*inv_std, is written over xhat. Every value is the one the
-    plain two-pass formula gives, bit for bit, with one full-size
-    temporary.
+    once it runs (the in-place backward of Rota Bulo et al. 2017), and
+    runs over chunks of images (`tensor.batch_chunks`), reusing one
+    chunk-sized buffer. grad_gamma sums go*xhat the way numpy's
+    `(go*xhat).sum(axis=(0, 2))` does: with more than one group, one
+    pairwise sum per (image, group) row, folded over the images in
+    order; with one group, numpy sums the whole product as one flat
+    pairwise sum, which is halved the way numpy halves it until a part
+    fits the buffer. Then, per chunk, the buffer takes go - grad_beta/m
+    while xhat is scaled by grad_gamma/m in place, and the input
+    gradient, their difference times gamma*inv_std, is written over
+    xhat. go is never written. Every value is the one the plain two-pass
+    formula gives, bit for bit, with no full-size temporary.
 
     Eval mode folds the running statistics into one per-group scale and
     shift (`affine`), a = gamma/sqrt(var+eps) and b = beta - mean*a + 0,
@@ -229,9 +238,11 @@ class GroupBatchNorm:
         return a, params["beta"] - state["mean"] * a + 0.0
 
     @staticmethod
-    def forward(x, params, state, train: bool):
+    def forward(x, params, state, train: bool, *, out=None):
         """Returns (y, cache, new_state), cache and new_state None in eval
-        mode; state is never mutated in place."""
+        mode; state is never mutated in place. A train-mode pass writes
+        xhat into `out` if given, which may be x itself; called plainly it
+        writes nothing it was given."""
         n, c, h, w = x.shape
         g = params["gamma"].size
         if c % g != 0:
@@ -243,7 +254,7 @@ class GroupBatchNorm:
             y += b.reshape(1, g, 1, 1, 1)
             return y.reshape(n, c, h, w), None, None
         mean = xg.mean(axis=(0, 2, 3, 4), keepdims=True)
-        xhat = xg - mean  # normalized in place once var is known
+        xhat = np.subtract(xg, mean, out=None if out is None else out.reshape(xg.shape))  # normalized once var is known
         y = np.multiply(xhat, xhat)
         var = y.mean(axis=(0, 2, 3, 4))  # the sum and divide np.var makes
         mean = mean.reshape(g)
@@ -271,18 +282,45 @@ class GroupBatchNorm:
     @staticmethod
     def backward(grad_out, params, cache):
         """Returns (grad_x, grad_params) from the cache of a train-mode
-        forward; grad_x is written over the cache's xhat, which is spent."""
+        forward; grad_x is written over the cache's xhat, which is spent.
+        grad_out is never written. Besides that, the pass allocates one
+        chunk of images (`tensor.batch_chunks`) and arrays of one value per
+        image and group."""
         go = grad_out.reshape(grad_out.shape[0], params["gamma"].size, -1)
         xhat = cache["xhat"].reshape(go.shape)
+        n, g, size = go.shape
         grad_beta = go.sum(axis=(0, 2))
-        t = go * xhat  # reused below for go - grad_beta / m
-        grad_gamma = t.sum(axis=(0, 2))
-        m = go.shape[0] * go.shape[2]
-        np.subtract(go, (grad_beta / m)[:, None], out=t)
-        xhat *= (grad_gamma / m)[:, None]
-        np.subtract(t, xhat, out=xhat)
-        xhat *= (params["gamma"] * cache["inv_std"])[:, None]
+        bounds = batch_chunks(n, g * size * go.itemsize)
+        t = np.empty((max(hi - lo for lo, hi in bounds), g, size), go.dtype)
+        if g == 1:  # numpy sums (go * xhat) over (0, 2) as one flat pairwise sum
+            grad_gamma = _pairwise_product_sum(go.reshape(-1), xhat.reshape(-1), t.reshape(-1))[None]
+        else:  # one pairwise sum per row, folded over the images in order, as numpy does
+            rows = np.zeros((n + 1, g), go.dtype)
+            for lo, hi in bounds:
+                np.multiply(go[lo:hi], xhat[lo:hi], out=t[: hi - lo]).sum(axis=2, out=rows[lo + 1 : hi + 1])
+            grad_gamma = np.add.accumulate(rows, axis=0)[-1]
+        m = n * size
+        shift, slope = (grad_beta / m)[:, None], (grad_gamma / m)[:, None]
+        scale = (params["gamma"] * cache["inv_std"])[:, None]
+        for lo, hi in bounds:  # (go - grad_beta/m) - xhat*grad_gamma/m, times gamma*inv_std
+            d, x = t[: hi - lo], xhat[lo:hi]
+            np.subtract(go[lo:hi], shift, out=d)
+            x *= slope
+            np.subtract(d, x, out=x)
+            x *= scale
         return xhat.reshape(grad_out.shape), {"gamma": grad_gamma, "beta": grad_beta}
+
+
+def _pairwise_product_sum(a, b, buf):
+    """numpy's `(a * b).sum()` of two flat arrays, with the products formed
+    at most `buf.size` at a time: numpy's pairwise sum halves a run longer
+    than 128 entries at a multiple of 8, so the halves are summed alike
+    until one fits `buf`, which holds 128 entries or more."""
+    size = a.size
+    if size <= buf.size:
+        return np.multiply(a, b, out=buf[:size]).sum()
+    half = size // 2 - size // 2 % 8
+    return _pairwise_product_sum(a[:half], b[:half], buf) + _pairwise_product_sum(a[half:], b[half:], buf)
 
 
 __all__ = [

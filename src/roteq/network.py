@@ -128,19 +128,22 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# layer steps: forward(model, i, h, train, rng) -> (output, cache, new state
-# or None); backward(model, i, grad, cache) -> (input grad, {name: grad} or None).
-# A conv-like step's backward also takes input_grad=False, and then
-# returns None for the input grad. `forward` says what each step keeps.
+# layer steps: forward(model, i, h, train, rng, spent=False) -> (output,
+# cache, new state or None); backward(model, i, grad, cache, spent=False) ->
+# (input grad, {name: grad} or None). A spent h or grad is the train walk's
+# own, which the step may write over; a step called plainly writes nothing
+# it was given. A conv-like step's backward also takes input_grad=False,
+# and then returns None for the input grad. `forward` says what each step
+# keeps and writes over.
 
 
-def _filter_forward(model, i, h, train, rng):
+def _filter_forward(model, i, h, train, rng, spent=False):
     spec = model.specs[i]
     geom = ConvGeometry(spec.stride, spec.pad)
     return correlate2d(h, model.expanded_filter(i), geom), (h, geom), None
 
 
-def _filter_backward(model, i, g, cache, input_grad=True):
+def _filter_backward(model, i, g, cache, spent=False, input_grad=True):
     x, geom = cache  # spent once the filter gradient is formed, so the input gradient goes over it
     out = x if input_grad else None
     g, grad_w = correlate2d_backward(g, x, model.expanded_filter(i), geom, input_grad=input_grad, out=out)
@@ -159,28 +162,32 @@ def _shape_of(h):
     return np.broadcast_to(np.zeros((), h.dtype), h.shape)
 
 
-def _relu_forward(model, i, h, train, rng):
-    return np.maximum(h, 0), np.packbits(h > 0) if train else None, None
+def _relu_forward(model, i, h, train, rng, spent=False):
+    bits = np.packbits(h > 0) if train else None
+    return np.maximum(h, 0, out=h if spent else None), bits, None
 
 
-def _relu_backward(model, i, g, bits):
-    return g * _unpack(bits, g.shape), None
+def _relu_backward(model, i, g, bits, spent=False):
+    return np.multiply(g, _unpack(bits, g.shape), out=g if spent else None), None
 
 
-def _bias_forward(model, i, h, train, rng):
+def _bias_forward(model, i, h, train, rng, spent=False):
     return shared_bias_add(h, model.params[i]["bias"]), None, None
 
 
-def _bias_backward(model, i, g, cache):
+def _bias_backward(model, i, g, cache, spent=False):
     return g, {"bias": shared_bias_backward(g)}
 
 
-def _batchnorm_forward(model, i, h, train, rng):
-    return GroupBatchNorm.forward(h, model.params[i], model.state[i], train)
+def _batchnorm_forward(model, i, h, train, rng, spent=False):
+    return GroupBatchNorm.forward(h, model.params[i], model.state[i], train, out=h if spent else None)
 
 
-def _batchnorm_backward(model, i, g, cache):
+def _batchnorm_backward(model, i, g, cache, spent=False):
     return GroupBatchNorm.backward(g, model.params[i], cache)
+
+
+_DRAW_CHUNK = 1 << 16  # dropout entries drawn at once; a multiple of 8
 
 
 def _keep_mask(rng, shape, rate):
@@ -191,34 +198,45 @@ def _keep_mask(rng, shape, rate):
     low word first on a little-endian machine (high word first on a
     big-endian one, so masks differ between the two). The threshold is
     capped at 2**32 - 1, so rates within 2**-33 of 1 keep an entry with
-    probability 2**-32 rather than overflow.
+    probability 2**-32 rather than overflow. Masks drawn in turn for
+    sizes that are even concatenate to one mask drawn for their sum.
     """
     size = math.prod(shape)
     words = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size].reshape(shape)
     return words >= np.uint32(min(round(rate * 2**32), 2**32 - 1))
 
 
-def _dropout_forward(model, i, h, train, rng):
+def _dropout_forward(model, i, h, train, rng, spent=False):
+    """The mask is drawn `_DRAW_CHUNK` entries at a time, in flat order, so
+    no array of words or mask entries is full-size; its chunks are a
+    multiple of 8 entries, so they draw `_keep_mask`'s one mask and pack to
+    its bytes."""
     if not train:
         return h, None, None
     if rng is None:
         raise ValueError("training-mode forward through dropout needs an rng")
     rate = model.specs[i].rate
-    keep = _keep_mask(rng, h.shape, rate)
     scale = np.asarray(1.0 / (1.0 - rate), dtype=model.dtype)
-    out = np.multiply(h, keep)
-    out *= scale
-    return out, (np.packbits(keep), scale), None
+    flat = h.reshape(-1)
+    out = flat if spent else np.empty_like(flat)
+    bits = np.empty(-(-flat.size // 8), np.uint8)
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        hi = min(lo + _DRAW_CHUNK, flat.size)
+        keep = _keep_mask(rng, (hi - lo,), rate)
+        bits[lo // 8 : -(-hi // 8)] = np.packbits(keep)
+        np.multiply(flat[lo:hi], keep, out=out[lo:hi])
+        out[lo:hi] *= scale
+    return out.reshape(h.shape), (bits, scale), None
 
 
-def _dropout_backward(model, i, g, cache):
+def _dropout_backward(model, i, g, cache, spent=False):
     bits, scale = cache
-    out = np.multiply(g, _unpack(bits, g.shape))
+    out = np.multiply(g, _unpack(bits, g.shape), out=g if spent else None)
     out *= scale
     return out, None
 
 
-def _max_pool_forward(model, i, h, train, rng):
+def _max_pool_forward(model, i, h, train, rng, spent=False):
     spec = model.specs[i]
     if not train:
         return max_pool2d(h, spec.kernel, spec.stride), None, None
@@ -226,26 +244,26 @@ def _max_pool_forward(model, i, h, train, rng):
     return out, (index, h.shape), None
 
 
-def _max_pool_backward(model, i, g, cache):
+def _max_pool_backward(model, i, g, cache, spent=False):
     spec = model.specs[i]
     return max_pool2d_backward(g, *cache, spec.kernel, spec.stride), None
 
 
-def _group_pool_forward(mode, model, i, h, train, rng):
+def _group_pool_forward(mode, model, i, h, train, rng, spent=False):
     if mode == "max" and train:
         return *group_cross_channel_pool(h, mode, return_index=True), None
     return group_cross_channel_pool(h, mode), None, None
 
 
-def _group_pool_backward(mode, model, i, g, index):
+def _group_pool_backward(mode, model, i, g, index, spent=False):
     return group_cross_channel_pool_backward(g, index, mode), None
 
 
-def _global_pool_forward(model, i, h, train, rng):
+def _global_pool_forward(model, i, h, train, rng, spent=False):
     return global_spatial_avg_pool(h), _shape_of(h), None
 
 
-def _global_pool_backward(model, i, g, x):
+def _global_pool_backward(model, i, g, x, spent=False):
     return global_spatial_avg_pool_backward(g, x), None
 
 
@@ -571,10 +589,11 @@ class ForwardCache:
 
     No entry holds a batch norm's output, a max pool's input or a mask of
     a byte per entry (`forward` says what each keeps instead), and no two
-    entries share memory. `backward` consumes it: it takes the list
-    (leaving `layer_caches` None), writes some input gradients over the
-    entries they came from, and frees each entry as soon as that layer's
-    step returns. A second `backward` on the same cache raises
+    entries share memory. A batch norm's xhat may be the memory of its
+    input, which the forward wrote over. `backward` consumes it: it takes
+    the list (leaving `layer_caches` None), writes some input gradients
+    over the entries they came from, and frees each entry as soon as that
+    layer's step returns. A second `backward` on the same cache raises
     ValueError; `new_state` stays readable.
     """
 
@@ -670,6 +689,16 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     `group_pool_mean` keeps nothing. No two entries share memory, and
     none shares the caller's images unless it is the lowest trainable
     layer's, which `backward` never writes.
+
+    Train mode also writes over spent activations. Each step's output is
+    a new array or its input written over, and no cache keeps it, so the
+    walk tells every step but the bottom one that its input is spent: a
+    ReLU then packs its mask and writes max(h, 0) over h, a dropout
+    multiplies and scales h in place, chunk by chunk as it draws the
+    mask (`_dropout_forward`), and a batch norm writes x - mean, its
+    xhat, over its input (`GroupBatchNorm.forward`'s `out`). Each keeps
+    the bytes of the step that allocates; the caller's images are never
+    written.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -689,7 +718,7 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     caches = []
     new_state = {}
     for i, spec in enumerate(model.specs):
-        y, cache, state = kinds[spec.kind].forward(model, i, h, True, rng)
+        y, cache, state = kinds[spec.kind].forward(model, i, h, True, rng, spent=i > 0)
         if i and model.specs[i - 1].kind == "group_batchnorm" and isinstance(cache, tuple) and cache[0] is h:
             cache = (None, *cache[1:])  # `backward` rebuilds it from the batch norm's xhat
         h = y
@@ -712,7 +741,10 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
     that step's entry. Two steps write their input gradient over their
     own spent entry instead of a new array: a conv-like layer over its
     input, once its filter gradient is formed, and a batch norm over its
-    xhat. `grad_logits` and the caller's images are never written.
+    xhat. The ReLU and dropout steps multiply their mask into the
+    incoming gradient itself, which is spent unless it is still
+    `grad_logits` (passed down unchanged by a bias). `grad_logits` and
+    the caller's images are never written.
     """
     if cache is None:
         raise ValueError("backward needs the cache of a train-mode forward; an eval-mode one returns None")
@@ -720,7 +752,7 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
         raise ValueError("this forward cache was already consumed by a backward pass; run forward again")
     caches, cache.layer_caches = cache.layer_caches, None  # consumed even if a step raises
     grads = {}
-    g = grad_logits.reshape(cache.logits_shape).astype(model.dtype, copy=False)
+    g = top = grad_logits.reshape(cache.logits_shape).astype(model.dtype, copy=False)
     lowest = min(model.params, default=len(model.specs))
     for i in range(len(model.specs) - 1, lowest - 1, -1):
         kind = KINDS[model.specs[i].kind]
@@ -728,7 +760,7 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
         layer_cache, caches[i] = caches[i], None
         if isinstance(layer_cache, tuple) and layer_cache[0] is None:  # the input was batch norm i - 1's output
             layer_cache = (GroupBatchNorm.output(caches[i - 1]["xhat"], model.params[i - 1]), *layer_cache[1:])
-        g, layer_grads = kind.backward(model, i, g, layer_cache, **bottom)
+        g, layer_grads = kind.backward(model, i, g, layer_cache, spent=g is not top, **bottom)
         if layer_grads is not None:
             grads[i] = layer_grads
     return grads

@@ -8,6 +8,8 @@ index permutations, so composing or inverting them is exact.
 
 import numpy as np
 
+CHUNK_BYTES = 1 << 18  # default budget of one chunk of a pass's temporaries (`batch_chunks`)
+
 
 class LayoutError(ValueError):
     """Channel count incompatible with a 4-channel group layout."""
@@ -22,6 +24,15 @@ def group_count(channels: int) -> int:
     if channels % 4 != 0:
         raise LayoutError(f"channel count {channels} is not divisible by 4")
     return channels // 4
+
+
+def batch_chunks(count: int, item_bytes: int, budget: int = CHUNK_BYTES) -> list:
+    """(lo, hi) of as few chunks of `count` items, `item_bytes` each, as keep
+    every chunk within `budget` bytes (one item at least); chunk sizes differ
+    by at most one."""
+    most = max(1, budget // max(1, item_bytes))
+    parts = max(1, -(-count // most))
+    return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
 def _require_rank4(t: np.ndarray) -> None:

@@ -454,6 +454,16 @@ def plain_train_backward(model, kept, grad_out):
     return grads
 
 
+def traced_allocation(fn):
+    """(fn(), peak bytes the call allocated beyond what was held before it)."""
+    tracemalloc.start()
+    held = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return result, peak - held
+
+
 def fresh_thread_peak(fn):
     """(fn(), traced peak bytes of the call) with fn run in a new thread, whose
     per-thread buffers (`conv`'s forward workspace) start empty and so count."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from roteq import conv, network
+from roteq import conv, network, tensor
 from roteq.conv import (
     ConvGeometry,
     correlate2d,
@@ -26,6 +26,7 @@ from reference import (
     naive_max_pool2d_backward,
     strided_scatter_input_grad,
     tensordot_correlate2d,
+    traced_allocation,
     whole_matrix_filter_grad,
 )
 
@@ -822,6 +823,29 @@ def test_max_pool_backward_rejects_an_offset_past_the_window(kernel, offset, dty
     index[0, 1, 1, 0] = offset
     with pytest.raises(ValueError, match=f"offset {offset}, past the {kernel}x{kernel} window"):
         max_pool2d_backward(np.ones(index.shape), index, (1, 2, kernel + 1, kernel + 1), kernel, 1)
+
+
+@pytest.mark.parametrize("nan", [False, True])
+def test_routed_pool_temporaries_are_bounded_by_batch_chunks(rng, nan):
+    # dren-z2cnn-shape's L8 at batch 256: whole-batch routing temporaries
+    # would take 1.5 MB forward (two bytes a pooled entry) and 3.7 MB
+    # backward (a product and a mask); in batch chunks each takes one chunk
+    # (the first-hit routing of a chunk holding a NaN a few more bool arrays)
+    x = rng.standard_normal((256, 20, 24, 24), dtype=np.float32)
+    if nan:
+        x[3, 1, 4, 5] = x[200, 2, 1, 1] = np.nan  # not first in their windows
+    slack = 1 << 17  # numpy's buffer for the strided adds, the window list
+    (out, index), allocated = traced_allocation(lambda: max_pool2d(x, 2, 2, return_index=True))
+    assert allocated <= out.nbytes + index.nbytes + (3 if nan else 1) * tensor.CHUNK_BYTES + slack, allocated
+    g = rng.standard_normal(out.shape, dtype=np.float32)
+    grad_x, allocated = traced_allocation(lambda: max_pool2d_backward(g, index, x.shape, 2, 2))
+    assert allocated <= grad_x.nbytes + tensor.CHUNK_BYTES + slack, allocated
+    # each image pooled and routed on its own, in one chunk, gives the same bytes
+    for b in (0, 3, 100, 200, 255):
+        one, one_index = max_pool2d(x[b : b + 1], 2, 2, return_index=True)
+        assert one.tobytes() == out[b : b + 1].tobytes() and one_index.tobytes() == index[b : b + 1].tobytes()
+        routed = max_pool2d_backward(g[b : b + 1], one_index, one.shape[:2] + x.shape[2:], 2, 2)
+        assert routed.tobytes() == grad_x[b : b + 1].tobytes()
 
 
 # values a pooling input is drawn from: quantized, so windows tie, and

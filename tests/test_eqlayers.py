@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from roteq import eqlayers
+from roteq import eqlayers, tensor
 from roteq.conv import ConvGeometry, correlate2d, correlate2d_backward
 from roteq.eqlayers import (
     GroupBatchNorm,
@@ -540,6 +540,12 @@ def test_eval_batchnorm_allocates_only_its_output(rng):
 )
 @example(n=64, groups=5, group_size=4, h=26, w=26, dtype=np.float32, draw_seed=1)  # dren-z2cnn-shape L3
 @example(n=64, groups=20, group_size=1, h=24, w=24, dtype=np.float64, draw_seed=2)  # z2cnn-shape, per channel
+# grad_gamma folds per-image row sums in image order, or with one group
+# splits numpy's flat pairwise sum, over chunks of images
+@example(n=1, groups=3, group_size=4, h=5, w=5, dtype=np.float32, draw_seed=3)
+@example(n=7, groups=1, group_size=1, h=26, w=26, dtype=np.float64, draw_seed=4)
+@example(n=256, groups=3, group_size=4, h=12, w=12, dtype=np.float32, draw_seed=5)
+@example(n=256, groups=1, group_size=4, h=12, w=12, dtype=np.float64, draw_seed=6)
 def test_train_batchnorm_matches_two_pass_formula_bit_for_bit(n, groups, group_size, h, w, dtype, draw_seed):
     rng = np.random.default_rng(draw_seed)
     bn = GroupBatchNorm
@@ -568,6 +574,22 @@ def test_train_batchnorm_matches_two_pass_formula_bit_for_bit(n, groups, group_s
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
     assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("groups", [5, 1])
+def test_train_batchnorm_forms_no_full_size_temporary(rng, groups):
+    # forward writes xhat over a spent input given as `out`, so it allocates
+    # its output and per-group values only; backward writes grad_x over xhat
+    # and forms the products of grad_gamma and the difference a chunk at a time
+    x = rng.standard_normal((64, 20, 24, 24), dtype=np.float32)  # dren-z2cnn-shape's L7 input
+    params = {"gamma": rng.uniform(0.5, 2.0, groups).astype(np.float32), "beta": np.zeros(groups, np.float32)}
+    state = {"mean": np.zeros(groups, np.float32), "var": np.ones(groups, np.float32)}
+    (y, cache, _), allocated = reference.traced_allocation(lambda: GroupBatchNorm.forward(x, params, state, True, out=x))
+    slack = 1 << 16  # per-group values and numpy's reduction buffers
+    assert np.shares_memory(cache["xhat"], x) and allocated <= y.nbytes + slack, (allocated, y.nbytes)
+    go = rng.standard_normal(x.shape, dtype=np.float32)
+    (gx, _), allocated = reference.traced_allocation(lambda: GroupBatchNorm.backward(go, params, cache))
+    assert np.shares_memory(gx, x) and allocated <= tensor.CHUNK_BYTES + slack, allocated
 
 
 @pytest.mark.parametrize("group_size", [4, 1])

@@ -583,7 +583,7 @@ def test_eval_forward_peak_matches_a_cache_free_walk():
 def counted_batchnorm_passes(monkeypatch):
     """A list that gains one entry per `GroupBatchNorm.forward` call from now on."""
     passes, real = [], GroupBatchNorm.forward
-    monkeypatch.setattr(GroupBatchNorm, "forward", lambda *args: passes.append(1) or real(*args))
+    monkeypatch.setattr(GroupBatchNorm, "forward", lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
     return passes
 
 
@@ -897,12 +897,13 @@ def dren_z2cnn_step_peak(fresh_thread=True):
 
 def test_train_step_peak_stays_within_the_lowering_budget():
     # L4's whole patch matrix alone would be 26.5 MB; the step peaks at
-    # 17.2 MB with the fresh thread's 4.1 MB workspace (19.8 MB before the
-    # backward wrote its gradients over spent cache entries, 26.5 MB while
-    # the forward caches kept each batch norm's output and a byte per mask
-    # entry)
+    # 15.1 MB with the fresh thread's 4.1 MB workspace, in L8's max-pool
+    # backward (17.2 MB in L13's forward while the workspace's old buffer
+    # lived on beside its grown one, 19.8 MB before the backward wrote its
+    # gradients over spent cache entries, 26.5 MB while the forward caches
+    # kept each batch norm's output and a byte per mask entry)
     peak = dren_z2cnn_step_peak()
-    assert peak <= 18.4e6, peak
+    assert peak <= 16.3e6, peak
 
 
 def test_train_step_peak_holds_no_spent_layer_cache():
@@ -910,20 +911,23 @@ def test_train_step_peak_holds_no_spent_layer_cache():
     # reads it again; kept to the end of the step, the caches of layers
     # 5-25 alone held about 10.9 MB. Measured in the calling thread: the
     # 4.1 MB workspace a fresh thread adds is no cache. The step peaks at
-    # 12.8 MB
+    # 11.0 MB
     peak = dren_z2cnn_step_peak(fresh_thread=False)
-    assert peak <= 13.55e6, peak
+    assert peak <= 11.8e6, peak
 
 
 def test_warm_train_step_peak_and_workspace_stay_within_the_block_budget():
     # both passes lower in 4 MiB batch blocks in the thread's workspace,
-    # which the warm step allocates: the peak, 12.8 MB, sits in L7's
-    # batch-norm backward, over about 9.1 MB of forward caches, with L7's
-    # forward at 12.7 MB next (15.7 MB while each backward step wrote its
-    # input gradient into a new array and a max pool routed from its
-    # rebuilt input; 22.0 MB over 19.7 MB of caches that kept each batch
-    # norm's output and a byte per mask entry; 29.2 MB while the backward
-    # built 16 MiB per-call operands)
+    # which the warm step allocates: the peak, 11.0 MB, sits in L8's
+    # max-pool backward, its 2.9 MB input gradient beside the caches of the
+    # layers below, with L8's forward at 10.9 MB and L4's conv backward at
+    # 10.2 MB next
+    # (12.8 MB in L7's batch-norm backward while the ReLU, dropout and
+    # batch-norm steps allocated a new full-size array each; 15.7 MB while
+    # each backward step wrote its input gradient into a new array and a
+    # max pool routed from its rebuilt input; 22.0 MB over 19.7 MB of caches
+    # that kept each batch norm's output and a byte per mask entry; 29.2 MB
+    # while the backward built 16 MiB per-call operands)
     held = []
 
     def steps():
@@ -934,7 +938,7 @@ def test_warm_train_step_peak_and_workspace_stay_within_the_block_budget():
     thread.join(timeout=120)
     assert not thread.is_alive()
     [(peak, workspace)] = held
-    assert peak <= 13.55e6, peak
+    assert peak <= 11.8e6, peak
     assert workspace <= conv._BLOCK_BYTES, workspace
 
 
@@ -983,8 +987,8 @@ def test_train_forward_cache_holds_no_batchnorm_output(monkeypatch):
     x = np.random.default_rng(0).random((64, 1, 28, 28), dtype=np.float32)
     outputs, real = [], GroupBatchNorm.forward
 
-    def recording(*args):
-        result = real(*args)
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
         outputs.append(result[0])
         return result
 
@@ -1012,6 +1016,11 @@ OWNERSHIP_STACKS = {
         parse_layer_stack("cycle:g2:k3,relu,bn,maxpool:k3:s1,isotonic:g2:k3,relu,bn,gpmax,conv:c10:k3,gap,bn"),
         12,
     ),
+    # the bottom layer's step gets the caller's images, which it must not
+    # write, and a ReLU under a bias gets grad_logits itself
+    "dropout-first": (parse_layer_stack("dropout:r0.25,cycle:g2:k3,relu,bn,decycle:c10:k3,gap"), 12),
+    "relu-first": (parse_layer_stack("relu,cycle:g2:k3,relu,dropout:r0.5,bn,decycle:c12:k3,gap,relu,bias"), 12),
+    "bn-first": (parse_layer_stack("bn,cycle:g2:k3,relu,bn,maxpool:k2:s2,decycle:c10:k3,gap"), 12),
 }
 
 
@@ -1020,19 +1029,24 @@ OWNERSHIP_STACKS = {
 def test_backward_writes_gradients_only_over_spent_cache_entries(monkeypatch, stack, precision):
     # no two train caches share memory, so a conv-like layer writes its
     # input gradient over its spent input and a batch norm over its spent
-    # xhat; the caller's images (the lowest layer's input) and grad_logits
-    # are never written
+    # xhat; the caller's images and grad_logits are never written, though
+    # the ReLU, dropout and batch-norm steps above the bottom one write
+    # over their inputs and the ReLU and dropout steps over their gradients
     specs, size = OWNERSHIP_STACKS[stack]
     model = reference.random_batchnorm(build_model(specs, precision=precision, input_size=size), np.random.default_rng(3))
-    x = np.random.default_rng(4).random((8, 1, size, size)).astype(model.dtype)
+    x = np.random.default_rng(4).random((8, 1, size, size)).astype(model.dtype) - 0.25
+    images = x.tobytes()
     logits, cache = forward(model, x, mode="train", rng=np.random.default_rng(5))
+    assert x.tobytes() == images
     _, grad = softmax_cross_entropy(logits, np.arange(8) % 10)
     entries = [cached_arrays(entry) for entry in cache.layer_caches]
-    assert any(a is x for a in entries[0])  # the images themselves, not a copy
+    bottom_conv = KINDS[specs[0].kind].expand is not None
+    assert any(a is x for a in entries[0]) == bottom_conv  # the images themselves, not a copy
+    assert not any(np.shares_memory(a, x) for arrays in entries[1:] for a in arrays)
     for i, arrays in enumerate(entries):
         for later in entries[i + 1 :]:
             assert not any(np.shares_memory(a, b) for a in arrays for b in later), i
-    images, grad_bytes = x.tobytes(), grad.tobytes()
+    grad_bytes = grad.tobytes()
     convs, norms = [], []
     real_conv, real_norm = network.correlate2d_backward, GroupBatchNorm.backward
 
@@ -1054,8 +1068,53 @@ def test_backward_writes_gradients_only_over_spent_cache_entries(monkeypatch, st
     assert len(norms) == sum(spec.kind == "group_batchnorm" for spec in model.specs)
     assert all(np.shares_memory(gx, xhat) for gx, xhat in norms)
     *upper, (bottom, bottom_input) = convs
-    assert bottom is None and bottom_input is x
+    if min(model.params) == 0 and not bottom_conv:  # a batch norm is the lowest trainable layer
+        upper.append((bottom, bottom_input))
+    else:
+        assert bottom is None and (bottom_input is x) == bottom_conv
     assert upper and all(np.shares_memory(gx, x_in) for gx, x_in in upper)
+
+
+STEP_STACKS = (  # between them, every kind of `KINDS`
+    "cycle:g2:k3,bias,relu,dropout:r0.5,bn,maxpool:k2:s1,isotonic:g2:k3,gpmax,conv:c3:k3,gap",
+    "cycle:g2:k3,bn,gpmean,bn,relu",
+    "cycle:g2:k3,decycle:c3:k3,dropout:r0.25",
+)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("text", STEP_STACKS)
+def test_steps_called_plainly_write_nothing_they_were_given(text, precision):
+    # only the train walk tells a step that its input or gradient is spent
+    model = reference.random_batchnorm(build_model(parse_layer_stack(text), precision=precision, input_size=9), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal((4, 1, 9, 9)).astype(model.dtype)
+    for i, spec in enumerate(model.specs):
+        kind, given = KINDS[spec.kind], h.tobytes()
+        y, layer_cache, _ = kind.forward(model, i, h, True, rng)
+        assert h.tobytes() == given, (i, spec.kind)
+        g = rng.standard_normal(y.shape).astype(model.dtype)
+        given = g.tobytes()
+        kind.backward(model, i, g, copy.deepcopy(layer_cache))
+        assert g.tobytes() == given, (i, spec.kind)
+        h = y
+    assert {spec.kind for text in STEP_STACKS for spec in parse_layer_stack(text)} == set(KINDS)
+
+
+@pytest.mark.parametrize("size", [7, 1000, network._DRAW_CHUNK, 3 * network._DRAW_CHUNK + 5])
+@pytest.mark.parametrize("spent", [False, True])
+def test_dropout_draws_in_chunks_give_the_one_shot_mask(size, spent):
+    # sizes: odd, below one chunk, exactly one, several plus an odd remainder
+    model = dropout_model(0.3)
+    h = np.random.default_rng(6).uniform(0.5, 1.5, (1, 1, 1, size)).astype(np.float32)
+    one_shot, chunked = np.random.default_rng(8), np.random.default_rng(8)
+    keep = network._keep_mask(one_shot, h.shape, 0.3)
+    given = h.copy()
+    out, (bits, scale), _ = KINDS["dropout"].forward(model, 0, h, True, chunked, spent=spent)
+    assert bits.tobytes() == np.packbits(keep).tobytes()
+    assert out.tobytes() == (given * keep * scale).tobytes()
+    assert np.shares_memory(out, h) == spent
+    assert chunked.bit_generator.state == one_shot.bit_generator.state
 
 
 def test_backward_consumes_its_cache(rng):
