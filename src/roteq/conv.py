@@ -146,7 +146,7 @@ Why a pool may run ahead of ReLUs and affines: a non-decreasing map f
 commutes with a window's maximum, max(f(x), f(y)) = f(max(x, y)) in
 value. Rounding is monotone, so max(., 0) and x -> fl(fl(a*x) + b) for a
 finite a > 0 and a finite b are non-decreasing, and neither makes a NaN
-of a number; a NaN wins its window (`max_pool2d`) and stays NaN under
+of a number; a NaN wins its window (`tensor.max_fold`) and stays NaN under
 each. The only equal values a maximum can tell apart are +0 and -0, and
 each step maps both to the same bits and returns no -0 (numpy's
 maximum(-0.0, 0) is +0, and `GroupBatchNorm.affine` gives no b = -0), so
@@ -279,33 +279,29 @@ backward at 10.2 MB next; at batch 256 it peaks at 43.1 MB (50.9 MB
 before). The workspace stays at the 4.1 MB the forward already needed.
 
 Max pooling is k^2 elementwise maxima: one (n, c, oh, ow) strided view
-per kernel offset, folded into the output with `np.maximum`. Reducing
-the two inner axes of the 6-D patch view instead walks memory with
-short, widely strided inner loops; on a 256x20x26x26 float32 input
-with 2x2 windows that took 110.8 ms against 4.5 ms for the offset loop.
+per kernel offset, folded into the output with `np.maximum` by
+`tensor.max_fold`, whose docstring states the first-maximum rule (strict
+improvement, NaN wins, +0 and -0 tie). Reducing the two inner axes of
+the 6-D patch view instead walks memory with short, widely strided inner
+loops; on a 256x20x26x26 float32 input with 2x2 windows that took
+110.8 ms against 4.5 ms for the offset loop.
 
 A train-mode pool keeps no input for its backward, only where each
 window's maximum came from: the pooling "switches" of Zeiler & Fergus
-(2013). `return_index` forms them during the same folds. Before
-folding offset j >= 1 into the running maximum, the entries that view j
-beats strictly take j as their index, so each window's index is its
-last strict improvement: the row-major offset of its first maximum, as
-+0 and -0 compare equal. A NaN compares false with everything, so only
-when the pooled output holds one is the index formed again, by the
-"first hit" rule: per offset, the entries equal to the output or NaN
-and not yet taken. The index has the output's shape in the smallest
+(2013). `return_index` forms them during the same folds, by that rule:
+the row-major offset of each window's first maximum, in the smallest
 unsigned dtype that holds k^2 - 1 (uint8 up to k = 16). The backward
-adds grad_out * (index == j) into zeros per offset, the same adds, in
-the same order, as routing from the input, so the same bytes, signed
-zeros included. Both routines form their per-offset temporaries (the
-comparison and its offset, or the mask and the routed product) one
-chunk of images at a time, within `tensor.CHUNK_BYTES`, and the forward
-looks for a NaN through each chunk's minimum, which is NaN if any
-entry is; forming them for the whole batch took 0.37 MB forward and
-0.92 MB backward on dren-z2cnn-shape's L8 at batch 64. On
-dren-z2cnn-shape at batch 64 the index is 0.18 MB where the pool's
-input, a batch norm's output the backward rebuilt from its xhat, was
-2.9 MB.
+(`tensor.max_route`) adds grad_out * (index == j) into zeros per offset,
+the same adds, in the same order, as routing from the input, so the
+same bytes, signed zeros included. Both form their per-offset
+temporaries (the comparison and its offset, or the mask and the routed
+product) one chunk of images at a time, within `tensor.CHUNK_BYTES`;
+forming them for the whole batch took 0.37 MB forward and 0.92 MB
+backward on dren-z2cnn-shape's L8 at batch 64. On dren-z2cnn-shape at
+batch 64 the index is 0.18 MB where the pool's input, a batch norm's
+output the backward rebuilt from its xhat, was 2.9 MB. The group pool
+(`eqlayers.group_cross_channel_pool`) runs the same fold and router over
+its four slots.
 """
 
 import threading
@@ -313,7 +309,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import batch_chunks
+from .tensor import batch_chunks, max_fold, max_route
 
 
 @dataclass(frozen=True)
@@ -380,13 +376,6 @@ _BLOCK_BYTES = 1 << 22
 _REDUCTION_GRAIN = 32
 
 _workspace = threading.local()
-
-
-def _block_bounds(count: int, item_bytes: int, spare_bytes: int = 0) -> list:
-    """(lo, hi) of as few blocks of `count` items, `item_bytes` each, as keep
-    every block and its `spare_bytes` within `_BLOCK_BYTES`; block sizes
-    differ by at most one."""
-    return batch_chunks(count, item_bytes, _BLOCK_BYTES - spare_bytes)
 
 
 def _workspace_bytes(nbytes: int) -> np.ndarray:
@@ -499,7 +488,7 @@ def correlate2d(x: np.ndarray, w: np.ndarray, geom: ConvGeometry = ConvGeometry(
             raise ValueError(f"unknown epilogue step {step!r}")
     out = np.empty((n, o, ph, pw), dtype=np.result_type(w, xp))
     w2 = w.reshape(o, k).astype(out.dtype, copy=False)
-    bounds = _block_bounds(n, (k + o) * span * out.itemsize)
+    bounds = batch_chunks(n, (k + o) * span * out.itemsize, _BLOCK_BYTES)
     # the workspace holds the row-run columns, if any, then the result
     cols, res = low.buffers(o, max(hi - lo for lo, hi in bounds), out.dtype, cols=low.rows)
     for lo, hi in bounds:
@@ -547,7 +536,7 @@ def correlate2d_backward(
     # in block order
     low, grain = _Lowering(xp, kh, kw, s), _REDUCTION_GRAIN
     k, span = low.k, low.span
-    bounds = _block_bounds(n, (k + o) * span * item, (k + o) * (grain - 1) * item)
+    bounds = batch_chunks(n, (k + o) * span * item, _BLOCK_BYTES - (k + o) * (grain - 1) * item)
     most = max(hi - lo for lo, hi in bounds)
     cols, gcols = low.buffers(o, most, dtype, grain=grain)
     laid = gcols[:, : most * span].reshape(o, most, oh, low.width)
@@ -573,7 +562,7 @@ def correlate2d_backward(
     # input's (H, W), then one contiguous add per kernel offset
     hp, wp = xp.shape[2:]
     plane, tail = hp * wp, (kh - 1) * wp + kw - 1  # tail: the last shifts' overhang
-    bounds = _block_bounds(n, (o + c + kw * c) * plane * item, tail * item)
+    bounds = batch_chunks(n, (o + c + kw * c) * plane * item, _BLOCK_BYTES - tail * item)
     most = max(hi - lo for lo, hi in bounds)
     scratch = _workspace_bytes(((o + c + kw * c) * most * plane + tail) * item).view(dtype)
     gd = scratch[: o * most * plane].reshape(o, most * plane)
@@ -612,75 +601,29 @@ def _index_dtype(kernel: int) -> np.dtype:
 
 
 def max_pool2d(x: np.ndarray, kernel: int, stride: int, *, return_index: bool = False):
-    """Windowed spatial maximum per channel; NaN wins its window.
-
-    A window whose maximum is zero and that holds both +0 and -0 returns
-    its last zero in row-major order: the offsets fold in that order, and
-    `np.maximum` returns its second operand when the two compare equal
-    (numpy 2.4, float32 and float64, on every array size tried).
+    """Windowed spatial maximum per channel, by `tensor.max_fold`'s
+    first-maximum rule over the window's k^2 offsets in row-major order.
 
     With `return_index` it returns (output, index): the row-major offset
     u*kernel + v of each window's first maximum (its first NaN, if any),
     in `_index_dtype(kernel)`, which `max_pool2d_backward` routes by.
     """
-    windows = _pool_windows(x.shape, kernel, stride)
-    out = x[next(windows)].copy()
-    if not return_index:
-        for win in windows:
-            np.maximum(out, x[win], out=out)
-        return out
-    windows = list(_pool_windows(x.shape, kernel, stride))  # walked once per chunk
-    # a window's last strict improvement is its first maximum, NaN aside
-    offset = _index_dtype(kernel).type
-    index = np.zeros(out.shape, offset)
-    bounds = batch_chunks(out.shape[0], (1 + index.itemsize) * out[:1].size)  # gt and step
-    gt = np.empty((max(hi - lo for lo, hi in bounds), *out.shape[1:]), bool)
-    step = np.empty(gt.shape, offset)
-    for lo, hi in bounds:
-        pooled, routes, b = out[lo:hi], index[lo:hi], hi - lo
-        for j, win in enumerate(windows[1:], start=1):
-            view = x[lo:hi][win]
-            np.greater(view, pooled, out=gt[:b])
-            np.maximum(routes, np.multiply(gt[:b], offset(j), out=step[:b]), out=routes)
-            np.maximum(pooled, view, out=pooled)
-        if pooled.size and np.isnan(pooled.min()):  # a NaN compares false: route by each window's one first hit
-            routes[...] = 0
-            taken = np.zeros(pooled.shape, dtype=bool)
-            for j, win in enumerate(windows):
-                view = x[lo:hi][win]
-                hit = view == pooled
-                hit |= np.isnan(view)
-                hit &= ~taken
-                taken |= hit
-                routes += np.multiply(hit, offset(j), out=step[:b])
-    return out, index
+    views = [x[win] for win in _pool_windows(x.shape, kernel, stride)]
+    out, index = max_fold(views, _index_dtype(kernel) if return_index else None)
+    return (out, index) if return_index else out
 
 
 def max_pool2d_backward(grad_out: np.ndarray, index: np.ndarray, shape: tuple, kernel: int, stride: int) -> np.ndarray:
     """Route pooled gradients to the first (row-major) maximum of each window.
 
     `index` is the one `max_pool2d(x, kernel, stride, return_index=True)`
-    returned, and `shape` is x's. A NaN counts as its window's maximum, as
-    it does for argmax. A turned input puts another of a window's tied
-    maxima first, so the gradient is turn-invariant only away from
-    positive ties (ties at zero under a ReLU get a zero gradient either
-    way).
+    returned, and `shape` is x's; `tensor.max_route` routes by it and
+    checks it. A NaN counts as its window's maximum, as it does for
+    argmax. A turned input puts another of a window's tied maxima first,
+    so the gradient is turn-invariant only away from positive ties (ties
+    at zero under a ReLU get a zero gradient either way).
     """
-    expected = (*shape[:2], output_size(shape[2], kernel, stride), output_size(shape[3], kernel, stride))
-    if grad_out.shape != expected or index.shape != expected:
-        raise ValueError(f"grad_out {grad_out.shape} and index {index.shape} must both be {expected}")
-    if index.dtype.kind != "u" or np.iinfo(index.dtype).max < kernel * kernel - 1:
-        raise ValueError(f"an index of dtype {index.dtype} cannot hold the offsets 0..{kernel * kernel - 1}")
-    if index.size and index.max() >= kernel * kernel:
-        raise ValueError(f"index holds offset {index.max()}, past the {kernel}x{kernel} window")
     grad_x = np.zeros(shape, dtype=grad_out.dtype)
-    windows = list(_pool_windows(shape, kernel, stride))
-    bounds = batch_chunks(shape[0], (grad_out.itemsize + 1) * grad_out[:1].size)  # product and mask
-    hit = np.empty((max(hi - lo for lo, hi in bounds), *expected[1:]), bool)
-    routed = np.empty(hit.shape, grad_out.dtype)
-    for lo, hi in bounds:
-        b = hi - lo
-        for j, win in enumerate(windows):
-            np.equal(index[lo:hi], j, out=hit[:b])
-            grad_x[lo:hi][win] += np.multiply(grad_out[lo:hi], hit[:b], out=routed[:b])
+    views = [grad_x[win] for win in _pool_windows(shape, kernel, stride)]
+    max_route(grad_out, index, views, f"{kernel}x{kernel} window")
     return grad_x

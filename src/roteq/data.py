@@ -38,8 +38,10 @@ class Dataset:
             raise ValueError(
                 f"{self.images.shape[0]} images but {self.labels.shape} labels"
             )
-        if self.images.size and (self.images.min() < 0 or self.images.max() > 1):
+        if self.images.size and not (self.images.min() >= 0 and self.images.max() <= 1):  # NaN fails
             raise ValueError("image values must lie in [0, 1]")
+        if self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
             raise ValueError("labels must lie in 0..9")
 

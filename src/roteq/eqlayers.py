@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .tensor import batch_chunks, group_count, rotate90
+from .tensor import batch_chunks, group_count, max_fold, max_route, rotate90
 
 
 @functools.cache
@@ -115,6 +115,7 @@ def collapse_decycle_grad(grad_w: np.ndarray) -> np.ndarray:
 def group_cross_channel_pool(x: np.ndarray, mode: str = "max", *, return_index: bool = False):
     """Per pixel, reduce the 4 cyclic channels of each group to one channel.
 
+    Max mode takes `tensor.max_fold`'s first maximum over the four slots.
     With `return_index` (max mode only) it returns (output, index): per
     output entry, the uint8 slot 0..3 of its group's first maximum (its
     first NaN, if any), which `group_cross_channel_pool_backward` routes by.
@@ -122,8 +123,8 @@ def group_cross_channel_pool(x: np.ndarray, mode: str = "max", *, return_index: 
     n, c, h, w = x.shape
     grouped = x.reshape(n, group_count(c), 4, h, w)
     if mode == "max":
-        out = grouped.max(axis=2)
-        return (out, grouped.argmax(axis=2).astype(np.uint8)) if return_index else out
+        out, index = max_fold([grouped[:, :, i] for i in range(4)], np.uint8 if return_index else None)
+        return (out, index) if return_index else out
     if mode == "mean":
         if return_index:
             raise ValueError("mean mode keeps no index")
@@ -134,15 +135,12 @@ def group_cross_channel_pool(x: np.ndarray, mode: str = "max", *, return_index: 
 def group_cross_channel_pool_backward(grad_out: np.ndarray, index: np.ndarray | None, mode: str) -> np.ndarray:
     """Gradient w.r.t. the (n, 4*g, h, w) input of a pool whose output
     gradient is (n, g, h, w): in max mode each entry goes to the slot
-    `index` names (the forward's), in mean mode, where index is None, a
-    quarter to each slot."""
+    `index` names (the forward's; `tensor.max_route` routes by it and
+    checks it), in mean mode, where index is None, a quarter to each slot."""
     n, g, h, w = grad_out.shape
     if mode == "max":
-        if getattr(index, "shape", None) != grad_out.shape:
-            raise ValueError(f"max mode routes by the forward's index, of shape {grad_out.shape}")
         grad = np.zeros((n, g, 4, h, w), dtype=grad_out.dtype)
-        for i in range(4):
-            grad[:, :, i] = grad_out * (index == i)
+        max_route(grad_out, index, [grad[:, :, i] for i in range(4)], "4 slots of a group")
     elif mode == "mean":
         grad = np.repeat(grad_out[:, :, None] / 4, 4, axis=2)
     else:

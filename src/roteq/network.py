@@ -47,6 +47,7 @@ from .eqlayers import (
     shared_bias_add,
     shared_bias_backward,
 )
+from .tensor import batch_chunks
 
 
 class ModelSpecError(ValueError):
@@ -683,7 +684,8 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     pool keeps, instead of its input, the offset of each window's first
     maximum in the smallest unsigned dtype that holds k^2 - 1 (uint8 up
     to k = 16; `conv.max_pool2d`) and the input's shape, and
-    `group_pool_max` the uint8 slot of each group's first maximum. ReLU
+    `group_pool_max` the uint8 slot of each group's first maximum, by
+    the same rule (`tensor.max_fold`). ReLU
     and dropout steps keep their masks packed 8 entries per byte,
     `global_avg_pool` keeps only its input's shape and dtype, and
     `group_pool_mean` keeps nothing. No two entries share memory, and
@@ -704,11 +706,9 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     n = x.shape[0]
     if mode == "eval":
-        parts = max(1, -(-n // _EVAL_CHUNK))
-        for k in range(parts):
-            lo, hi = k * n // parts, (k + 1) * n // parts
+        for lo, hi in batch_chunks(n, 1, _EVAL_CHUNK):
             h = _fused_eval(model, x[lo:hi].astype(model.dtype, copy=False), kinds)
-            if k == 0:
+            if lo == 0:
                 logits = np.empty((n, math.prod(h.shape[1:])), h.dtype)
             logits[lo:hi] = h.reshape(hi - lo, logits.shape[1])
         return logits, None

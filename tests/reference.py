@@ -182,23 +182,31 @@ def naive_max_pool2d_backward(grad_out, x, kernel, stride):
     return grad_x
 
 
+def naive_group_pool_first_max(x):
+    """Per pixel, the uint8 slot 0..3 of the first of its group's four
+    channels holding the maximum (the first NaN, if any)."""
+    n, c, h, w = x.shape
+    index = np.zeros((n, c // 4, h, w), np.uint8)
+    for b, g, u, v in np.ndindex(index.shape):
+        best = 0
+        for i in range(4):
+            value = x[b, 4 * g + i, u, v]
+            if value != value:
+                best = i
+                break
+            if value > x[b, 4 * g + best, u, v]:
+                best = i
+        index[b, g, u, v] = best
+    return index
+
+
 def naive_group_pool_max_backward(grad_out, x):
     """Each pixel's gradient onto the first of its group's four channels
     holding the maximum (the first NaN, if any); zero everywhere else."""
-    n, c, h, w = x.shape
     grad_x = np.zeros_like(x)
-    for b in range(n):
-        for g in range(c // 4):
-            for u in range(h):
-                for v in range(w):
-                    best = 4 * g
-                    for ch in range(4 * g, 4 * g + 4):
-                        if x[b, ch, u, v] != x[b, ch, u, v]:
-                            best = ch
-                            break
-                        if x[b, ch, u, v] > x[b, best, u, v]:
-                            best = ch
-                    grad_x[b, best, u, v] = grad_out[b, g, u, v]
+    index = naive_group_pool_first_max(x)
+    for b, g, u, v in np.ndindex(index.shape):
+        grad_x[b, 4 * g + index[b, g, u, v], u, v] = grad_out[b, g, u, v]
     return grad_x
 
 

@@ -16,6 +16,7 @@ from roteq.conv import (
     output_size,
     stride_preserves_equivariance,
 )
+from roteq.eqlayers import group_cross_channel_pool, group_cross_channel_pool_backward
 from roteq.tensor import rotate90
 
 from reference import (
@@ -263,7 +264,7 @@ def test_strided_lowering_holds_one_block_operand_at_a_time(rng):
     x = rng.standard_normal((256, 24, 33, 33), dtype=np.float32)
     w = rng.standard_normal((4, 24, 3, 3), dtype=np.float32)
     per_image = 24 * 3 * 3 * 16 * 16 * 4
-    bounds = conv._block_bounds(256, per_image + 4 * 16 * 16 * 4)
+    bounds = tensor.batch_chunks(256, per_image + 4 * 16 * 16 * 4, conv._BLOCK_BYTES)
     operand = max(hi - lo for lo, hi in bounds) * per_image
     out, peak = fresh_thread_peak(lambda: correlate2d(x, w, ConvGeometry(stride=2)))
     assert len(bounds) == 15
@@ -455,17 +456,17 @@ def assert_backward_blocking_is_exact(monkeypatch, rng, shape, w, geom):
     budget, n = 1 << 21, 64
     x = rng.standard_normal((n,) + shape).astype(w.dtype)
     g = rng.standard_normal(correlate2d(x, w, geom).shape).astype(w.dtype)
-    stages = []  # (count, item bytes, spare bytes, block count) of each _block_bounds call
+    stages = []  # (count, item bytes, spare bytes, block count) of each batch_chunks call
 
-    def spy(count, item_bytes, spare_bytes=0):
-        bounds = block_bounds(count, item_bytes, spare_bytes)
-        stages.append((count, item_bytes, spare_bytes, len(bounds)))
+    def spy(count, item_bytes, limit):
+        bounds = batch_chunks(count, item_bytes, limit)
+        stages.append((count, item_bytes, budget - limit, len(bounds)))
         return bounds
 
-    block_bounds = conv._block_bounds
+    batch_chunks = conv.batch_chunks
     with monkeypatch.context() as m:
         m.setattr(conv, "_BLOCK_BYTES", budget)
-        m.setattr(conv, "_block_bounds", spy)
+        m.setattr(conv, "batch_chunks", spy)
         gx, gw = correlate2d_backward(g, x, w, geom)
         none, gw_only = correlate2d_backward(g, x, w, geom, input_grad=False)
     assert [count for count, *_ in stages] == [n] * 3
@@ -825,27 +826,41 @@ def test_max_pool_backward_rejects_an_offset_past_the_window(kernel, offset, dty
         max_pool2d_backward(np.ones(index.shape), index, (1, 2, kernel + 1, kernel + 1), kernel, 1)
 
 
+ROUTED_POOLS = (  # (forward with index, backward from grad_out, index and input shape): max_pool, group_pool_max
+    (
+        lambda x: max_pool2d(x, 2, 2, return_index=True),
+        lambda g, index, shape: max_pool2d_backward(g, index, shape, 2, 2),
+    ),
+    (
+        lambda x: group_cross_channel_pool(x, "max", return_index=True),
+        lambda g, index, shape: group_cross_channel_pool_backward(g, index, "max"),
+    ),
+)
+
+
 @pytest.mark.parametrize("nan", [False, True])
 def test_routed_pool_temporaries_are_bounded_by_batch_chunks(rng, nan):
-    # dren-z2cnn-shape's L8 at batch 256: whole-batch routing temporaries
-    # would take 1.5 MB forward (two bytes a pooled entry) and 3.7 MB
-    # backward (a product and a mask); in batch chunks each takes one chunk
-    # (the first-hit routing of a chunk holding a NaN a few more bool arrays)
+    # dren-z2cnn-shape's L8 at batch 256, 2x2 max-pooled or group-pooled to
+    # the same number of entries: whole-batch routing temporaries would take
+    # 1.5 MB forward (two bytes a pooled entry; an int64 argmax 5.9 MB) and
+    # 3.7 MB backward (a product and a mask); in batch chunks each takes one
+    # chunk, the NaN fix-up included
     x = rng.standard_normal((256, 20, 24, 24), dtype=np.float32)
     if nan:
-        x[3, 1, 4, 5] = x[200, 2, 1, 1] = np.nan  # not first in their windows
-    slack = 1 << 17  # numpy's buffer for the strided adds, the window list
-    (out, index), allocated = traced_allocation(lambda: max_pool2d(x, 2, 2, return_index=True))
-    assert allocated <= out.nbytes + index.nbytes + (3 if nan else 1) * tensor.CHUNK_BYTES + slack, allocated
-    g = rng.standard_normal(out.shape, dtype=np.float32)
-    grad_x, allocated = traced_allocation(lambda: max_pool2d_backward(g, index, x.shape, 2, 2))
-    assert allocated <= grad_x.nbytes + tensor.CHUNK_BYTES + slack, allocated
-    # each image pooled and routed on its own, in one chunk, gives the same bytes
-    for b in (0, 3, 100, 200, 255):
-        one, one_index = max_pool2d(x[b : b + 1], 2, 2, return_index=True)
-        assert one.tobytes() == out[b : b + 1].tobytes() and one_index.tobytes() == index[b : b + 1].tobytes()
-        routed = max_pool2d_backward(g[b : b + 1], one_index, one.shape[:2] + x.shape[2:], 2, 2)
-        assert routed.tobytes() == grad_x[b : b + 1].tobytes()
+        x[3, 1, 4, 5] = x[200, 2, 1, 1] = np.nan  # not first in their windows or groups
+    slack = 1 << 17  # numpy's buffer for the strided adds, the view lists
+    for pool, route in ROUTED_POOLS:
+        (out, index), allocated = traced_allocation(lambda: pool(x))
+        assert allocated <= out.nbytes + index.nbytes + tensor.CHUNK_BYTES + slack, allocated
+        g = rng.standard_normal(out.shape, dtype=np.float32)
+        grad_x, allocated = traced_allocation(lambda: route(g, index, x.shape))
+        assert allocated <= grad_x.nbytes + tensor.CHUNK_BYTES + slack, allocated
+        # each image pooled and routed on its own, in one chunk, gives the same bytes
+        for b in (0, 3, 100, 200, 255):
+            one, one_index = pool(x[b : b + 1])
+            assert one.tobytes() == out[b : b + 1].tobytes() and one_index.tobytes() == index[b : b + 1].tobytes()
+            routed = route(g[b : b + 1], one_index, (1, *x.shape[1:]))
+            assert routed.tobytes() == grad_x[b : b + 1].tobytes()
 
 
 # values a pooling input is drawn from: quantized, so windows tie, and

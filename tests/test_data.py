@@ -163,6 +163,12 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 1, 4, 4)), np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match="0, 1"):
         Dataset(np.full((1, 1, 2, 2), 2.0), np.zeros(1, dtype=np.int64))
+    # a NaN compares false with both bounds
+    for images in (np.full((2, 1, 12, 12), np.nan), np.where(np.arange(16).reshape(1, 1, 4, 4) == 5, np.nan, 0.5)):
+        with pytest.raises(ValueError, match="0, 1"):
+            Dataset(images, np.zeros(images.shape[0], dtype=np.int64))
+    with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
+        Dataset(np.zeros((2, 1, 4, 4)), np.array([0.5, 1.0]))
 
 
 def test_rotate_exact_reproducible_and_label_preserving():

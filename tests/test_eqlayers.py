@@ -365,7 +365,10 @@ def test_group_pool_backward_at_ties_and_nan_matches_loop_reference(n, groups, h
     go = rng.standard_normal((n, groups, h, w)).astype(dtype)
     out, index = group_cross_channel_pool(x, "max", return_index=True)
     assert out.tobytes() == group_cross_channel_pool(x, "max").tobytes()
+    # numpy's reduction gives the same bytes, tied zeros and NaN included
+    assert out.tobytes() == x.reshape(n, groups, 4, h, w).max(axis=2).tobytes()
     assert index.dtype == np.uint8 and index.shape == go.shape
+    assert index.tobytes() == reference.naive_group_pool_first_max(x).tobytes()
     got = group_cross_channel_pool_backward(go, index, "max")
     assert got.dtype == dtype and got.shape == x.shape
     np.testing.assert_array_equal(got, reference.naive_group_pool_max_backward(go, x))
@@ -379,6 +382,21 @@ def test_group_pool_max_backward_needs_the_forward_index():
     for index in (None, np.zeros((1, 2, 3, 1), np.uint8)):
         with pytest.raises(ValueError, match=re.escape("the forward's index, of shape (1, 2, 3, 3)")):
             group_cross_channel_pool_backward(go, index, "max")
+
+
+@pytest.mark.parametrize(
+    "index,message",
+    [
+        (np.array([0, 7], np.uint8), "offset 7, past the 4 slots of a group"),
+        (np.array([0, -1], np.int8), "cannot hold the offsets 0..3"),
+        (np.array([0.0, 1.0]), "cannot hold the offsets 0..3"),
+    ],
+    ids=["past-slot-3", "signed", "float"],
+)
+def test_group_pool_max_backward_rejects_an_index_it_cannot_route_by(index, message):
+    # an unchecked slot 7 would drop the second pixel's gradient
+    with pytest.raises(ValueError, match=message):
+        group_cross_channel_pool_backward(np.ones((1, 1, 1, 2)), index.reshape(1, 1, 1, 2), "max")
 
 
 def test_global_pool_constant_and_invariance(rng):
