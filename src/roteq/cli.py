@@ -206,8 +206,9 @@ CONFIG_DEFAULTS = {  # each key's value type is that of its default; training on
 }
 
 def parse_run_config(text: str) -> dict:
-    """Parse key = value lines; unknown keys name their line number."""
-    cfg = dict(CONFIG_DEFAULTS)
+    """Parse key = value lines; each key may be set once. An unknown key
+    names its line number, and a key set again names both lines."""
+    cfg, seen = dict(CONFIG_DEFAULTS), {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -215,10 +216,11 @@ def parse_run_config(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line.strip()!r}")
         key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {seen[key]}")
         try:
             cfg[key] = type(CONFIG_DEFAULTS[key])(value)
         except ValueError as exc:

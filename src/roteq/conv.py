@@ -3,25 +3,18 @@
 The forward pass lowers input patches to a column matrix and multiplies
 it by the (o, c*kh*kw) filter matrix, so both the tied-filter layers
 and the map-rotating reference path share one kernel. It lowers the
-batch in cache-sized blocks: the output is allocated once, and each
-block of images is lowered to one column matrix, multiplied into one
-result buffer (`np.matmul` with `out=`) and written, transposed, into
-its slice of the output. A block's column matrix and GEMM result
-together stay within `_BLOCK_BYTES` (4 MiB); the budget counts the
-columns as allocated, the padded width W per output row for row runs
-and ow otherwise, so the lowering is bounded whatever the batch size
-(Cho & Brand 2017, "MEC", on the lowering's memory overhead; Goto &
-van de Geijn 2008 on sizing a GEMM's blocks for the cache). The column
-buffer that row runs (below) copy into and the result buffer come from
-a per-thread workspace that the next call reuses (see "Why 4 MiB"
-below); every other correlation multiplies `tensordot`'s own operand,
-built per block and released before the next block's. The backward
-pass walks the batch the same way, within the same budget and
-workspace, through the same lowering (`_Lowering`). On a
-256x20x26x26 float32 input with 20 3x3 filters the whole-batch matrix
-is 106 MB and the call's traced peak was 118 MB; in 32 blocks of 8
-images the peak is 15.8 MB, the 4.0 MB workspace included. A batch
-whose block fits the budget is one block.
+batch in blocks of images: the output is allocated once, and each block
+is lowered to one column matrix, multiplied into one result buffer
+(`np.matmul` with `out=`) and written, transposed, into its slice of the
+output. A block's column matrix and GEMM result together stay within
+`_BLOCK_BYTES` (4 MiB); the budget counts the columns as allocated, the
+padded width W per output row for row runs and ow otherwise, so the
+lowering is bounded whatever the batch size (Cho & Brand 2017, "MEC",
+on the lowering's memory overhead; Goto & van de Geijn 2008 on sizing a
+GEMM's blocks for the cache). A batch whose block fits the budget is
+one block. The backward pass walks the batch the same way, within the
+same budget, through the same lowering (`_Lowering`), and both passes
+take their block buffers from a reused per-thread workspace (below).
 
 Row runs (stride 1): row (channel, u, v) of a block's column matrix
 holds, per image, one contiguous run of the padded (H, W) plane read
@@ -30,35 +23,20 @@ copied through one `as_strided` view. Output entry (p, q) reads entry
 p*W + q of the run, x_pad[p+u, q+v], so the matrix's columns run along
 the padded width W instead of ow. Each output row gets W - ow extra
 columns, which wrap onto the next input row; the GEMM computes them
-and the write into the output drops them. On that 26-px layer at batch
-256, a copy of 180*256 runs of 622 floats replaces one of 180*256*24
-runs of 24: the copy alone went from 13.7-15.3 to 7.8-8.5 ms, and the
-whole call, with its buffers reused, from 44-48 to 25-26 ms (2 vCPUs,
-OpenBLAS 0.3.31). Row runs were measured against their removal on the
-same machine: copying `tensordot`'s operand into the workspace instead
-keeps the eval logits' bytes, but dren-z2cnn-shape's 12-px 20->20 layer
-took 5.6-5.7 ms against 5.0-5.1 ms with row runs at batch 256 in
-float32 (the 26-px layer about even, 29-31 against 29-33 ms), and the
-`infer-dren` benchmark's img/s was lower in 6 of 6 alternating 12 s
-pairs (medians 4299 against 4489). They stay: they pay on the short
-rows of the 12-, 10- and 8-px layers.
+and the write into the output drops them. The copy moves one long run
+per image and matrix row instead of one short run per output row, which
+pays most on the short rows of small layers (CHANGES.md has the runs
+measured against copying `tensordot`'s operand into the workspace).
 
 Why kept entries are bit-identical: each is still the dot product of
 the same filter row with the same c*kh*kw inputs in the same order,
 and only its column in the GEMM moves. OpenBLAS running on 2 or more
 threads rounds an entry the same wherever its column lies on full
-column blocks (see the input gradient below): with 2 and 4 BLAS
-threads, on every preset layer, in both precisions, at batches 8, 16,
-32, 50, 64 and 256, the output matches `tensordot`'s lowering bit for
-bit. On 1 BLAS thread it holds in float32 only: in float64, on the
-12-, 13-, 24- and 26-px layers of the presets at batches 64 and 256,
-tens to thousands of entries of a layer round differently, by up to
-6.5e-16 of its largest output. At batches of 7 or fewer the GEMMs of
-the small layers (the 12-, 8- and 6-px layers of the z2cnn family, and at
-batch 1 the last 3x3 layer of dren-small and cnn-small) fall under
-OpenBLAS's small-matrix kernel, where the wider matrix rounds
-differently: by up to 4.8e-7 relative in float32 and 6.5e-16 in
-float64 per layer.
+column blocks (see the input gradient below), so on every preset layer,
+in both precisions, the output matches `tensordot`'s lowering bit for
+bit. On 1 BLAS thread it holds in float32 only: in float64 some entries
+of a layer round differently, by an ulp or so. (A wider matrix can also
+cross OpenBLAS's small-matrix threshold; see `network.forward`.)
 
 Why only the overhang is zeroed: the columns between output rows hold
 input values, finite wherever the input is, and their products land
@@ -75,84 +53,52 @@ runs need stride 1, a (H, W) plane that is one flat run, and more than
 one output entry. At stride s > 1 an output row reads every s-th entry
 of an input row, which no contiguous run holds; row runs with element
 step s would give each output row W GEMM columns, about s times the ow
-kept, and made stride-2 calls 1.3-1.8x slower. For those layers, and
-for inputs whose plane is not one flat run (a transposed view, say,
-with no padding to copy it), the reshape is numpy's C-order copy,
-which is exactly the operand `tensordot` builds. For a 1x1 output (the
-4x4 decycle head) whose window covers the whole padded image, the
-reshape is a view and BLAS runs a transposed-operand GEMM. Copying
-that block to a contiguous matrix first changed the head's output at
-batch 64 by up to 5.1e-7 relative in float32 and 1.1e-15 in float64,
-and a transposed view of an (n, c*kh*kw) copy changed a 6-px k5
-stride-3 head by up to 5.7e-7 in float32 and 9.6e-16 in float64, so
-the operand stays `tensordot`'s wherever row runs do not apply.
+kept. For those layers, and for inputs whose plane is not one flat run
+(a transposed view, say, with no padding to copy it), the reshape is
+numpy's C-order copy, exactly the operand `tensordot` builds. For a 1x1
+output whose window covers the whole padded image (the 4x4 decycle
+head) it is a view, and BLAS runs a transposed-operand GEMM; any other
+operand for such a head changed its output bits.
 
 Why the blocks are near-equal: a lone small remainder block can fall
-under OpenBLAS's small-matrix GEMM threshold (about 1e6
-multiply-adds), whose kernel rounds differently from the one the
-unblocked call used. Splitting into as few blocks as the budget allows,
-with sizes differing by at most one image, keeps every block at half
-the budget or more; on every preset layer, in both precisions, the
-output is then bit-identical to the unblocked call's.
+under OpenBLAS's small-matrix GEMM threshold, whose kernel rounds
+differently from the one the unblocked call used. Splitting into as few
+blocks as the budget allows, with sizes differing by at most one image
+(`tensor.batch_chunks`), keeps every block at half the budget or more;
+on every preset layer, in both precisions, the output is then
+bit-identical to the unblocked call's.
 
-Why 4 MiB, in a reused workspace: a block's columns are written by
-the copy and read straight back by the GEMM, and at 4 MiB (the L2 of
-the 2-vCPU Xeon these figures come from is 2 x 2 MiB) they are still
-in cache when BLAS reads them; 16 MiB blocks streamed them back from
-memory. Small blocks alone are not enough. Allocated per call, they
-are the largest temporaries freed, so glibc's dynamic mmap and trim
-thresholds stay low, and each activation of a few MB is returned to the
-OS and faulted in again on its next allocation: a 4 MiB budget with
-per-call buffers made the z2cnn-shape forward at batch 64 21-26%
-slower (pinning MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_
-removed that). The workspace takes the allocator out of it:
-`_workspace_bytes` keeps one flat byte buffer per thread
-(`threading.local`), grown to the largest block the thread has needed
-and so never past `_BLOCK_BYTES`, and each call of either pass takes
-its block buffers from it instead of freeing them. The thread drops its
-old buffer before it allocates a larger one, so the two are not held
-together unless a caller still holds a view of the old one: a batch-64
-train step of dren-z2cnn-shape in a fresh thread peaked at 17.2 MB in
-L13's forward, where the buffer grew, and peaks at 15.1 MB without the
-old buffer. A block whose one image alone exceeds the budget gets its
-own buffer, freed with the call. Outputs are fresh arrays, never views of the workspace, which
-the next call overwrites; each thread lowers into its own, so calls
-made at once give the bytes of calls made in turn. On dren-z2cnn-shape's
-batch-256 eval forward (float32, 2 vCPUs, OpenBLAS 0.3.31, interleaved
-runs, medians of 30) 16 MiB blocks in per-call buffers took 115-153 ms
-and 2,000-2,600 minor faults per forward; 4 MiB blocks with the
-workspace took 65-78 ms and none, against 79-91 ms at 2 MiB and
-65-98 ms at 8 MiB.
+Why 4 MiB, in a reused workspace: a block's columns are written by the
+copy and read straight back by the GEMM, and a block that fits the L2
+cache is still there when BLAS reads it, where larger blocks stream it
+back from memory. Small blocks alone are not enough. Allocated per call,
+they are the largest temporaries freed, so glibc's dynamic mmap and trim
+thresholds stay low, and each activation above them is returned to the
+OS and faulted in again on its next allocation. The workspace takes the
+allocator out of it: `_workspace_bytes` keeps one flat byte buffer per
+thread (`threading.local`), grown to the largest block the thread has
+needed and so never past `_BLOCK_BYTES`, and each call of either pass
+takes its block buffers from it instead of freeing them. The thread
+drops its old buffer before it allocates a larger one, so the two are
+not held together unless a caller still holds a view of the old one. A
+block whose one image alone exceeds the budget gets its own buffer,
+freed with the call. Outputs are fresh arrays, never views of the
+workspace, which the next call overwrites; each thread lowers into its
+own, so calls made at once give the bytes of calls made in turn
+(CHANGES.md has the other budgets' times and page faults).
 
 The epilogue: `correlate2d`'s keyword `epilogue` is a tuple of steps,
 each a ReLU, a max pool or an affine (a scale a and a shift b per output
 channel), that it runs in order on each block's GEMM result before the
-write, while the block is still in cache. An eval-mode `network.forward`
-hands each conv-like layer the ReLUs, max pools and group batch norms
-after it, each batch norm as its eval map y = a*x + b (its docstring says
-in what order), so no full-resolution map before a pool is stored and no
-pass over the whole output runs for them. A pool is one `max_pool2d` call
-over the block's (o, b, oh, ow) view; a ReLU or an affine runs in place
-over one contiguous array: the last pool's output, or before any pool the
-whole GEMM result, whose dropped columns hold finite values wherever the
-input is (see the overhang below). They are the plain steps' own
-elementwise operations (`np.maximum(x, 0)`, then x*a and + b, as the
-batch norm's eval pass runs them), so each gives the plain step's bytes.
-On dren-z2cnn-shape at batch 256 (float32) the 26-px layer's 11.8 MB
-output before its pool gives way to its 2.9 MB pooled one, and the eval
-forward's traced peak went from 44.1 to 35.7 MB.
-
-Why a pool may run ahead of ReLUs and affines: a non-decreasing map f
-commutes with a window's maximum, max(f(x), f(y)) = f(max(x, y)) in
-value. Rounding is monotone, so max(., 0) and x -> fl(fl(a*x) + b) for a
-finite a > 0 and a finite b are non-decreasing, and neither makes a NaN
-of a number; a NaN wins its window (`tensor.max_fold`) and stays NaN under
-each. The only equal values a maximum can tell apart are +0 and -0, and
-each step maps both to the same bits and returns no -0 (numpy's
-maximum(-0.0, 0) is +0, and `GroupBatchNorm.affine` gives no b = -0), so
-pooling first gives the bytes of the stack's order. An a <= 0 turns a
-window's maximum into its minimum, and an infinite a or b can make a NaN
-of a zero or an infinity, so no pool moves ahead of such an affine.
+write, while the block is still in cache. A pool is one `max_pool2d`
+call over the block's (o, b, oh, ow) view; a ReLU or an affine runs in
+place over one contiguous array: the last pool's output, or before any
+pool the whole GEMM result, whose dropped columns hold finite values
+wherever the input is (see the overhang above). They are the plain
+steps' own elementwise operations (`np.maximum(x, 0)`, then x*a and + b,
+as the batch norm's eval pass runs them), so each gives the plain step's
+bytes. `network.forward`'s fusion rule says which layers a filter step
+takes as its epilogue, and why a pool may run ahead of them.
 
 The backward pass is two GEMMs per block of images (unrolled
 convolution, Chellapilla et al. 2006), both halves walking the batch in
@@ -161,9 +107,7 @@ from the thread's workspace. Besides its two gradients a call allocates
 only the padded input (for pad > 0, as the forward does) and arrays the
 size of the filter bank. The filter half reads the input and finishes
 before col2im writes its first block, so a caller done with the input
-passes it as `out` and the input gradient is written over it, allocating
-nothing the input's size (`network.backward` does, above the lowest
-trainable layer).
+passes it as `out` and the input gradient is written over it.
 
 The filter gradient: a block's columns are the forward's own lowering,
 row runs where the forward takes them and otherwise the values of
@@ -182,29 +126,17 @@ Why the filter gradient's bits differ from one GEMM's: each entry is a
 sum over all n*oh*ow output positions. Blocked by batch, it is a sum of
 one partial sum per block, and the padding below changes where BLAS
 cuts the reduction, so it rounds otherwise than the one GEMM over the
-whole batch did. It is no less accurate. Against a float64 product, the
-float32 gradient of every conv-like layer of dren-z2cnn-shape,
-z2cnn-shape, bench-nin-shape and dren-small at batches 8, 64 and 256
-deviated by up to 5.9e-7 of its largest entry, the one GEMM by up to
-7.4e-7. In float64 the blocked gradient stayed within 1.3e-15 of the
-one GEMM's, whose own error against a long-double product was 2.4e-16
-to 9.9e-16 on dren-z2cnn-shape's layers (batch 16).
+whole batch did. It is no less accurate: against a float64 product, it
+deviates no more than the one GEMM on the presets' layers (CHANGES.md).
 
 Why the reduction grain: OpenBLAS cuts a GEMM's reduction into panels,
 and its one-thread and threaded drivers split the last two panels
 differently unless the reduction's length is a multiple of 32 or fits
-one panel. Over lengths 16-16000 in steps of 4 (M 10, 20 and 40, N 180
-and 360), products matched at 1 and 2 threads at every multiple of 32
-in both precisions, and differed at most other lengths from 452
-(float32) and 388 (float64) up (OpenBLAS 0.3.31, SkylakeX kernels).
-So each block's b*span columns are padded with zero columns, in the
-columns and in the laid-out gradient alike, up to a multiple of
-`_REDUCTION_GRAIN` (32), and the block budget keeps room for them.
-Without the padding, dren-small's batch-32 train step (its 22-px layer
-in blocks of 10 and 11 images, 4,400 and 4,840 columns) ended in other
-parameter bits at 1 and 2 threads. The one GEMM agreed there only
-because the tested batches (32 and 64 images) made its n*oh*ow columns
-a multiple of 32.
+one panel (OpenBLAS 0.3.31, SkylakeX kernels, both precisions). So each
+block's b*span columns are padded with zero columns, in the columns and
+in the laid-out gradient alike, up to a multiple of `_REDUCTION_GRAIN`
+(32), and the block budget keeps room for them; without it, dren-small's
+batch-32 train step ended in other parameter bits at 1 and 2 threads.
 
 The input gradient (col2im) is the filter bank times the output
 gradient, scattered back over the patch windows as flat shifts, the
@@ -213,23 +145,20 @@ the padded input's (H, W) grid: entry (p, q) goes to (p*s, q*s) for
 stride s, every other position is zero. In the accumulator's flat
 (c, b, H, W) order, kernel offset (u, v) moves every entry u*W + v
 places on, so its whole scatter is one contiguous add of a GEMM row
-block. Each kernel row u is one GEMM of the filters' (kw*c, o) slice
-with the spread gradient, written into one workspace buffer; the
-accumulator's (kh-1)*W + kw - 1 spare entries take the last shifts'
-overhang. A shift carries zeros across row, image and channel borders
-but never a gradient entry, which lands at (p*s + u, q*s + v), inside
-its own image. For finite filters a zero contributes +0 or -0, the
-accumulator starts at +0 and so never holds -0, and adding a signed
-zero leaves any other value as it was; each entry gets the same terms
-in the same order as from a strided scatter of the unspread gradient.
-The block is then written, transposed and unpadded, into the input
-gradient. A block counts (kw*c + o + c)*H*W entries per image and the
-spare entries once; the spread buffer is zeroed once per call, as every
-block writes the same positions of it. On a 64x20x26x26 float32 input
-with 20 3x3 filters the strided scatter walked 30,720 strided runs of
-24 elements per offset; a shift over the whole batch is one add over a
-single 865,280-element run, and the whole backward went from 20-23 to
-16-19 ms (2 vCPUs, OpenBLAS 0.3.31).
+block, where a strided scatter walks one short run per output row. Each
+kernel row u is one GEMM of the filters' (kw*c, o) slice with the
+spread gradient, written into one workspace buffer; the accumulator's
+(kh-1)*W + kw - 1 spare entries take the last shifts' overhang. A shift
+carries zeros across row, image and channel borders but never a
+gradient entry, which lands at (p*s + u, q*s + v), inside its own
+image. For finite filters a zero contributes +0 or -0, the accumulator
+starts at +0 and so never holds -0, and adding a signed zero leaves any
+other value as it was; each entry gets the same terms in the same order
+as from a strided scatter of the unspread gradient. The block is then
+written, transposed and unpadded, into the input gradient. A block
+counts (kw*c + o + c)*H*W entries per image and the spare entries once;
+the spread buffer is zeroed once per call, as every block writes the
+same positions of it.
 
 Why blocking keeps the input gradient's bits: each of its entries is a
 sum over output channels and kernel offsets only, none over images, so
@@ -240,68 +169,29 @@ full 8-column blocks, so at a batch that is a multiple of 8 (every
 preset layer, every benchmark batch) the results match. A trailing
 partial block rounds its own way in some shapes, and a one-column
 product goes to gemv; the spread moves entries into and out of those,
-and there the two differ by an ulp or so. On every conv-like layer of
-the four presets above the blocked input gradient is the bits of the
-whole-batch one, in float32 at batches 8, 64 and 256 and in float64 at
-8 and 64, at 1 and 2 BLAS threads. Under a 2 MiB budget on 1 thread,
-float64, bench-nin-shape's 11-px 1x1 layer at batch 64 (blocks of 21
-and 22 images) rounded 290 of its 247,808 entries otherwise, by up to
-1.8e-15 absolute, as the forward's one-thread float64 GEMMs do. Every sum runs
-in a fixed order, so repeated runs are bitwise reproducible. Below the
-lowest trainable layer no input gradient is needed, and
-`input_grad=False` skips the col2im half.
-
-What the blocks bought, on dren-z2cnn-shape's 20->20 3x3 layer at 26x26
-(float32; 2 vCPUs, OpenBLAS 0.3.31; peaks traced in a fresh thread, so
-the workspace counts): the backward's peak went from 17.3 to 7.5 MB at
-batch 64 and from 42.3 to 17.9 MB at batch 256, where it is now the
-13.8 MB input gradient, the 4.1 MB workspace and a few small arrays.
-The 17.3 and 42.3 MB were per-call buffers blocked by input channel
-within 16 MiB, each block's GEMM meeting the whole (o, n*oh*ow) output
-gradient (29.5 and 118.0 MB unblocked). The call's median time went
-from 25 to 19-20 ms at batch 64 and from 169-176 to 74-79 ms at batch
-256, in alternating runs. A batch-64
-momentum-SGD step of the preset, after one warm step, peaked at 22.0 MB
-against 29.0 MB, in a batch-norm backward over 19.7 MB of forward
-caches. Since the train walk keeps no batch norm's output and packs its
-ReLU and dropout masks 8 per byte (`network.forward`), the caches hold
-8.9 MB and the step peaked at 15.7 MB, still in that backward. With each
-max pool keeping a routing index instead of its input (below), and the
-batch norm and conv backward writing their input gradients over their
-spent xhat and input, the caches hold 9.1 MB and the step peaked at
-12.8 MB, in L7's batch-norm backward, with L7's forward at 12.7 MB.
-With the train walk's ReLU, dropout and batch-norm steps also writing
-over spent activations (`network.forward`), the batch-norm backward
-and the pool's routing forming their temporaries a chunk of images at a
-time (`tensor.batch_chunks`, 256 KiB), the step peaks at 11.0 MB, in
-L8's max-pool backward, with L8's forward at 10.9 MB and L4's conv
-backward at 10.2 MB next; at batch 256 it peaks at 43.1 MB (50.9 MB
-before). The workspace stays at the 4.1 MB the forward already needed.
+and there the two differ by an ulp or so, as do some float64 entries
+on 1 BLAS thread, as the forward's do. Every sum runs in a fixed order,
+so repeated runs are bitwise reproducible. Below the lowest trainable
+layer no input gradient is needed, and `input_grad=False` skips the
+col2im half.
 
 Max pooling is k^2 elementwise maxima: one (n, c, oh, ow) strided view
 per kernel offset, folded into the output with `np.maximum` by
 `tensor.max_fold`, whose docstring states the first-maximum rule (strict
-improvement, NaN wins, +0 and -0 tie). Reducing the two inner axes of
-the 6-D patch view instead walks memory with short, widely strided inner
-loops; on a 256x20x26x26 float32 input with 2x2 windows that took
-110.8 ms against 4.5 ms for the offset loop.
-
-A train-mode pool keeps no input for its backward, only where each
-window's maximum came from: the pooling "switches" of Zeiler & Fergus
-(2013). `return_index` forms them during the same folds, by that rule:
+improvement, NaN wins, +0 and -0 tie); reducing the two inner axes of
+the 6-D patch view instead walks memory in short, widely strided loops.
+The backward needs no input, only where each window's maximum came
+from: the pooling "switches" of Zeiler & Fergus (2013).
+`return_index` forms them during the same folds, by that rule:
 the row-major offset of each window's first maximum, in the smallest
 unsigned dtype that holds k^2 - 1 (uint8 up to k = 16). The backward
 (`tensor.max_route`) adds grad_out * (index == j) into zeros per offset,
 the same adds, in the same order, as routing from the input, so the
 same bytes, signed zeros included. Both form their per-offset
-temporaries (the comparison and its offset, or the mask and the routed
-product) one chunk of images at a time, within `tensor.CHUNK_BYTES`;
-forming them for the whole batch took 0.37 MB forward and 0.92 MB
-backward on dren-z2cnn-shape's L8 at batch 64. On dren-z2cnn-shape at
-batch 64 the index is 0.18 MB where the pool's input, a batch norm's
-output the backward rebuilt from its xhat, was 2.9 MB. The group pool
-(`eqlayers.group_cross_channel_pool`) runs the same fold and router over
-its four slots.
+temporaries one chunk of images at a time, within `tensor.CHUNK_BYTES`.
+The group pool (`eqlayers.group_cross_channel_pool`) runs the same fold
+and router over its four slots. What the train walk keeps and writes
+over, layer by layer: `network.forward`.
 """
 
 import threading

@@ -190,16 +190,13 @@ class GroupBatchNorm:
     the variance's summand and, scaled by 1/sqrt(var+eps), it becomes
     the normalized input xhat, which the cache keeps with inv_std; the
     output gamma*xhat + beta (`output`) is written over the squares.
-    Given `out`, x - mean is written there, and a train-mode
-    `network.forward` passes the spent input itself, so the pass
-    allocates its output and no other full-size array. No cache keeps
-    that output: a train-mode `network.forward` drops it from the next
-    layer's cache, and `network.backward` rebuilds it from xhat with
-    `output`, the same two operations, so it has the same bits.
-    The backward pass writes over the cache it is given, which is spent
-    once it runs (the in-place backward of Rota Bulo et al. 2017), and
-    runs over chunks of images (`tensor.batch_chunks`), reusing one
-    chunk-sized buffer. grad_gamma sums go*xhat the way numpy's
+    Given `out`, which may be x itself, x - mean is written there, so the
+    pass allocates its output and no other full-size array. The backward
+    pass writes its input gradient over the cache's xhat (the in-place
+    backward of Rota Bulo et al. 2017) and runs over chunks of images
+    (`tensor.batch_chunks`), reusing one chunk-sized buffer. How the
+    train walk uses `out`, the spent xhat and `output`: the train-walk
+    rules of `network.forward`. grad_gamma sums go*xhat the way numpy's
     `(go*xhat).sum(axis=(0, 2))` does: with more than one group, one
     pairwise sum per (image, group) row, folded over the images in
     order; with one group, numpy sums the whole product as one flat
@@ -217,13 +214,8 @@ class GroupBatchNorm:
     other value, so the map returns no -0. Its rounding differs from the
     two-pass train formula (within 1e-12 relative in float64). It keeps
     no cache and returns no new state: `backward` follows train-mode
-    passes only.
-
-    An eval-mode `network.forward` runs this pass only for a batch norm
-    outside the run of layers after a conv-like layer; in one, that
-    layer's epilogue applies the same affine, repeated over each group's
-    channels, with the same two elementwise steps (`network.forward`
-    states the rule).
+    passes only. Inside a conv-like layer's epilogue an eval-mode
+    `network.forward` applies the same affine instead (its fusion rule).
     """
 
     eps = 1e-5  # added to the variance before the square root
@@ -271,7 +263,7 @@ class GroupBatchNorm:
         """The train-mode output gamma*xhat + beta as (n, c, h, w), from the
         normalized input (n, groups, c // groups, h, w), written into `out`
         if given. `forward` writes it over its squares; `network.backward`
-        calls it again to rebuild the output that no cache keeps."""
+        calls it to rebuild the output."""
         n, g, size, h, w = xhat.shape
         y = np.multiply(params["gamma"].reshape(1, g, 1, 1, 1), xhat, out=out)
         y += params["beta"].reshape(1, g, 1, 1, 1)

@@ -47,7 +47,7 @@ from .eqlayers import (
     shared_bias_add,
     shared_bias_backward,
 )
-from .tensor import batch_chunks
+from .tensor import CHUNK_BYTES, batch_chunks
 
 
 class ModelSpecError(ValueError):
@@ -188,7 +188,7 @@ def _batchnorm_backward(model, i, g, cache, spent=False):
     return GroupBatchNorm.backward(g, model.params[i], cache)
 
 
-_DRAW_CHUNK = 1 << 16  # dropout entries drawn at once; a multiple of 8
+_DRAW_CHUNK = CHUNK_BYTES // 4  # dropout entries drawn at once, one 32-bit word each; a multiple of 8
 
 
 def _keep_mask(rng, shape, rate):
@@ -208,10 +208,9 @@ def _keep_mask(rng, shape, rate):
 
 
 def _dropout_forward(model, i, h, train, rng, spent=False):
-    """The mask is drawn `_DRAW_CHUNK` entries at a time, in flat order, so
-    no array of words or mask entries is full-size; its chunks are a
-    multiple of 8 entries, so they draw `_keep_mask`'s one mask and pack to
-    its bytes."""
+    """The mask is drawn `_DRAW_CHUNK` entries at a time, in flat order;
+    the chunks are a multiple of 8 entries, so they draw `_keep_mask`'s
+    one mask and pack to its bytes."""
     if not train:
         return h, None, None
     if rng is None:
@@ -409,7 +408,8 @@ def parse_layer_stack(text: str) -> list:
 
     Tokens after the kind set fields: g/c width, k kernel, s stride,
     p pad, r dropout rate. A kind takes only the tokens of the fields it
-    reads (`LayerKind.reads`). '@name' loads a preset of `PRESETS`.
+    reads (`LayerKind.reads`), and each field once: `cycle:g5:c7` sets
+    the width twice. '@name' loads a preset of `PRESETS`.
     Every malformed description raises ModelSpecError.
     """
     text = text.strip()
@@ -433,6 +433,8 @@ def parse_layer_stack(text: str) -> list:
             name, typ = LAYER_TOKENS[tok[0]]
             if name not in KINDS[kind].reads:
                 raise ModelSpecError(f"{kind} takes no {name}: token {tok!r} in {item!r}")
+            if name in fields:
+                raise ModelSpecError(f"{kind} {name} is set twice: token {tok!r} in {item!r}")
             try:
                 fields[name] = typ(tok[1:])
             except ValueError:
@@ -587,15 +589,10 @@ def build_model(
 class ForwardCache:
     """What a train-mode `forward` keeps for `backward`, one entry per layer;
     an eval-mode `forward` keeps none and returns None in its place.
-
-    No entry holds a batch norm's output, a max pool's input or a mask of
-    a byte per entry (`forward` says what each keeps instead), and no two
-    entries share memory. A batch norm's xhat may be the memory of its
-    input, which the forward wrote over. `backward` consumes it: it takes
-    the list (leaving `layer_caches` None), writes some input gradients
-    over the entries they came from, and frees each entry as soon as that
-    layer's step returns. A second `backward` on the same cache raises
-    ValueError; `new_state` stays readable.
+    What each entry holds, and what `backward` writes over: `forward`'s
+    train-walk rules. `backward` takes the list (leaving `layer_caches`
+    None), so a second `backward` on the same cache raises ValueError;
+    `new_state` stays readable.
     """
 
     layer_caches: list
@@ -646,22 +643,29 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
 
     Each layer runs the forward step of its kind's entry in `kinds`, a
     table keyed like `KINDS` (the map-rotating one of `bench` swaps the
-    tied kinds' steps). An eval-mode pass keeps no layer caches and
-    returns None for its cache, so each layer's input is freed as soon
-    as the next runs.
+    tied kinds' steps).
 
-    An eval-mode pass runs the whole stack on one chunk of images at a
-    time: as few near-equal chunks (sizes differing by at most one) as
+    The eval batch plan, the only place an eval batch is cut: an
+    eval-mode pass runs the whole stack on one chunk of images at a
+    time, as few near-equal chunks (sizes differing by at most one) as
     keep each at 128 images or fewer, each cast to the model's dtype on
-    its own, its flat logits written into one (n, features) array. So
-    the largest activation held is one chunk's, whatever the batch, and
-    each image's logits are the bytes of a one-call walk over its chunk
-    (`predict` says when that differs from a walk over the whole batch).
-    A batch of no images gives (0, features) logits.
+    its own, its flat logits written into one (n, features) array. It
+    keeps no layer caches and returns None for its cache, so the
+    largest activation held is one chunk's, whatever the batch. A batch
+    of no images gives (0, features) logits.
 
-    An eval-mode pass fuses. Each layer whose step in `kinds` is the
-    filter step (`correlate2d` on `Model.expanded_filter`) finishes, per
-    GEMM block, the whole run of dropout, ReLU, group batch norm and max
+    Eval rounding: an image's logits are the bytes of a one-call walk
+    over its chunk, and can depend slightly on the chunk's size. OpenBLAS
+    sends GEMMs of about 1e6 multiply-adds or fewer to a small-matrix
+    kernel that rounds differently: a chunk of a few images meets it, and
+    below 128 images so do the 1x1-output heads (the 10x320 GEMMs of the
+    z2cnn shapes), while chunks of 128 give the bytes of one walk over a
+    larger batch. So `predict` of a batch and of a part of it can differ
+    in class only where an image's top two logits tie to round-off.
+
+    The fusion rule: each layer whose step in `kinds` is the filter
+    step (`correlate2d` on `Model.expanded_filter`) finishes, per GEMM
+    block, the whole run of dropout, ReLU, group batch norm and max
     pool layers after it, in any number and order: its epilogue (see
     `conv`). Dropouts are the identity in eval, and a batch norm runs as
     its eval affine a*x + b (`GroupBatchNorm.affine`, one value per
@@ -670,37 +674,60 @@ def forward(model: Model, x: np.ndarray, mode: str = "train", rng=None, *, kinds
     batch norms before it, back to the previous pool, but passes a batch
     norm only when every a > 0 and every a and b is finite. So no
     full-resolution map before a pool is stored, and the logits are the
-    plain walk's bytes (`conv` says why moving a pool is exact). Every
-    other layer, such as a step that rotates feature maps, runs its
-    plain step.
+    plain walk's bytes. Every other layer, such as a step that rotates
+    feature maps, runs its plain step.
 
-    Train mode walks the plain steps and keeps each activation once. A
-    step whose backward reads its input (the conv-like kinds and the map
-    table's tied steps) keeps it as `cache[0]`; where that input is the
-    array a group batch norm returned, the walk stores None there
-    instead, and `backward` rebuilds it from the batch norm's cached xhat
-    right before that layer's step, with the forward's own operations
-    (`GroupBatchNorm.output`), so the step sees the same bytes. A max
-    pool keeps, instead of its input, the offset of each window's first
-    maximum in the smallest unsigned dtype that holds k^2 - 1 (uint8 up
-    to k = 16; `conv.max_pool2d`) and the input's shape, and
-    `group_pool_max` the uint8 slot of each group's first maximum, by
-    the same rule (`tensor.max_fold`). ReLU
-    and dropout steps keep their masks packed 8 entries per byte,
-    `global_avg_pool` keeps only its input's shape and dtype, and
-    `group_pool_mean` keeps nothing. No two entries share memory, and
-    none shares the caller's images unless it is the lowest trainable
-    layer's, which `backward` never writes.
+    Why a pool may run ahead of ReLUs and affines: a non-decreasing map f
+    commutes with a window's maximum, max(f(x), f(y)) = f(max(x, y)) in
+    value. Rounding is monotone, so max(., 0) and x -> fl(fl(a*x) + b) for
+    a finite a > 0 and a finite b are non-decreasing, and neither makes a
+    NaN of a number; a NaN wins its window (`tensor.max_fold`) and stays
+    NaN under each. The only equal values a maximum can tell apart are +0
+    and -0, and each step maps both to the same bits and returns no -0
+    (numpy's maximum(-0.0, 0) is +0, and `GroupBatchNorm.affine` gives no
+    b = -0), so pooling first gives the bytes of the stack's order. An
+    a <= 0 turns a window's maximum into its minimum, and an infinite a
+    or b can make a NaN of a zero or an infinity, so no pool moves ahead
+    of such an affine.
 
-    Train mode also writes over spent activations. Each step's output is
-    a new array or its input written over, and no cache keeps it, so the
-    walk tells every step but the bottom one that its input is spent: a
-    ReLU then packs its mask and writes max(h, 0) over h, a dropout
-    multiplies and scales h in place, chunk by chunk as it draws the
-    mask (`_dropout_forward`), and a batch norm writes x - mean, its
-    xhat, over its input (`GroupBatchNorm.forward`'s `out`). Each keeps
-    the bytes of the step that allocates; the caller's images are never
-    written.
+    The train walk's memory rules, for this pass and `backward`; each
+    keeps the bytes of the plain step that allocates:
+    - Each activation is kept once. A step whose backward reads its
+      input (the conv-like kinds and the map table's tied steps) keeps
+      it as `cache[0]`; where that input is the array a group batch norm
+      returned, the walk stores None there instead, and `backward`
+      rebuilds it from the batch norm's cached xhat right before that
+      layer's step, with the forward's own operations
+      (`GroupBatchNorm.output`), and frees it with that step's entry.
+    - Masks are packed: ReLU and dropout steps keep theirs 8 entries per
+      byte.
+    - A pool keeps an index, not its input: a max pool the offset of
+      each window's first maximum (`conv.max_pool2d`'s `return_index`)
+      and the input's shape, `group_pool_max` the uint8 slot of each
+      group's first maximum, by the same rule (`tensor.max_fold`).
+      `global_avg_pool` keeps only its input's shape and dtype, and
+      `group_pool_mean` nothing.
+    - Spent inputs are written over. No two entries share memory, and
+      no cache keeps a step's output, so the walk tells every step but
+      the bottom one that its input is spent: a ReLU then writes
+      max(h, 0) over h, a dropout multiplies and scales h in place, and
+      a batch norm writes x - mean, its xhat, over its input
+      (`GroupBatchNorm.forward`'s `out`). In `backward`, a conv-like
+      layer writes its input gradient over its cached input once its
+      filter gradient is formed (`correlate2d_backward`'s `out`), a batch
+      norm over its xhat, and a ReLU or dropout multiplies its mask into
+      the incoming gradient itself, which is spent unless it is still
+      `grad_logits` (passed down unchanged by a bias). The caller's
+      images and `grad_logits` are never written; no entry shares the
+      images unless it is the lowest trainable layer's, which `backward`
+      never writes.
+    - Temporaries are chunked: a dropout draws its mask `_DRAW_CHUNK`
+      entries at a time, and the batch-norm backward and the pools'
+      index and routing form theirs one `tensor.batch_chunks` chunk of
+      images at a time, within `tensor.CHUNK_BYTES`; a correlation's
+      blocks stay within `conv._BLOCK_BYTES`.
+    - `backward` consumes the cache, dropping each layer's entry as the
+      walk passes it, so its peak holds only the entries still below it.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -733,18 +760,9 @@ def backward(model: Model, cache: ForwardCache, grad_logits: np.ndarray) -> dict
 
     The walk stops at the lowest trainable layer: nothing below it has
     parameters, so no gradient is passed further down, and a conv-like
-    layer there forms no input gradient at all. The cache is consumed:
-    each layer's entry is dropped as the walk passes it, so the walk's
-    peak holds only the caches of the layers still below it. An input
-    that `forward` left out, a batch norm's output, is rebuilt from the
-    batch norm's xhat right before the step that reads it and freed with
-    that step's entry. Two steps write their input gradient over their
-    own spent entry instead of a new array: a conv-like layer over its
-    input, once its filter gradient is formed, and a batch norm over its
-    xhat. The ReLU and dropout steps multiply their mask into the
-    incoming gradient itself, which is spent unless it is still
-    `grad_logits` (passed down unchanged by a bias). `grad_logits` and
-    the caller's images are never written.
+    layer there forms no input gradient at all. It consumes the cache
+    (`ForwardCache`); what it rebuilds, writes over and frees on the way
+    are `forward`'s train-walk rules.
     """
     if cache is None:
         raise ValueError("backward needs the cache of a train-mode forward; an eval-mode one returns None")
@@ -791,31 +809,12 @@ def sgd_step(model: Model, grads: dict, lr: float, momentum: float) -> None:
             model.params[i][name] += v
 
 
-EVAL_BATCH = 256  # images per eval-mode forward in `predict` and `evaluate`
-
-
 def predict(model: Model, images: np.ndarray) -> np.ndarray:
-    """Class predictions; ties break toward the lowest class index.
-
-    In float32 an image's logits depend slightly on the batch it is
-    evaluated in: OpenBLAS sends small GEMMs (about 1e6 multiply-adds or
-    fewer) to a kernel that rounds differently, so a batch of a few
-    images, like the last partial batch here, can give logits up to
-    ~4.2e-7 relative away from the same images inside a full batch.
-    A partial batch of 129 to 255 images runs as two chunks, at least
-    one under 128 images (`forward`), and below 128 images the
-    1x1-output heads (the 10x320 GEMMs of the z2cnn shapes) meet that
-    kernel too: at 200 images, two chunks of 100 gave logits up to
-    8.3e-7 (float32) and 1.6e-15 (float64) of the largest logit away
-    from one walk over all 200.
-    Either can flip a prediction only where the top two logits tie to
-    round-off.
-    """
-    out = []
-    for lo in range(0, images.shape[0], EVAL_BATCH):
-        logits, _ = forward(model, images[lo : lo + EVAL_BATCH], mode="eval")
-        out.append(np.argmax(logits, axis=1))
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    """Class predictions, the argmax of one eval-mode `forward` over all of
+    `images`; ties break toward the lowest class index. How an image's
+    logits depend on the batch it is evaluated in: `forward`."""
+    logits, _ = forward(model, images, mode="eval")
+    return np.argmax(logits, axis=1)
 
 
 def evaluate(model: Model, dataset) -> float:

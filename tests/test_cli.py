@@ -391,6 +391,9 @@ def test_parse_run_config_bad_value_and_shape():
         parse_run_config("epochs = three\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_run_config("just some words\n")
+    # a second lr once replaced the first, silently
+    with pytest.raises(ConfigError, match="^line 4: 'lr' is already set on line 1$"):
+        parse_run_config("lr = 0.1\nseed = 2\n# again\nlr = 5\n")
 
 
 config_lines = st.tuples(
@@ -686,6 +689,9 @@ def test_train_flag_overrides_config(tmp_path, data_dir, capsys):
         ("conv:c10:k1,dropout:k3,gap", "dropout takes no kernel: token 'k3' in 'dropout:k3'"),
         ("conv:c10:k1,maxpool:g5:k2:s2,gap", "max_pool takes no width: token 'g5' in 'maxpool:g5:k2:s2'"),
         ("@nope", "unknown preset 'nope'"),
+        ("cycle:g5:k3:k5,decycle:c10:k1,gap", "cycle kernel is set twice: token 'k5' in 'cycle:g5:k3:k5'"),
+        ("cycle:g5:c7:k3,decycle:c10:k1,gap", "cycle width is set twice: token 'c7' in 'cycle:g5:c7:k3'"),
+        ("conv:c10:k1,dropout:r0.5:r0.1,gap", "dropout rate is set twice: token 'r0.1' in 'dropout:r0.5:r0.1'"),
     ],
 )
 def test_train_rejects_bad_layer_geometry(data_dir, capsys, stack, message):
@@ -698,6 +704,16 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys):
     cfg.write_text("warp_speed = 9\n")
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_train_on_labels_above_9_is_a_runtime_error_without_traceback(tmp_path, capsys):
+    # an IDX label file holds any byte; the dataset takes 10 classes
+    images = np.zeros((4, 1, 12, 12))
+    for split, labels in (("train", [0, 1, 12, 3]), ("val", [0, 1, 2, 3])):
+        (tmp_path / f"{split}-images.idx").write_bytes(data.dump_idx_images(images))
+        (tmp_path / f"{split}-labels.idx").write_bytes(data.dump_idx_labels(np.array(labels)))
+    assert cli.main(["train", "--data-dir", str(tmp_path), "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == "error: labels must lie in 0..9\n"
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

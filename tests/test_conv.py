@@ -809,6 +809,17 @@ def test_max_pool_backward_rejects_misshaped_gradient_or_output(grad_shape, out_
 
 
 @pytest.mark.parametrize(
+    "shape,dtype", [((2, 3, 5, 5), np.float32), ((2, 3, 5, 4), np.float64), ((1, 3, 5, 5), np.float64)]
+)
+def test_backward_rejects_an_out_that_is_not_the_input_gradient(shape, dtype):
+    # the input gradient of float64 operands is (2, 3, 5, 5) float64
+    x, w = np.zeros((2, 3, 5, 5)), np.zeros((4, 3, 3, 3))
+    message = re.escape(f"out {shape} {np.dtype(dtype)} does not match the input gradient (2, 3, 5, 5) float64")
+    with pytest.raises(ValueError, match=message):
+        correlate2d_backward(np.zeros((2, 4, 3, 3)), x, w, out=np.zeros(shape, dtype))
+
+
+@pytest.mark.parametrize(
     "kernel,dtype", [(2, np.int8), (2, np.float32), (2, bool), (17, np.uint8), (300, np.uint16)]
 )
 def test_max_pool_backward_rejects_an_index_dtype_that_cannot_hold_every_offset(kernel, dtype):

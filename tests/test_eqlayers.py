@@ -399,6 +399,11 @@ def test_group_pool_max_backward_rejects_an_index_it_cannot_route_by(index, mess
         group_cross_channel_pool_backward(np.ones((1, 1, 1, 2)), index.reshape(1, 1, 1, 2), "max")
 
 
+def test_group_pool_backward_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown pooling mode 'median'"):
+        group_cross_channel_pool_backward(np.ones((1, 1, 2, 2)), None, "median")
+
+
 def test_global_pool_constant_and_invariance(rng):
     const = np.full((2, 3, 4, 4), 1.75)
     np.testing.assert_array_equal(global_spatial_avg_pool(const), np.full((2, 3, 1, 1), 1.75))

@@ -215,6 +215,11 @@ def test_grammar_rejects_tokens_the_kind_does_not_read(text, message):
     assert str(exc.value) == message
 
 
+def test_layer_spec_rejects_an_unknown_kind():
+    with pytest.raises(ModelSpecError, match="unknown layer kind 'warp'"):
+        LayerSpec("warp")
+
+
 _GRAMMAR_WORDS = sorted(set(KINDS) | set(KIND_ALIASES)) + ["@" + name for name in PRESETS]
 _GRAMMAR_ALPHABET = "".join(
     sorted(set("".join(_GRAMMAR_WORDS)) | set(LAYER_TOKENS) | set("0123456789.-+e:,@ "))
@@ -658,6 +663,18 @@ def test_train_forward_of_no_images_raises_before_any_batch_statistics():
         warnings.simplefilter("error")  # no "Mean of empty slice" first
         with pytest.raises(ValueError, match="at least one image"):
             forward(model, np.zeros((0, 1, 28, 28)), mode="train", rng=np.random.default_rng(0))
+
+
+def test_forward_rejects_an_unknown_mode():
+    model = build_model(preset_stack("dren-small"), input_size=12)
+    with pytest.raises(ValueError, match="mode must be 'train' or 'eval', got 'test'"):
+        forward(model, np.zeros((1, 1, 12, 12)), mode="test")
+
+
+def test_expanded_filter_of_a_layer_with_no_filter_bank_raises():
+    model = build_model(preset_stack("dren-small"), input_size=12)
+    with pytest.raises(ValueError, match=re.escape("layer 1 (relu) has no filter bank")):
+        model.expanded_filter(1)
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -1272,6 +1289,31 @@ def test_evaluate_invariant_under_dataset_rotation():
         rotated = data.Dataset(rotate90(te.images, k), te.labels)
         assert evaluate(model, rotated) == base_err
         np.testing.assert_array_equal(predict(model, rotated.images), base_pred)
+
+
+def test_predict_is_the_argmax_of_one_eval_forward(monkeypatch):
+    # forward's chunk plan is the only cut of an eval batch: 300 images once
+    # went through forward as 256 + 44
+    model = build_model(preset_stack("dren-small"), input_size=12)
+    images = np.random.default_rng(3).random((300, 1, 12, 12))
+    real_forward, calls = network.forward, []
+
+    def spy(*args, **kwargs):
+        calls.append(real_forward(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(network, "forward", spy)
+    preds = predict(model, images)
+    assert len(calls) == 1
+    logits, cache = calls[0]
+    assert cache is None and logits.shape == (300, 10)
+    np.testing.assert_array_equal(preds, np.argmax(logits, axis=1))
+
+
+def test_predict_of_no_images_is_an_empty_int64_array():
+    model = build_model(preset_stack("dren-small"), input_size=12)
+    preds = predict(model, np.zeros((0, 1, 12, 12)))
+    assert preds.shape == (0,) and preds.dtype == np.int64
 
 
 def turned_gradient_gap(preset: str) -> float:

@@ -117,6 +117,13 @@ def test_oracle_with_stride_and_pad(rng):
     assert max_rel(oracle_isotonic(p, x, geom), correlate2d(x, expand_isotonic(p), geom)) <= 1e-12
 
 
+@pytest.mark.parametrize("oracle,base_shape", [(oracle_isotonic, (1, 4, 2, 3, 3)), (oracle_decycle, (3, 2, 3, 3))])
+def test_tied_oracles_reject_a_channel_count_the_base_does_not_take(oracle, base_shape):
+    # the base takes 2 groups of 4 channels; 7 channels fill neither 8 nor a whole group
+    with pytest.raises(ValueError, match="expected 8 input channels, got 7"):
+        oracle(np.zeros(base_shape), np.zeros((1, 7, 6, 6)))
+
+
 def test_relative_deviation_zero_tensors():
     z = np.zeros((1, 1, 2, 2))
     assert relative_deviation(z, z) == (0.0, 0.0)

@@ -83,3 +83,8 @@ def test_layout_errors():
         group_count(6)
     with pytest.raises(LayoutError):
         cyclic_permute(np.zeros((1, 6, 2, 2)), 1)
+
+
+def test_rotate90_rejects_an_array_that_is_not_rank_4():
+    with pytest.raises(ValueError, match=r"expected a rank-4 array, got shape \(2, 3, 3\)"):
+        rotate90(np.zeros((2, 3, 3)))
